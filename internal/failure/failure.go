@@ -137,7 +137,7 @@ func DetourHops(g *graph.Undirected, u, v graph.NodeID, failedU, failedV graph.N
 	if err != nil {
 		return 0, err
 	}
-	h := c.BFS(u).Hops(v)
+	h := c.Walk(u).Hops(v)
 	if h < 0 {
 		return 0, fmt.Errorf("failure: link %d—%d disconnects %d from %d",
 			failedU, failedV, u, v)

@@ -358,3 +358,27 @@ func mustAdd(t *testing.T, g *Undirected, u, v NodeID, w float64) {
 		t.Fatalf("AddEdge(%d,%d): %v", u, v, err)
 	}
 }
+
+// TestWalkStopsAtQueriedLayer checks that a walk explores no further than
+// its queries need: on a long line, asking for a node two hops out
+// discovers nothing beyond it, and asking for layer 3 expands only the
+// hop-2 node.
+func TestWalkStopsAtQueriedLayer(t *testing.T) {
+	g := NewUndirected(200)
+	for u := 0; u+1 < g.Len(); u++ {
+		mustAdd(t, g, NodeID(u), NodeID(u+1), 1)
+	}
+	w := g.Walk(0)
+	if h := w.Hops(2); h != 2 || len(w.order) != 3 {
+		t.Fatalf("Hops(2) = %d after discovering %d nodes, want 2 after 3", h, len(w.order))
+	}
+	if got := w.Layer(3); len(got) != 1 || got[0] != 3 || len(w.order) != 4 {
+		t.Fatalf("Layer(3) = %v after discovering %d nodes, want [3] after 4", got, len(w.order))
+	}
+	if got := w.Layer(199); len(got) != 1 || got[0] != 199 {
+		t.Fatalf("Layer(199) = %v", got)
+	}
+	if w.Layer(200) != nil {
+		t.Fatal("Layer(200) non-nil past the end of the line")
+	}
+}

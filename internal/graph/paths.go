@@ -3,6 +3,7 @@ package graph
 import (
 	"container/heap"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -56,30 +57,115 @@ func (t *PathTree) Hops(u NodeID) int {
 
 // BFS computes hop-count shortest paths from root, breaking parent ties by
 // smallest parent ID. Every edge counts as distance 1 regardless of weight.
+// It is a Walk run to exhaustion.
 func (g *Undirected) BFS(root NodeID) *PathTree {
+	w := g.Walk(root)
+	w.order = slices.Grow(w.order, g.n-1) // a full walk queues the whole component
 	t := newTree(g.n, root)
-	t.Dist[root] = 0
-	queue := []NodeID{root}
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		// The else-if below corrects the parent to the smallest-ID
-		// equal-distance candidate as each layer-d node processes v, so the
-		// final tree is independent of adjacency order and the per-visit
-		// sort+allocation of Neighbors is unnecessary.
-		for _, h := range g.adj[u] {
-			v := h.to
-			du := t.Dist[u] + 1
-			if t.Parent[v] == -1 && v != root {
-				t.Parent[v] = u
-				t.Dist[v] = du
-				queue = append(queue, v)
-			} else if t.Dist[v] == du && u < t.Parent[v] && v != root {
-				t.Parent[v] = u
-			}
-		}
+	for u, ok := w.step(); ok; u, ok = w.step() {
+		// u's adjacency was just scanned, so its parent is a cache hit.
+		t.Dist[u] = float64(w.depth[u] - 1)
+		t.Parent[u] = w.Parent(u)
 	}
 	return t
+}
+
+// Walk is a resumable breadth-first search from a root: it expands the
+// graph one node at a time, in layer order, only as far as its queries
+// need. A node's parent is its smallest-ID neighbour one hop closer to the
+// root, the tiebreak of every search in this package. Both a node's hop
+// count and its parent are final once the node is discovered: discovering
+// a hop-h node means expanding a hop-(h-1) node, which the queue reaches
+// only after the whole hop-(h-2) layer, so every hop-(h-1) node is known
+// by then. The graph must not change while a walk is in use.
+type Walk struct {
+	g     *Undirected
+	depth []int32  // hop count + 1; 0 while undiscovered
+	order []NodeID // discovered nodes, layer by layer
+	start []int    // start[h] is the index in order of the first hop-h node
+	next  int      // index in order of the next node to expand
+}
+
+// Walk starts a breadth-first walk from root. Nothing beyond root is
+// explored until a query asks for it.
+func (g *Undirected) Walk(root NodeID) *Walk {
+	w := &Walk{g: g, depth: make([]int32, g.n), order: []NodeID{root}, start: []int{0}}
+	w.depth[root] = 1
+	return w
+}
+
+// step expands the next discovered node and returns it; ok is false once
+// the root's component is exhausted.
+func (w *Walk) step() (u NodeID, ok bool) {
+	if w.next == len(w.order) {
+		return -1, false
+	}
+	u = w.order[w.next]
+	w.next++
+	du := w.depth[u]
+	for _, h := range w.g.adj[u] {
+		if w.depth[h.to] == 0 {
+			w.depth[h.to] = du + 1
+			if int(du) == len(w.start) {
+				w.start = append(w.start, len(w.order))
+			}
+			w.order = append(w.order, h.to)
+		}
+	}
+	return u, true
+}
+
+// Hops returns the hop distance from the root to v, or -1 if v is
+// unreachable. It expands the walk until v is discovered, or through the
+// whole of the root's component if v lies outside it.
+func (w *Walk) Hops(v NodeID) int {
+	for w.depth[v] == 0 {
+		if _, ok := w.step(); !ok {
+			break
+		}
+	}
+	return int(w.depth[v]) - 1
+}
+
+// Parent returns v's parent toward the root: the root for the root itself,
+// -1 if v is unreachable. Like Hops, it expands the walk until v is
+// discovered.
+func (w *Walk) Parent(v NodeID) NodeID {
+	h := w.Hops(v)
+	switch {
+	case h < 0:
+		return -1
+	case h == 0:
+		return v
+	}
+	p := NodeID(-1)
+	for _, e := range w.g.adj[v] {
+		if w.depth[e.to] == int32(h) && (p == -1 || e.to < p) {
+			p = e.to
+		}
+	}
+	return p
+}
+
+// Layer returns the nodes exactly h hops from the root, in discovery
+// order, or nil if there are none. The layer is complete once every
+// hop-(h-1) node has been expanded, and the walk goes no further. The
+// slice belongs to the walk and must not be modified.
+func (w *Walk) Layer(h int) []NodeID {
+	if h < 0 {
+		return nil
+	}
+	for w.next < len(w.order) && int(w.depth[w.order[w.next]]) <= h {
+		w.step()
+	}
+	if h >= len(w.start) {
+		return nil
+	}
+	end := len(w.order)
+	if h+1 < len(w.start) {
+		end = w.start[h+1]
+	}
+	return w.order[w.start[h]:end:end]
 }
 
 // Dijkstra computes weighted shortest paths from root with deterministic

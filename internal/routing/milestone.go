@@ -51,7 +51,7 @@ func (m *MilestoneRouter) Path(s, d graph.NodeID) ([]graph.NodeID, error) {
 // hop distance between its endpoints (the communication layer routes
 // freely between milestones). Suitable as sim.Options.EdgeHops.
 func (m *MilestoneRouter) EdgeHops(e Edge) int {
-	h := m.net.BFS(e.From).Hops(e.To)
+	h := m.net.Walk(e.From).Hops(e.To)
 	if h < 1 {
 		return 1
 	}

@@ -42,15 +42,16 @@ func (b *SharedTree) Path(s, d graph.NodeID) ([]graph.NodeID, error) {
 // destination converge and never diverge (suffix property by
 // construction); paths from one source to different destinations may
 // branch and re-join, so the per-source multicast structure is a DAG
-// rather than a strict tree.
+// rather than a strict tree. Each destination's tree is a resumable
+// graph.Walk, grown only as far out as the sources routed so far.
 type ReversePath struct {
 	net   *graph.Undirected
-	trees map[graph.NodeID]*graph.PathTree
+	walks map[graph.NodeID]*graph.Walk
 }
 
 // NewReversePath returns a ReversePath router over net.
 func NewReversePath(net *graph.Undirected) *ReversePath {
-	return &ReversePath{net: net, trees: make(map[graph.NodeID]*graph.PathTree)}
+	return &ReversePath{net: net, walks: make(map[graph.NodeID]*graph.Walk)}
 }
 
 // Name implements Router.
@@ -61,19 +62,21 @@ func (r *ReversePath) Path(s, d graph.NodeID) ([]graph.NodeID, error) {
 	if int(s) < 0 || int(s) >= r.net.Len() || int(d) < 0 || int(d) >= r.net.Len() {
 		return nil, fmt.Errorf("routing: node out of range in pair %d→%d", s, d)
 	}
-	t, ok := r.trees[d]
+	w, ok := r.walks[d]
 	if !ok {
-		t = r.net.BFS(d)
-		r.trees[d] = t
+		w = r.net.Walk(d)
+		r.walks[d] = w
 	}
-	if !t.Reachable(s) {
+	h := w.Hops(s)
+	if h < 0 {
 		return nil, fmt.Errorf("routing: %d unreachable from %d", d, s)
 	}
-	// The BFS tree is rooted at d; climbing parents from s yields the
+	// The walk is rooted at d; climbing parents from s yields the
 	// canonical s→d path directly.
-	path := []graph.NodeID{s}
+	path := make([]graph.NodeID, 1, h+1)
+	path[0] = s
 	for v := s; v != d; {
-		v = t.Parent[v]
+		v = w.Parent(v)
 		path = append(path, v)
 	}
 	return path, nil

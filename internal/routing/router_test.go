@@ -1,9 +1,13 @@
 package routing
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 
+	"m2m/internal/geom"
 	"m2m/internal/graph"
 	"m2m/internal/topology"
 )
@@ -146,6 +150,102 @@ func TestReversePathsAreShortest(t *testing.T) {
 		want := g.BFS(s).Hops(d)
 		if len(p)-1 != want {
 			t.Fatalf("path %d→%d has %d hops, shortest is %d", s, d, len(p)-1, want)
+		}
+	}
+}
+
+// refReversePath is the whole-network reference for ReversePath: hop
+// counts from d by a plain BFS, then a climb from s that always steps to
+// the smallest-ID neighbour one hop closer to d.
+func refReversePath(g *graph.Undirected, s, d graph.NodeID) ([]graph.NodeID, error) {
+	hops := make([]int, g.Len())
+	for i := range hops {
+		hops[i] = -1
+	}
+	hops[d] = 0
+	for queue := []graph.NodeID{d}; len(queue) > 0; queue = queue[1:] {
+		for _, v := range g.Neighbors(queue[0]) {
+			if hops[v] < 0 {
+				hops[v] = hops[queue[0]] + 1
+				queue = append(queue, v)
+			}
+		}
+	}
+	if hops[s] < 0 {
+		return nil, fmt.Errorf("routing: %d unreachable from %d", d, s)
+	}
+	path := []graph.NodeID{s}
+	for v := s; v != d; path = append(path, v) {
+		for _, u := range g.Neighbors(v) { // ascending
+			if hops[u] == hops[v]-1 {
+				v = u
+				break
+			}
+		}
+	}
+	return path, nil
+}
+
+// TestReversePathMatchesReference routes every pair toward a few
+// destinations, far sources first, and checks each path and each
+// "unreachable" error against the whole-network reference.
+func TestReversePathMatchesReference(t *testing.T) {
+	split := topology.Clustered(120, geom.NewRect(0, 0, 1500, 1500), 4, 20, 5).ConnectivityGraph(50)
+	nets := []struct {
+		name string
+		g    *graph.Undirected
+	}{
+		{"gdi", topology.GreatDuckIsland().ConnectivityGraph(50)},
+		{"random", topology.Scaled(300, 1).ConnectivityGraph(50)},
+		{"clustered", topology.ScaledClustered(300, 2).ConnectivityGraph(50)},
+		{"grid", topology.Grid(12, 9, 10).ConnectivityGraph(15)},
+		{"split", split},
+	}
+	rng := rand.New(rand.NewSource(4))
+	for _, nw := range nets {
+		name, g := nw.name, nw.g
+		r := NewReversePath(g)
+		type pair struct{ s, d graph.NodeID }
+		var pairs []pair
+		for k := 0; k < 4; k++ {
+			d := graph.NodeID(rng.Intn(g.Len()))
+			for s := 0; s < g.Len(); s++ {
+				pairs = append(pairs, pair{graph.NodeID(s), d})
+			}
+		}
+		// Far (and unreachable) sources first, so the walks must grow
+		// past nodes that later queries land on.
+		rng.Shuffle(len(pairs), func(i, j int) { pairs[i], pairs[j] = pairs[j], pairs[i] })
+		type result struct {
+			path []graph.NodeID
+			err  error
+		}
+		want := make(map[pair]result, len(pairs))
+		reach := func(p pair) int {
+			if want[p].err != nil {
+				return g.Len() + 1
+			}
+			return len(want[p].path)
+		}
+		for _, p := range pairs {
+			path, err := refReversePath(g, p.s, p.d)
+			want[p] = result{path, err}
+		}
+		sort.SliceStable(pairs, func(i, j int) bool { return reach(pairs[i]) > reach(pairs[j]) })
+		unreachable := 0
+		for _, p := range pairs {
+			got, err := r.Path(p.s, p.d)
+			if w := want[p]; w.err != nil {
+				unreachable++
+				if err == nil || err.Error() != w.err.Error() {
+					t.Fatalf("%s %d→%d: error %v, want %v", name, p.s, p.d, err, w.err)
+				}
+			} else if err != nil || !slices.Equal(got, w.path) {
+				t.Fatalf("%s %d→%d: path %v (%v), want %v", name, p.s, p.d, got, err, w.path)
+			}
+		}
+		if name == "split" && unreachable == 0 {
+			t.Fatal("split network: no unreachable pair exercised")
 		}
 	}
 }

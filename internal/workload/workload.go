@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"m2m/internal/agg"
@@ -107,13 +108,13 @@ func Generate(g *graph.Undirected, cfg Config) ([]agg.Spec, error) {
 // supply enough nodes, the hop limit is extended (networks smaller than
 // the workload demands would otherwise be unusable).
 func drawSources(g *graph.Undirected, d graph.NodeID, cfg Config, rng *rand.Rand) ([]graph.NodeID, error) {
-	bfs := g.BFS(d)
+	walk := g.Walk(d)
 	if cfg.MaxHops == 0 {
 		// Uniform over the whole reachable network.
 		var candidates []graph.NodeID
 		for u := 0; u < g.Len(); u++ {
 			id := graph.NodeID(u)
-			if id != d && bfs.Reachable(id) {
+			if id != d && walk.Hops(id) >= 0 {
 				candidates = append(candidates, id)
 			}
 		}
@@ -128,38 +129,27 @@ func drawSources(g *graph.Undirected, d graph.NodeID, cfg Config, rng *rand.Rand
 		return out, nil
 	}
 
-	// Bucket nodes by hop distance.
-	maxHop := 0
-	buckets := make(map[int][]graph.NodeID)
-	for u := 0; u < g.Len(); u++ {
-		id := graph.NodeID(u)
-		if id == d || !bfs.Reachable(id) {
-			continue
-		}
-		h := bfs.Hops(id)
-		buckets[h] = append(buckets[h], id)
-		if h > maxHop {
-			maxHop = h
-		}
-	}
-	total := 0
-	for _, b := range buckets {
-		total += len(b)
-	}
-	if total < cfg.SourcesPerDest {
-		return nil, fmt.Errorf("workload: destination %d can reach only %d nodes", d, total)
-	}
-
-	// Effective hop limit: extend past MaxHops only if needed for supply.
-	limit := cfg.MaxHops
+	// Bucket nodes by hop distance, each bucket ascending by ID, out to
+	// the effective hop limit: MaxHops, extended past it only while the
+	// buckets so far cannot supply enough sources. The walk explores no
+	// further than the last bucket, and runs out only if d's whole
+	// component is too small.
+	buckets := [][]graph.NodeID{nil} // buckets[h]; d alone is at hop 0
 	supply := 0
-	for h := 1; h <= limit; h++ {
-		supply += len(buckets[h])
+	for h := 1; h <= cfg.MaxHops || supply < cfg.SourcesPerDest; h++ {
+		layer := walk.Layer(h)
+		if layer == nil {
+			break
+		}
+		b := slices.Clone(layer)
+		slices.Sort(b)
+		buckets = append(buckets, b)
+		supply += len(b)
 	}
-	for supply < cfg.SourcesPerDest && limit < maxHop {
-		limit++
-		supply += len(buckets[limit])
+	if supply < cfg.SourcesPerDest {
+		return nil, fmt.Errorf("workload: destination %d can reach only %d nodes", d, supply)
 	}
+	limit := len(buckets) - 1
 
 	// Bucket probabilities: d^(h-1) normalized. 0^0 = 1 by convention.
 	weightOf := func(h int) float64 {
