@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all check build vet test test-short race cover bench bench-plan-scale bench-serve figures examples serve fuzz-scenarios fuzz-soak clean
+.PHONY: all check build vet test test-short race cover bench bench-plan-scale bench-serve figures examples serve fuzz-scenarios fuzz-soak loc clean
 
 all: check
 
@@ -74,6 +74,13 @@ examples:
 	$(GO) run ./examples/dynamic
 	$(GO) run ./examples/failover
 	$(GO) run ./examples/motes
+
+# Go line totals of the root module (perfbench/ is a module of its own),
+# split into non-test and test files.
+GO_FILES = find . \( -path ./perfbench -o -name '.*' -a ! -name . \) -prune -o -name '*.go'
+loc:
+	@echo "non-test: $$($(GO_FILES) ! -name '*_test.go' -print | xargs cat | wc -l)"
+	@echo "test:     $$($(GO_FILES) -name '*_test.go' -print | xargs cat | wc -l)"
 
 clean:
 	$(GO) clean ./...

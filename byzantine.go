@@ -7,14 +7,14 @@ import (
 
 	"m2m/internal/chaos"
 	"m2m/internal/failure"
-	"m2m/internal/plan"
 	"m2m/internal/sim"
-	"m2m/internal/wire"
 )
 
-// Adversary is the Byzantine corruption schedule the executors consult
-// at the pre-aggregation boundary. FaultInjector implements it once
-// WithByzantine windows are configured.
+// Adversary is the Byzantine corruption schedule the fault-free
+// executors consult at the pre-aggregation boundary (the engine's
+// Options.Adversary); faulty-path rounds corrupt through their
+// FaultSchedule's CorruptReading instead. FaultInjector implements it
+// once WithByzantine windows are configured.
 type Adversary = sim.Adversary
 
 // ByzMode selects how a Byzantine node lies about its own reading (see
@@ -109,9 +109,8 @@ type ExcisionEvent struct {
 // fewer than three live non-excised sources the audit abstains — a
 // median of two tells nothing.
 func (s *ResilientSession) observeByzantine(cur map[NodeID]float64, step *ResilientStep) error {
-	adv, _ := s.faults.(Adversary)
-	if adv == nil {
-		return nil // nothing on this schedule can lie
+	if s.faults == nil {
+		return nil // nothing on a fault-free network can lie
 	}
 	reports := make(map[NodeID]float64, len(s.monitored))
 	est := make([]float64, 0, len(s.monitored))
@@ -119,7 +118,7 @@ func (s *ResilientSession) observeByzantine(cur map[NodeID]float64, step *Resili
 		if s.dead[n] || s.nodeDown(s.round, n) {
 			continue
 		}
-		r := adv.CorruptReading(s.round, n, cur[n])
+		r := s.faults.CorruptReading(s.round, n, cur[n])
 		reports[n] = r
 		if !s.excised[n] {
 			est = append(est, r)
@@ -187,7 +186,7 @@ func (s *ResilientSession) excise(n NodeID, residual float64) (*ExcisionEvent, e
 	if err != nil {
 		return nil, fmt.Errorf("m2m: cannot excise node %d: %w", n, err)
 	}
-	replanJ, replanBytes, err := s.replanSpecs(pruned)
+	diff, _, _, err := s.replan(s.net.Graph, pruned, s.prices, noNode)
 	if err != nil {
 		return nil, err
 	}
@@ -198,8 +197,8 @@ func (s *ResilientSession) excise(n NodeID, residual float64) (*ExcisionEvent, e
 		Node:            n,
 		Round:           s.round,
 		Residual:        residual,
-		ReplanJ:         replanJ,
-		ReplanBytes:     replanBytes,
+		ReplanJ:         diff.EnergyJ,
+		ReplanBytes:     diff.Bytes,
 		ReadmittedRound: -1,
 	}
 	s.excisions = append(s.excisions, ev)
@@ -218,7 +217,7 @@ func (s *ResilientSession) readmit(n NodeID) error {
 		s.excised[n] = true
 		return fmt.Errorf("m2m: cannot readmit node %d: %w", n, err)
 	}
-	if _, _, err := s.replanSpecs(specs); err != nil {
+	if _, _, _, err := s.replan(s.net.Graph, specs, s.prices, noNode); err != nil {
 		s.excised[n] = true
 		return err
 	}
@@ -251,72 +250,6 @@ func (s *ResilientSession) rebuildSpecs() ([]Spec, error) {
 		specs = pruned
 	}
 	return specs, nil
-}
-
-// replanSpecs swaps the session onto a new workload over the unchanged
-// graph: incremental re-optimization against the executing plan, a new
-// engine (and async runner, inheriting RTT estimators and value caches),
-// and a new epoch whose table diffs disseminate at the end of the step.
-// It returns the priced dissemination cost of the diff.
-func (s *ResilientSession) replanSpecs(specs []Spec) (float64, int, error) {
-	newInst, err := s.newInstance(s.net.Graph, specs)
-	if err != nil {
-		return 0, 0, err
-	}
-	replanned, _, err := plan.ReoptimizeWithPrices(s.plan, newInst, s.prices)
-	if err != nil {
-		return 0, 0, err
-	}
-	oldTab, err := s.currentTables()
-	if err != nil {
-		return 0, 0, err
-	}
-	newTab, err := replanned.BuildTables()
-	if err != nil {
-		return 0, 0, err
-	}
-	base, err := s.lowestAlive(noNode)
-	if err != nil {
-		return 0, 0, err
-	}
-	diff, err := wire.CostUpdate(s.inst, newInst, oldTab, newTab, s.net.Radio, base)
-	if err != nil {
-		return 0, 0, err
-	}
-	changed, err := wire.ChangedNodes(s.inst, newInst, oldTab, newTab)
-	if err != nil {
-		return 0, 0, err
-	}
-	eng, err := sim.NewEngine(replanned, s.net.Radio, sim.Options{MergeMessages: true, Battery: s.cfg.Battery})
-	if err != nil {
-		return 0, 0, err
-	}
-	var runner *sim.AsyncRunner
-	if s.runner != nil {
-		acfg := *s.cfg.Async
-		if acfg.MaxRetries == 0 {
-			acfg.MaxRetries = s.cfg.MaxRetries
-		}
-		if runner, err = sim.NewAsyncRunner(eng, acfg); err != nil {
-			return 0, 0, err
-		}
-		runner.InheritState(s.runner)
-	}
-	for _, d := range s.inst.Dests() {
-		if _, ok := newInst.SpecByDest[d]; !ok {
-			delete(s.values, d)
-		}
-	}
-	s.specs = specs
-	s.inst = newInst
-	s.plan = replanned
-	s.engine = eng
-	if runner != nil {
-		s.runner = runner
-	}
-	s.tables = newTab
-	s.bumpEpoch(changed, base)
-	return diff.EnergyJ, diff.Bytes, nil
 }
 
 // ExcisedNodes returns the sources currently excised by the quarantine

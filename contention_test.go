@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"m2m/internal/failure"
+	"m2m/internal/sim"
 )
 
 // TestSessionSwitchesToTDMA pins the contention-adaptive loop: under a
@@ -235,5 +236,44 @@ func TestMinDegreeRouterGolden(t *testing.T) {
 		if diff := math.Abs(res.Values[d] - v); diff > 1e-6*(1+math.Abs(v)) {
 			t.Fatalf("dest %d: min-degree value %v, reverse-path %v", d, res.Values[d], v)
 		}
+	}
+}
+
+// TestExcisionReplanKeepsTDMA pins that a Byzantine excision replan
+// derives a frame for its new engine like every other replan: once the
+// session has switched, every round runs scheduled and the rounds after
+// the excision are collision-free.
+func TestExcisionReplanKeepsTDMA(t *testing.T) {
+	net, specs, gen, _ := byzantineFixture(t)
+	inj, _, _ := byzantineInjector(909)
+	inj = inj.WithCollisions(0)
+	if err := inj.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	s, err := NewResilientSession(net, specs, RouterReversePath, gen, inj, ResilientConfig{Byzantine: &ByzantineConfig{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	excised := -1
+	for r := 0; r < 12; r++ {
+		step, err := s.Step()
+		if err != nil {
+			t.Fatalf("round %d: %v", r, err)
+		}
+		if s.TDMAActive() && s.engine.TransmitMode() != sim.TxTDMA {
+			t.Fatalf("round %d: session reports TDMA but the engine runs %v", r, s.engine.TransmitMode())
+		}
+		if excised >= 0 && step.Collisions != 0 {
+			t.Fatalf("round %d (after the round-%d excision): %d collisions", r, excised, step.Collisions)
+		}
+		if excised < 0 && len(step.Excisions) > 0 {
+			if !step.TDMA {
+				t.Fatalf("round %d: excision before the TDMA switch", r)
+			}
+			excised = r
+		}
+	}
+	if excised < 0 {
+		t.Fatal("no excision happened")
 	}
 }

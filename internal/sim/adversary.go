@@ -13,10 +13,10 @@ import "m2m/internal/graph"
 // node returns v unchanged), so rounds stay reproducible and the
 // compiled, lossy, and asynchronous executors corrupt identically.
 //
-// The lossy and asynchronous executors discover the adversary by
-// asserting it from their fault schedule, falling back to the engine's
-// Options.Adversary; the fault-free executors use Options.Adversary
-// with an engine-held round counter.
+// The lossy and asynchronous executors corrupt through their fault
+// schedule's CorruptReading (Faults), falling back to the engine's
+// Options.Adversary only for a nil schedule; the fault-free executors
+// use Options.Adversary with an engine-held round counter.
 type Adversary interface {
 	CorruptReading(round int, n graph.NodeID, v float64) float64
 }
@@ -39,13 +39,4 @@ func (e *Engine) reserveAdvRounds(n int) int {
 		return 0
 	}
 	return int(e.advRound.Add(int64(n))) - n
-}
-
-// adversaryFor resolves the adversary a faulty-path round should apply:
-// the fault schedule's own, when it carries one, else the engine's.
-func (e *Engine) adversaryFor(faults Faults) Adversary {
-	if adv, ok := faults.(Adversary); ok {
-		return adv
-	}
-	return e.adversary
 }

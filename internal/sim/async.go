@@ -36,27 +36,6 @@ import (
 // replayed in exactly the sequence RunLossy would use, whatever the
 // channel did to the timing.
 
-// AsyncFaults extends the Faults schedule with the timing dimensions the
-// event-driven executor exercises. chaos.Injector implements it. Both
-// methods must be pure functions of their arguments.
-type AsyncFaults interface {
-	Faults
-	// LatencyMS is the one-way propagation delay of copy c of the
-	// attempt-th transmission of the round on e, in milliseconds. By
-	// convention data copy i queries c=2i and its acknowledgement c=2i+1.
-	LatencyMS(round int, e routing.Edge, attempt, c int) float64
-	// Duplicates is how many extra copies of a delivered attempt the
-	// receiver hears beyond the first.
-	Duplicates(round int, e routing.Edge, attempt int) int
-}
-
-// zeroAsync adapts a plain Faults schedule to AsyncFaults: instantaneous
-// links, no duplication — so synchronous test schedules run unchanged.
-type zeroAsync struct{ Faults }
-
-func (zeroAsync) LatencyMS(int, routing.Edge, int, int) float64 { return 0 }
-func (zeroAsync) Duplicates(int, routing.Edge, int) int         { return 0 }
-
 // AsyncConfig tunes the asynchronous executor. Zero values select the
 // defaults noted on each field.
 type AsyncConfig struct {
@@ -437,22 +416,14 @@ func addContrib(cs []contrib, nc contrib) []contrib {
 // duplication and reordering only timing and energy may change, never the
 // delivered values.
 func (a *AsyncRunner) Run(round int, readings map[graph.NodeID]float64, faults Faults) (*AsyncResult, error) {
-	var af AsyncFaults
-	switch f := faults.(type) {
-	case nil:
-		af = zeroAsync{noFaults{}}
-	case AsyncFaults:
-		af = f
-	default:
-		af = zeroAsync{f}
-	}
 	e := a.eng
+	faults, adv := e.resolveFaults(faults)
 	c := e.prog
 	topo := e.asyncTopology()
 	cfg := a.cfg
 	bat := e.battery
 	down := func(n graph.NodeID) bool {
-		return af.NodeDead(round, n) || (bat != nil && bat.Depleted(n))
+		return faults.NodeDead(round, n) || (bat != nil && bat.Depleted(n))
 	}
 
 	res := &AsyncResult{LossyResult: LossyResult{
@@ -464,8 +435,6 @@ func (a *AsyncRunner) Run(round int, readings map[graph.NodeID]float64, faults F
 
 	ls := e.getLossyState()
 	defer e.putLossyState(ls)
-	// The fence and the adversary read the original schedule: zeroAsync
-	// wrapping must not hide an Epochs or Adversary implementation.
 	e.fillEdgeFence(ls, faults)
 	// Under a collision schedule the round's contention is resolved once
 	// by the slot oracle and replayed here attempt-for-attempt, so the
@@ -474,8 +443,6 @@ func (a *AsyncRunner) Run(round int, readings map[graph.NodeID]float64, faults F
 	if err != nil {
 		return nil, err
 	}
-	cf, _ := faults.(CollisionFaults)
-	adv := e.adversaryFor(faults)
 	contribs := make([][]contrib, c.nRec)
 	for i, slot := range c.srcSlot {
 		if !down(c.srcIDs[i]) {
@@ -652,32 +619,32 @@ func (a *AsyncRunner) Run(round int, readings map[graph.NodeID]float64, faults F
 			case coCollided:
 				res.Collisions++
 				if !down(st.edge.To) && (bat == nil || bat.Spend(round, st.edge.To, e.Radio.RxJoules(st.body))) {
-					lat := af.LatencyMS(round, st.edge, wireAtt, 0)
+					lat := faults.LatencyMS(round, st.edge, wireAtt, 0)
 					pushWreck(now+serMS(st.body)+lat, mi, wireAtt)
 				}
 			case coDelivered:
 				if !down(st.edge.To) {
-					copies := 1 + af.Duplicates(round, st.edge, wireAtt)
+					copies := 1 + faults.Duplicates(round, st.edge, wireAtt)
 					heard := 0
 					for c := 0; c < copies; c++ {
 						if bat != nil && !bat.Spend(round, st.edge.To, e.Radio.RxJoules(st.body)) {
 							break
 						}
-						lat := af.LatencyMS(round, st.edge, wireAtt, 2*c)
+						lat := faults.LatencyMS(round, st.edge, wireAtt, 2*c)
 						push(now+serMS(st.body)+lat, evArrive, mi, wireAtt, c)
 						heard++
 					}
 					heardOK = heard > 0
 				}
 			}
-		} else if !down(st.edge.To) && af.Deliver(round, st.edge, wireAtt) {
-			copies := 1 + af.Duplicates(round, st.edge, wireAtt)
+		} else if !down(st.edge.To) && faults.Deliver(round, st.edge, wireAtt) {
+			copies := 1 + faults.Duplicates(round, st.edge, wireAtt)
 			heard := 0
 			for c := 0; c < copies; c++ {
 				if bat != nil && !bat.Spend(round, st.edge.To, e.Radio.RxJoules(st.body)) {
 					break // receiver browned out: this and later copies unheard
 				}
-				lat := af.LatencyMS(round, st.edge, wireAtt, 2*c)
+				lat := faults.LatencyMS(round, st.edge, wireAtt, 2*c)
 				push(now+serMS(st.body)+lat, evArrive, mi, wireAtt, c)
 				heard++
 			}
@@ -799,7 +766,7 @@ func (a *AsyncRunner) Run(round int, readings map[graph.NodeID]float64, faults F
 			// The receiver acknowledges every copy it hears; acks are
 			// header-only and priced as free, like the synchronous ARQ's
 			// implicit acks.
-			ackLat := af.LatencyMS(round, st.edge, ev.attempt, 2*ev.copy+1)
+			ackLat := faults.LatencyMS(round, st.edge, ev.attempt, 2*ev.copy+1)
 			push(ev.t+serAckMS+ackLat, evAck, ev.msg, ev.attempt, ev.copy)
 
 		case evAck:
@@ -836,7 +803,7 @@ func (a *AsyncRunner) Run(round int, readings map[graph.NodeID]float64, faults F
 					for i := 0; i < ft && i < 5; i++ {
 						window *= 2
 					}
-					when += float64(cf.BackoffSlots(round, st.edge, attemptSalt(ev.msg, ft), window)) * slotMS
+					when += float64(faults.BackoffSlots(round, st.edge, attemptSalt(ev.msg, ft), window)) * slotMS
 				}
 				if !transmit(ev.msg, when) && !st.anyCopyComing {
 					// Browned out mid-ARQ with nothing in flight: the

@@ -276,13 +276,11 @@ func TestAsyncSpuriousRetransmitDeduped(t *testing.T) {
 // slowEdge is a test schedule: everything delivers, but from round 1 on
 // one edge takes an eternity.
 type slowEdge struct {
+	NoFaults
 	edge routing.Edge
 	ms   float64
 }
 
-func (slowEdge) NodeDead(int, graph.NodeID) bool       { return false }
-func (slowEdge) Deliver(int, routing.Edge, int) bool   { return true }
-func (slowEdge) Duplicates(int, routing.Edge, int) int { return 0 }
 func (s slowEdge) LatencyMS(round int, e routing.Edge, _, _ int) float64 {
 	if round >= 1 && e == s.edge {
 		return s.ms

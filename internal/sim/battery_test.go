@@ -263,9 +263,11 @@ func TestBatteryConservation(t *testing.T) {
 
 // attemptFaults drops the first ARQ attempt on the listed edges and
 // delivers everything else.
-type attemptFaults struct{ dropFirst map[routing.Edge]bool }
+type attemptFaults struct {
+	NoFaults
+	dropFirst map[routing.Edge]bool
+}
 
-func (attemptFaults) NodeDead(int, graph.NodeID) bool { return false }
 func (f attemptFaults) Deliver(_ int, e routing.Edge, attempt int) bool {
 	return !(f.dropFirst[e] && attempt == 0)
 }

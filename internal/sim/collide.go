@@ -77,25 +77,6 @@ func (m TxMode) String() string {
 	}
 }
 
-// CollisionFaults extends the Faults schedule with the contention
-// dimensions (chaos.Injector implements it). All methods must be pure
-// functions of their arguments.
-type CollisionFaults interface {
-	Faults
-	// CollisionsEnabled reports whether the slot-contention model is on;
-	// when false the executors bypass the oracle entirely.
-	CollisionsEnabled() bool
-	// CollisionReceiver reports whether frames toward n are in collision
-	// scope (out-of-scope receivers never lose frames to contention but
-	// their senders still interfere with in-scope ones).
-	CollisionReceiver(n graph.NodeID) bool
-	// CaptureWins reports whether the attempt-th frame of the round on e
-	// survives a collision it is part of.
-	CaptureWins(round int, e routing.Edge, attempt int) bool
-	// BackoffSlots draws a uniform backoff in [0, window) slots.
-	BackoffSlots(round int, e routing.Edge, attempt, window int) int
-}
-
 // contention is the static conflict topology of the engine's message
 // layout: which planned messages cannot share a slot, plus the schedule
 // form of the layout. Built lazily once per engine; immutable after.
@@ -271,8 +252,7 @@ func attemptSalt(mi, try int) int {
 // fence view (nil = all edges current): a fenced edge's frames are heard
 // but never acknowledged, so its sender burns the whole retry budget.
 func (e *Engine) collisionPlanFor(round int, faults Faults, maxRetries int, edgeOK []bool) (*collisionPlan, error) {
-	cf, ok := faults.(CollisionFaults)
-	if !ok || !cf.CollisionsEnabled() {
+	if !faults.CollisionsEnabled() {
 		return nil, nil
 	}
 	ct, err := e.contentionTopo()
@@ -395,7 +375,7 @@ func (e *Engine) collisionPlanFor(round int, faults Faults, maxRetries int, edge
 			}
 			var oc byte
 			switch {
-			case conflicted && cf.CollisionReceiver(edge.To) && !cf.CaptureWins(round, edge, attemptSalt(mi, try)):
+			case conflicted && faults.CollisionReceiver(edge.To) && !faults.CaptureWins(round, edge, attemptSalt(mi, try)):
 				oc = coCollided
 			case recvDead[mi]:
 				oc = coLost
@@ -431,7 +411,7 @@ func (e *Engine) collisionPlanFor(round int, faults Faults, maxRetries int, edge
 				for i := 0; i < try && i < 5; i++ {
 					window *= 2
 				}
-				next += cf.BackoffSlots(round, edge, attemptSalt(mi, try), window)
+				next += faults.BackoffSlots(round, edge, attemptSalt(mi, try), window)
 			}
 			want[mi] = next
 		}

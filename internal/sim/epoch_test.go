@@ -13,26 +13,14 @@ import (
 )
 
 // epochFaults is a test schedule with an epoch view: the channel itself is
-// perfect (or delegates to base), but the listed nodes still run an older
-// plan epoch, so every edge they touch is fenced.
+// perfect, but the listed nodes still run an older plan epoch, so every
+// edge they touch is fenced.
 type epochFaults struct {
-	base    Faults
+	NoFaults
 	epoch   uint32
 	lagging map[graph.NodeID]uint32
 }
 
-func (f epochFaults) NodeDead(round int, n graph.NodeID) bool {
-	if f.base == nil {
-		return false
-	}
-	return f.base.NodeDead(round, n)
-}
-func (f epochFaults) Deliver(round int, e routing.Edge, attempt int) bool {
-	if f.base == nil {
-		return true
-	}
-	return f.base.Deliver(round, e, attempt)
-}
 func (f epochFaults) PlanEpoch() uint32 { return f.epoch }
 func (f epochFaults) NodeEpoch(n graph.NodeID) uint32 {
 	if e, ok := f.lagging[n]; ok {

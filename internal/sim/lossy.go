@@ -9,9 +9,13 @@ import (
 	"m2m/internal/routing"
 )
 
-// Faults is the fault schedule the lossy executor queries while a round
-// runs (chaos.Injector implements it). Both methods must be deterministic
-// in their arguments so repeated rounds are reproducible.
+// Faults is the one fault view every faulty-path executor queries while
+// a round runs: crashes and delivery, async timing, slot contention,
+// Byzantine corruption and the plan-epoch fence. chaos.Injector
+// implements it, and sessions wrap it with their epoch view. Every method
+// must be a pure function of its arguments so repeated rounds are
+// reproducible. Schedules that inject only some dimensions embed NoFaults
+// for the rest.
 type Faults interface {
 	// NodeDead reports whether n has permanently crashed by the given
 	// round. A dead node neither transmits, receives, nor samples.
@@ -19,6 +23,71 @@ type Faults interface {
 	// Deliver reports whether the attempt-th transmission of the round on
 	// e is heard by e.To (liveness of the endpoints is gated separately).
 	Deliver(round int, e routing.Edge, attempt int) bool
+
+	// LatencyMS is the one-way propagation delay of copy c of the
+	// attempt-th transmission of the round on e, in milliseconds (async
+	// executor). By convention data copy i queries c=2i and its
+	// acknowledgement c=2i+1.
+	LatencyMS(round int, e routing.Edge, attempt, c int) float64
+	// Duplicates is how many extra copies of a delivered attempt the
+	// receiver hears beyond the first (async executor).
+	Duplicates(round int, e routing.Edge, attempt int) int
+
+	// CollisionsEnabled reports whether the slot-contention model is on;
+	// when false the executors bypass the oracle and never consult the
+	// other three collision methods.
+	CollisionsEnabled() bool
+	// CollisionReceiver reports whether frames toward n are in collision
+	// scope (out-of-scope receivers never lose frames to contention but
+	// their senders still interfere with in-scope ones).
+	CollisionReceiver(n graph.NodeID) bool
+	// CaptureWins reports whether the attempt-th frame of the round on e
+	// survives a collision it is part of.
+	CaptureWins(round int, e routing.Edge, attempt int) bool
+	// BackoffSlots draws a uniform backoff in [0, window) slots.
+	BackoffSlots(round int, e routing.Edge, attempt, window int) int
+
+	// CorruptReading is the Byzantine corruption applied to n's reading
+	// at the pre-aggregation boundary (see Adversary); honest nodes
+	// return v unchanged.
+	CorruptReading(round int, n graph.NodeID, v float64) float64
+
+	// PlanEpoch is the epoch of the plan the engine is executing;
+	// NodeEpoch is the epoch of the routing tables installed at n. A frame
+	// crossing an edge whose endpoints do not both run PlanEpoch is
+	// transmitted and heard — both radios pay — but the receiver discards
+	// it instead of merging (counted in EpochDropped), so a node on a
+	// stale plan degrades coverage rather than corrupting aggregates.
+	// Schedules without reconfiguration report 0 everywhere.
+	PlanEpoch() uint32
+	NodeEpoch(n graph.NodeID) uint32
+}
+
+// NoFaults is the zero schedule: nobody dies, every transmission arrives
+// instantly and once, nothing collides or lies, and every node runs epoch
+// 0. Embed it to implement only the dimensions a schedule injects.
+type NoFaults struct{}
+
+func (NoFaults) NodeDead(int, graph.NodeID) bool                         { return false }
+func (NoFaults) Deliver(int, routing.Edge, int) bool                     { return true }
+func (NoFaults) LatencyMS(int, routing.Edge, int, int) float64           { return 0 }
+func (NoFaults) Duplicates(int, routing.Edge, int) int                   { return 0 }
+func (NoFaults) CollisionsEnabled() bool                                 { return false }
+func (NoFaults) CollisionReceiver(graph.NodeID) bool                     { return false }
+func (NoFaults) CaptureWins(int, routing.Edge, int) bool                 { return false }
+func (NoFaults) BackoffSlots(int, routing.Edge, int, int) int            { return 0 }
+func (NoFaults) CorruptReading(_ int, _ graph.NodeID, v float64) float64 { return v }
+func (NoFaults) PlanEpoch() uint32                                       { return 0 }
+func (NoFaults) NodeEpoch(graph.NodeID) uint32                           { return 0 }
+
+// resolveFaults normalizes a faulty-path round's schedule and adversary:
+// a nil schedule is NoFaults with the engine's own Options.Adversary;
+// otherwise the schedule corrupts readings itself.
+func (e *Engine) resolveFaults(faults Faults) (Faults, Adversary) {
+	if faults == nil {
+		return NoFaults{}, e.adversary
+	}
+	return faults, faults
 }
 
 func b2i(b bool) int {
@@ -26,25 +95,6 @@ func b2i(b bool) int {
 		return 1
 	}
 	return 0
-}
-
-// noFaults is the identity schedule: every transmission arrives.
-type noFaults struct{}
-
-func (noFaults) NodeDead(int, graph.NodeID) bool     { return false }
-func (noFaults) Deliver(int, routing.Edge, int) bool { return true }
-
-// Epochs is the optional plan-epoch view of a fault schedule: sessions
-// that reconfigure in place implement it next to Faults to fence the
-// executors during dissemination. PlanEpoch is the epoch of the plan the
-// engine is executing; NodeEpoch is the epoch of the routing tables
-// installed at n. A frame crossing an edge whose endpoints do not both run
-// PlanEpoch is transmitted and heard — both radios pay — but the receiver
-// discards it instead of merging (counted in EpochDropped), so a node on a
-// stale plan degrades coverage rather than corrupting aggregates.
-type Epochs interface {
-	PlanEpoch() uint32
-	NodeEpoch(n graph.NodeID) uint32
 }
 
 // DeliveryReport describes how well one destination was served by a lossy
@@ -225,9 +275,7 @@ func (e *Engine) RunLossy(round int, readings map[graph.NodeID]float64, faults F
 	if maxRetries < 0 {
 		return nil, fmt.Errorf("sim: negative retry budget %d", maxRetries)
 	}
-	if faults == nil {
-		faults = noFaults{}
-	}
+	faults, adv := e.resolveFaults(faults)
 	bat := e.battery
 	down := func(n graph.NodeID) bool {
 		return faults.NodeDead(round, n) || (bat != nil && bat.Depleted(n))
@@ -240,7 +288,6 @@ func (e *Engine) RunLossy(round int, readings map[graph.NodeID]float64, faults F
 	if err != nil {
 		return nil, err
 	}
-	adv := e.adversaryFor(faults)
 	for i, slot := range c.srcSlot {
 		if !down(c.srcIDs[i]) {
 			v := readings[c.srcIDs[i]]

@@ -15,6 +15,7 @@ import (
 // edgeFaults is a hand-written fault schedule for tests: listed edges
 // never deliver, listed nodes are dead from round 0.
 type edgeFaults struct {
+	NoFaults
 	down map[routing.Edge]bool
 	dead map[graph.NodeID]bool
 }

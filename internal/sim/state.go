@@ -264,17 +264,13 @@ func (e *Engine) getLossyState() *lossyState {
 
 // fillEdgeFence evaluates the epoch fence over the interned message edges:
 // an edge is open only when both endpoints run the executing plan's epoch.
-// Schedules that carry no epoch view leave every edge open (the flags were
-// reset true by getLossyState), so the fence costs nothing when unused.
+// Schedules without reconfiguration report epoch 0 everywhere, which
+// leaves every edge open.
 func (e *Engine) fillEdgeFence(st *lossyState, faults Faults) {
-	ep, ok := faults.(Epochs)
-	if !ok {
-		return
-	}
 	c := e.prog
-	pe := ep.PlanEpoch()
+	pe := faults.PlanEpoch()
 	for i := 0; i < c.nMsgEdges; i++ {
-		st.edgeOK[i] = ep.NodeEpoch(c.edgeFrom[i]) == pe && ep.NodeEpoch(c.edgeTo[i]) == pe
+		st.edgeOK[i] = faults.NodeEpoch(c.edgeFrom[i]) == pe && faults.NodeEpoch(c.edgeTo[i]) == pe
 	}
 }
 

@@ -169,6 +169,12 @@ func CostUpdate(oldInst, newInst *plan.Instance, oldT, newT *plan.Tables, model 
 	if err != nil {
 		return nil, err
 	}
+	return CostChanged(newInst, newT, model, base, changed)
+}
+
+// CostChanged is CostUpdate over an already computed ChangedNodes list,
+// for callers that also need the list itself.
+func CostChanged(newInst *plan.Instance, newT *plan.Tables, model radio.Model, base graph.NodeID, changed []graph.NodeID) (*DisseminationCost, error) {
 	bfs := newInst.Net.BFS(base)
 	reachable := make([]graph.NodeID, 0, len(changed))
 	for _, id := range changed {

@@ -255,6 +255,33 @@ func Execute(p *Plan, net *Network, readings map[NodeID]float64) (*RoundResult, 
 	return eng.Run(readings)
 }
 
+// ExecuteLossy runs one round of p on net under the fault schedule:
+// messages actually drop, stop-and-wait retransmits at most maxRetries
+// times per message, and the result reports exact, partial, and starved
+// destinations. With a nil schedule the round is byte-identical to
+// Execute.
+func ExecuteLossy(p *Plan, net *Network, round int, readings map[NodeID]float64, faults FaultSchedule, maxRetries int) (*LossyResult, error) {
+	eng, err := sim.NewEngine(p, net.Radio, sim.Options{MergeMessages: true})
+	if err != nil {
+		return nil, err
+	}
+	return eng.RunLossy(round, readings, faults, maxRetries)
+}
+
+// ExecuteAsync runs one event-driven round of p on net: every
+// transmission takes a per-link latency draw, lost ones are retransmitted
+// under an adaptive per-link RTO, duplicate deliveries are absorbed by
+// the (epoch, seq) dedup window, and destinations close at cfg.DeadlineMS
+// (if set) with their best partial aggregate. With a nil schedule the
+// round is byte-identical to Execute.
+func ExecuteAsync(p *Plan, net *Network, round int, readings map[NodeID]float64, faults FaultSchedule, cfg AsyncConfig) (*AsyncResult, error) {
+	eng, err := sim.NewEngine(p, net.Radio, sim.Options{MergeMessages: true})
+	if err != nil {
+		return nil, err
+	}
+	return eng.RunAsync(round, readings, faults, cfg)
+}
+
 // Flood runs the paper's flood baseline for one round.
 func Flood(net *Network, specs []Spec, readings map[NodeID]float64) (*FloodResult, error) {
 	return sim.Flood(net.Graph, specs, net.Radio, readings)

@@ -14,11 +14,16 @@ import (
 	"m2m/internal/wire"
 )
 
-// FaultSchedule is what the lossy executor queries while a round runs:
-// which nodes have crashed and which transmission attempts are heard.
+// FaultSchedule is the one fault view the lossy and asynchronous
+// executors query while a round runs: crashes, delivery, latency and
+// duplication, slot contention, Byzantine corruption and plan epochs.
 // FaultInjector implements it; tests may supply their own deterministic
-// schedules.
+// schedules by embedding NoFaults.
 type FaultSchedule = sim.Faults
+
+// NoFaults is the zero fault schedule: nothing fails, arrives late,
+// collides or lies. Embed it to implement only some dimensions.
+type NoFaults = sim.NoFaults
 
 // FaultInjector is the deterministic, seedable fault injector: per-link
 // stochastic packet loss, transient link outages, and permanent node
@@ -37,19 +42,6 @@ type DeliveryReport = sim.DeliveryReport
 // LossyResult reports one round executed under a fault schedule.
 type LossyResult = sim.LossyResult
 
-// ExecuteLossy runs one round of p on net under the fault schedule:
-// messages actually drop, stop-and-wait retransmits at most maxRetries
-// times per message, and the result reports exact, partial, and starved
-// destinations. With a nil schedule the round is byte-identical to
-// Execute.
-func ExecuteLossy(p *Plan, net *Network, round int, readings map[NodeID]float64, faults FaultSchedule, maxRetries int) (*LossyResult, error) {
-	eng, err := sim.NewEngine(p, net.Radio, sim.Options{MergeMessages: true})
-	if err != nil {
-		return nil, err
-	}
-	return eng.RunLossy(round, readings, faults, maxRetries)
-}
-
 // AsyncConfig tunes the event-driven asynchronous executor: adaptive
 // retransmission bounds, the round deadline, and the dedup window.
 type AsyncConfig = sim.AsyncConfig
@@ -57,27 +49,6 @@ type AsyncConfig = sim.AsyncConfig
 // AsyncResult reports one asynchronous round: the lossy result plus
 // timing, duplication, and deadline telemetry.
 type AsyncResult = sim.AsyncResult
-
-// AsyncFaultSchedule extends a fault schedule with per-attempt latency
-// and duplication draws. FaultInjector implements it once jitter,
-// duplication, or reordering are configured.
-type AsyncFaultSchedule = sim.AsyncFaults
-
-// ExecuteAsync runs one event-driven round of p on net: every
-// transmission takes a per-link latency draw, lost ones are retransmitted
-// under an adaptive per-link RTO, duplicate deliveries are absorbed by
-// the (epoch, seq) dedup window, and destinations close at cfg.DeadlineMS
-// (if set) with their best partial aggregate. With a nil schedule the
-// round is byte-identical to Execute. Schedules that also implement
-// AsyncFaultSchedule contribute latency and duplication; plain ones get
-// zero-latency channels.
-func ExecuteAsync(p *Plan, net *Network, round int, readings map[NodeID]float64, faults FaultSchedule, cfg AsyncConfig) (*AsyncResult, error) {
-	eng, err := sim.NewEngine(p, net.Radio, sim.Options{MergeMessages: true})
-	if err != nil {
-		return nil, err
-	}
-	return eng.RunAsync(round, readings, faults, cfg)
-}
 
 // RecoveryEvent records one permanent-failure recovery performed by a
 // ResilientSession.
@@ -163,8 +134,8 @@ type ResilientConfig struct {
 	// reported reading against the robust (median/MAD) population
 	// estimate, excises sustained outliers from the workload via an
 	// incremental replan, and re-admits them after sustained clean
-	// behavior. Lies reach the session only through a fault schedule that
-	// implements Adversary (a FaultInjector with WithByzantine windows).
+	// behavior. Lies reach the session only through the fault schedule's
+	// CorruptReading (a FaultInjector with WithByzantine windows).
 	Byzantine *ByzantineConfig
 }
 
@@ -465,32 +436,15 @@ func validateSessionInputs(net *Network, kind RouterKind, gen ReadingGenerator, 
 }
 
 func newResilientSession(net *Network, specs []Spec, kind RouterKind, inst *Instance, p *Plan, gen ReadingGenerator, faults FaultSchedule, cfg ResilientConfig) (*ResilientSession, error) {
-	eng, err := sim.NewEngine(p, net.Radio, sim.Options{MergeMessages: true, Battery: cfg.Battery})
-	if err != nil {
-		return nil, err
-	}
-	cfg = cfg.withDefaults()
-	var runner *sim.AsyncRunner
-	if cfg.Async != nil {
-		acfg := *cfg.Async
-		if acfg.MaxRetries == 0 {
-			acfg.MaxRetries = cfg.MaxRetries
-		}
-		if runner, err = sim.NewAsyncRunner(eng, acfg); err != nil {
-			return nil, err
-		}
-	}
 	s := &ResilientSession{
 		net:         net,
 		kind:        kind,
 		specs:       specs,
 		inst:        inst,
 		plan:        p,
-		engine:      eng,
-		runner:      runner,
 		gen:         gen,
 		faults:      faults,
-		cfg:         cfg,
+		cfg:         cfg.withDefaults(),
 		origGraph:   net.Graph.Clone(),
 		origSpecs:   append([]Spec(nil), specs...),
 		values:      make(map[NodeID]float64),
@@ -502,6 +456,10 @@ func newResilientSession(net *Network, specs []Spec, kind RouterKind, inst *Inst
 		nodeEpoch:   make(map[NodeID]uint32),
 		pendingDiff: make(map[NodeID]bool),
 		quarantined: make(map[NodeID]bool),
+	}
+	var err error
+	if s.engine, s.runner, err = s.newEngine(p); err != nil {
+		return nil, err
 	}
 	if cfg.Battery != nil {
 		s.prevSpent = make(map[NodeID]float64)
@@ -529,91 +487,35 @@ func newResilientSession(net *Network, specs []Spec, kind RouterKind, inst *Inst
 		s.excised = make(map[NodeID]bool)
 		s.openExcision = make(map[NodeID]*ExcisionEvent)
 	}
-	// A fault-free session gets no fence wrapper: the executors then skip
-	// the epoch branch entirely and stay byte-identical to Execute. A
-	// battery session always gets one — exhaustion can strike any round,
-	// and evacuation replans need the epoch fence.
-	if faults != nil || cfg.Battery != nil {
-		if _, ok := faults.(sim.AsyncFaults); ok {
-			s.sched = asyncEpochFence{epochFence{s}}
-		} else {
-			s.sched = epochFence{s}
-		}
+	// A fault-free session gets no fence wrapper: the executors then run
+	// it on NoFaults and stay byte-identical to Execute. A battery session
+	// always gets one — exhaustion can strike any round, and evacuation
+	// replans need the epoch fence.
+	switch {
+	case faults != nil:
+		s.sched = epochFence{faults, s}
+	case cfg.Battery != nil:
+		s.sched = epochFence{sim.NoFaults{}, s}
 	}
 	return s, nil
 }
 
-// epochFence wraps the session's fault schedule with the plan-epoch view
-// (sim.Epochs) the executors fence on. The delegation is pure, so draws
-// are untouched; only the epoch queries (and, for battery sessions with a
-// nil fault schedule, the depletion view) are added.
-type epochFence struct{ s *ResilientSession }
+// epochFence overlays the session's view on the wrapped fault schedule:
+// battery depletion joins the crash view, and the plan epochs the
+// executors fence on are the session's. Every other dimension is the
+// embedded schedule's own, so its draws are untouched.
+type epochFence struct {
+	sim.Faults
+	s *ResilientSession
+}
 
 func (f epochFence) NodeDead(round int, n NodeID) bool { return f.s.nodeDown(round, n) }
-func (f epochFence) Deliver(round int, e routing.Edge, attempt int) bool {
-	if f.s.faults == nil {
-		return true
-	}
-	return f.s.faults.Deliver(round, e, attempt)
-}
-func (f epochFence) PlanEpoch() uint32 { return f.s.planEpoch }
-
-// CorruptReading forwards the executors' pre-aggregation corruption hook
-// to the wrapped schedule when it lies (implements sim.Adversary);
-// otherwise it is the identity, so honest sessions stay byte-identical.
-func (f epochFence) CorruptReading(round int, n NodeID, v float64) float64 {
-	if adv, ok := f.s.faults.(sim.Adversary); ok {
-		return adv.CorruptReading(round, n, v)
-	}
-	return v
-}
-
-// The collision dimensions forward to the wrapped schedule when it
-// implements them (a FaultInjector with WithCollisions); otherwise the
-// model stays off and the executors never consult the other methods, so
-// honest sessions remain byte-identical.
-func (f epochFence) CollisionsEnabled() bool {
-	cf, ok := f.s.faults.(sim.CollisionFaults)
-	return ok && cf.CollisionsEnabled()
-}
-
-func (f epochFence) CollisionReceiver(n NodeID) bool {
-	if cf, ok := f.s.faults.(sim.CollisionFaults); ok {
-		return cf.CollisionReceiver(n)
-	}
-	return false
-}
-
-func (f epochFence) CaptureWins(round int, e routing.Edge, attempt int) bool {
-	if cf, ok := f.s.faults.(sim.CollisionFaults); ok {
-		return cf.CaptureWins(round, e, attempt)
-	}
-	return false
-}
-
-func (f epochFence) BackoffSlots(round int, e routing.Edge, attempt, window int) int {
-	if cf, ok := f.s.faults.(sim.CollisionFaults); ok {
-		return cf.BackoffSlots(round, e, attempt, window)
-	}
-	return 0
-}
-
+func (f epochFence) PlanEpoch() uint32                 { return f.s.planEpoch }
 func (f epochFence) NodeEpoch(n NodeID) uint32 {
 	if e, ok := f.s.nodeEpoch[n]; ok {
 		return e
 	}
 	return f.s.planEpoch
-}
-
-// asyncEpochFence additionally forwards the timing draws so the async
-// executor keeps its latency/duplication behavior through the fence.
-type asyncEpochFence struct{ epochFence }
-
-func (f asyncEpochFence) LatencyMS(round int, e routing.Edge, attempt, c int) float64 {
-	return f.s.faults.(sim.AsyncFaults).LatencyMS(round, e, attempt, c)
-}
-func (f asyncEpochFence) Duplicates(round int, e routing.Edge, attempt int) int {
-	return f.s.faults.(sim.AsyncFaults).Duplicates(round, e, attempt)
 }
 
 // nodeDown reports whether n is out of action at the given round: crashed
@@ -905,9 +807,8 @@ func (s *ResilientSession) Step() (*ResilientStep, error) {
 	return step, nil
 }
 
-// recover plans around a node declared permanently dead: graph surgery,
-// workload pruning, rerouting, incremental re-optimization, and priced
-// dissemination of the table diff.
+// recover plans around a node declared permanently dead: graph surgery
+// and workload pruning, then the replan funnel.
 func (s *ResilientSession) recover(dead NodeID) (*RecoveryEvent, error) {
 	g2, err := failure.RemoveNode(s.net.Graph, dead)
 	if err != nil {
@@ -917,61 +818,10 @@ func (s *ResilientSession) recover(dead NodeID) (*RecoveryEvent, error) {
 	if err != nil {
 		return nil, fmt.Errorf("m2m: cannot recover: %w", err)
 	}
-	net2 := &Network{Layout: s.net.Layout, Graph: g2, Radio: s.net.Radio}
-	newInst, err := s.newInstance(g2, pruned)
+	diff, stats, dropped, err := s.replan(g2, pruned, s.prices, dead)
 	if err != nil {
 		return nil, err
 	}
-	recovered, stats, err := plan.ReoptimizeWithPrices(s.plan, newInst, s.prices)
-	if err != nil {
-		return nil, err
-	}
-	oldTab, err := s.currentTables()
-	if err != nil {
-		return nil, err
-	}
-	newTab, err := recovered.BuildTables()
-	if err != nil {
-		return nil, err
-	}
-	base, err := s.lowestAlive(dead)
-	if err != nil {
-		return nil, err
-	}
-	diff, err := wire.CostUpdate(s.inst, newInst, oldTab, newTab, s.net.Radio, base)
-	if err != nil {
-		return nil, err
-	}
-	changed, err := wire.ChangedNodes(s.inst, newInst, oldTab, newTab)
-	if err != nil {
-		return nil, err
-	}
-	eng, err := sim.NewEngine(recovered, s.net.Radio, sim.Options{MergeMessages: true, Battery: s.cfg.Battery})
-	if err != nil {
-		return nil, err
-	}
-	var runner *sim.AsyncRunner
-	if s.runner != nil {
-		// Carry the surviving links' RTT estimators and the last-known
-		// value caches across the replan: the healed plan mostly reuses
-		// the same links, and stale destinations keep their age.
-		acfg := *s.cfg.Async
-		if acfg.MaxRetries == 0 {
-			acfg.MaxRetries = s.cfg.MaxRetries
-		}
-		if runner, err = sim.NewAsyncRunner(eng, acfg); err != nil {
-			return nil, err
-		}
-		runner.InheritState(s.runner)
-	}
-	if s.tdma {
-		// The healed plan needs its own frame; it rides the replan's table
-		// dissemination, which is priced below.
-		if _, err := installTDMA(eng, s.planEpoch+1); err != nil {
-			return nil, err
-		}
-	}
-
 	ev := &RecoveryEvent{
 		Dead:          dead,
 		Round:         s.round,
@@ -981,25 +831,9 @@ func (s *ResilientSession) recover(dead NodeID) (*RecoveryEvent, error) {
 		ReplanBytes:   diff.Bytes,
 		EdgesReused:   stats.EdgesReused,
 		EdgesSolved:   stats.EdgesSolved,
-	}
-	for _, d := range s.inst.Dests() {
-		if _, ok := newInst.SpecByDest[d]; !ok {
-			ev.DroppedDests = append(ev.DroppedDests, d)
-			delete(s.values, d)
-		}
-	}
-
-	s.net = net2
-	s.specs = pruned
-	s.inst = newInst
-	s.plan = recovered
-	s.engine = eng
-	if runner != nil {
-		s.runner = runner
+		DroppedDests:  dropped,
 	}
 	s.dead[dead] = true
-	s.tables = newTab
-	s.bumpEpoch(changed, base)
 	delete(s.misses, dead)
 	delete(s.firstMiss, dead)
 	delete(s.pendingDiff, dead)
@@ -1015,12 +849,9 @@ func (s *ResilientSession) recover(dead NodeID) (*RecoveryEvent, error) {
 // the pristine workload is re-pruned by the remaining dead set (in
 // ascending order, so the rebuilt specs match what successive recoveries
 // would have produced), and the session replans incrementally under a new
-// epoch whose diffs disseminate at the end of the step.
+// epoch whose diffs disseminate at the end of the step. On failure the
+// node stays dead.
 func (s *ResilientSession) rejoin(n NodeID) error {
-	restore := func(err error) error {
-		s.dead[n] = true
-		return err
-	}
 	g2 := s.net.Graph.Clone()
 	if err := failure.RestoreNode(g2, s.origGraph, n, func(m NodeID) bool { return m != n && s.dead[m] }); err != nil {
 		return err
@@ -1028,65 +859,101 @@ func (s *ResilientSession) rejoin(n NodeID) error {
 	delete(s.dead, n)
 	specs, err := s.rebuildSpecs()
 	if err != nil {
-		return restore(fmt.Errorf("m2m: cannot rejoin node %d: %w", n, err))
+		s.dead[n] = true
+		return fmt.Errorf("m2m: cannot rejoin node %d: %w", n, err)
 	}
-	net2 := &Network{Layout: s.net.Layout, Graph: g2, Radio: s.net.Radio}
-	newInst, err := s.newInstance(g2, specs)
-	if err != nil {
-		return restore(err)
+	if _, _, _, err := s.replan(g2, specs, s.prices, noNode); err != nil {
+		s.dead[n] = true
+		return err
 	}
-	recovered, _, err := plan.ReoptimizeWithPrices(s.plan, newInst, s.prices)
+	return nil
+}
+
+// replan is the one path every topology or workload change takes
+// (Corollary 1 plus the paper's table-diff dissemination): route specs
+// over g, re-optimize incrementally against the executing plan under
+// prices, diff and price the tables from the base station, build the new
+// engine, then commit and open a new epoch whose diffs disseminate at the
+// end of the step. dying is a node being condemned right now (noNode
+// otherwise), so it cannot serve as the base. Nothing is committed on
+// error. It returns the priced diff, the reuse stats and the destinations
+// that left the workload.
+func (s *ResilientSession) replan(g *graph.Undirected, specs []Spec, prices map[NodeID]int64, dying NodeID) (*wire.DisseminationCost, *plan.UpdateStats, []NodeID, error) {
+	newInst, err := s.newInstance(g, specs)
 	if err != nil {
-		return restore(err)
+		return nil, nil, nil, err
+	}
+	p, stats, err := plan.ReoptimizeWithPrices(s.plan, newInst, prices)
+	if err != nil {
+		return nil, nil, nil, err
 	}
 	oldTab, err := s.currentTables()
 	if err != nil {
-		return restore(err)
+		return nil, nil, nil, err
 	}
-	newTab, err := recovered.BuildTables()
+	newTab, err := p.BuildTables()
 	if err != nil {
-		return restore(err)
+		return nil, nil, nil, err
+	}
+	base, err := s.lowestAlive(dying)
+	if err != nil {
+		return nil, nil, nil, err
 	}
 	changed, err := wire.ChangedNodes(s.inst, newInst, oldTab, newTab)
 	if err != nil {
-		return restore(err)
+		return nil, nil, nil, err
 	}
-	eng, err := sim.NewEngine(recovered, s.net.Radio, sim.Options{MergeMessages: true, Battery: s.cfg.Battery})
+	diff, err := wire.CostChanged(newInst, newTab, s.net.Radio, base, changed)
 	if err != nil {
-		return restore(err)
+		return nil, nil, nil, err
+	}
+	eng, runner, err := s.newEngine(p)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+
+	var dropped []NodeID
+	for _, d := range s.inst.Dests() {
+		if _, ok := newInst.SpecByDest[d]; !ok {
+			dropped = append(dropped, d)
+			delete(s.values, d)
+		}
+	}
+	s.net = &Network{Layout: s.net.Layout, Graph: g, Radio: s.net.Radio}
+	s.specs, s.inst, s.plan, s.prices, s.tables = specs, newInst, p, prices, newTab
+	s.engine, s.runner = eng, runner
+	s.bumpEpoch(changed, base)
+	return diff, stats, dropped, nil
+}
+
+// newEngine builds the executor for p: the engine on the shared battery
+// ledger; the async runner when configured, inheriting the current
+// runner's RTT estimators and last-known value caches (the replanned
+// plan mostly reuses the same links, and stale destinations keep their
+// age); and, once the session runs TDMA, a frame of p's own, which rides
+// the replan's priced table dissemination.
+func (s *ResilientSession) newEngine(p *Plan) (*sim.Engine, *sim.AsyncRunner, error) {
+	eng, err := sim.NewEngine(p, s.net.Radio, sim.Options{MergeMessages: true, Battery: s.cfg.Battery})
+	if err != nil {
+		return nil, nil, err
 	}
 	var runner *sim.AsyncRunner
-	if s.runner != nil {
+	if s.cfg.Async != nil {
 		acfg := *s.cfg.Async
 		if acfg.MaxRetries == 0 {
 			acfg.MaxRetries = s.cfg.MaxRetries
 		}
 		if runner, err = sim.NewAsyncRunner(eng, acfg); err != nil {
-			return restore(err)
+			return nil, nil, err
 		}
 		runner.InheritState(s.runner)
 	}
 	if s.tdma {
 		if _, err := installTDMA(eng, s.planEpoch+1); err != nil {
-			return restore(err)
+			return nil, nil, err
 		}
 	}
-	base, err := s.lowestAlive(noNode)
-	if err != nil {
-		return restore(err)
-	}
-
-	s.net = net2
-	s.specs = specs
-	s.inst = newInst
-	s.plan = recovered
-	s.engine = eng
-	if runner != nil {
-		s.runner = runner
-	}
-	s.tables = newTab
-	s.bumpEpoch(changed, base)
-	return nil
+	return eng, runner, nil
 }
 
 // beaconAttemptBase offsets the delivery-draw attempt numbers beacon hops
@@ -1205,61 +1072,9 @@ func (s *ResilientSession) evacuate(dying []NodeID, step *ResilientStep) error {
 	for _, n := range dying {
 		s.evacuated[n] = true
 	}
-	prices := s.energyPrices()
-	newInst, err := s.newInstance(s.net.Graph, s.specs)
-	if err != nil {
+	if _, _, _, err := s.replan(s.net.Graph, s.specs, s.energyPrices(), noNode); err != nil {
 		return err
 	}
-	replanned, _, err := plan.ReoptimizeWithPrices(s.plan, newInst, prices)
-	if err != nil {
-		return err
-	}
-	oldTab, err := s.currentTables()
-	if err != nil {
-		return err
-	}
-	newTab, err := replanned.BuildTables()
-	if err != nil {
-		return err
-	}
-	changed, err := wire.ChangedNodes(s.inst, newInst, oldTab, newTab)
-	if err != nil {
-		return err
-	}
-	base, err := s.lowestAlive(noNode)
-	if err != nil {
-		return err
-	}
-	eng, err := sim.NewEngine(replanned, s.net.Radio, sim.Options{MergeMessages: true, Battery: s.cfg.Battery})
-	if err != nil {
-		return err
-	}
-	var runner *sim.AsyncRunner
-	if s.runner != nil {
-		acfg := *s.cfg.Async
-		if acfg.MaxRetries == 0 {
-			acfg.MaxRetries = s.cfg.MaxRetries
-		}
-		if runner, err = sim.NewAsyncRunner(eng, acfg); err != nil {
-			return err
-		}
-		runner.InheritState(s.runner)
-	}
-	if s.tdma {
-		if _, err := installTDMA(eng, s.planEpoch+1); err != nil {
-			return err
-		}
-	}
-
-	s.inst = newInst
-	s.plan = replanned
-	s.engine = eng
-	if runner != nil {
-		s.runner = runner
-	}
-	s.prices = prices
-	s.tables = newTab
-	s.bumpEpoch(changed, base)
 	step.Evacuations += len(dying)
 	return nil
 }
@@ -1356,11 +1171,7 @@ func (s *ResilientSession) disseminate(step *ResilientStep) error {
 	if err != nil {
 		return err
 	}
-	var sched wire.Schedule
-	if s.faults != nil || s.cfg.Battery != nil {
-		sched = epochFence{s}
-	}
-	dres, err := wire.DisseminateTables(s.inst, tab, s.net.Radio, base, nodes, s.planEpoch, sched, s.round, s.cfg.MaxRetries)
+	dres, err := wire.DisseminateTables(s.inst, tab, s.net.Radio, base, nodes, s.planEpoch, s.sched, s.round, s.cfg.MaxRetries)
 	if err != nil {
 		return err
 	}
