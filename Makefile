@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all check build vet test test-short race cover bench bench-plan-scale bench-serve figures examples serve fuzz-scenarios fuzz-soak loc clean
+.PHONY: all check build vet test test-short race cover bench bench-serve figures examples serve fuzz-scenarios fuzz-soak loc clean
 
 all: check
 
@@ -43,10 +43,6 @@ fuzz-soak:
 # One testing.B benchmark per paper figure/table plus micro-benchmarks.
 bench:
 	$(GO) test -bench=. -benchmem ./...
-
-# Regenerate the checked-in planner scaling artifact (68/1k/10k nodes).
-bench-plan-scale:
-	$(GO) run ./cmd/m2mbench -plan-scale -topo-size 68,1000,10000 -json > BENCH_plan_scale.json
 
 # Run the session server with default admission/deadline settings.
 SERVE_ADDR ?= :8437

@@ -152,12 +152,11 @@ func BenchmarkOptimize(b *testing.B) {
 	}
 }
 
-// BenchmarkOptimize1k measures full optimization on a 1000-node uniform
-// random topology with 20 destinations × 20 sources — the smallest of the
-// plan-scale trajectory sizes (see BENCH_plan_scale.json), kept as a
-// testing.B benchmark so CI's bench-smoke exercises the planner beyond the
-// 68-node evaluation network.
-func BenchmarkOptimize1k(b *testing.B) {
+// instance1k is a 1000-node uniform random topology with 20 destinations ×
+// 20 sources, kept as a testing.B input so CI's bench-smoke exercises the
+// planner and engine construction beyond the 68-node evaluation network.
+func instance1k(b *testing.B) (*Network, *Instance) {
+	b.Helper()
 	net := RandomNetwork(1000, 1)
 	specs, err := net.GenerateWorkload(WorkloadConfig{
 		NumDests:       20,
@@ -173,10 +172,35 @@ func BenchmarkOptimize1k(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	return net, inst
+}
+
+// BenchmarkOptimize1k measures full optimization of the 1000-node
+// instance.
+func BenchmarkOptimize1k(b *testing.B) {
+	_, inst := instance1k(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := Optimize(inst); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkNewEngine1k measures compiling the 1000-node instance's optimal
+// plan into an engine: dependencies, message merging and ordering, energy
+// accounting and the flat round program.
+func BenchmarkNewEngine1k(b *testing.B) {
+	net, inst := instance1k(b)
+	p, err := Optimize(inst)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := sim.NewEngine(p, net.Radio, sim.Options{MergeMessages: true}); err != nil {
 			b.Fatal(err)
 		}
 	}

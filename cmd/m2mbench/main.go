@@ -10,9 +10,6 @@
 //	m2mbench -json                       # core micro-benchmarks as JSON
 //	m2mbench -json -cpuprofile cpu.out   # ... under the CPU profiler
 //	m2mbench -experiment byzantine -json # one experiment's table as JSON
-//	m2mbench -plan-scale -topo-size 68,1000,10000 -json
-//	                                     # planner scaling trajectory
-//	                                     # (the BENCH_plan_scale.json artifact)
 package main
 
 import (
@@ -40,9 +37,6 @@ func main() {
 		timesteps  = flag.Int("timesteps", 10, "suppressed rounds per seed (fig7)")
 		quick      = flag.Bool("quick", false, "reduced scale for smoke runs")
 		jsonOut    = flag.Bool("json", false, "run the core micro-benchmarks and emit machine-readable JSON")
-		planScale  = flag.Bool("plan-scale", false, "run the plan-scale suite (topology build, instance, optimize, reoptimize per size)")
-		topoSize   = flag.String("topo-size", "68,1000,10000", "comma-separated node counts for -plan-scale")
-		clustered  = flag.Bool("clustered", false, "with -plan-scale, add clustered-layout rows at each size beyond 68")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 		memprofile = flag.String("memprofile", "", "write a heap profile at exit to this file")
 	)
@@ -82,14 +76,6 @@ func main() {
 				os.Exit(1)
 			}
 		}()
-	}
-
-	if *planScale {
-		if err := runPlanScale(os.Stdout, *topoSize, *clustered, *jsonOut); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
 	}
 
 	// -json alone runs the micro-benchmarks; -json with a specific

@@ -3,7 +3,6 @@ package sim
 import (
 	"container/heap"
 	"fmt"
-	"sort"
 
 	"m2m/internal/agg"
 	"m2m/internal/graph"
@@ -209,16 +208,15 @@ func (e *Engine) asyncTopology() *asyncTopo {
 
 func (e *Engine) buildAsyncTopo() *asyncTopo {
 	t := &asyncTopo{
-		deps:       make([][]int, len(e.messages)),
 		dependents: make([][]int, len(e.messages)),
 		relevant:   make([][]int32, len(e.messages)),
 		inCount:    make([]int32, len(e.prog.finals)),
 		seqTag:     make([]uint32, len(e.messages)),
 	}
-	unitMsg := make([]int, len(e.units))
-	for mi, msg := range e.messages {
-		for _, ui := range msg {
-			unitMsg[ui] = mi
+	t.deps = e.messageDeps()
+	for mi, ds := range t.deps {
+		for _, dm := range ds {
+			t.dependents[dm] = append(t.dependents[dm], mi) // ascending: mi ascends
 		}
 	}
 	inst := e.Plan.Inst
@@ -227,19 +225,6 @@ func (e *Engine) buildAsyncTopo() *asyncTopo {
 		edge := e.units[msg[0]].Edge
 		t.seqTag[mi] = nextSeq[edge]
 		nextSeq[edge]++
-
-		seen := make(map[int]bool)
-		for _, ui := range msg {
-			for _, dep := range e.deps[ui] {
-				dm := unitMsg[dep]
-				if dm != mi && !seen[dm] {
-					seen[dm] = true
-					t.deps[mi] = append(t.deps[mi], dm)
-					t.dependents[dm] = append(t.dependents[dm], mi)
-				}
-			}
-		}
-		sort.Ints(t.deps[mi])
 
 		// Relevance to the receiver's own aggregate: the record tagged for
 		// it, or a raw value this edge is the designated provider of.
@@ -261,9 +246,6 @@ func (e *Engine) buildAsyncTopo() *asyncTopo {
 				t.inCount[fi]++
 			}
 		}
-	}
-	for mi := range t.dependents {
-		sort.Ints(t.dependents[mi])
 	}
 	return t
 }

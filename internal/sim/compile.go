@@ -6,7 +6,6 @@ import (
 	"m2m/internal/agg"
 	"m2m/internal/graph"
 	"m2m/internal/plan"
-	"m2m/internal/routing"
 )
 
 // This file compiles a plan into a flat, index-based round program at
@@ -110,29 +109,50 @@ func inPlaceOf(f agg.Func) agg.InPlace {
 // (the processing order is final) and fails with the reference executor's
 // error for any plan whose reads are not covered by writes — turning the
 // old per-round runtime checks into one construction-time proof.
-func (e *Engine) compile() error {
+func (e *Engine) compile(cx *construction) error {
 	inst := e.Plan.Inst
 	c := &compiled{}
 
-	rawSlots := make(map[nodeSource]int32)
-	rawSlot := func(n, s graph.NodeID) int32 {
-		k := nodeSource{node: n, source: s}
-		id, ok := rawSlots[k]
-		if !ok {
-			id = int32(c.nRaw)
-			c.nRaw++
-			rawSlots[k] = id
-		}
-		return id
+	// Slots are interned in first-touch order. A raw value at a node other
+	// than its source is keyed by its provider unit and a record by its
+	// representative unit; -1 marks a slot not yet interned.
+	rawSlotOf := make([]int32, len(e.units))
+	recSlotOf := make([]int32, len(e.units))
+	for i := range e.units {
+		rawSlotOf[i] = -1
+		recSlotOf[i] = -1
 	}
-	recSlots := make(map[nodeDest]int32)
-	recSlot := func(n, d graph.NodeID) int32 {
-		k := nodeDest{node: n, dest: d}
-		id, ok := recSlots[k]
-		if !ok {
-			id = int32(c.nRec)
+	c.srcIDs = cx.sources
+	srcBit := make([]int32, inst.Net.Len()) // node -> dense source index, or -1
+	for i := range srcBit {
+		srcBit[i] = -1
+	}
+	c.srcSlot = make([]int32, len(c.srcIDs))
+	for i, s := range c.srcIDs {
+		srcBit[s] = int32(i)
+		c.srcSlot[i] = int32(i)
+	}
+	c.nRaw = len(c.srcIDs)
+	c.covWords = (len(c.srcIDs) + 63) / 64
+	// rawSlot is the slot of source s's value at n, delivered there by
+	// prov; -1 if it never arrives (compile then fails its check).
+	rawSlot := func(n, s graph.NodeID, prov int32) int32 {
+		if n == s {
+			return srcBit[s]
+		}
+		if prov < 0 {
+			return -1
+		}
+		if rawSlotOf[prov] < 0 {
+			rawSlotOf[prov] = int32(c.nRaw)
+			c.nRaw++
+		}
+		return rawSlotOf[prov]
+	}
+	recSlot := func(rep int32, d graph.NodeID) int32 {
+		if recSlotOf[rep] < 0 {
+			recSlotOf[rep] = int32(c.nRec)
 			c.nRec++
-			recSlots[k] = id
 			f := inst.SpecByDest[d].Func
 			l := int32(agg.RecordLen(f))
 			c.recLen = append(c.recLen, l)
@@ -144,7 +164,7 @@ func (e *Engine) compile() error {
 				c.maxRec = int(l)
 			}
 		}
-		return id
+		return recSlotOf[rep]
 	}
 
 	// The assembly scratch must fit every destination's record, including
@@ -155,65 +175,27 @@ func (e *Engine) compile() error {
 		}
 	}
 
-	c.srcIDs = inst.Sources()
-	srcBit := make(map[graph.NodeID]int32, len(c.srcIDs))
-	c.srcSlot = make([]int32, len(c.srcIDs))
-	for i, s := range c.srcIDs {
-		srcBit[s] = int32(i)
-		c.srcSlot[i] = rawSlot(s, s)
-	}
-	c.covWords = (len(c.srcIDs) + 63) / 64
-
-	// compileInputs mirrors assembleRecord's pair walk: the contributions
-	// of destination d at node n, for the record crossing out (or the
-	// final merge when out is the zero edge), in reference merge order.
-	// The upstream record is folded once, at the first record-form pair.
-	compileInputs := func(n, d graph.NodeID, out routing.Edge) ([]unitInput, error) {
-		f := inst.SpecByDest[d].Func
-		final := out == routing.Edge{}
-		var pairs []plan.Pair
-		if final {
-			for _, s := range f.Sources() {
-				pairs = append(pairs, plan.Pair{Source: s, Dest: d})
-			}
-		} else {
-			for _, pr := range inst.EdgePairs[out] {
-				if pr.Dest == d {
-					pairs = append(pairs, pr)
-				}
-			}
-		}
-		var inputs []unitInput
+	// compileInputs turns the pair walk's contributions to destination d's
+	// record at node n into operands, in reference merge order. The
+	// upstream record is folded once, at the first record-form pair.
+	inputBuf := make([]unitInput, 0, len(cx.contribs)+len(cx.finalContribs))
+	compileInputs := func(n, d graph.NodeID, pairs []pairInput) ([]unitInput, error) {
+		lo := len(inputBuf)
 		usedUpstream := false
-		for _, pr := range pairs {
-			path := inst.Paths[pr]
-			var pos int
-			if final {
-				pos = len(path) - 1
-			} else {
-				pos = inst.PairEdgeIndex(pr, out)
-				if pos < 0 {
-					return nil, fmt.Errorf("sim: pair %d→%d does not cross %v", pr.Source, pr.Dest, out)
-				}
-			}
-			if pos == 0 {
-				inputs = append(inputs, unitInput{kind: inRaw, slot: rawSlot(n, pr.Source), source: pr.Source, srcBit: srcBit[pr.Source]})
-				continue
-			}
-			in := routing.Edge{From: path[pos-1], To: path[pos]}
-			if e.Plan.Sol[in].Agg[d] {
+		for _, pi := range pairs {
+			if pi.rec >= 0 {
 				if !usedUpstream {
 					usedUpstream = true
-					inputs = append(inputs, unitInput{kind: inRec, slot: recSlot(n, d)})
+					inputBuf = append(inputBuf, unitInput{kind: inRec, slot: recSlot(cx.recRep[pi.rec], d)})
 				}
 				continue
 			}
-			inputs = append(inputs, unitInput{kind: inRaw, slot: rawSlot(n, pr.Source), source: pr.Source, srcBit: srcBit[pr.Source]})
+			inputBuf = append(inputBuf, unitInput{kind: inRaw, slot: rawSlot(n, pi.source, pi.prov), source: pi.source, srcBit: srcBit[pi.source]})
 		}
-		if len(inputs) == 0 {
+		if len(inputBuf) == lo {
 			return nil, fmt.Errorf("sim: empty record for %d at %d", d, n)
 		}
-		return inputs, nil
+		return inputBuf[lo:len(inputBuf):len(inputBuf)], nil
 	}
 
 	c.ops = make([]unitOp, len(e.units))
@@ -221,10 +203,10 @@ func (e *Engine) compile() error {
 	for i, u := range e.units {
 		c.unitBytes[i] = int32(e.Plan.Bytes(u))
 		if u.Kind == plan.UnitRaw {
-			c.ops[i] = unitOp{kind: plan.UnitRaw, from: rawSlot(u.Edge.From, u.Node), to: rawSlot(u.Edge.To, u.Node)}
+			c.ops[i] = unitOp{kind: plan.UnitRaw, from: rawSlot(u.Edge.From, u.Node, cx.rawUp[i]), to: rawSlot(u.Edge.To, u.Node, cx.rawProv[i])}
 			continue
 		}
-		inputs, err := compileInputs(u.Edge.From, u.Node, u.Edge)
+		inputs, err := compileInputs(u.Edge.From, u.Node, cx.contribs[cx.contribOff[i]:cx.contribOff[i+1]])
 		if err != nil {
 			return err
 		}
@@ -232,15 +214,15 @@ func (e *Engine) compile() error {
 		c.ops[i] = unitOp{
 			kind:   plan.UnitAgg,
 			inputs: inputs,
-			out:    recSlot(u.Edge.To, u.Node),
+			out:    recSlot(cx.recRep[i], u.Node),
 			fn:     f,
 			ip:     inPlaceOf(f),
 			fnLen:  int32(agg.RecordLen(f)),
 			dest:   u.Node,
 		}
 	}
-	for _, d := range inst.Dests() {
-		inputs, err := compileInputs(d, d, routing.Edge{})
+	for fi, d := range cx.dests {
+		inputs, err := compileInputs(d, d, cx.finalContribs[cx.finalOff[fi]:cx.finalOff[fi+1]])
 		if err != nil {
 			return err
 		}
@@ -267,7 +249,7 @@ func (e *Engine) compile() error {
 	// Dense ids for the edges the message layout uses, so per-round ARQ
 	// attempt counters and receive windows index arrays instead of maps.
 	c.msgEdge = make([]int32, len(e.messages))
-	edgeID := make(map[routing.Edge]int32)
+	edgeID := make([]int32, len(e.Plan.Inst.EdgeList)) // EdgeList index -> dense id + 1
 	for mi, msg := range e.messages {
 		if len(msg) == 0 {
 			// Broadcast-mode placeholder messages carry no units (and the
@@ -275,16 +257,15 @@ func (e *Engine) compile() error {
 			c.msgEdge[mi] = -1
 			continue
 		}
-		edge := e.units[msg[0]].Edge
-		id, ok := edgeID[edge]
-		if !ok {
-			id = int32(c.nMsgEdges)
+		ei := cx.unitEdge[msg[0]]
+		if edgeID[ei] == 0 {
 			c.nMsgEdges++
-			edgeID[edge] = id
+			edgeID[ei] = int32(c.nMsgEdges)
+			edge := e.units[msg[0]].Edge
 			c.edgeFrom = append(c.edgeFrom, edge.From)
 			c.edgeTo = append(c.edgeTo, edge.To)
 		}
-		c.msgEdge[mi] = id
+		c.msgEdge[mi] = edgeID[ei] - 1
 	}
 
 	// Static verification: replay the processing order over presence bits,
@@ -299,7 +280,7 @@ func (e *Engine) compile() error {
 		for _, in := range inputs {
 			switch in.kind {
 			case inRaw:
-				if !rawSet[in.slot] {
+				if in.slot < 0 || !rawSet[in.slot] {
 					if in.source == n {
 						return fmt.Errorf("sim: local reading of %d missing", in.source)
 					}
@@ -317,10 +298,12 @@ func (e *Engine) compile() error {
 		op := &c.ops[idx]
 		if op.kind == plan.UnitRaw {
 			u := e.units[idx]
-			if !rawSet[op.from] {
+			if op.from < 0 || !rawSet[op.from] {
 				return fmt.Errorf("sim: raw %d missing at %d", u.Node, u.Edge.From)
 			}
-			rawSet[op.to] = true
+			if op.to >= 0 {
+				rawSet[op.to] = true
+			}
 			continue
 		}
 		u := e.units[idx]

@@ -9,6 +9,7 @@ package sim
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -24,11 +25,6 @@ import (
 // nodeSource keys per-node availability of a source's raw value.
 type nodeSource struct {
 	node, source graph.NodeID
-}
-
-// nodeDest keys per-node accumulated partial records for a destination.
-type nodeDest struct {
-	node, dest graph.NodeID
 }
 
 // Engine executes one plan. It precomputes the unit list, the wait-for
@@ -119,18 +115,16 @@ func NewEngine(p *plan.Plan, model radio.Model, opts Options) (*Engine, error) {
 	}
 	e := &Engine{Plan: p, Radio: model, battery: opts.Battery, adversary: opts.Adversary}
 	e.units = p.Units()
-	provider := e.buildProviders()
-	if err := e.buildDeps(provider); err != nil {
+	cx, err := e.newConstruction()
+	if err != nil {
+		return nil, err
+	}
+	if err := e.buildDeps(cx); err != nil {
 		return nil, err
 	}
 	e.provUnit = make([]bool, len(e.units))
 	for i, u := range e.units {
-		if u.Kind != plan.UnitRaw {
-			continue
-		}
-		if prov, ok := provider[nodeSource{node: u.Edge.To, source: u.Node}]; ok && prov == u.Edge {
-			e.provUnit[i] = true
-		}
+		e.provUnit[i] = u.Kind == plan.UnitRaw && cx.rawProv[i] == int32(i)
 	}
 	d := graph.NewDigraph(len(e.units))
 	for u, ds := range e.deps {
@@ -138,13 +132,10 @@ func NewEngine(p *plan.Plan, model radio.Model, opts Options) (*Engine, error) {
 			d.AddArc(dep, u)
 		}
 	}
-	order, ok := d.TopoSort()
-	if !ok {
+	if d.HasCycle() {
 		return nil, fmt.Errorf("sim: wait-for cycle among message units (Theorem 2 violated)")
 	}
-	e.order = order
-	e.buildMessages(opts.MergeMessages)
-	if err := e.orderMessages(); err != nil {
+	if err := e.buildMessages(cx, opts.MergeMessages); err != nil {
 		return nil, err
 	}
 	if opts.Broadcast {
@@ -160,7 +151,7 @@ func NewEngine(p *plan.Plan, model radio.Model, opts Options) (*Engine, error) {
 			return nil, err
 		}
 	}
-	if err := e.compile(); err != nil {
+	if err := e.compile(cx); err != nil {
 		return nil, err
 	}
 	e.pool.New = func() any { return e.NewRoundState() }
@@ -168,102 +159,296 @@ func NewEngine(p *plan.Plan, model radio.Model, opts Options) (*Engine, error) {
 	return e, nil
 }
 
-// buildProviders picks, for every (node, source) with the source's raw
-// value available, the deterministic in-edge that delivers it first. The
-// map only lives through construction: per-unit facts derived from it
-// (deps, provUnit) are stored as slices indexed by unit.
-func (e *Engine) buildProviders() map[nodeSource]routing.Edge {
-	provider := make(map[nodeSource]routing.Edge)
-	edgesBySource := make(map[graph.NodeID][]routing.Edge)
-	for _, eg := range e.Plan.Inst.EdgeList {
-		for s := range e.Plan.Sol[eg].Raw {
-			edgesBySource[s] = append(edgesBySource[s], eg)
+// Provider sentinels of construction.rawUp and rawProv and of pairInput.prov.
+const (
+	provLocal   = -1 // the value originates at the node itself
+	provMissing = -2 // the value never reaches the node
+)
+
+// pairInput is one pair's contribution to a record assembly at node n, in
+// the reference executor's merge order (ascending source).
+type pairInput struct {
+	source graph.NodeID
+	rec    int32 // the upstream record unit on the pair's in-edge, or -1 if the pair arrives raw
+	prov   int32 // raw only: the provider unit of source's value at n, provLocal or provMissing
+}
+
+// construction is the dense, construction-only view of a plan that
+// buildDeps, buildMessages and compile share. Units come in EdgeList
+// order, raw units first, each group ascending by node, so edge ei's units
+// are the range [edgeOff[ei], edgeOff[ei+1]).
+type construction struct {
+	unitEdge []int32 // unit -> EdgeList index
+	edgeOff  []int32 // EdgeList index -> first unit; len(EdgeList)+1 entries
+
+	// rawUp and rawProv give, per raw unit, the unit that first delivers
+	// its value to the edge's tail and head (the designated provider, in
+	// EdgeList order), or provLocal/provMissing.
+	rawUp, rawProv []int32
+	// recRep maps a record unit to the first record unit entering the same
+	// node for the same destination: one per accumulated record.
+	recRep []int32
+
+	// The pair walk: the contributions of record unit u are
+	// contribs[contribOff[u]:contribOff[u+1]], and those of the final merge
+	// at dests[i] are finalContribs[finalOff[i]:finalOff[i+1]].
+	contribOff    []int32
+	contribs      []pairInput
+	sources       []graph.NodeID // every pair's source, ascending
+	dests         []graph.NodeID // every destination, ascending
+	finalOff      []int32
+	finalContribs []pairInput
+}
+
+// unitIn returns the unit in [lo, hi) tagged with node, or -1. The range
+// is one kind of one edge's units, so it is sorted by node.
+func (e *Engine) unitIn(lo, hi int32, node graph.NodeID) int32 {
+	end := hi
+	for lo < hi {
+		m := int32(uint32(lo+hi) >> 1)
+		if e.units[m].Node < node {
+			lo = m + 1
+		} else {
+			hi = m
 		}
 	}
-	var sources []graph.NodeID
-	for s := range edgesBySource {
-		sources = append(sources, s)
+	if lo < end && e.units[lo].Node == node {
+		return lo
 	}
-	sort.Slice(sources, func(i, j int) bool { return sources[i] < sources[j] })
-	for _, s := range sources {
-		edges := edgesBySource[s] // already deterministic (EdgeList order)
-		avail := map[graph.NodeID]bool{s: true}
+	return -1
+}
+
+// newConstruction derives the dense view in one pass per stage: edge
+// ranges, providers, record representatives, then one walk over every
+// pair's path that records each record assembly's contributions.
+func (e *Engine) newConstruction() (*construction, error) {
+	inst := e.Plan.Inst
+	nNodes := inst.Net.Len()
+	edges := inst.EdgeList
+	units := e.units
+	cx := &construction{
+		unitEdge: make([]int32, len(units)),
+		edgeOff:  make([]int32, len(edges)+1),
+		rawUp:    make([]int32, len(units)),
+		rawProv:  make([]int32, len(units)),
+		recRep:   make([]int32, len(units)),
+	}
+
+	// Edge ranges, split at each edge's first record unit so a unit is
+	// found by a search within one kind of one edge's units; and the
+	// edges grouped by tail and by head.
+	aggOff := make([]int32, len(edges))
+	ui := 0
+	for ei, eg := range edges {
+		cx.edgeOff[ei] = int32(ui)
+		for ui < len(units) && units[ui].Edge == eg && units[ui].Kind == plan.UnitRaw {
+			cx.unitEdge[ui] = int32(ei)
+			ui++
+		}
+		aggOff[ei] = int32(ui)
+		for ui < len(units) && units[ui].Edge == eg {
+			cx.unitEdge[ui] = int32(ei)
+			ui++
+		}
+	}
+	cx.edgeOff[len(edges)] = int32(ui)
+	if ui != len(units) {
+		panic("sim: plan units out of EdgeList order") // unreachable: Plan.Units lists them so
+	}
+	fromOff, outEdges := groupBy(len(edges), nNodes, func(ei int) int32 { return int32(edges[ei].From) })
+	inOff, inEdges := groupBy(len(edges), nNodes, func(ei int) int32 { return int32(edges[ei].To) })
+	edgeIndex := func(from, to graph.NodeID) int32 {
+		for _, ei := range outEdges[fromOff[from]:fromOff[from+1]] {
+			if edges[ei].To == to {
+				return ei
+			}
+		}
+		return -1
+	}
+
+	// Providers: for each source, the fixpoint over its raw units in
+	// EdgeList order; the first unit to reach a node provides it there.
+	srcOff, bySrc := groupBy(len(units), nNodes, func(i int) int32 {
+		if units[i].Kind != plan.UnitRaw {
+			return -1
+		}
+		return int32(units[i].Node)
+	})
+	avail := make([]int32, nNodes) // s+1 where source s's raw value is available
+	provAt := make([]int32, nNodes)
+	for s := 0; s < nNodes; s++ {
+		rs := bySrc[srcOff[s]:srcOff[s+1]]
+		if len(rs) == 0 {
+			continue
+		}
+		mark := int32(s + 1)
+		avail[s] = mark
 		for changed := true; changed; {
 			changed = false
-			for _, eg := range edges {
-				if avail[eg.From] && !avail[eg.To] {
-					avail[eg.To] = true
-					provider[nodeSource{node: eg.To, source: s}] = eg
+			for _, r := range rs {
+				eg := units[r].Edge
+				if avail[eg.From] == mark && avail[eg.To] != mark {
+					avail[eg.To] = mark
+					provAt[eg.To] = r
 					changed = true
 				}
 			}
 		}
+		at := func(n graph.NodeID) int32 {
+			switch {
+			case int(n) == s:
+				return provLocal
+			case avail[n] != mark:
+				return provMissing
+			}
+			return provAt[n]
+		}
+		for _, r := range rs {
+			cx.rawUp[r] = at(units[r].Edge.From)
+			cx.rawProv[r] = at(units[r].Edge.To)
+		}
 	}
-	return provider
+	// rawAt is the provider of source s's value at node n != s: any raw
+	// unit of s entering n knows it.
+	rawAt := func(n, s graph.NodeID) int32 {
+		for _, ei := range inEdges[inOff[n]:inOff[n+1]] {
+			if r := e.unitIn(cx.edgeOff[ei], aggOff[ei], s); r >= 0 {
+				return cx.rawProv[r]
+			}
+		}
+		return provMissing
+	}
+
+	// Record representatives, node by node over the in-edges.
+	seen := make([]int32, nNodes) // d's record at node n seen: n+1
+	rep := make([]int32, nNodes)
+	for n := 0; n < nNodes; n++ {
+		for _, ei := range inEdges[inOff[n]:inOff[n+1]] {
+			for a := aggOff[ei]; a < cx.edgeOff[ei+1]; a++ {
+				d := units[a].Node
+				if seen[d] != int32(n+1) {
+					seen[d] = int32(n + 1)
+					rep[d] = a
+				}
+				cx.recRep[a] = rep[d]
+			}
+		}
+	}
+
+	// The pair walk, destination by destination and source by source, so
+	// every assembly sees its pairs in ascending source order. At node n =
+	// path[i] a pair arrives as the record of its in-edge if that edge
+	// aggregates d, and as a raw value otherwise.
+	type walked struct {
+		unit int32
+		c    pairInput
+	}
+	var walk []walked
+	cx.dests = inst.Dests()
+	cx.finalOff = make([]int32, len(cx.dests)+1)
+	arrival := func(n, s graph.NodeID, pos int, inAgg int32) pairInput {
+		switch {
+		case pos == 0:
+			return pairInput{source: s, rec: -1, prov: provLocal}
+		case inAgg >= 0:
+			return pairInput{source: s, rec: inAgg}
+		}
+		return pairInput{source: s, rec: -1, prov: rawAt(n, s)}
+	}
+	isSource := make([]bool, nNodes)
+	for di, d := range cx.dests {
+		for _, s := range inst.SpecByDest[d].Func.Sources() {
+			isSource[s] = true
+			path := inst.Paths[plan.Pair{Source: s, Dest: d}]
+			inAgg := int32(-1)
+			for i := 0; i+1 < len(path); i++ {
+				ei := edgeIndex(path[i], path[i+1])
+				if ei < 0 {
+					return nil, fmt.Errorf("sim: pair %d→%d crosses %d→%d, which carries no pairs", s, d, path[i], path[i+1])
+				}
+				a := e.unitIn(aggOff[ei], cx.edgeOff[ei+1], d)
+				if a >= 0 {
+					walk = append(walk, walked{unit: a, c: arrival(path[i], s, i, inAgg)})
+				}
+				inAgg = a
+			}
+			cx.finalContribs = append(cx.finalContribs, arrival(d, s, len(path)-1, inAgg))
+		}
+		cx.finalOff[di+1] = int32(len(cx.finalContribs))
+	}
+	for n, ok := range isSource {
+		if ok {
+			cx.sources = append(cx.sources, graph.NodeID(n))
+		}
+	}
+	var byUnit []int32
+	cx.contribOff, byUnit = groupBy(len(walk), len(units), func(i int) int32 { return walk[i].unit })
+	cx.contribs = make([]pairInput, len(walk))
+	for j, i := range byUnit {
+		cx.contribs[j] = walk[i].c
+	}
+	return cx, nil
+}
+
+// groupBy is a stable counting sort: it buckets items 0..n-1 by key(i) in
+// [0, nKeys), skipping items whose key is negative, and returns the items
+// of key k as members[off[k]:off[k+1]], ascending.
+func groupBy(n, nKeys int, key func(int) int32) (off, members []int32) {
+	off = make([]int32, nKeys+1)
+	for i := 0; i < n; i++ {
+		if k := key(i); k >= 0 {
+			off[k+1]++
+		}
+	}
+	for k := 0; k < nKeys; k++ {
+		off[k+1] += off[k]
+	}
+	members = make([]int32, off[nKeys])
+	next := append([]int32(nil), off[:nKeys]...)
+	for i := 0; i < n; i++ {
+		if k := key(i); k >= 0 {
+			members[next[k]] = int32(i)
+			next[k]++
+		}
+	}
+	return off, members
 }
 
 // buildDeps derives each unit's wait-for set (Section 3): a forwarded raw
 // value waits for the copy that delivered it; a partial record waits for
 // the upstream records and raw values it merges.
-func (e *Engine) buildDeps(provider map[nodeSource]routing.Edge) error {
-	unitIdx := make(map[plan.Unit]int, len(e.units))
-	for i, u := range e.units {
-		unitIdx[u] = i
-	}
+func (e *Engine) buildDeps(cx *construction) error {
 	e.deps = make([][]int, len(e.units))
+	backing := make([]int, 0, len(e.units)+len(cx.contribs))
 	for i, u := range e.units {
-		seen := make(map[int]bool)
-		add := func(dep plan.Unit) error {
-			j, ok := unitIdx[dep]
-			if !ok {
-				return fmt.Errorf("sim: unit %v depends on missing unit %v", u, dep)
-			}
-			if !seen[j] {
-				seen[j] = true
-				e.deps[i] = append(e.deps[i], j)
-			}
-			return nil
-		}
-		switch u.Kind {
-		case plan.UnitRaw:
-			if u.Edge.From == u.Node {
-				continue // originates here
-			}
-			prov, ok := provider[nodeSource{node: u.Edge.From, source: u.Node}]
-			if !ok {
+		lo := len(backing)
+		if u.Kind == plan.UnitRaw {
+			switch p := cx.rawUp[i]; p {
+			case provLocal:
+			case provMissing:
 				return fmt.Errorf("sim: raw %d unavailable at %d", u.Node, u.Edge.From)
+			default:
+				backing = append(backing, int(p))
 			}
-			if err := add(plan.Unit{Edge: prov, Kind: plan.UnitRaw, Node: u.Node}); err != nil {
-				return err
-			}
-		case plan.UnitAgg:
-			n := u.Edge.From
-			for _, pr := range e.Plan.Inst.EdgePairs[u.Edge] {
-				if pr.Dest != u.Node {
-					continue
-				}
-				pos := e.Plan.Inst.PairEdgeIndex(pr, u.Edge)
-				if pos == 0 {
-					continue // the source is n itself: local reading
-				}
-				path := e.Plan.Inst.Paths[pr]
-				in := routing.Edge{From: path[pos-1], To: path[pos]}
-				if e.Plan.Sol[in].Agg[u.Node] {
-					if err := add(plan.Unit{Edge: in, Kind: plan.UnitAgg, Node: u.Node}); err != nil {
-						return err
-					}
-				} else {
-					prov, ok := provider[nodeSource{node: n, source: pr.Source}]
-					if !ok {
-						return fmt.Errorf("sim: raw %d unavailable at %d for record %d", pr.Source, n, u.Node)
-					}
-					if err := add(plan.Unit{Edge: prov, Kind: plan.UnitRaw, Node: pr.Source}); err != nil {
-						return err
-					}
+		} else {
+			for _, c := range cx.contribs[cx.contribOff[i]:cx.contribOff[i+1]] {
+				switch {
+				case c.rec >= 0:
+					backing = append(backing, int(c.rec))
+				case c.prov == provMissing:
+					return fmt.Errorf("sim: raw %d unavailable at %d for record %d", c.source, u.Edge.From, u.Node)
+				case c.prov != provLocal:
+					backing = append(backing, int(c.prov))
 				}
 			}
 		}
-		sort.Ints(e.deps[i])
+		ds := backing[lo:]
+		sort.Ints(ds)
+		ds = slices.Compact(ds)
+		backing = backing[:lo+len(ds)]
+		if len(ds) > 0 {
+			e.deps[i] = ds[:len(ds):len(ds)]
+		}
 	}
 	return nil
 }

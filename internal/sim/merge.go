@@ -2,81 +2,76 @@ package sim
 
 import (
 	"fmt"
-	"sort"
 
 	"m2m/internal/graph"
-	"m2m/internal/routing"
 )
 
-// buildMessages groups units into physical messages. Units travelling the
-// same edge are eligible for merging (Section 3); a merge is kept only if
-// the message-level wait-for graph stays acyclic. The paper reports that
-// the greedy merge collapses every edge to a single message in all its
-// experiments; the all-at-once attempt below succeeds in exactly those
-// cases and the pairwise fallback handles the rare cyclic ones.
-func (e *Engine) buildMessages(merge bool) {
-	if !merge {
-		e.messages = make([][]int, len(e.units))
-		for i := range e.units {
-			e.messages[i] = []int{i}
-		}
-		return
-	}
-
-	// Start from the ideal layout: one message per edge.
-	byEdge := make(map[routing.Edge][]int)
-	var edges []routing.Edge
-	for i, u := range e.units {
-		if len(byEdge[u.Edge]) == 0 {
-			edges = append(edges, u.Edge)
-		}
-		byEdge[u.Edge] = append(byEdge[u.Edge], i)
-	}
-	sort.Slice(edges, func(i, j int) bool {
-		if edges[i].From != edges[j].From {
-			return edges[i].From < edges[j].From
-		}
-		return edges[i].To < edges[j].To
-	})
-
+// buildMessages groups units into physical messages and lays them out in
+// processing order. Units travelling the same edge are eligible for
+// merging (Section 3); a merge is kept only if the message-level wait-for
+// graph stays acyclic. The paper reports that the greedy merge collapses
+// every edge to a single message in all its experiments; the all-at-once
+// attempt below succeeds in exactly those cases and the pairwise fallback
+// (splitCycles) handles the rare cyclic ones.
+func (e *Engine) buildMessages(cx *construction, merge bool) error {
+	// One message per unit, or when merging the ideal layout: one message
+	// per edge, in EdgeList order, which is also the order of the units.
+	// Either way message ids ascend with their first unit.
 	assign := make([]int, len(e.units)) // unit -> message id
 	nMsgs := 0
-	for _, eg := range edges {
-		for _, ui := range byEdge[eg] {
-			assign[ui] = nMsgs
+	for ui := range e.units {
+		if ui > 0 && (!merge || cx.unitEdge[ui] != cx.unitEdge[ui-1]) {
+			nMsgs++
 		}
+		assign[ui] = nMsgs
+	}
+	if len(e.units) > 0 {
 		nMsgs++
 	}
-	if e.messageGraphAcyclic(assign, nMsgs) {
-		e.messages = messagesFromAssign(assign, nMsgs)
-		return
+	perm, ok := e.messageGraph(assign, nMsgs).TopoSort()
+	if !ok && merge {
+		nMsgs = e.splitCycles(cx, assign, nMsgs)
+		perm, ok = e.messageGraph(assign, nMsgs).TopoSort()
 	}
+	if !ok {
+		return fmt.Errorf("sim: message wait-for cycle survived merging")
+	}
+	e.orderMessages(messagesFromAssign(assign, nMsgs), perm)
+	return nil
+}
 
-	// Fallback for the rare wait-for cycles (the paper: "such situations
-	// seem to be quite rare"): locate the cyclic core of the merged
-	// message graph, split exactly those edges back into per-unit
-	// messages (always feasible — the unit-level graph is acyclic per
-	// Theorem 2), then greedily re-merge pairs within just those edges.
+// splitCycles is the fallback for the rare wait-for cycles (the paper:
+// "such situations seem to be quite rare"): it locates the cyclic core of
+// the merged message graph, splits exactly those edges back into per-unit
+// messages (always feasible — the unit-level graph is acyclic per Theorem
+// 2), then greedily re-merges pairs within just those edges. It rewrites
+// assign in place, numbering messages by first unit again, and returns the
+// new message count.
+func (e *Engine) splitCycles(cx *construction, assign []int, nMsgs int) int {
+	edgeUnits := func(ei int32) []int {
+		return assign[cx.edgeOff[ei]:cx.edgeOff[ei+1]]
+	}
 	for iter := 0; ; iter++ {
 		core := e.messageGraph(assign, nMsgs).CyclicCore()
 		if len(core) == 0 {
 			break
 		}
-		inCore := make(map[int]bool, len(core))
+		inCore := make([]bool, nMsgs)
 		for _, m := range core {
 			inCore[m] = true
 		}
-		var brokenEdges []routing.Edge
-		seenEdge := make(map[routing.Edge]bool)
+		var brokenEdges []int32
+		broken := make([]bool, len(e.Plan.Inst.EdgeList))
 		for ui, m := range assign {
-			if inCore[m] && !seenEdge[e.units[ui].Edge] {
-				seenEdge[e.units[ui].Edge] = true
-				brokenEdges = append(brokenEdges, e.units[ui].Edge)
+			if ei := cx.unitEdge[ui]; inCore[m] && !broken[ei] {
+				broken[ei] = true
+				brokenEdges = append(brokenEdges, ei)
 			}
 		}
-		for _, eg := range brokenEdges {
-			for _, ui := range byEdge[eg] {
-				assign[ui] = nMsgs
+		for _, ei := range brokenEdges {
+			ms := edgeUnits(ei)
+			for i := range ms {
+				ms[i] = nMsgs
 				nMsgs++
 			}
 		}
@@ -90,12 +85,12 @@ func (e *Engine) buildMessages(merge bool) {
 		// unit into the current message unless a path between the two
 		// messages (necessarily through other messages — units of one edge
 		// never depend on each other) would close a cycle.
-		for _, eg := range brokenEdges {
-			uis := byEdge[eg]
+		for _, ei := range brokenEdges {
+			ms := edgeUnits(ei)
 			mg := e.messageGraph(assign, nMsgs)
-			cur := assign[uis[0]]
-			for _, ui := range uis[1:] {
-				b := assign[ui]
+			cur := ms[0]
+			for i := 1; i < len(ms); i++ {
+				b := ms[i]
 				if b == cur {
 					continue
 				}
@@ -103,91 +98,52 @@ func (e *Engine) buildMessages(merge bool) {
 					cur = b // start a new message from here
 					continue
 				}
-				assign[ui] = cur
+				ms[i] = cur
 				mg = e.messageGraph(assign, nMsgs)
 			}
 		}
-		if !e.messageGraphAcyclic(assign, nMsgs) {
-			panic("sim: merge fallback produced a cyclic layout") // unreachable
-		}
 		break
 	}
-	// Compact message ids.
-	remap := make(map[int]int)
-	for _, m := range assign {
-		if _, ok := remap[m]; !ok {
-			remap[m] = len(remap)
-		}
+	// Compact message ids in order of first unit.
+	remap := make([]int, nMsgs)
+	for i := range remap {
+		remap[i] = -1
 	}
+	nMsgs = 0
 	for ui, m := range assign {
+		if remap[m] < 0 {
+			remap[m] = nMsgs
+			nMsgs++
+		}
 		assign[ui] = remap[m]
 	}
-	e.messages = messagesFromAssign(assign, len(remap))
+	return nMsgs
 }
 
-// orderMessages sorts e.messages into a deterministic topological order of
-// the message wait-for DAG and rebuilds e.order message-contiguously:
-// every message's units appear consecutively (ascending unit index), and a
-// message appears only after every message it waits for. Units of one edge
-// never depend on each other, so the flattening is a valid unit order; Run
-// and RunLossy share it, which is what makes a fault-free lossy round
-// byte-identical to a plain one.
-func (e *Engine) orderMessages() error {
-	n := len(e.messages)
-	unitMsg := make([]int, len(e.units))
-	for m, uis := range e.messages {
-		for _, ui := range uis {
-			unitMsg[ui] = m
+// orderMessages lays msgs out in the topological order perm of the message
+// wait-for DAG and rebuilds e.order message-contiguously: every message's
+// units appear consecutively (ascending unit index), and a message appears
+// only after every message it waits for. Units of one edge never depend on
+// each other, so the flattening is a valid unit order; Run and RunLossy
+// share it, which is what makes a fault-free lossy round byte-identical to
+// a plain one.
+//
+// perm comes from Digraph.TopoSort, the Kahn order that emits the ready
+// message with the smallest id first. Message ids ascend with their first
+// unit, so among ready messages the one whose first unit has the smallest
+// index goes first.
+func (e *Engine) orderMessages(msgs [][]int, perm []int) {
+	for m := 1; m < len(msgs); m++ {
+		if msgs[m][0] <= msgs[m-1][0] {
+			panic("sim: messages not numbered by first unit") // unreachable: buildMessages numbers them so
 		}
 	}
-	indeg := make([]int, n)
-	adj := make([][]int, n)
-	for u, ds := range e.deps {
-		for _, dep := range ds {
-			if unitMsg[dep] != unitMsg[u] {
-				adj[unitMsg[dep]] = append(adj[unitMsg[dep]], unitMsg[u])
-				indeg[unitMsg[u]]++
-			}
-		}
-	}
-	// Kahn's algorithm, always picking the ready message whose first unit
-	// has the smallest index, for a stable order.
-	var ready []int
-	for m := 0; m < n; m++ {
-		if indeg[m] == 0 {
-			ready = append(ready, m)
-		}
-	}
-	perm := make([]int, 0, n)
-	for len(ready) > 0 {
-		best := 0
-		for i := 1; i < len(ready); i++ {
-			if e.messages[ready[i]][0] < e.messages[ready[best]][0] {
-				best = i
-			}
-		}
-		m := ready[best]
-		ready = append(ready[:best], ready[best+1:]...)
-		perm = append(perm, m)
-		for _, next := range adj[m] {
-			indeg[next]--
-			if indeg[next] == 0 {
-				ready = append(ready, next)
-			}
-		}
-	}
-	if len(perm) != n {
-		return fmt.Errorf("sim: message wait-for cycle survived merging")
-	}
-	msgs := make([][]int, 0, n)
-	order := make([]int, 0, len(e.units))
+	e.messages = make([][]int, 0, len(msgs))
+	e.order = make([]int, 0, len(e.units))
 	for _, m := range perm {
-		msgs = append(msgs, e.messages[m])
-		order = append(order, e.messages[m]...)
+		e.messages = append(e.messages, msgs[m])
+		e.order = append(e.order, msgs[m]...)
 	}
-	e.messages = msgs
-	e.order = order
-	return nil
 }
 
 // messageGraph lifts the unit wait-for relation onto messages. Self-arcs
@@ -211,16 +167,27 @@ func (e *Engine) messageGraphAcyclic(assign []int, nMsgs int) bool {
 	return !e.messageGraph(assign, nMsgs).HasCycle()
 }
 
+// messagesFromAssign groups units by message id, each message's units
+// ascending, dropping ids no unit carries. The messages share one backing
+// array.
 func messagesFromAssign(assign []int, nMsgs int) [][]int {
-	out := make([][]int, nMsgs)
-	for ui, m := range assign {
-		out[m] = append(out[m], ui)
+	off := make([]int, nMsgs+1)
+	for _, m := range assign {
+		off[m+1]++
 	}
-	// Drop empty slots (possible after compaction of sparse ids).
-	var msgs [][]int
-	for _, m := range out {
-		if len(m) > 0 {
-			msgs = append(msgs, m)
+	for m := 0; m < nMsgs; m++ {
+		off[m+1] += off[m]
+	}
+	units := make([]int, len(assign))
+	next := append([]int(nil), off[:nMsgs]...)
+	for ui, m := range assign {
+		units[next[m]] = ui
+		next[m]++
+	}
+	msgs := make([][]int, 0, nMsgs)
+	for m := 0; m < nMsgs; m++ {
+		if off[m] < off[m+1] {
+			msgs = append(msgs, units[off[m]:off[m+1]:off[m+1]])
 		}
 	}
 	return msgs

@@ -19,35 +19,43 @@ type MessageInfo struct {
 // wait-for dependencies. Only available in unicast modes (broadcast
 // accounting does not retain per-message unit assignments).
 func (e *Engine) MessageGraph() ([]MessageInfo, error) {
-	msgOf := make([]int, len(e.units))
-	for i := range msgOf {
-		msgOf[i] = -1
-	}
-	for mi, msg := range e.messages {
+	for _, msg := range e.messages {
 		if len(msg) == 0 {
 			return nil, fmt.Errorf("sim: message graph unavailable in broadcast mode")
 		}
+	}
+	deps := e.messageDeps()
+	out := make([]MessageInfo, len(e.messages))
+	for mi, msg := range e.messages {
+		edge := e.units[msg[0]].Edge
+		out[mi] = MessageInfo{From: edge.From, To: edge.To, Deps: deps[mi]}
+	}
+	return out, nil
+}
+
+// messageDeps lifts the unit wait-for sets onto the final message layout:
+// deps[m] lists, ascending and without repeats, the messages whose units
+// some unit of m waits for (nil if none). It is the one message-level
+// derivation behind MessageGraph and the async topology.
+func (e *Engine) messageDeps() [][]int {
+	msgOf := make([]int, len(e.units))
+	for mi, msg := range e.messages {
 		for _, ui := range msg {
 			msgOf[ui] = mi
 		}
 	}
-	out := make([]MessageInfo, len(e.messages))
+	deps := make([][]int, len(e.messages))
+	listed := make([]int, len(e.messages)) // listed[d] = m+1 once d is in deps[m]
 	for mi, msg := range e.messages {
-		edge := e.units[msg[0]].Edge
-		deps := make(map[int]bool)
 		for _, ui := range msg {
 			for _, dep := range e.deps[ui] {
-				if d := msgOf[dep]; d != mi {
-					deps[d] = true
+				if d := msgOf[dep]; d != mi && listed[d] != mi+1 {
+					listed[d] = mi + 1
+					deps[mi] = append(deps[mi], d)
 				}
 			}
 		}
-		info := MessageInfo{From: edge.From, To: edge.To}
-		for d := range deps {
-			info.Deps = append(info.Deps, d)
-		}
-		sort.Ints(info.Deps)
-		out[mi] = info
+		sort.Ints(deps[mi])
 	}
-	return out, nil
+	return deps
 }

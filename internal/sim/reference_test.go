@@ -9,6 +9,11 @@ import (
 	"m2m/internal/routing"
 )
 
+// nodeDest keys per-node accumulated partial records for a destination.
+type nodeDest struct {
+	node, dest graph.NodeID
+}
+
 // runMapBased is the original map-keyed executor, kept as the reference
 // implementation the compiled program is differentially tested against:
 // compiled rounds must stay byte-identical to it, values and energy.
