@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all check build vet test test-short race cover bench bench-serve figures examples serve fuzz-scenarios fuzz-soak loc clean
+.PHONY: all check build vet test test-short race cover bench figures examples serve fuzz-scenarios fuzz-soak loc clean
 
 all: check
 
@@ -48,16 +48,6 @@ bench:
 SERVE_ADDR ?= :8437
 serve:
 	$(GO) run ./cmd/m2md -addr $(SERVE_ADDR)
-
-# Regenerate the checked-in serving-throughput artifact: boots a local
-# m2md, drives 1/100/1000 concurrent sessions, writes BENCH_serve.json.
-bench-serve:
-	$(GO) build -o /tmp/m2md-bench ./cmd/m2md
-	/tmp/m2md-bench -addr :18437 & echo $$! > /tmp/m2md-bench.pid; sleep 1
-	$(GO) run ./cmd/m2mload -addr http://localhost:18437 \
-		-bench -levels 1,100,1000 -rounds 20 -step 5 -tenants 8 \
-		-bench-out BENCH_serve.json; \
-	status=$$?; kill `cat /tmp/m2md-bench.pid`; rm -f /tmp/m2md-bench.pid; exit $$status
 
 # Regenerate every evaluation figure and ablation at full scale.
 figures:

@@ -7,15 +7,7 @@ import (
 
 	"m2m/internal/chaos"
 	"m2m/internal/failure"
-	"m2m/internal/sim"
 )
-
-// Adversary is the Byzantine corruption schedule the fault-free
-// executors consult at the pre-aggregation boundary (the engine's
-// Options.Adversary); faulty-path rounds corrupt through their
-// FaultSchedule's CorruptReading instead. FaultInjector implements it
-// once WithByzantine windows are configured.
-type Adversary = sim.Adversary
 
 // ByzMode selects how a Byzantine node lies about its own reading (see
 // FaultInjector.WithByzantine).

@@ -62,18 +62,6 @@ func TestValidateFlags(t *testing.T) {
 	}
 }
 
-func TestParseLevels(t *testing.T) {
-	got, err := parseLevels("1, 100,1000")
-	if err != nil || len(got) != 3 || got[0] != 1 || got[1] != 100 || got[2] != 1000 {
-		t.Fatalf("parseLevels = %v, %v", got, err)
-	}
-	for _, bad := range []string{"", "0", "a", "1,,2", "-3"} {
-		if _, err := parseLevels(bad); err == nil {
-			t.Errorf("parseLevels(%q) accepted", bad)
-		}
-	}
-}
-
 func TestPercentile(t *testing.T) {
 	if p := percentile(nil, 99); p != 0 {
 		t.Fatalf("empty percentile = %v", p)

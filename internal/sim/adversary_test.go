@@ -95,7 +95,7 @@ func TestSketchExecutorsByteIdentical(t *testing.T) {
 		}
 		readings := randomReadings(rng, n)
 
-		want, err := eng.runMapBased(0, readings, nil)
+		want, err := eng.runMapBased(readings, nil)
 		if err != nil {
 			t.Fatalf("trial %d: runMapBased: %v", trial, err)
 		}
@@ -145,8 +145,8 @@ func TestSketchExecutorsByteIdentical(t *testing.T) {
 
 // TestAdversaryCorruptsAtSource checks the injection boundary: a stuck
 // node poisons exactly the destinations that source it, identically in
-// every executor, whether the adversary arrives via Options.Adversary or
-// asserted from the fault schedule.
+// the lossy and async executors, through the fault schedule's
+// CorruptReading.
 func TestAdversaryCorruptsAtSource(t *testing.T) {
 	rng := rand.New(rand.NewSource(1002))
 	n := 30
@@ -192,22 +192,17 @@ func TestAdversaryCorruptsAtSource(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	honest, err := func() (*RoundResult, error) {
-		eng, err := NewEngine(p, radio.DefaultModel(), Options{MergeMessages: true})
-		if err != nil {
-			return nil, err
-		}
-		return eng.Run(readings)
-	}()
+	eng, err := NewEngine(p, radio.DefaultModel(), Options{MergeMessages: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	eng, err := NewEngine(p, radio.DefaultModel(), Options{MergeMessages: true, Adversary: inj})
+	honest, err := eng.Run(readings)
 	if err != nil {
 		t.Fatal(err)
 	}
-	corrupted, err := eng.Run(readings)
+	// The fault schedule is the only corruption path: on an otherwise
+	// fault-free round the lossy executor corrupts at the source.
+	corrupted, err := eng.RunLossy(0, readings, inj, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,26 +218,8 @@ func TestAdversaryCorruptsAtSource(t *testing.T) {
 		}
 	}
 
-	// The reference executor corrupts identically.
-	ref, err := eng.runMapBased(0, readings, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bitsSame(t, "runMapBased", ref.Values, corrupted.Values)
-
-	// The lossy and async paths discover the same adversary from the
-	// fault schedule alone (no Options.Adversary) and corrupt identically
-	// on a fault-free round.
-	plainEng, err := NewEngine(p, radio.DefaultModel(), Options{MergeMessages: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	lossy, err := plainEng.RunLossy(0, readings, inj, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bitsSame(t, "RunLossy(faults)", lossy.Values, corrupted.Values)
-	runner, err := NewAsyncRunner(plainEng, AsyncConfig{})
+	// The async executor corrupts identically from the same schedule.
+	runner, err := NewAsyncRunner(eng, AsyncConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,43 +228,4 @@ func TestAdversaryCorruptsAtSource(t *testing.T) {
 		t.Fatal(err)
 	}
 	bitsSame(t, "async(faults)", async.Values, corrupted.Values)
-}
-
-// TestAdversaryRoundCounter checks that the fault-free executors feed
-// the adversary a monotonically advancing round: an offset-drift window
-// must produce a different lie every Run.
-func TestAdversaryRoundCounter(t *testing.T) {
-	rng := rand.New(rand.NewSource(31))
-	n := 20
-	inst := buildInstance(t, rng, n, 2, 4, false)
-	p, err := plan.Optimize(inst)
-	if err != nil {
-		t.Fatal(err)
-	}
-	victim := inst.Specs[0].Func.Sources()[0]
-	d := inst.Specs[0].Dest
-	inj := chaos.New(5).WithByzantine(victim, chaos.ByzOffset, 100, 0, chaos.Forever)
-	eng, err := NewEngine(p, radio.DefaultModel(), Options{MergeMessages: true, Adversary: inj})
-	if err != nil {
-		t.Fatal(err)
-	}
-	readings := randomReadings(rng, n)
-	var prev float64
-	for round := 0; round < 3; round++ {
-		res, err := eng.Run(readings)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := eng.runMapBased(round, readings, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if math.Float64bits(res.Values[d]) != math.Float64bits(want.Values[d]) {
-			t.Fatalf("round %d: Run %v, reference at the same round %v", round, res.Values[d], want.Values[d])
-		}
-		if round > 0 && res.Values[d] == prev {
-			t.Fatalf("round %d: offset drift did not advance (%v)", round, res.Values[d])
-		}
-		prev = res.Values[d]
-	}
 }

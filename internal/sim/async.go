@@ -4,7 +4,6 @@ import (
 	"container/heap"
 	"fmt"
 
-	"m2m/internal/agg"
 	"m2m/internal/graph"
 	"m2m/internal/plan"
 	"m2m/internal/routing"
@@ -355,7 +354,6 @@ func (q *eventQueue) Pop() any {
 type amsg struct {
 	edge          routing.Edge
 	waiting       int
-	fired         bool
 	resolved      bool
 	delivered     bool
 	acked         bool
@@ -370,72 +368,27 @@ type amsg struct {
 	recs          []carriedRec
 }
 
-// contrib is one delivered partial record at a compiled record slot,
-// remembered with the planned index of the message that carried it so
-// folds replay the synchronous merge order exactly.
-type contrib struct {
-	msgIdx int
-	rec    agg.Record
-	cov    []uint64
-}
-
-// addContrib inserts nc keeping the list ascending by planned message
-// index (the dedup window guarantees at most one contribution per
-// message, so indices are distinct).
-func addContrib(cs []contrib, nc contrib) []contrib {
-	cs = append(cs, nc)
-	i := len(cs) - 1
-	for i > 0 && cs[i-1].msgIdx > nc.msgIdx {
-		cs[i] = cs[i-1]
-		i--
-	}
-	cs[i] = nc
-	return cs
-}
-
 // Run executes one asynchronous round. With a nil or fault-free schedule
 // the result is byte-identical to Engine.Run (values and energy); under
 // duplication and reordering only timing and energy may change, never the
 // delivered values.
 func (a *AsyncRunner) Run(round int, readings map[graph.NodeID]float64, faults Faults) (*AsyncResult, error) {
 	e := a.eng
-	faults, adv := e.resolveFaults(faults)
 	c := e.prog
 	topo := e.asyncTopology()
 	cfg := a.cfg
 	bat := e.battery
-	down := func(n graph.NodeID) bool {
-		return faults.NodeDead(round, n) || (bat != nil && bat.Depleted(n))
-	}
-
-	res := &AsyncResult{LossyResult: LossyResult{
-		Values:   make(map[graph.NodeID]float64, len(c.finals)),
-		Reports:  make(map[graph.NodeID]*DeliveryReport, len(c.finals)),
-		PerNodeJ: make(map[graph.NodeID]float64),
-		Messages: len(e.messages),
-	}}
-
-	ls := e.getLossyState()
-	defer e.putLossyState(ls)
-	e.fillEdgeFence(ls, faults)
+	res := &AsyncResult{}
 	// Under a collision schedule the round's contention is resolved once
 	// by the slot oracle and replayed here attempt-for-attempt, so the
 	// event-driven outcomes match the synchronous executor's exactly.
-	cp, err := e.collisionPlanFor(round, faults, cfg.MaxRetries, ls.edgeOK)
+	r, err := e.beginRound(round, readings, faults, cfg.MaxRetries, &res.LossyResult)
 	if err != nil {
 		return nil, err
 	}
-	contribs := make([][]contrib, c.nRec)
-	for i, slot := range c.srcSlot {
-		if !down(c.srcIDs[i]) {
-			v := readings[c.srcIDs[i]]
-			if adv != nil {
-				v = adv.CorruptReading(round, c.srcIDs[i], v)
-			}
-			ls.raw[slot] = v
-			ls.rawSet[slot] = true
-		}
-	}
+	defer r.end()
+	faults = r.faults
+	ls := r.st
 
 	msgs := make([]amsg, len(e.messages))
 	for mi, msg := range e.messages {
@@ -449,25 +402,20 @@ func (a *AsyncRunner) Run(round int, readings map[graph.NodeID]float64, faults F
 	closed := make([]bool, len(c.finals))
 	pendingIn := make([]int32, len(c.finals))
 	for fi := range c.finals {
-		fo := &c.finals[fi]
-		if !down(fo.dest) {
+		if !r.down(c.finals[fi].dest) {
 			pendingIn[fi] = topo.inCount[fi]
 			continue
 		}
 		closed[fi] = true
-		rep := &DeliveryReport{Dest: fo.dest, DestDead: true, Starved: true}
-		rep.Missing = append([]graph.NodeID(nil), fo.sources...)
-		a.ageReport(rep, round)
-		res.Reports[fo.dest] = rep
+		a.ageReport(r.report(fi, true), round)
 	}
 
 	// Per-link receive window: a message's (epoch, seq) tag is unique, so
-	// "tag applied" indexes by message; the highest tag heard and the ARQ
-	// attempt counter index by the compiled dense edge id.
+	// "tag applied" indexes by message; the highest tag heard indexes by
+	// the compiled dense edge id.
 	applied := make([]bool, len(e.messages))
 	maxTag := make([]uint32, c.nMsgEdges)
 	hasTag := make([]bool, c.nMsgEdges)
-	attemptSeq := make([]int, c.nMsgEdges)
 
 	var q eventQueue
 	pushSeq := 0
@@ -487,6 +435,7 @@ func (a *AsyncRunner) Run(round int, readings map[graph.NodeID]float64, faults F
 
 	// Slot duration (largest planned frame) maps the oracle's slot
 	// arithmetic — TDMA send times, backoff gaps — onto simulated time.
+	cp := r.cp
 	var slotMS float64
 	if cp != nil {
 		slotMS = serMS(cp.maxBody)
@@ -501,7 +450,6 @@ func (a *AsyncRunner) Run(round int, readings map[graph.NodeID]float64, faults F
 		return t
 	}
 
-	var runErr error
 	note := func(t float64) {
 		if t > res.MakespanMS {
 			res.MakespanMS = t
@@ -509,39 +457,22 @@ func (a *AsyncRunner) Run(round int, readings map[graph.NodeID]float64, faults F
 	}
 
 	closeDest := func(fi int32, t float64, deadlineHit bool) {
-		if closed[fi] || runErr != nil {
+		if closed[fi] {
 			return
 		}
 		closed[fi] = true
-		fo := &c.finals[fi]
-		d := fo.dest
-		tmp := ls.tmp[:fo.fnLen]
-		got := e.assembleAsyncInto(fo.fn, fo.ip, fo.inputs, ls, contribs, tmp)
-		rep := &DeliveryReport{Dest: d, ClosedAtMS: t}
-		for j, s := range fo.sources {
-			if covHasBit(ls.covTmp, fo.srcBits[j]) {
-				rep.Covered = append(rep.Covered, s)
-			} else {
-				rep.Missing = append(rep.Missing, s)
-			}
-		}
-		if !got {
-			rep.Starved = true
-		} else {
-			rep.Fresh = len(rep.Missing) == 0
-			res.Values[d] = fo.fn.Eval(tmp)
-		}
+		rep := r.report(int(fi), false)
+		rep.ClosedAtMS = t
 		// A deadline close with full coverage degrades nothing.
 		rep.DeadlineHit = deadlineHit && !rep.Fresh
 		if rep.DeadlineHit {
 			res.DeadlineClosed++
 		}
 		if rep.Fresh {
-			a.lastVal[d] = res.Values[d]
-			a.lastFresh[d] = round
+			a.lastVal[rep.Dest] = res.Values[rep.Dest]
+			a.lastFresh[rep.Dest] = round
 		}
 		a.ageReport(rep, round)
-		res.Reports[d] = rep
 	}
 
 	var resolve func(mi int, t float64)
@@ -582,59 +513,40 @@ func (a *AsyncRunner) Run(round int, readings map[graph.NodeID]float64, faults F
 			return false
 		}
 		st.attempts++
-		res.Transmissions++
-		if st.attempts > 1 {
-			res.Retries++
-		}
+		r.attempted(st.attempts)
 		if st.delivered {
 			res.SpuriousTx++
 		}
 		eid := c.msgEdge[mi]
-		wireAtt := attemptSeq[eid]
-		attemptSeq[eid] = wireAtt + 1
-		heardOK := false
-		if cp != nil {
-			// Replay the oracle's resolved outcome for this attempt; only
-			// the battery gates are re-applied here (the slot model cannot
-			// see mid-round brown-outs).
-			switch cp.outcome(mi, st.attempts-1) {
-			case coCollided:
-				res.Collisions++
-				if !down(st.edge.To) && (bat == nil || bat.Spend(round, st.edge.To, e.Radio.RxJoules(st.body))) {
-					lat := faults.LatencyMS(round, st.edge, wireAtt, 0)
-					pushWreck(now+serMS(st.body)+lat, mi, wireAtt)
-				}
-			case coDelivered:
-				if !down(st.edge.To) {
-					copies := 1 + faults.Duplicates(round, st.edge, wireAtt)
-					heard := 0
-					for c := 0; c < copies; c++ {
-						if bat != nil && !bat.Spend(round, st.edge.To, e.Radio.RxJoules(st.body)) {
-							break
-						}
-						lat := faults.LatencyMS(round, st.edge, wireAtt, 2*c)
-						push(now+serMS(st.body)+lat, evArrive, mi, wireAtt, c)
-						heard++
-					}
-					heardOK = heard > 0
-				}
+		wireAtt := int(ls.attempt[eid])
+		ls.attempt[eid]++
+		recvDown := r.down(st.edge.To)
+		rxJ := e.Radio.RxJoules(st.body)
+		heard := 0
+		switch r.channel(mi, st.attempts-1, wireAtt, st.edge, recvDown) {
+		case coCollided:
+			// The wreck is heard once and paid for, then fails its checksum.
+			res.Collisions++
+			if !recvDown && (bat == nil || bat.Spend(round, st.edge.To, rxJ)) {
+				lat := faults.LatencyMS(round, st.edge, wireAtt, 0)
+				pushWreck(now+serMS(st.body)+lat, mi, wireAtt)
 			}
-		} else if !down(st.edge.To) && faults.Deliver(round, st.edge, wireAtt) {
+		case coDelivered:
+			if recvDown {
+				break
+			}
 			copies := 1 + faults.Duplicates(round, st.edge, wireAtt)
-			heard := 0
-			for c := 0; c < copies; c++ {
-				if bat != nil && !bat.Spend(round, st.edge.To, e.Radio.RxJoules(st.body)) {
+			for ; heard < copies; heard++ {
+				if bat != nil && !bat.Spend(round, st.edge.To, rxJ) {
 					break // receiver browned out: this and later copies unheard
 				}
-				lat := faults.LatencyMS(round, st.edge, wireAtt, 2*c)
-				push(now+serMS(st.body)+lat, evArrive, mi, wireAtt, c)
-				heard++
+				lat := faults.LatencyMS(round, st.edge, wireAtt, 2*heard)
+				push(now+serMS(st.body)+lat, evArrive, mi, wireAtt, heard)
 			}
-			heardOK = heard > 0
 		}
 		// An epoch-fenced copy still arrives (and is paid for), but the
 		// receiver will discard it, so it cannot resolve the message.
-		if heardOK && ls.edgeOK[eid] {
+		if heard > 0 && ls.edgeOK[eid] {
 			st.anyCopyComing = true
 		}
 		push(now+st.rto, evTimeout, mi, st.attempts, 0)
@@ -652,38 +564,19 @@ func (a *AsyncRunner) Run(round int, readings map[graph.NodeID]float64, faults F
 		push(cfg.DeadlineMS, evDeadline, -1, 0, 0)
 	}
 
-	for q.Len() > 0 && runErr == nil {
+	for q.Len() > 0 {
 		ev := heap.Pop(&q).(asyncEvent)
 		switch ev.kind {
 		case evSend:
 			st := &msgs[ev.msg]
-			if down(st.edge.From) {
+			if r.down(st.edge.From) {
 				// Dead or depleted sender: silence, no attempts, no energy.
 				resolve(ev.msg, ev.t)
 				continue
 			}
 			// Snapshot the payload from what has arrived by now; every
 			// retransmission carries these same bytes under the same tag.
-			st.fired = true
-			for _, ui := range e.messages[ev.msg] {
-				op := &c.ops[ui]
-				if op.kind == plan.UnitRaw {
-					if ls.rawSet[op.from] {
-						st.raws = append(st.raws, carriedRaw{slot: op.to, val: ls.raw[op.from]})
-						st.body += int(c.unitBytes[ui])
-					}
-					continue
-				}
-				tmp := ls.tmp[:op.fnLen]
-				if e.assembleAsyncInto(op.fn, op.ip, op.inputs, ls, contribs, tmp) {
-					st.recs = append(st.recs, carriedRec{
-						slot: op.out,
-						rec:  append(agg.Record(nil), tmp...),
-						cov:  append([]uint64(nil), ls.covTmp...),
-					})
-					st.body += int(c.unitBytes[ui])
-				}
-			}
+			st.raws, st.recs, st.body = r.snapshot(ev.msg, nil, nil)
 			est := a.estimator(st.edge)
 			st.rto = est.rto(cfg)
 			if floor := 2 * (serMS(st.body) + serAckMS); st.rto < floor {
@@ -736,13 +629,7 @@ func (a *AsyncRunner) Run(round int, readings map[graph.NodeID]float64, faults F
 					hasTag[eid] = true
 				}
 				st.delivered = true
-				for _, cr := range st.raws {
-					ls.raw[cr.slot] = cr.val
-					ls.rawSet[cr.slot] = true
-				}
-				for _, cr := range st.recs {
-					contribs[cr.slot] = addContrib(contribs[cr.slot], contrib{msgIdx: ev.msg, rec: cr.rec, cov: cr.cov})
-				}
+				r.deliver(ev.msg, st.raws, st.recs)
 				resolve(ev.msg, ev.t)
 			}
 			// The receiver acknowledges every copy it hears; acks are
@@ -804,9 +691,6 @@ func (a *AsyncRunner) Run(round int, readings map[graph.NodeID]float64, faults F
 			}
 		}
 	}
-	if runErr != nil {
-		return nil, runErr
-	}
 
 	// Settle the books in planned order.
 	for mi := range msgs {
@@ -863,63 +747,4 @@ func (a *AsyncRunner) ageReport(rep *DeliveryReport, round int) {
 		rep.LastKnown = v
 		rep.HasLastKnown = true
 	}
-}
-
-// assembleAsyncInto is assembleLossyInto over the event-driven state: a
-// record slot's value is its delivered contributions folded in planned
-// message order (addContrib keeps them sorted), so the float merge
-// sequence is identical to the synchronous executor's however the
-// arrivals interleaved. Coverage accumulates into ls.covTmp; it reports
-// whether anything was present.
-func (e *Engine) assembleAsyncInto(fn agg.Func, ip agg.InPlace, inputs []unitInput, ls *lossyState, contribs [][]contrib, tmp agg.Record) bool {
-	covClear(ls.covTmp)
-	got := false
-	for _, in := range inputs {
-		if in.kind == inRec {
-			cs := contribs[in.slot]
-			if len(cs) == 0 {
-				continue
-			}
-			// Fold the slot's contributions into their own buffer first,
-			// then merge the folded record in — the reference executor's
-			// exact association order.
-			rec := agg.Record(ls.tmp3[:len(tmp)])
-			copy(rec, cs[0].rec)
-			covOr(ls.covTmp, cs[0].cov)
-			for _, cc := range cs[1:] {
-				mergeRecInto(fn, ip, rec, cc.rec)
-				covOr(ls.covTmp, cc.cov)
-			}
-			if !got {
-				got = true
-				copy(tmp, rec)
-			} else {
-				mergeRecInto(fn, ip, tmp, rec)
-			}
-			continue
-		}
-		if !ls.rawSet[in.slot] {
-			continue
-		}
-		v := ls.raw[in.slot]
-		if !got {
-			got = true
-			if ip != nil {
-				ip.PreAggInto(tmp, in.source, v)
-			} else {
-				copy(tmp, fn.PreAgg(in.source, v))
-			}
-		} else {
-			op := agg.Record(ls.tmp2[:len(tmp)])
-			if ip != nil {
-				ip.PreAggInto(op, in.source, v)
-				ip.MergeInto(tmp, op)
-			} else {
-				copy(op, fn.PreAgg(in.source, v))
-				copy(tmp, fn.Merge(tmp, op))
-			}
-		}
-		covSetBit(ls.covTmp, in.srcBit)
-	}
-	return got
 }

@@ -145,7 +145,7 @@ func TestBatteryConservation(t *testing.T) {
 		eng, bat := fresh(t)
 		prev := 0.0
 		for r := 0; r < rounds; r++ {
-			res, err := eng.runMapBased(0, readings, nil)
+			res, err := eng.runMapBased(readings, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -464,5 +464,55 @@ func TestChaosDepleteInjection(t *testing.T) {
 	crash := run(chaos.New(1).Crash(1, 3))
 	if dep.EnergyJ != crash.EnergyJ || dep.Dropped != crash.Dropped || dep.Transmissions != crash.Transmissions {
 		t.Fatalf("depletion != crash signature: %+v vs %+v", dep, crash)
+	}
+}
+
+// TestBatteryBrownOutBeforeFirstFrameNoRetry drains every battery so a
+// sender that starts the round alive cannot pay for its first frame: it
+// transmits nothing, so it retried nothing. Both executors must book zero
+// attempts for such a message and count retries only for attempts after
+// the first.
+func TestBatteryBrownOutBeforeFirstFrameNoRetry(t *testing.T) {
+	rng := rand.New(rand.NewSource(59))
+	inst := buildInstance(t, rng, 40, 6, 6, false)
+	p, err := plan.Optimize(inst)
+	if err != nil {
+		t.Fatal(err)
+	}
+	readings := randomReadings(rng, inst.Net.Len())
+	engine := func() *Engine {
+		bat, err := NewBattery(inst.Net.Len(), 1e-9)
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng, err := NewEngine(p, radio.DefaultModel(), Options{MergeMessages: true, Battery: bat})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return eng
+	}
+	lossy, err := engine().RunLossy(0, readings, nil, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	async, err := engine().RunAsync(0, readings, nil, AsyncConfig{MaxRetries: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, res := range map[string]*LossyResult{"lossy": lossy, "async": &async.LossyResult} {
+		want := 0
+		for _, o := range res.Outcomes {
+			if o.Attempts > 1 {
+				want += o.Attempts - 1
+			}
+		}
+		if res.Retries != want || res.Retries < 0 {
+			t.Fatalf("%s: Retries = %d over %d messages, want %d (attempts after the first)",
+				name, res.Retries, res.Messages, want)
+		}
+	}
+	if lossy.Retries != async.Retries || lossy.Transmissions != async.Transmissions {
+		t.Fatalf("lossy retries/tx %d/%d, async %d/%d",
+			lossy.Retries, lossy.Transmissions, async.Retries, async.Transmissions)
 	}
 }

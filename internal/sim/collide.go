@@ -225,14 +225,23 @@ type collisionPlan struct {
 	mode      TxMode
 }
 
-// outcome returns the fate of the try-th attempt of message mi. Attempts
-// past the simulated horizon (an event-driven executor's spurious
-// retransmissions of already-delivered data) report coLost: the frame
-// vanishes into contention noise, which the dedup window would have
-// discarded anyway.
-func (p *collisionPlan) outcome(mi, try int) byte {
-	if try < len(p.tries[mi]) {
-		return p.tries[mi][try]
+// channel is the fate of message mi's try-th attempt, drawn as the
+// seq-th transmission of the round on its edge. Under the collision model
+// it is the oracle's resolved outcome; attempts past the oracle's horizon
+// (an event-driven executor's spurious retransmissions of
+// already-delivered data) report coLost: the frame vanishes into
+// contention noise, which the dedup window would have discarded anyway.
+// Otherwise it is a Deliver draw, and a receiver that is down hears
+// nothing.
+func (r *faultRound) channel(mi, try, seq int, edge routing.Edge, recvDown bool) byte {
+	if p := r.cp; p != nil {
+		if try < len(p.tries[mi]) {
+			return p.tries[mi][try]
+		}
+		return coLost
+	}
+	if !recvDown && r.faults.Deliver(r.round, edge, seq) {
+		return coDelivered
 	}
 	return coLost
 }

@@ -76,12 +76,10 @@ type compiled struct {
 	nRaw int // raw value slots: dense (node, source) ids
 	nRec int // partial record slots: dense (node, dest) ids
 
-	recOff []int32       // record slot -> offset into the record arena
-	recLen []int32       // record slot -> record arity
-	recFn  []agg.Func    // record slot -> its destination's function
-	recIP  []agg.InPlace // record slot -> fn's in-place extension (nil if none)
-	arena  int           // total arena length (float64 slots)
-	maxRec int           // widest record (assembly scratch size)
+	recOff []int32 // record slot -> offset into the record arena
+	recLen []int32 // record slot -> record arity
+	arena  int     // total arena length (float64 slots)
+	maxRec int     // widest record (assembly scratch size)
 
 	srcIDs  []graph.NodeID // sources, ascending (dense source index order)
 	srcSlot []int32        // dense source index -> raw slot of (s, s)
@@ -153,11 +151,8 @@ func (e *Engine) compile(cx *construction) error {
 		if recSlotOf[rep] < 0 {
 			recSlotOf[rep] = int32(c.nRec)
 			c.nRec++
-			f := inst.SpecByDest[d].Func
-			l := int32(agg.RecordLen(f))
+			l := int32(agg.RecordLen(inst.SpecByDest[d].Func))
 			c.recLen = append(c.recLen, l)
-			c.recFn = append(c.recFn, f)
-			c.recIP = append(c.recIP, inPlaceOf(f))
 			c.recOff = append(c.recOff, int32(c.arena))
 			c.arena += int(l)
 			if int(l) > c.maxRec {

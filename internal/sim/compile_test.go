@@ -45,7 +45,7 @@ func TestCompiledMatchesMapBased(t *testing.T) {
 			if err != nil {
 				t.Fatalf("trial %d %s: Run: %v", trial, mk.name, err)
 			}
-			want, err := eng.runMapBased(0, readings, nil)
+			want, err := eng.runMapBased(readings, nil)
 			if err != nil {
 				t.Fatalf("trial %d %s: runMapBased: %v", trial, mk.name, err)
 			}

@@ -55,9 +55,6 @@ type Engine struct {
 	battery  *Battery     // optional residual-energy ledger (Options.Battery)
 	batRound atomic.Int64 // rounds drained on the fault-free paths
 
-	adversary Adversary    // optional corruption schedule (Options.Adversary)
-	advRound  atomic.Int64 // fault-free rounds the adversary has seen
-
 	topo     *asyncTopo // message-level DAG for the async executor
 	topoOnce sync.Once  // guards the lazy build so concurrent rounds stay safe
 
@@ -99,12 +96,6 @@ type Options struct {
 	// zero mid-round (see RunLossy/RunAsync). The ledger may be shared
 	// across engines (e.g. across a session's replans).
 	Battery *Battery
-	// Adversary, when non-nil, corrupts source readings at the
-	// pre-aggregation boundary of every executor (see the Adversary
-	// interface). The fault-free executors number rounds with an internal
-	// counter; the lossy and async executors use their explicit round
-	// argument and prefer an adversary asserted from their fault schedule.
-	Adversary Adversary
 }
 
 // NewEngine prepares an executor for p. It fails if the plan's wait-for
@@ -113,7 +104,7 @@ func NewEngine(p *plan.Plan, model radio.Model, opts Options) (*Engine, error) {
 	if err := model.Validate(); err != nil {
 		return nil, err
 	}
-	e := &Engine{Plan: p, Radio: model, battery: opts.Battery, adversary: opts.Adversary}
+	e := &Engine{Plan: p, Radio: model, battery: opts.Battery}
 	e.units = p.Units()
 	cx, err := e.newConstruction()
 	if err != nil {
@@ -488,7 +479,7 @@ func (e *Engine) Run(readings map[graph.NodeID]float64) (*RoundResult, error) {
 	st := e.getState()
 	defer e.putState(st)
 	res := &RoundResult{Values: make(map[graph.NodeID]float64, len(e.prog.finals))}
-	e.runCompiled(e.nextAdvRound(), readings, st, res.Values, nil)
+	e.runCompiled(readings, st, res.Values, nil)
 	e.fillResult(res)
 	e.drainStatic()
 	return res, nil
@@ -518,7 +509,7 @@ func (e *Engine) RunObserved(readings map[graph.NodeID]float64, obs Observer) (*
 	st := e.getState()
 	defer e.putState(st)
 	res := &RoundResult{Values: make(map[graph.NodeID]float64, len(e.prog.finals))}
-	e.runCompiled(e.nextAdvRound(), readings, st, res.Values, obs)
+	e.runCompiled(readings, st, res.Values, obs)
 	e.fillResult(res)
 	e.drainStatic()
 	return res, nil

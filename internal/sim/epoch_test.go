@@ -3,6 +3,7 @@ package sim
 import (
 	"context"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"m2m/internal/chaos"
@@ -167,6 +168,55 @@ func TestEpochFenceAsync(t *testing.T) {
 	validateAll(t, async)
 }
 
+// sameRoundOutcome fails unless two executions of one round agree on
+// everything both executors observe: per-message fates and payload bytes,
+// the transmission counters, per-node energy bit for bit, the values, and
+// each destination's covered/missing split. Total EnergyJ is left out: the
+// two executors sum the same per-message terms in a different order.
+func sameRoundOutcome(t *testing.T, r int, a, other *LossyResult) {
+	t.Helper()
+	if len(other.Outcomes) != len(a.Outcomes) {
+		t.Fatalf("round %d: %d outcomes vs %d", r, len(other.Outcomes), len(a.Outcomes))
+	}
+	for i, o := range a.Outcomes {
+		if oo := other.Outcomes[i]; oo != o {
+			t.Fatalf("round %d message %d: %+v vs %+v", r, i, oo, o)
+		}
+	}
+	if other.Transmissions != a.Transmissions || other.Retries != a.Retries || other.Dropped != a.Dropped ||
+		other.EpochDropped != a.EpochDropped || other.Collisions != a.Collisions {
+		t.Fatalf("round %d: counters tx/retry/drop/epoch/coll %d/%d/%d/%d/%d vs %d/%d/%d/%d/%d", r,
+			other.Transmissions, other.Retries, other.Dropped, other.EpochDropped, other.Collisions,
+			a.Transmissions, a.Retries, a.Dropped, a.EpochDropped, a.Collisions)
+	}
+	if len(other.PerNodeJ) != len(a.PerNodeJ) {
+		t.Fatalf("round %d: PerNodeJ has %d nodes vs %d", r, len(other.PerNodeJ), len(a.PerNodeJ))
+	}
+	for n, j := range a.PerNodeJ {
+		if oj, ok := other.PerNodeJ[n]; !ok || oj != j {
+			t.Fatalf("round %d node %d: PerNodeJ %v (present %v) vs %v", r, n, oj, ok, j)
+		}
+	}
+	if len(other.Reports) != len(a.Reports) {
+		t.Fatalf("round %d: %d reports vs %d", r, len(other.Reports), len(a.Reports))
+	}
+	for d, rep := range a.Reports {
+		orep := other.Reports[d]
+		if orep == nil || orep.Fresh != rep.Fresh || orep.Starved != rep.Starved ||
+			!slices.Equal(orep.Covered, rep.Covered) || !slices.Equal(orep.Missing, rep.Missing) {
+			t.Fatalf("round %d dest %d: report %+v vs %+v", r, d, orep, rep)
+		}
+	}
+	if len(other.Values) != len(a.Values) {
+		t.Fatalf("round %d: %d values vs %d", r, len(other.Values), len(a.Values))
+	}
+	for d, v := range a.Values {
+		if other.Values[d] != v {
+			t.Fatalf("round %d dest %d: value %v vs %v", r, d, other.Values[d], v)
+		}
+	}
+}
+
 // The chaos determinism contract across executors: one injector seed fixes
 // every message's fate, so the synchronous and asynchronous executors
 // agree outcome for outcome, and re-runs are identical.
@@ -199,31 +249,10 @@ func TestChaosCrossExecutorDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, other := range []*LossyResult{b, &async.LossyResult} {
-			if len(other.Outcomes) != len(a.Outcomes) {
-				t.Fatalf("round %d: %d outcomes vs %d", r, len(other.Outcomes), len(a.Outcomes))
-			}
-			for i, o := range a.Outcomes {
-				oo := other.Outcomes[i]
-				if oo.Edge != o.Edge || oo.Delivered != o.Delivered || oo.Attempts != o.Attempts {
-					t.Fatalf("round %d message %d: %+v vs %+v", r, i, oo, o)
-				}
-			}
-			for d, rep := range a.Reports {
-				orep := other.Reports[d]
-				if orep == nil || orep.Fresh != rep.Fresh || orep.Starved != rep.Starved ||
-					len(orep.Missing) != len(rep.Missing) {
-					t.Fatalf("round %d dest %d: report %+v vs %+v", r, d, orep, rep)
-				}
-			}
-			for d, v := range a.Values {
-				if other.Values[d] != v {
-					t.Fatalf("round %d dest %d: value %v vs %v", r, d, other.Values[d], v)
-				}
-			}
-		}
-		if a.EnergyJ != b.EnergyJ || a.Retries != b.Retries || a.Dropped != b.Dropped {
-			t.Fatalf("round %d: same seed, different sync telemetry", r)
+		sameRoundOutcome(t, r, a, b)
+		sameRoundOutcome(t, r, a, &async.LossyResult)
+		if a.EnergyJ != b.EnergyJ {
+			t.Fatalf("round %d: same seed, different sync energy", r)
 		}
 	}
 
@@ -247,22 +276,10 @@ func TestChaosCrossExecutorDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if a.Collisions != b.Collisions || a.Collisions != async.Collisions {
-			t.Fatalf("round %d: collision counts diverge: %d / %d / %d",
-				r, a.Collisions, b.Collisions, async.Collisions)
-		}
-		for _, other := range []*LossyResult{b, &async.LossyResult} {
-			for i, o := range a.Outcomes {
-				oo := other.Outcomes[i]
-				if oo.Edge != o.Edge || oo.Delivered != o.Delivered || oo.Attempts != o.Attempts {
-					t.Fatalf("round %d message %d: %+v vs %+v", r, i, oo, o)
-				}
-			}
-			for d, v := range a.Values {
-				if other.Values[d] != v {
-					t.Fatalf("round %d dest %d: value %v vs %v", r, d, other.Values[d], v)
-				}
-			}
+		sameRoundOutcome(t, r, a, b)
+		sameRoundOutcome(t, r, a, &async.LossyResult)
+		if a.EnergyJ != b.EnergyJ {
+			t.Fatalf("round %d: same seed, different sync energy", r)
 		}
 	}
 

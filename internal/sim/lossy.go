@@ -5,7 +5,6 @@ import (
 
 	"m2m/internal/agg"
 	"m2m/internal/graph"
-	"m2m/internal/plan"
 	"m2m/internal/routing"
 )
 
@@ -48,7 +47,8 @@ type Faults interface {
 	BackoffSlots(round int, e routing.Edge, attempt, window int) int
 
 	// CorruptReading is the Byzantine corruption applied to n's reading
-	// at the pre-aggregation boundary (see Adversary); honest nodes
+	// at the pre-aggregation boundary, the only corruption path: the lie
+	// enters once, at the source, and relays stay honest. Honest nodes
 	// return v unchanged.
 	CorruptReading(round int, n graph.NodeID, v float64) float64
 
@@ -79,16 +79,6 @@ func (NoFaults) BackoffSlots(int, routing.Edge, int, int) int            { retur
 func (NoFaults) CorruptReading(_ int, _ graph.NodeID, v float64) float64 { return v }
 func (NoFaults) PlanEpoch() uint32                                       { return 0 }
 func (NoFaults) NodeEpoch(graph.NodeID) uint32                           { return 0 }
-
-// resolveFaults normalizes a faulty-path round's schedule and adversary:
-// a nil schedule is NoFaults with the engine's own Options.Adversary;
-// otherwise the schedule corrupts readings itself.
-func (e *Engine) resolveFaults(faults Faults) (Faults, Adversary) {
-	if faults == nil {
-		return NoFaults{}, e.adversary
-	}
-	return faults, faults
-}
 
 func b2i(b bool) int {
 	if b {
@@ -275,144 +265,75 @@ func (e *Engine) RunLossy(round int, readings map[graph.NodeID]float64, faults F
 	if maxRetries < 0 {
 		return nil, fmt.Errorf("sim: negative retry budget %d", maxRetries)
 	}
-	faults, adv := e.resolveFaults(faults)
-	bat := e.battery
-	down := func(n graph.NodeID) bool {
-		return faults.NodeDead(round, n) || (bat != nil && bat.Depleted(n))
-	}
-	c := e.prog
-	st := e.getLossyState()
-	defer e.putLossyState(st)
-	e.fillEdgeFence(st, faults)
-	cp, err := e.collisionPlanFor(round, faults, maxRetries, st.edgeOK)
+	res := &LossyResult{}
+	r, err := e.beginRound(round, readings, faults, maxRetries, res)
 	if err != nil {
 		return nil, err
 	}
-	for i, slot := range c.srcSlot {
-		if !down(c.srcIDs[i]) {
-			v := readings[c.srcIDs[i]]
-			if adv != nil {
-				v = adv.CorruptReading(round, c.srcIDs[i], v)
-			}
-			st.raw[slot] = v
-			st.rawSet[slot] = true
-		}
-	}
-
-	res := &LossyResult{
-		Values:   make(map[graph.NodeID]float64, len(c.finals)),
-		Reports:  make(map[graph.NodeID]*DeliveryReport, len(c.finals)),
-		PerNodeJ: make(map[graph.NodeID]float64),
-		Messages: len(e.messages),
-	}
+	defer r.end()
+	c, st, bat := e.prog, r.st, e.battery
 
 	for mi, msg := range e.messages {
 		edge := e.units[msg[0]].Edge
 		out := EdgeOutcome{Edge: edge}
-		if down(edge.From) {
+		if r.down(edge.From) {
 			// Dead or depleted sender: silence, no energy anywhere.
 			res.Dropped++
 			res.Outcomes = append(res.Outcomes, out)
 			continue
 		}
-
-		// Gather the units whose content is available at the sender.
-		raws := st.raws[:0]
-		recs := st.recs[:0]
-		body := 0
-		for _, ui := range msg {
-			op := &c.ops[ui]
-			if op.kind == plan.UnitRaw {
-				if st.rawSet[op.from] {
-					raws = append(raws, carriedRaw{slot: op.to, val: st.raw[op.from]})
-					body += int(c.unitBytes[ui])
-				}
-				continue
-			}
-			tmp := st.tmp[:op.fnLen]
-			if assembleLossyInto(op.fn, op.ip, op.inputs, st, c, tmp, st.covTmp) {
-				recs = append(recs, carriedRec{
-					slot: op.out,
-					rec:  append(agg.Record(nil), tmp...),
-					cov:  append([]uint64(nil), st.covTmp...),
-				})
-				body += int(c.unitBytes[ui])
-			}
-		}
+		raws, recs, body := r.snapshot(mi, st.raws[:0], st.recs[:0])
 		st.raws, st.recs = raws, recs
 		out.BodyBytes = body
 
-		// Stop-and-wait: transmit until delivered or the budget runs out.
-		// A lost attempt costs the sender TX; the receiver pays RX only
-		// for the attempts it actually hears. An epoch-fenced edge never
-		// delivers: the receiver hears the frame, pays RX, and discards it
-		// without acknowledging, so the sender burns its whole budget.
-		// With a ledger, each attempt debits the sender up front (a sender
-		// that cannot pay falls silent mid-window) and each heard frame
-		// debits the receiver (a receiver that cannot pay goes deaf).
+		// Stop-and-wait: transmit until delivered or the budget runs out;
+		// under the collision model, replay the oracle's resolved attempts
+		// one-for-one instead. A lost attempt costs the sender TX; the
+		// receiver pays RX only for the attempts it actually hears, a
+		// collision wreck included. An epoch-fenced edge never delivers:
+		// the receiver hears the frame, pays RX, and discards it without
+		// acknowledging, so the sender burns its whole budget. With a
+		// ledger, each attempt debits the sender up front (a sender that
+		// cannot pay falls silent mid-window) and each heard frame debits
+		// the receiver (a receiver that cannot pay goes deaf) — the gates
+		// the slot model cannot see.
 		txJ := e.Radio.TxJoules(body)
 		rxJ := e.Radio.RxJoules(body)
-		recvDead := down(edge.To)
+		recvDead := r.down(edge.To)
 		eid := c.msgEdge[mi]
 		fenced := !st.edgeOK[eid]
 		heard := 0
 		wrecked := 0
-		if cp == nil {
-			for try := 0; try <= maxRetries; try++ {
-				if bat != nil && !bat.Spend(round, edge.From, txJ) {
-					break // sender browned out mid-ARQ: remaining retries abandoned
-				}
-				out.Attempts++
-				seq := int(st.attempt[eid])
-				st.attempt[eid]++
-				if !recvDead && faults.Deliver(round, edge, seq) {
-					if bat != nil && !bat.Spend(round, edge.To, rxJ) {
-						recvDead = true // receiver browned out: frame unheard
-						continue
-					}
-					if fenced {
-						heard++
-						continue
-					}
-					out.Delivered = true
-					break
-				}
+		tries := maxRetries + 1
+		if r.cp != nil {
+			tries = len(r.cp.tries[mi])
+		}
+		for try := 0; try < tries && !out.Delivered; try++ {
+			if bat != nil && !bat.Spend(round, edge.From, txJ) {
+				break // sender browned out mid-ARQ: remaining retries abandoned
 			}
-		} else {
-			// Replay the collision oracle's resolved attempts one-for-one.
-			// The oracle already drew channel loss and gated round-start
-			// liveness; the executor re-applies the battery gates, which
-			// the slot model cannot see.
-			for try := 0; try < len(cp.tries[mi]); try++ {
-				if bat != nil && !bat.Spend(round, edge.From, txJ) {
-					break
-				}
-				out.Attempts++
-				switch cp.tries[mi][try] {
-				case coCollided:
-					res.Collisions++
-					if recvDead {
-						continue // wreck unheard: TX wasted, nothing more
-					}
-					if bat != nil && !bat.Spend(round, edge.To, rxJ) {
-						recvDead = true
-						continue
-					}
-					wrecked++ // heard, paid for, destroyed by the checksum
-				case coDelivered:
-					if recvDead {
-						continue
-					}
-					if bat != nil && !bat.Spend(round, edge.To, rxJ) {
-						recvDead = true
-						continue
-					}
-					if fenced {
-						heard++
-						continue
-					}
-					out.Delivered = true
-				}
+			out.Attempts++
+			r.attempted(out.Attempts)
+			seq := int(st.attempt[eid])
+			st.attempt[eid]++
+			oc := r.channel(mi, try, seq, edge, recvDead)
+			if oc == coCollided {
+				res.Collisions++
+			}
+			if oc == coLost || recvDead {
+				continue
+			}
+			if bat != nil && !bat.Spend(round, edge.To, rxJ) {
+				recvDead = true // receiver browned out: frame unheard
+				continue
+			}
+			switch {
+			case oc == coCollided:
+				wrecked++ // heard, paid for, destroyed by the checksum
+			case fenced:
+				heard++
+			default:
+				out.Delivered = true
 			}
 		}
 		if out.Delivered && out.Attempts == 1 {
@@ -432,59 +353,17 @@ func (e *Engine) RunLossy(round int, readings map[graph.NodeID]float64, faults F
 			res.PerNodeJ[edge.To] += float64(rx) * rxJ
 		}
 		res.EpochDropped += heard
-		res.Transmissions += out.Attempts
-		res.Retries += out.Attempts - 1
 
 		if out.Delivered {
-			for _, cr := range raws {
-				st.raw[cr.slot] = cr.val
-				st.rawSet[cr.slot] = true
-			}
-			for _, cr := range recs {
-				dst := st.arena[c.recOff[cr.slot] : c.recOff[cr.slot]+c.recLen[cr.slot]]
-				if st.recSet[cr.slot] {
-					mergeRecInto(c.recFn[cr.slot], c.recIP[cr.slot], dst, cr.rec)
-				} else {
-					copy(dst, cr.rec)
-					st.recSet[cr.slot] = true
-				}
-				covOr(st.recCov(c, cr.slot), cr.cov)
-			}
+			r.deliver(mi, raws, recs)
 		} else {
 			res.Dropped++
 		}
 		res.Outcomes = append(res.Outcomes, out)
 	}
 
-	// Final per-destination merge and delivery report. finals follow
-	// Dests() order, and each function's source list is ascending, so the
-	// covered/missing splits come out sorted without a per-round sort.
-	for i := range c.finals {
-		fo := &c.finals[i]
-		d := fo.dest
-		rep := &DeliveryReport{Dest: d}
-		res.Reports[d] = rep
-		if down(d) {
-			rep.DestDead = true
-			rep.Starved = true
-			rep.Missing = append([]graph.NodeID(nil), fo.sources...)
-			continue
-		}
-		tmp := st.tmp[:fo.fnLen]
-		got := assembleLossyInto(fo.fn, fo.ip, fo.inputs, st, c, tmp, st.covTmp)
-		for j, s := range fo.sources {
-			if covHasBit(st.covTmp, fo.srcBits[j]) {
-				rep.Covered = append(rep.Covered, s)
-			} else {
-				rep.Missing = append(rep.Missing, s)
-			}
-		}
-		if !got {
-			rep.Starved = true
-			continue
-		}
-		rep.Fresh = len(rep.Missing) == 0
-		res.Values[d] = fo.fn.Eval(tmp)
+	for fi := range c.finals {
+		r.report(fi, r.down(c.finals[fi].dest))
 	}
 	return res, nil
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"m2m/internal/agg"
+	"m2m/internal/chaos"
 	"m2m/internal/graph"
 	"m2m/internal/plan"
 	"m2m/internal/radio"
@@ -280,5 +281,45 @@ func TestLossyRejectsNegativeRetries(t *testing.T) {
 	}
 	if _, err := eng.RunLossy(0, nil, nil, -1); err == nil {
 		t.Error("negative retry budget accepted")
+	}
+}
+
+// benchExecutorEngine is the shared fixture of the executor benchmarks: a
+// merged engine over a 150-node random instance.
+func benchExecutorEngine(b *testing.B) (*Engine, map[graph.NodeID]float64) {
+	rng := rand.New(rand.NewSource(1))
+	inst := buildInstance(b, rng, 150, 12, 12, false)
+	p, err := plan.Optimize(inst)
+	if err != nil {
+		b.Fatal(err)
+	}
+	eng, err := NewEngine(p, radio.DefaultModel(), Options{MergeMessages: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return eng, randomReadings(rng, inst.Net.Len())
+}
+
+func BenchmarkRunLossy(b *testing.B) {
+	eng, readings := benchExecutorEngine(b)
+	inj := chaos.New(77).WithUniformLoss(0.1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := eng.RunLossy(i, readings, inj, 3); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkRunAsync(b *testing.B) {
+	eng, readings := benchExecutorEngine(b)
+	inj := chaos.New(77).WithUniformLoss(0.1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := eng.RunAsync(i, readings, inj, AsyncConfig{MaxRetries: 3}); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -17,16 +17,12 @@ type nodeDest struct {
 // runMapBased is the original map-keyed executor, kept as the reference
 // implementation the compiled program is differentially tested against:
 // compiled rounds must stay byte-identical to it, values and energy.
-func (e *Engine) runMapBased(round int, readings map[graph.NodeID]float64, obs Observer) (*RoundResult, error) {
+func (e *Engine) runMapBased(readings map[graph.NodeID]float64, obs Observer) (*RoundResult, error) {
 	rawVal := make(map[nodeSource]float64)
 	recVal := make(map[nodeDest]agg.Record)
 	inst := e.Plan.Inst
 	for _, s := range inst.Sources() {
-		v := readings[s]
-		if e.adversary != nil {
-			v = e.adversary.CorruptReading(round, s, v)
-		}
-		rawVal[nodeSource{node: s, source: s}] = v
+		rawVal[nodeSource{node: s, source: s}] = readings[s]
 	}
 
 	for _, idx := range e.order {
