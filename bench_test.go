@@ -188,6 +188,41 @@ func BenchmarkOptimize1k(b *testing.B) {
 	}
 }
 
+// BenchmarkNewInstance1k measures resolving the 1000-node workload into
+// an instance: routing every pair, the suffix check and the edge index.
+func BenchmarkNewInstance1k(b *testing.B) {
+	net, inst := instance1k(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := net.NewInstance(inst.Specs, RouterReversePath); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkReoptimize1k measures the incremental replan of the 1000-node
+// plan after one destination's spec is dropped (Corollary 1): only the
+// edges the dropped pairs crossed are solved again.
+func BenchmarkReoptimize1k(b *testing.B) {
+	net, inst := instance1k(b)
+	old, err := Optimize(inst)
+	if err != nil {
+		b.Fatal(err)
+	}
+	inst2, err := net.NewInstance(inst.Specs[1:], RouterReversePath)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := Reoptimize(old, inst2); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkNewEngine1k measures compiling the 1000-node instance's optimal
 // plan into an engine: dependencies, message merging and ordering, energy
 // accounting and the flat round program.

@@ -85,8 +85,8 @@ func main() {
 
 	if *edges {
 		fmt.Println("\nper-edge decisions (raw sources | aggregated destinations):")
-		for _, e := range inst.EdgeList {
-			sol := p.Sol[e]
+		for i, e := range inst.EdgeList {
+			sol := p.Sol[i]
 			fmt.Printf("  %3d→%-3d raw=%v agg=%v\n", e.From, e.To, keys(sol.Raw), keys(sol.Agg))
 		}
 	}
@@ -127,8 +127,8 @@ func writeDOT(net *m2m.Network, inst *m2m.Instance, p *m2m.Plan) {
 		}
 		fmt.Printf("  n%d [%s];\n", i, attrs)
 	}
-	for _, e := range inst.EdgeList {
-		sol := p.Sol[e]
+	for i, e := range inst.EdgeList {
+		sol := p.Sol[i]
 		fmt.Printf("  n%d -> n%d [label=\"%dr/%da\"];\n", e.From, e.To, len(sol.Raw), len(sol.Agg))
 	}
 	fmt.Println("}")

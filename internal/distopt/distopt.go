@@ -88,8 +88,8 @@ func Optimize(inst *plan.Instance, model radio.Model) (*Result, error) {
 		return n
 	}
 	res := &Result{}
-	for _, e := range inst.EdgeList {
-		pairs := inst.EdgePairs[e]
+	for i, e := range inst.EdgeList {
+		pairs := inst.Pairs(i)
 		if len(pairs) == 0 {
 			continue
 		}
@@ -116,7 +116,7 @@ func Optimize(inst *plan.Instance, model radio.Model) (*Result, error) {
 	p := &plan.Plan{
 		Inst:   inst,
 		Method: plan.MethodOptimal,
-		Sol:    make(map[routing.Edge]*plan.EdgeSolution, len(inst.EdgeList)),
+		Sol:    make([]*plan.EdgeSolution, len(inst.EdgeList)),
 	}
 	var ids []graph.NodeID
 	for id := range nodes {
@@ -136,7 +136,7 @@ func Optimize(inst *plan.Instance, model radio.Model) (*Result, error) {
 			if err != nil {
 				return nil, fmt.Errorf("distopt: node %d edge %v: %w", id, e, err)
 			}
-			p.Sol[e] = sol
+			p.Sol[inst.EdgeIndex(e)] = sol
 		}
 	}
 

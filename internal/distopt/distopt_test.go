@@ -63,8 +63,9 @@ func TestDistributedMatchesCentralized(t *testing.T) {
 		if got, want := dist.Plan.TotalBodyBytes(), central.TotalBodyBytes(); got != want {
 			t.Fatalf("trial %d: distributed cost %d != centralized %d", trial, got, want)
 		}
-		for e, cSol := range central.Sol {
-			dSol := dist.Plan.Sol[e]
+		for i, cSol := range central.Sol {
+			e := central.Inst.EdgeList[i]
+			dSol := dist.Plan.Sol[i]
 			if dSol == nil {
 				t.Fatalf("trial %d: edge %v missing from distributed plan", trial, e)
 			}
@@ -89,8 +90,8 @@ func TestSetupCostAccounting(t *testing.T) {
 		t.Fatal(err)
 	}
 	totalPairs := 0
-	for _, e := range inst.EdgeList {
-		totalPairs += len(inst.EdgePairs[e])
+	for i := range inst.EdgeList {
+		totalPairs += len(inst.Pairs(i))
 	}
 	if res.Setup.Units != totalPairs {
 		t.Errorf("setup units = %d, want %d (one per pair-edge crossing)", res.Setup.Units, totalPairs)

@@ -181,3 +181,27 @@ func (g *Undirected) Clone() *Undirected {
 	}
 	return c
 }
+
+// GroupBy is a stable counting sort: it buckets items 0..n-1 by key(i) in
+// [0, nKeys), skipping items whose key is negative, and returns the items
+// of key k as members[off[k]:off[k+1]], ascending.
+func GroupBy(n, nKeys int, key func(int) int32) (off, members []int32) {
+	off = make([]int32, nKeys+1)
+	for i := 0; i < n; i++ {
+		if k := key(i); k >= 0 {
+			off[k+1]++
+		}
+	}
+	for k := 0; k < nKeys; k++ {
+		off[k+1] += off[k]
+	}
+	members = make([]int32, off[nKeys])
+	next := append([]int32(nil), off[:nKeys]...)
+	for i := 0; i < n; i++ {
+		if k := key(i); k >= 0 {
+			members[next[k]] = int32(i)
+			next[k]++
+		}
+	}
+	return off, members
+}

@@ -94,6 +94,22 @@ func (g *Undirected) Walk(root NodeID) *Walk {
 	return w
 }
 
+// Root returns the node the walk starts from.
+func (w *Walk) Root() NodeID { return w.order[0] }
+
+// Reset restarts the walk from root, reusing its storage. Only the
+// entries of nodes discovered so far are cleared, so a walk that stopped
+// after a few layers resets in time proportional to what it explored.
+func (w *Walk) Reset(root NodeID) {
+	for _, u := range w.order {
+		w.depth[u] = 0
+	}
+	w.order = append(w.order[:0], root)
+	w.start = append(w.start[:0], 0)
+	w.next = 0
+	w.depth[root] = 1
+}
+
 // step expands the next discovered node and returns it; ok is false once
 // the root's component is exhausted.
 func (w *Walk) step() (u NodeID, ok bool) {

@@ -154,3 +154,34 @@ func BenchmarkBFS(b *testing.B) {
 		}
 	}
 }
+
+// TestWalkResetMatchesFreshWalk resets one walk from root to root, after
+// partial and after full exploration, and checks each reset walk against
+// the reference of its new root.
+func TestWalkResetMatchesFreshWalk(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	for _, nw := range walkNetworks() {
+		g, n := nw.g, nw.g.Len()
+		w := g.Walk(0)
+		for trial := 0; trial < 6; trial++ {
+			root := graph.NodeID(rng.Intn(n))
+			w.Reset(root)
+			if w.Root() != root {
+				t.Fatalf("%s: Root() = %d after Reset(%d)", nw.name, w.Root(), root)
+			}
+			hops, parent := refBFS(g, root)
+			// Odd trials explore only a few nodes, so the next reset
+			// starts from a partial walk.
+			limit := n
+			if trial%2 == 1 {
+				limit = 5
+			}
+			for _, v := range rng.Perm(n)[:limit] {
+				if h, p := w.Hops(graph.NodeID(v)), w.Parent(graph.NodeID(v)); h != hops[v] || p != parent[v] {
+					t.Fatalf("%s root %d node %d: reset walk (hops %d, parent %d), reference (%d, %d)",
+						nw.name, root, v, h, p, hops[v], parent[v])
+				}
+			}
+		}
+	}
+}

@@ -31,13 +31,13 @@ func (p *Plan) Export() *ExportedPlan {
 		Units:   len(p.Units()),
 		Bytes:   p.TotalBodyBytes(),
 	}
-	for _, e := range p.Inst.EdgeList {
-		sol := p.Sol[e]
+	for i, e := range p.Inst.EdgeList {
+		sol := p.Sol[i]
 		ee := ExportedEdge{From: int(e.From), To: int(e.To)}
-		for _, s := range sortedKeys(sol.Raw) {
+		for _, s := range sortedKeys(nil, sol.Raw) {
 			ee.Raw = append(ee.Raw, int(s))
 		}
-		for _, d := range sortedKeys(sol.Agg) {
+		for _, d := range sortedKeys(nil, sol.Agg) {
 			ee.Agg = append(ee.Agg, int(d))
 		}
 		out.Edges = append(out.Edges, ee)

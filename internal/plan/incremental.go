@@ -1,6 +1,8 @@
 package plan
 
 import (
+	"slices"
+
 	"m2m/internal/agg"
 	"m2m/internal/graph"
 	"m2m/internal/routing"
@@ -39,90 +41,128 @@ func Reoptimize(old *Plan, inst *Instance) (*Plan, *UpdateStats, error) {
 // prices). An old solution is only reused when, additionally, every
 // endpoint of its edge has the same effective price in both plans — a node
 // whose price moved re-poses its edges' cover problems.
+//
+// Only edges whose inputs changed (see changedEdges) are solved again;
+// the two edge lists are matched by one merge, and every other solution
+// is carried over by reference. The consistency repair and the coverage
+// check still run over the whole plan.
 func ReoptimizeWithPrices(old *Plan, inst *Instance, prices map[graph.NodeID]int64) (*Plan, *UpdateStats, error) {
-	p := &Plan{Inst: inst, Method: MethodOptimal, Sol: make(map[routing.Edge]*EdgeSolution, len(inst.EdgeList)), Prices: prices}
+	p := &Plan{Inst: inst, Method: MethodOptimal, Sol: make([]*EdgeSolution, len(inst.EdgeList)), Prices: prices}
 	stats := &UpdateStats{EdgesTotal: len(inst.EdgeList)}
+	var prevOf []int
+	var vanished int
+	var changed []bool
+	if old != nil {
+		prevOf, vanished = matchEdges(old.Inst.EdgeList, inst.EdgeList)
+		changed = changedEdges(old, inst, prices, prevOf)
+	}
 	var sc *edgeScratch
-	for _, e := range inst.EdgeList {
-		if old != nil && sameEdgeInputs(old.Inst, inst, e) && sameEdgePrices(old.Prices, prices, inst, e) {
-			if prev, ok := old.Sol[e]; ok && len(prev.ForbiddenRaw) == 0 {
-				// Carry the old solution over by reference (copy-on-write:
-				// the repair loop clones before mutating a shared solution),
-				// so a mostly-unchanged reoptimization copies nothing.
-				prev.shared.Store(true)
-				p.Sol[e] = prev
-				stats.EdgesReused++
-				continue
+	for i := range inst.EdgeList {
+		if old != nil && !changed[i] {
+			if j := prevOf[i]; j < len(old.Sol) {
+				if prev := old.Sol[j]; prev != nil && len(prev.ForbiddenRaw) == 0 {
+					// Carry the old solution over by reference (copy-on-write:
+					// the repair loop clones before mutating a shared solution),
+					// so a mostly-unchanged reoptimization copies nothing.
+					prev.shared.Store(true)
+					p.Sol[i] = prev
+					stats.EdgesReused++
+					continue
+				}
 			}
 		}
 		if sc == nil {
 			sc = getEdgeScratch()
 			defer putEdgeScratch(sc)
 		}
-		sol, err := solveEdge(inst, e, nil, prices, sc)
+		sol, err := solveEdge(inst, i, nil, prices, sc)
 		if err != nil {
 			return nil, nil, err
 		}
-		p.Sol[e] = sol
+		p.Sol[i] = sol
 		stats.EdgesSolved++
 	}
-	repairsBefore := p.Repairs
 	if err := p.repairLoop(); err != nil {
 		return nil, nil, err
 	}
-	stats.EdgesSolved += p.Repairs - repairsBefore
-	if err := p.Validate(); err != nil {
+	stats.EdgesSolved += p.Repairs
+	if err := p.validateCover(); err != nil {
 		return nil, nil, err
 	}
 	if old != nil {
-		stats.EdgesChangedSolution = countChangedSolutions(old, p)
+		stats.EdgesChangedSolution = countChangedSolutions(old, p, prevOf, vanished)
 	} else {
 		stats.EdgesChangedSolution = len(inst.EdgeList)
 	}
 	return p, stats, nil
 }
 
-// sameEdgeInputs reports whether edge e poses the identical single-edge
-// problem in both instances: same pair set and same unit weights for every
-// endpoint.
-func sameEdgeInputs(oldInst, newInst *Instance, e routing.Edge) bool {
-	a, b := oldInst.EdgePairs[e], newInst.EdgePairs[e]
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
+// matchEdges merges two sorted edge lists: prevOf[i] is the position of
+// b[i] in a, or -1, and vanished counts the edges of a missing from b.
+func matchEdges(a, b []routing.Edge) (prevOf []int, vanished int) {
+	prevOf = make([]int, len(b))
+	j := 0
+	for i, e := range b {
+		for j < len(a) && routing.CompareEdges(a[j], e) < 0 {
+			j++
+			vanished++
+		}
+		if j < len(a) && a[j] == e {
+			prevOf[i] = j
+			j++
+		} else {
+			prevOf[i] = -1
 		}
 	}
-	// Destination record weights depend on the aggregation function;
-	// compare them too. (Raw unit weights are a global constant.) Iterating
-	// the pair list revisits destinations but allocates nothing, unlike
-	// materializing EdgeDests.
-	for _, pr := range b {
-		oldSpec, ok := oldInst.SpecByDest[pr.Dest]
-		if !ok {
-			return false
-		}
-		if agg.UnitBytes(oldSpec.Func) != agg.UnitBytes(newInst.SpecByDest[pr.Dest].Func) {
-			return false
-		}
-	}
-	return true
+	return prevOf, vanished + len(a) - j
 }
 
-// sameEdgePrices reports whether every endpoint of e's cover problem has
-// the same effective energy price under both price maps.
-func sameEdgePrices(oldPrices, newPrices map[graph.NodeID]int64, inst *Instance, e routing.Edge) bool {
-	for _, pr := range inst.EdgePairs[e] {
-		if priceOf(oldPrices, pr.Source) != priceOf(newPrices, pr.Source) {
-			return false
-		}
-		if priceOf(oldPrices, pr.Dest) != priceOf(newPrices, pr.Dest) {
-			return false
+// changedEdges marks the edges of inst that pose a different single-edge
+// problem than in old: edges new to inst, edges whose pair rows differ
+// (a pair crossing them is new, gone or rerouted), and edges with a pair
+// whose destination's record width or an endpoint's effective price
+// moved. Every other edge keeps its inputs, so by Corollary 1 its old
+// solution stays optimal. Rows are compared as contiguous slices, so the
+// common case costs no hashing.
+func changedEdges(old *Plan, inst *Instance, prices map[graph.NodeID]int64, prevOf []int) []bool {
+	var widthMoved map[graph.NodeID]bool
+	for d, sp := range inst.SpecByDest {
+		if osp, ok := old.Inst.SpecByDest[d]; ok && agg.UnitBytes(osp.Func) != agg.UnitBytes(sp.Func) {
+			if widthMoved == nil {
+				widthMoved = make(map[graph.NodeID]bool)
+			}
+			widthMoved[d] = true
 		}
 	}
-	return true
+	var priceMoved map[graph.NodeID]bool
+	for _, m := range []map[graph.NodeID]int64{old.Prices, prices} {
+		for n := range m {
+			if priceOf(old.Prices, n) != priceOf(prices, n) {
+				if priceMoved == nil {
+					priceMoved = make(map[graph.NodeID]bool)
+				}
+				priceMoved[n] = true
+			}
+		}
+	}
+	changed := make([]bool, len(inst.EdgeList))
+	for i, j := range prevOf {
+		pairs := inst.Pairs(i)
+		if j < 0 || !slices.Equal(old.Inst.Pairs(j), pairs) {
+			changed[i] = true
+			continue
+		}
+		if widthMoved == nil && priceMoved == nil {
+			continue
+		}
+		for _, pr := range pairs {
+			if widthMoved[pr.Dest] || priceMoved[pr.Source] || priceMoved[pr.Dest] {
+				changed[i] = true
+				break
+			}
+		}
+	}
+	return changed
 }
 
 func cloneSolution(s *EdgeSolution) *EdgeSolution {
@@ -166,19 +206,17 @@ func sameSolution(a, b *EdgeSolution) bool {
 	return true
 }
 
-func countChangedSolutions(old, new_ *Plan) int {
-	changed := 0
-	seen := make(map[routing.Edge]bool)
-	for e, sol := range new_.Sol {
-		seen[e] = true
-		prev, ok := old.Sol[e]
-		if !ok || !sameSolution(prev, sol) {
+// countChangedSolutions counts the edges whose solution differs between
+// old and new_ (edges present in only one plan included), given the edge
+// match from matchEdges. A solution carried over by reference is unchanged
+// at the cost of a pointer comparison, so only the solved, repaired and
+// vanished edges do real work.
+func countChangedSolutions(old, new_ *Plan, prevOf []int, vanished int) int {
+	changed := vanished // a vanished edge's nodes must drop state
+	for i, sol := range new_.Sol {
+		j := prevOf[i]
+		if j < 0 || j >= len(old.Sol) || old.Sol[j] == nil || !sameSolution(old.Sol[j], sol) {
 			changed++
-		}
-	}
-	for e := range old.Sol {
-		if !seen[e] {
-			changed++ // edge disappeared; its nodes must drop state
 		}
 	}
 	return changed

@@ -7,6 +7,7 @@
 package plan
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"sort"
@@ -24,6 +25,10 @@ type Pair struct {
 // Instance is a fully resolved optimization input: the workload plus the
 // canonical route of every pair and, per directed edge, the pairs whose
 // route crosses it (the ∼_e relation).
+//
+// EdgeList is the planner's one edge index: every per-edge table (the
+// pairs here, Plan.Sol) is a slice aligned with it, and EdgeIndex maps an
+// edge to its position.
 type Instance struct {
 	Net    *graph.Undirected
 	Router routing.Router
@@ -34,26 +39,37 @@ type Instance struct {
 	SpecByDest map[graph.NodeID]agg.Spec
 	// Paths holds the canonical route of every pair, endpoints inclusive.
 	Paths map[Pair][]graph.NodeID
-	// EdgePairs holds, per directed edge, the pairs crossing it, sorted by
-	// (Source, Dest) for determinism.
-	EdgePairs map[routing.Edge][]Pair
-	// EdgeList holds every edge with at least one pair, sorted.
+	// EdgeList holds every edge with at least one pair, sorted by
+	// (From, To).
 	EdgeList []routing.Edge
+
+	// The pairs crossing EdgeList[i] are pairs[pairOff[i]:pairOff[i+1]],
+	// sorted by (Source, Dest): compressed sparse rows aligned with
+	// EdgeList.
+	pairOff []int32
+	pairs   []Pair
+}
+
+// hop is one (edge, pair) incidence: the path of pr crosses e.
+type hop struct {
+	e  routing.Edge
+	pr Pair
 }
 
 // NewInstance resolves routes for every pair of the workload and verifies
-// the router's per-destination suffix property. Specs must have distinct
-// destinations and non-empty source sets.
+// the router's per-destination suffix property, reporting the first
+// violation in spec order. Specs must have distinct destinations and
+// non-empty source sets.
 func NewInstance(net *graph.Undirected, router routing.Router, specs []agg.Spec) (*Instance, error) {
 	inst := &Instance{
 		Net:        net,
 		Router:     router,
 		Specs:      append([]agg.Spec(nil), specs...),
 		SpecByDest: make(map[graph.NodeID]agg.Spec, len(specs)),
-		Paths:      make(map[Pair][]graph.NodeID),
-		EdgePairs:  make(map[routing.Edge][]Pair),
 	}
-	for _, sp := range inst.Specs {
+	sources := make([][]graph.NodeID, len(inst.Specs))
+	npairs := 0
+	for i, sp := range inst.Specs {
 		if err := sp.Validate(); err != nil {
 			return nil, err
 		}
@@ -64,11 +80,19 @@ func NewInstance(net *graph.Undirected, router routing.Router, specs []agg.Spec)
 			return nil, fmt.Errorf("plan: destination %d has two aggregation functions", sp.Dest)
 		}
 		inst.SpecByDest[sp.Dest] = sp
+		sources[i] = sp.Func.Sources()
+		npairs += len(sources[i])
 	}
 
-	byDest := make(map[graph.NodeID][][]graph.NodeID)
-	for _, sp := range inst.Specs {
-		for _, s := range sp.Func.Sources() {
+	inst.Paths = make(map[Pair][]graph.NodeID, npairs)
+	var hops []hop
+	// A routing error outranks a suffix violation, so the first violation
+	// is remembered while routing goes on.
+	var suffixErr error
+	suffix := routing.NewSuffixChecker(net.Len())
+	for i, sp := range inst.Specs {
+		suffix.Begin(sp.Dest)
+		for _, s := range sources[i] {
 			if int(s) < 0 || int(s) >= net.Len() {
 				return nil, fmt.Errorf("plan: source %d out of range", s)
 			}
@@ -78,40 +102,94 @@ func NewInstance(net *graph.Undirected, router routing.Router, specs []agg.Spec)
 				return nil, fmt.Errorf("plan: routing pair %d→%d: %w", s, sp.Dest, err)
 			}
 			inst.Paths[pr] = path
-			byDest[sp.Dest] = append(byDest[sp.Dest], path)
-			for i := 0; i+1 < len(path); i++ {
-				e := routing.Edge{From: path[i], To: path[i+1]}
-				inst.EdgePairs[e] = append(inst.EdgePairs[e], pr)
+			if suffixErr != nil {
+				continue
+			}
+			if suffixErr = suffix.Add(path); suffixErr != nil {
+				continue
+			}
+			for j := 0; j+1 < len(path); j++ {
+				hops = append(hops, hop{e: routing.Edge{From: path[j], To: path[j+1]}, pr: pr})
 			}
 		}
 	}
-	if err := routing.CheckSuffixProperty(byDest); err != nil {
-		return nil, fmt.Errorf("plan: router %q unusable: %w", router.Name(), err)
+	if suffixErr != nil {
+		return nil, fmt.Errorf("plan: router %q unusable: %w", router.Name(), suffixErr)
 	}
-
-	for e, pairs := range inst.EdgePairs {
-		sort.Slice(pairs, func(i, j int) bool {
-			if pairs[i].Source != pairs[j].Source {
-				return pairs[i].Source < pairs[j].Source
-			}
-			return pairs[i].Dest < pairs[j].Dest
-		})
-		inst.EdgeList = append(inst.EdgeList, e)
-	}
-	sort.Slice(inst.EdgeList, func(i, j int) bool {
-		if inst.EdgeList[i].From != inst.EdgeList[j].From {
-			return inst.EdgeList[i].From < inst.EdgeList[j].From
-		}
-		return inst.EdgeList[i].To < inst.EdgeList[j].To
-	})
+	inst.indexEdges(hops)
 	return inst, nil
 }
 
+// indexEdges builds EdgeList and the pair rows from the routed hops. A
+// counting sort by tail node followed by a sort of each tail's few hops by
+// (head, source, dest) orders all hops in one pass; each run of equal
+// edges is then one row. The suffix check has bounded every node to the
+// network.
+func (inst *Instance) indexEdges(hops []hop) {
+	n := inst.Net.Len()
+	off, order := graph.GroupBy(len(hops), n, func(i int) int32 { return int32(hops[i].e.From) })
+	for u := 0; u < n; u++ {
+		slices.SortFunc(order[off[u]:off[u+1]], func(a, b int32) int {
+			x, y := &hops[a], &hops[b]
+			if c := cmp.Compare(x.e.To, y.e.To); c != 0 {
+				return c
+			}
+			if c := cmp.Compare(x.pr.Source, y.pr.Source); c != 0 {
+				return c
+			}
+			return cmp.Compare(x.pr.Dest, y.pr.Dest)
+		})
+	}
+	edges := 0
+	for k, h := range order {
+		if k == 0 || hops[h].e != hops[order[k-1]].e {
+			edges++
+		}
+	}
+	inst.EdgeList = make([]routing.Edge, 0, edges)
+	inst.pairOff = make([]int32, 0, edges+1)
+	inst.pairs = make([]Pair, len(order))
+	for k, h := range order {
+		if k == 0 || hops[h].e != hops[order[k-1]].e {
+			inst.EdgeList = append(inst.EdgeList, hops[h].e)
+			inst.pairOff = append(inst.pairOff, int32(k))
+		}
+		inst.pairs[k] = hops[h].pr
+	}
+	inst.pairOff = append(inst.pairOff, int32(len(order)))
+}
+
+// Pairs returns the pairs crossing EdgeList[i], sorted by (Source, Dest).
+// The slice belongs to the instance and must not be modified.
+func (inst *Instance) Pairs(i int) []Pair {
+	lo, hi := inst.pairOff[i], inst.pairOff[i+1]
+	return inst.pairs[lo:hi:hi]
+}
+
+// EdgeIndex returns the position of e in EdgeList, or -1 if no pair
+// crosses e.
+func (inst *Instance) EdgeIndex(e routing.Edge) int {
+	i, ok := slices.BinarySearchFunc(inst.EdgeList, e, routing.CompareEdges)
+	if !ok {
+		return -1
+	}
+	return i
+}
+
+// EdgePairs returns the pairs crossing e, sorted by (Source, Dest), or nil
+// if none does.
+func (inst *Instance) EdgePairs(e routing.Edge) []Pair {
+	if i := inst.EdgeIndex(e); i >= 0 {
+		return inst.Pairs(i)
+	}
+	return nil
+}
+
 // EdgeSources returns the distinct sources S_e crossing e, ascending.
-// EdgePairs is sorted by (Source, Dest), so this is an adjacent dedup.
+// The pairs are sorted by (Source, Dest), so this is an adjacent dedup.
 func (inst *Instance) EdgeSources(e routing.Edge) []graph.NodeID {
 	var out []graph.NodeID
-	for _, p := range inst.EdgePairs[e] {
+	for _, p := range inst.EdgePairs(e) {
 		if n := len(out); n == 0 || out[n-1] != p.Source {
 			out = append(out, p.Source)
 		}
@@ -121,8 +199,9 @@ func (inst *Instance) EdgeSources(e routing.Edge) []graph.NodeID {
 
 // EdgeDests returns the distinct destinations D_e crossing e, ascending.
 func (inst *Instance) EdgeDests(e routing.Edge) []graph.NodeID {
-	out := make([]graph.NodeID, 0, len(inst.EdgePairs[e]))
-	for _, p := range inst.EdgePairs[e] {
+	pairs := inst.EdgePairs(e)
+	out := make([]graph.NodeID, 0, len(pairs))
+	for _, p := range pairs {
 		out = append(out, p.Dest)
 	}
 	slices.Sort(out)

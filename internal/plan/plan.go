@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"runtime"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -62,9 +61,11 @@ func newEdgeSolution() *EdgeSolution { return NewEdgeSolution() }
 // Plan is a global many-to-many aggregation plan: one EdgeSolution per
 // workload edge.
 type Plan struct {
-	Inst    *Instance
-	Method  Method
-	Sol     map[routing.Edge]*EdgeSolution
+	Inst   *Instance
+	Method Method
+	// Sol holds the solution of every edge, aligned with Inst.EdgeList:
+	// Sol[i] is the solution of Inst.EdgeList[i].
+	Sol     []*EdgeSolution
 	Repairs int // edges re-solved to restore consistency (0 under Theorem 1's assumptions)
 	// Prices are the per-node energy prices the plan was solved under (nil
 	// or missing entries mean price 1). A node's price multiplies its unit
@@ -72,6 +73,14 @@ type Plan struct {
 	// putting transmission burden on cheap (energy-rich) nodes — the
 	// energy-weighted tiebreak of the evacuation replan.
 	Prices map[graph.NodeID]int64
+}
+
+// Solution returns the solution of edge e, or nil if no pair crosses e.
+func (p *Plan) Solution(e routing.Edge) *EdgeSolution {
+	if i := p.Inst.EdgeIndex(e); i >= 0 && i < len(p.Sol) {
+		return p.Sol[i]
+	}
+	return nil
 }
 
 // priceOf is the effective vertex-cover price of node n: entries below 1
@@ -96,11 +105,10 @@ func Optimize(inst *Instance) (*Plan, error) {
 // OptimizeWithPrices is Optimize with per-node energy prices scaling the
 // cover weights (see Plan.Prices). With a nil map it is exactly Optimize.
 func OptimizeWithPrices(inst *Instance, prices map[graph.NodeID]int64) (*Plan, error) {
-	p := &Plan{Inst: inst, Method: MethodOptimal, Sol: make(map[routing.Edge]*EdgeSolution, len(inst.EdgeList)), Prices: prices}
+	p := &Plan{Inst: inst, Method: MethodOptimal, Sol: make([]*EdgeSolution, len(inst.EdgeList)), Prices: prices}
 	// The single-edge problems are independent by construction (that is
 	// the point of Theorem 1), so solve them in parallel; results are
 	// identical to a sequential pass regardless of scheduling.
-	sols := make([]*EdgeSolution, len(inst.EdgeList))
 	errs := make([]error, len(inst.EdgeList))
 	var wg sync.WaitGroup
 	workers := runtime.GOMAXPROCS(0)
@@ -119,21 +127,20 @@ func OptimizeWithPrices(inst *Instance, prices map[graph.NodeID]int64) (*Plan, e
 				if i >= len(inst.EdgeList) {
 					return
 				}
-				sols[i], errs[i] = solveEdge(inst, inst.EdgeList[i], nil, prices, sc)
+				p.Sol[i], errs[i] = solveEdge(inst, i, nil, prices, sc)
 			}
 		}()
 	}
 	wg.Wait()
-	for i, e := range inst.EdgeList {
-		if errs[i] != nil {
-			return nil, errs[i]
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
 		}
-		p.Sol[e] = sols[i]
 	}
 	if err := p.repairLoop(); err != nil {
 		return nil, err
 	}
-	if err := p.Validate(); err != nil {
+	if err := p.validateCover(); err != nil {
 		return nil, fmt.Errorf("plan: internal error: %w", err)
 	}
 	return p, nil
@@ -143,9 +150,12 @@ func OptimizeWithPrices(inst *Instance, prices map[graph.NodeID]int64) (*Plan, e
 // decisions made unavailable and re-solves the affected edges, to
 // fixpoint. Each iteration forbids at least one new (edge, source) raw
 // option, so the loop terminates. Under the paper's sharing restriction
-// (Theorem 1) no iteration ever fires.
+// (Theorem 1) no iteration ever fires. Its final pass finds no violation,
+// which is Validate's availability check: a plan leaving repairLoop needs
+// only validateCover.
 func (p *Plan) repairLoop() error {
 	var sc *edgeScratch
+	var resolve []int
 	for {
 		violations := p.rawViolations()
 		if len(violations) == 0 {
@@ -155,7 +165,7 @@ func (p *Plan) repairLoop() error {
 			sc = getEdgeScratch()
 			defer putEdgeScratch(sc)
 		}
-		resolve := make(map[routing.Edge]bool)
+		resolve = resolve[:0]
 		for _, v := range violations {
 			sol := p.Sol[v.edge]
 			if sol.shared.Load() {
@@ -166,9 +176,10 @@ func (p *Plan) repairLoop() error {
 				sol.ForbiddenRaw = make(map[graph.NodeID]bool)
 			}
 			sol.ForbiddenRaw[v.source] = true
-			resolve[v.edge] = true
+			resolve = append(resolve, v.edge)
 		}
-		for e := range resolve {
+		slices.Sort(resolve)
+		for _, e := range slices.Compact(resolve) {
 			old := p.Sol[e]
 			sol, err := solveEdge(p.Inst, e, old.ForbiddenRaw, p.Prices, sc)
 			if err != nil {
@@ -188,14 +199,14 @@ func (p *Plan) repairLoop() error {
 // Multicast returns the pure-multicast baseline plan: every value crosses
 // every edge raw and is aggregated only at its destination.
 func Multicast(inst *Instance) *Plan {
-	p := &Plan{Inst: inst, Method: MethodMulticast, Sol: make(map[routing.Edge]*EdgeSolution, len(inst.EdgeList))}
-	for _, e := range inst.EdgeList {
+	p := &Plan{Inst: inst, Method: MethodMulticast, Sol: make([]*EdgeSolution, len(inst.EdgeList))}
+	for i, e := range inst.EdgeList {
 		sol := newEdgeSolution()
 		for _, s := range inst.EdgeSources(e) {
 			sol.Raw[s] = true
 		}
 		sol.Resolves = 1
-		p.Sol[e] = sol
+		p.Sol[i] = sol
 	}
 	return p
 }
@@ -204,30 +215,31 @@ func Multicast(inst *Instance) *Plan {
 // value is folded into per-destination partial records at the earliest
 // opportunity (already at the source), as in Figure 1(A)'s bad case.
 func AggregateASAP(inst *Instance) *Plan {
-	p := &Plan{Inst: inst, Method: MethodAggregation, Sol: make(map[routing.Edge]*EdgeSolution, len(inst.EdgeList))}
-	for _, e := range inst.EdgeList {
+	p := &Plan{Inst: inst, Method: MethodAggregation, Sol: make([]*EdgeSolution, len(inst.EdgeList))}
+	for i, e := range inst.EdgeList {
 		sol := newEdgeSolution()
 		for _, d := range inst.EdgeDests(e) {
 			sol.Agg[d] = true
 		}
 		sol.Resolves = 1
-		p.Sol[e] = sol
+		p.Sol[i] = sol
 	}
 	return p
 }
 
-// solveEdge reduces edge e to weighted bipartite vertex cover and solves it
-// exactly. U holds the sources S_e (weight: raw unit bytes), V the
+// solveEdge reduces edge e = inst.EdgeList[ei] to weighted bipartite
+// vertex cover and solves it exactly. U holds the sources S_e (weight: raw
+// unit bytes), V the
 // destinations D_e (weight: that destination's record unit bytes), with the
 // canonical tiebreak keys 2·node (source role) and 2·node+1 (destination
 // role) shared by every edge in the network. Non-nil prices multiply each
 // endpoint's weight by its node's energy price, biasing the cover toward
 // keeping traffic off expensive (energy-poor) nodes. sc carries the pooled
 // per-worker scratch; the problem it builds is identical to the former
-// map-based construction (EdgePairs is sorted by (Source, Dest), so sources
-// dedup adjacently and duplicate cover edges are adjacent too).
-func solveEdge(inst *Instance, e routing.Edge, forbidRaw map[graph.NodeID]bool, prices map[graph.NodeID]int64, sc *edgeScratch) (*EdgeSolution, error) {
-	pairs := inst.EdgePairs[e]
+// map-based construction (an edge's pairs are sorted by (Source, Dest), so
+// sources dedup adjacently and duplicate cover edges are adjacent too).
+func solveEdge(inst *Instance, ei int, forbidRaw map[graph.NodeID]bool, prices map[graph.NodeID]int64, sc *edgeScratch) (*EdgeSolution, error) {
+	pairs := inst.Pairs(ei)
 	sc.ensure(inst.Net.Len())
 	sc.sources = sc.sources[:0]
 	sc.dests = sc.dests[:0]
@@ -274,7 +286,7 @@ func solveEdge(inst *Instance, e routing.Edge, forbidRaw map[graph.NodeID]bool, 
 	}
 	cover, err := vcover.SolveConstrained(prob, forbidU)
 	if err != nil {
-		return nil, fmt.Errorf("plan: edge %v: %w", e, err)
+		return nil, fmt.Errorf("plan: edge %v: %w", inst.EdgeList[ei], err)
 	}
 	nRaw, nAgg := 0, 0
 	for i := range sc.sources {
@@ -305,9 +317,17 @@ func solveEdge(inst *Instance, e routing.Edge, forbidRaw map[graph.NodeID]bool, 
 	return sol, nil
 }
 
+// violation is a raw transmission of source on EdgeList[edge] whose value
+// cannot have reached the edge's tail.
 type violation struct {
-	edge   routing.Edge
+	edge   int
 	source graph.NodeID
+}
+
+// rawHop is one raw decision: source travels raw on EdgeList[edge].
+type rawHop struct {
+	source graph.NodeID
+	edge   int
 }
 
 // rawViolations finds every edge that transmits a source raw although the
@@ -315,37 +335,74 @@ type violation struct {
 // upstream route). Availability is a fixpoint over the source's multicast
 // structure: the value is available at the source itself and at the head
 // of every edge that both transmits it raw and has it available at its
-// tail.
+// tail. Violations come by ascending source, each source's in edge order.
 func (p *Plan) rawViolations() []violation {
-	// Group each source's raw-carrying edges.
-	edgesBySource := make(map[graph.NodeID][]routing.Edge)
-	for _, e := range p.Inst.EdgeList {
-		for s := range p.Sol[e].Raw {
-			edgesBySource[s] = append(edgesBySource[s], e)
+	inst := p.Inst
+	n := inst.Net.Len()
+	// Collect the raw decisions from each edge's pairs. A Raw set naming a
+	// source that does not cross its edge (only in hand-assembled plans)
+	// has more entries than the pairs find, and is then taken whole.
+	var raws []rawHop
+	for i := range inst.EdgeList {
+		sol := p.Sol[i]
+		if len(sol.Raw) == 0 {
+			continue
+		}
+		hits := 0
+		pairs := inst.Pairs(i)
+		for k, pr := range pairs {
+			if (k == 0 || pairs[k-1].Source != pr.Source) && sol.Raw[pr.Source] {
+				raws = append(raws, rawHop{source: pr.Source, edge: i})
+				hits++
+			}
+		}
+		if hits != len(sol.Raw) {
+			raws = raws[:len(raws)-hits]
+			for s := range sol.Raw {
+				raws = append(raws, rawHop{source: s, edge: i})
+			}
 		}
 	}
-	var out []violation
-	srcs := make([]graph.NodeID, 0, len(edgesBySource))
-	for s := range edgesBySource {
-		srcs = append(srcs, s)
+	if len(raws) == 0 {
+		return nil
 	}
-	sort.Slice(srcs, func(i, j int) bool { return srcs[i] < srcs[j] })
-	for _, s := range srcs {
-		edges := edgesBySource[s]
-		avail := map[graph.NodeID]bool{s: true}
+	inNet := func(s graph.NodeID) bool { return s >= 0 && int(s) < n }
+	off, bySource := graph.GroupBy(len(raws), n, func(k int) int32 {
+		if s := raws[k].source; inNet(s) {
+			return int32(s)
+		}
+		return -1
+	})
+	var out []violation
+	avail := make([]int32, n) // avail[v] == s+1: source s's value reaches v
+	for s := 0; s < n; s++ {
+		own := bySource[off[s]:off[s+1]]
+		if len(own) == 0 {
+			continue
+		}
+		mark := int32(s + 1)
+		avail[s] = mark
 		for changed := true; changed; {
 			changed = false
-			for _, e := range edges {
-				if avail[e.From] && !avail[e.To] {
-					avail[e.To] = true
+			for _, k := range own {
+				e := inst.EdgeList[raws[k].edge]
+				if avail[e.From] == mark && avail[e.To] != mark {
+					avail[e.To] = mark
 					changed = true
 				}
 			}
 		}
-		for _, e := range edges {
-			if !avail[e.From] {
-				out = append(out, violation{edge: e, source: s})
+		for _, k := range own {
+			if i := raws[k].edge; avail[inst.EdgeList[i].From] != mark {
+				out = append(out, violation{edge: i, source: graph.NodeID(s)})
 			}
+		}
+	}
+	// A source outside the network is available nowhere, so every edge
+	// carrying it raw is a violation.
+	for _, r := range raws {
+		if !inNet(r.source) {
+			out = append(out, violation{edge: r.edge, source: r.source})
 		}
 	}
 	return out
@@ -355,25 +412,46 @@ func (p *Plan) rawViolations() []violation {
 // every edge of its path, raw transmissions are available at their tails,
 // and forbidden raw options are respected.
 func (p *Plan) Validate() error {
-	for _, e := range p.Inst.EdgeList {
-		sol, ok := p.Sol[e]
-		if !ok {
-			return fmt.Errorf("plan: edge %v has no solution", e)
-		}
-		for _, pr := range p.Inst.EdgePairs[e] {
-			if !sol.Raw[pr.Source] && !sol.Agg[pr.Dest] {
-				return fmt.Errorf("plan: pair %d→%d uncovered on edge %v", pr.Source, pr.Dest, e)
-			}
-		}
-		for s := range sol.Raw {
-			if sol.ForbiddenRaw[s] {
-				return fmt.Errorf("plan: forbidden raw %d transmitted on %v", s, e)
-			}
-		}
+	if err := p.validateCover(); err != nil {
+		return err
 	}
 	if vs := p.rawViolations(); len(vs) > 0 {
 		return fmt.Errorf("plan: raw value %d unavailable at tail of %v (and %d more)",
-			vs[0].source, vs[0].edge, len(vs)-1)
+			vs[0].source, p.Inst.EdgeList[vs[0].edge], len(vs)-1)
+	}
+	return nil
+}
+
+// validateCover is Validate without the availability check: every edge
+// has a solution covering each of its pairs, and no edge transmits a
+// forbidden raw value.
+func (p *Plan) validateCover() error {
+	inst := p.Inst
+	for i, e := range inst.EdgeList {
+		if i >= len(p.Sol) || p.Sol[i] == nil {
+			return fmt.Errorf("plan: edge %v has no solution", e)
+		}
+		sol := p.Sol[i]
+		pairs := inst.Pairs(i)
+		raw := false
+		for k, pr := range pairs {
+			if k == 0 || pairs[k-1].Source != pr.Source {
+				raw = sol.Raw[pr.Source]
+			}
+			if !raw && !sol.Agg[pr.Dest] {
+				return fmt.Errorf("plan: pair %d→%d uncovered on edge %v", pr.Source, pr.Dest, e)
+			}
+		}
+		if len(sol.ForbiddenRaw) > 0 {
+			for s := range sol.Raw {
+				if sol.ForbiddenRaw[s] {
+					return fmt.Errorf("plan: forbidden raw %d transmitted on %v", s, e)
+				}
+			}
+		}
+	}
+	if len(p.Sol) != len(inst.EdgeList) {
+		return fmt.Errorf("plan: %d solutions for %d edges", len(p.Sol), len(inst.EdgeList))
 	}
 	return nil
 }
@@ -406,27 +484,41 @@ func (p *Plan) Bytes(u Unit) int {
 // group ascending by node, matching the deterministic order used
 // throughout the executor.
 func (p *Plan) EdgeUnits(e routing.Edge) []Unit {
-	sol := p.Sol[e]
+	sol := p.Solution(e)
 	if sol == nil {
 		return nil
 	}
-	var units []Unit
-	for _, s := range sortedKeys(sol.Raw) {
-		units = append(units, Unit{Edge: e, Kind: UnitRaw, Node: s})
-	}
-	for _, d := range sortedKeys(sol.Agg) {
-		units = append(units, Unit{Edge: e, Kind: UnitAgg, Node: d})
-	}
+	units, _ := appendUnits(nil, nil, e, sol)
 	return units
 }
 
-// Units lists every message unit of the plan in edge order.
+// Units lists every message unit of the plan in edge order, each edge's
+// units as EdgeUnits orders them.
 func (p *Plan) Units() []Unit {
-	var out []Unit
-	for _, e := range p.Inst.EdgeList {
-		out = append(out, p.EdgeUnits(e)...)
+	total := 0
+	for _, sol := range p.Sol {
+		total += len(sol.Raw) + len(sol.Agg)
+	}
+	out := make([]Unit, 0, total)
+	var buf []graph.NodeID
+	for i, e := range p.Inst.EdgeList {
+		out, buf = appendUnits(out, buf, e, p.Sol[i])
 	}
 	return out
+}
+
+// appendUnits appends the units of e under sol to out, sorting the node
+// sets in buf, which it returns for reuse.
+func appendUnits(out []Unit, buf []graph.NodeID, e routing.Edge, sol *EdgeSolution) ([]Unit, []graph.NodeID) {
+	buf = sortedKeys(buf, sol.Raw)
+	for _, s := range buf {
+		out = append(out, Unit{Edge: e, Kind: UnitRaw, Node: s})
+	}
+	buf = sortedKeys(buf, sol.Agg)
+	for _, d := range buf {
+		out = append(out, Unit{Edge: e, Kind: UnitAgg, Node: d})
+	}
+	return out, buf
 }
 
 // BodyBytes returns the total unit payload crossing e.
@@ -449,11 +541,12 @@ func (p *Plan) TotalBodyBytes() int {
 	return total
 }
 
-func sortedKeys(m map[graph.NodeID]bool) []graph.NodeID {
-	out := make([]graph.NodeID, 0, len(m))
+// sortedKeys returns the members of m ascending, reusing buf's storage.
+func sortedKeys(buf []graph.NodeID, m map[graph.NodeID]bool) []graph.NodeID {
+	buf = slices.Grow(buf[:0], len(m))
 	for k := range m {
-		out = append(out, k)
+		buf = append(buf, k)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	slices.Sort(buf)
+	return buf
 }

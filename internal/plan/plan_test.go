@@ -1,7 +1,9 @@
 package plan
 
 import (
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"m2m/internal/agg"
@@ -61,7 +63,7 @@ func TestPaperFigure1CPlan(t *testing.T) {
 		t.Errorf("Repairs = %d on a tree network", p.Repairs)
 	}
 	ij := routing.Edge{From: 4, To: 5}
-	sol := p.Sol[ij]
+	sol := p.Solution(ij)
 	if sol == nil {
 		t.Fatal("no solution on edge i→j")
 	}
@@ -108,10 +110,59 @@ func TestInstanceValidation(t *testing.T) {
 	}
 }
 
+// tableRouter routes each pair along a fixed path. Routes missing from the
+// table are an error.
+type tableRouter map[Pair][]graph.NodeID
+
+func (r tableRouter) Name() string { return "table" }
+
+func (r tableRouter) Path(s, d graph.NodeID) ([]graph.NodeID, error) {
+	if p, ok := r[Pair{Source: s, Dest: d}]; ok {
+		return p, nil
+	}
+	return nil, fmt.Errorf("no route %d→%d", s, d)
+}
+
+// TestSuffixErrorIsDeterministic checks that NewInstance reports the
+// first suffix-property violation in spec order, whatever the number of
+// violating destinations.
+func TestSuffixErrorIsDeterministic(t *testing.T) {
+	g := graph.NewUndirected(10)
+	router := tableRouter{
+		{Source: 0, Dest: 9}: {0, 2, 9},
+		{Source: 1, Dest: 9}: {1, 2, 3, 9}, // leaves 2 toward 3, not 9
+		{Source: 4, Dest: 8}: {4, 5, 8},
+		{Source: 6, Dest: 8}: {6, 5, 7, 8}, // leaves 5 toward 7, not 8
+	}
+	sum := func(ids ...graph.NodeID) agg.Func {
+		w := make(map[graph.NodeID]float64)
+		for _, id := range ids {
+			w[id] = 1
+		}
+		return agg.NewWeightedSum(w)
+	}
+	specs := []agg.Spec{{Dest: 9, Func: sum(0, 1)}, {Dest: 8, Func: sum(4, 6)}}
+	var first string
+	for i := 0; i < 50; i++ {
+		_, err := NewInstance(g, router, specs)
+		if err == nil {
+			t.Fatal("suffix violation accepted")
+		}
+		if i == 0 {
+			first = err.Error()
+			if !strings.Contains(first, "toward 9") {
+				t.Fatalf("error %q does not name the first spec's destination 9", first)
+			}
+		} else if err.Error() != first {
+			t.Fatalf("call %d reported %q, call 0 reported %q", i, err, first)
+		}
+	}
+}
+
 func TestInstanceEdgePairs(t *testing.T) {
 	inst := fig1cNetwork(t)
 	ij := routing.Edge{From: 4, To: 5}
-	pairs := inst.EdgePairs[ij]
+	pairs := inst.EdgePairs(ij)
 	// 4+3+1 = 8 pairs cross i→j.
 	if len(pairs) != 8 {
 		t.Fatalf("pairs on i→j = %v", pairs)
@@ -123,7 +174,7 @@ func TestInstanceEdgePairs(t *testing.T) {
 		t.Errorf("D_e = %v", got)
 	}
 	// No pairs on the reverse edge.
-	if len(inst.EdgePairs[routing.Edge{From: 5, To: 4}]) != 0 {
+	if len(inst.EdgePairs(routing.Edge{From: 5, To: 4})) != 0 || inst.EdgeIndex(routing.Edge{From: 5, To: 4}) != -1 {
 		t.Error("phantom pairs on reverse edge")
 	}
 	if inst.PairEdgeIndex(Pair{Source: 0, Dest: 6}, ij) != 1 {
@@ -276,9 +327,9 @@ func TestPlanDeterministic(t *testing.T) {
 	if pa.TotalBodyBytes() != pb.TotalBodyBytes() {
 		t.Fatal("nondeterministic plan cost")
 	}
-	for e, sa := range pa.Sol {
-		if !sameSolution(sa, pb.Sol[e]) {
-			t.Fatalf("nondeterministic solution on %v", e)
+	for i, sa := range pa.Sol {
+		if !sameSolution(sa, pb.Sol[i]) {
+			t.Fatalf("nondeterministic solution on %v", pa.Inst.EdgeList[i])
 		}
 	}
 }
@@ -317,7 +368,7 @@ func TestValidateDetectsCorruption(t *testing.T) {
 	}
 	ij := routing.Edge{From: 4, To: 5}
 	// Remove the raw transmission of a without covering its pairs.
-	delete(p.Sol[ij].Raw, 0)
+	delete(p.Solution(ij).Raw, 0)
 	if err := p.Validate(); err == nil {
 		t.Error("uncovered pair not detected")
 	}
@@ -327,12 +378,12 @@ func TestValidateDetectsCorruption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, e := range p2.Inst.EdgeList {
-		delete(p2.Sol[e].Raw, 0)
-		p2.Sol[e].Agg[6] = true
-		p2.Sol[e].Agg[8] = true
+	for _, sol := range p2.Sol {
+		delete(sol.Raw, 0)
+		sol.Agg[6] = true
+		sol.Agg[8] = true
 	}
-	p2.Sol[routing.Edge{From: 5, To: 8}].Raw[0] = true
+	p2.Solution(routing.Edge{From: 5, To: 8}).Raw[0] = true
 	if err := p2.Validate(); err == nil {
 		t.Error("unavailable raw not detected")
 	}

@@ -90,7 +90,7 @@ func (p *Plan) recordInputs(n, d graph.NodeID, pairs []Pair) ([]contribKey, erro
 			continue
 		}
 		in := routing.Edge{From: path[pos-1], To: path[pos]}
-		if p.Sol[in].Agg[d] {
+		if p.Solution(in).Agg[d] {
 			add(contribKey{record: true, edge: in})
 		} else {
 			// The pair crossed the in-edge raw; pre-aggregate here.
@@ -125,17 +125,17 @@ func (p *Plan) BuildTables() (*Tables, error) {
 		}
 	}
 
-	for _, e := range p.Inst.EdgeList {
+	for i, e := range p.Inst.EdgeList {
 		n := e.From
-		sol := p.Sol[e]
+		sol := p.Sol[i]
 		units := 0
-		for _, s := range sortedKeys(sol.Raw) {
+		for _, s := range sortedKeys(nil, sol.Raw) {
 			t.Raw[n] = append(t.Raw[n], RawEntry{Source: s, Out: e})
 			units++
 		}
-		for _, d := range sortedKeys(sol.Agg) {
+		for _, d := range sortedKeys(nil, sol.Agg) {
 			var pairs []Pair
-			for _, pr := range p.Inst.EdgePairs[e] {
+			for _, pr := range p.Inst.Pairs(i) {
 				if pr.Dest == d {
 					pairs = append(pairs, pr)
 				}

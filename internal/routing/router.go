@@ -2,6 +2,7 @@ package routing
 
 import (
 	"fmt"
+	"slices"
 
 	"m2m/internal/graph"
 )
@@ -40,18 +41,26 @@ func (b *SharedTree) Path(s, d graph.NodeID) ([]graph.NodeID, error) {
 // shortest-path tree (deterministic smallest-ID tiebreaks), the way
 // TAG-style collection trees route toward a sink. Paths to the same
 // destination converge and never diverge (suffix property by
-// construction); paths from one source to different destinations may
-// branch and re-join, so the per-source multicast structure is a DAG
-// rather than a strict tree. Each destination's tree is a resumable
-// graph.Walk, grown only as far out as the sources routed so far.
+// construction). Paths from one source to different destinations may
+// branch but do not re-join: a path that passes node m reaches it along
+// the hop-count shortest path whose every hop is the smallest-ID
+// neighbour one hop closer to m, whatever the destination, so the
+// per-source multicast structure is a tree.
+//
+// The current destination's tree is a resumable graph.Walk, grown only as
+// far out as the sources routed so far; routing toward another
+// destination resets the same walk, so the router holds one walk's
+// storage however many destinations it serves. Callers that route
+// destination by destination (as NewInstance does) walk each tree once.
+// A ReversePath is not safe for concurrent use.
 type ReversePath struct {
-	net   *graph.Undirected
-	walks map[graph.NodeID]*graph.Walk
+	net  *graph.Undirected
+	walk *graph.Walk // rooted at the last destination routed; nil before the first
 }
 
 // NewReversePath returns a ReversePath router over net.
 func NewReversePath(net *graph.Undirected) *ReversePath {
-	return &ReversePath{net: net, walks: make(map[graph.NodeID]*graph.Walk)}
+	return &ReversePath{net: net}
 }
 
 // Name implements Router.
@@ -62,11 +71,13 @@ func (r *ReversePath) Path(s, d graph.NodeID) ([]graph.NodeID, error) {
 	if int(s) < 0 || int(s) >= r.net.Len() || int(d) < 0 || int(d) >= r.net.Len() {
 		return nil, fmt.Errorf("routing: node out of range in pair %d→%d", s, d)
 	}
-	w, ok := r.walks[d]
-	if !ok {
-		w = r.net.Walk(d)
-		r.walks[d] = w
+	switch {
+	case r.walk == nil:
+		r.walk = r.net.Walk(d)
+	case r.walk.Root() != d:
+		r.walk.Reset(d)
 	}
+	w := r.walk
 	h := w.Hops(s)
 	if h < 0 {
 		return nil, fmt.Errorf("routing: %d unreachable from %d", d, s)
@@ -163,24 +174,78 @@ func (r *SourceSPT) Path(s, d graph.NodeID) ([]graph.NodeID, error) {
 	return p, nil
 }
 
+// SuffixChecker verifies the per-destination suffix property path by
+// path, over dense node-indexed storage: next[m] is m's successor on the
+// (unique, if consistent) way to the current destination, valid only
+// where stamp[m] carries the current epoch, so starting a destination
+// clears nothing.
+type SuffixChecker struct {
+	dest  graph.NodeID
+	next  []graph.NodeID
+	stamp []uint32
+	epoch uint32
+}
+
+// NewSuffixChecker returns a checker for paths over nodes 0..n-1.
+func NewSuffixChecker(n int) *SuffixChecker {
+	return &SuffixChecker{next: make([]graph.NodeID, n), stamp: make([]uint32, n)}
+}
+
+// Begin starts checking the paths toward d, forgetting earlier ones.
+func (c *SuffixChecker) Begin(d graph.NodeID) {
+	c.dest = d
+	if c.epoch++; c.epoch == 0 { // wrap: invalidate every stamp once
+		clear(c.stamp)
+		c.epoch = 1
+	}
+}
+
+// Add checks p against every path added since Begin and returns the
+// first violation it finds, or nil.
+func (c *SuffixChecker) Add(p []graph.NodeID) error {
+	if len(p) == 0 || p[len(p)-1] != c.dest {
+		return fmt.Errorf("routing: path %v does not end at destination %d", p, c.dest)
+	}
+	for _, v := range p {
+		if int(v) < 0 || int(v) >= len(c.next) {
+			return fmt.Errorf("routing: path %v leaves the network at node %d", p, v)
+		}
+	}
+	for i := 0; i+1 < len(p); i++ {
+		m := p[i]
+		if c.stamp[m] == c.epoch && c.next[m] != p[i+1] {
+			return fmt.Errorf("routing: suffix property violated at node %d toward %d: %d vs %d",
+				m, c.dest, c.next[m], p[i+1])
+		}
+		c.stamp[m], c.next[m] = c.epoch, p[i+1]
+	}
+	return nil
+}
+
 // CheckSuffixProperty verifies the per-destination suffix property over a
 // set of canonical paths grouped by destination. It returns the first
-// violation found, or nil.
+// violation in ascending destination order, or nil.
 func CheckSuffixProperty(pathsByDest map[graph.NodeID][][]graph.NodeID) error {
+	n := 0
 	for d, paths := range pathsByDest {
-		// next[m] is the successor of m on the (unique, if consistent) way
-		// to d.
-		next := make(map[graph.NodeID]graph.NodeID)
+		n = max(n, int(d)+1)
 		for _, p := range paths {
-			if len(p) == 0 || p[len(p)-1] != d {
-				return fmt.Errorf("routing: path %v does not end at destination %d", p, d)
+			for _, v := range p {
+				n = max(n, int(v)+1)
 			}
-			for i := 0; i+1 < len(p); i++ {
-				if prev, ok := next[p[i]]; ok && prev != p[i+1] {
-					return fmt.Errorf("routing: suffix property violated at node %d toward %d: %d vs %d",
-						p[i], d, prev, p[i+1])
-				}
-				next[p[i]] = p[i+1]
+		}
+	}
+	dests := make([]graph.NodeID, 0, len(pathsByDest))
+	for d := range pathsByDest {
+		dests = append(dests, d)
+	}
+	slices.Sort(dests)
+	c := NewSuffixChecker(n)
+	for _, d := range dests {
+		c.Begin(d)
+		for _, p := range pathsByDest[d] {
+			if err := c.Add(p); err != nil {
+				return err
 			}
 		}
 	}

@@ -249,3 +249,28 @@ func TestReversePathMatchesReference(t *testing.T) {
 		}
 	}
 }
+
+// TestReversePathReusesWalkAcrossDestinations routes toward destinations
+// A, B and A again through one router, whose single walk is reset between
+// destinations, and compares every path with a fresh router's.
+func TestReversePathReusesWalkAcrossDestinations(t *testing.T) {
+	g := topology.GreatDuckIsland().ConnectivityGraph(50)
+	rng := rand.New(rand.NewSource(11))
+	shared := NewReversePath(g)
+	for _, d := range []graph.NodeID{3, 40, 3} {
+		fresh := NewReversePath(g)
+		for _, s := range rng.Perm(g.Len())[:20] {
+			got, err := shared.Path(graph.NodeID(s), d)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := fresh.Path(graph.NodeID(s), d)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("path %d→%d = %v after reuse, fresh router gives %v", s, d, got, want)
+			}
+		}
+	}
+}

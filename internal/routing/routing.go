@@ -13,6 +13,7 @@
 package routing
 
 import (
+	"cmp"
 	"fmt"
 	"sort"
 
@@ -25,6 +26,15 @@ type Edge struct {
 }
 
 func (e Edge) String() string { return fmt.Sprintf("%d→%d", e.From, e.To) }
+
+// CompareEdges orders edges by (From, To), the order of every sorted edge
+// list in the planner.
+func CompareEdges(a, b Edge) int {
+	if c := cmp.Compare(a.From, b.From); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.To, b.To)
+}
 
 // Tree is a multicast tree: a directed tree rooted at Source spanning
 // Dests. Parent maps every non-root tree node to its parent (toward the

@@ -246,8 +246,8 @@ func (e *Engine) newConstruction() (*construction, error) {
 	if ui != len(units) {
 		panic("sim: plan units out of EdgeList order") // unreachable: Plan.Units lists them so
 	}
-	fromOff, outEdges := groupBy(len(edges), nNodes, func(ei int) int32 { return int32(edges[ei].From) })
-	inOff, inEdges := groupBy(len(edges), nNodes, func(ei int) int32 { return int32(edges[ei].To) })
+	fromOff, outEdges := graph.GroupBy(len(edges), nNodes, func(ei int) int32 { return int32(edges[ei].From) })
+	inOff, inEdges := graph.GroupBy(len(edges), nNodes, func(ei int) int32 { return int32(edges[ei].To) })
 	edgeIndex := func(from, to graph.NodeID) int32 {
 		for _, ei := range outEdges[fromOff[from]:fromOff[from+1]] {
 			if edges[ei].To == to {
@@ -259,7 +259,7 @@ func (e *Engine) newConstruction() (*construction, error) {
 
 	// Providers: for each source, the fixpoint over its raw units in
 	// EdgeList order; the first unit to reach a node provides it there.
-	srcOff, bySrc := groupBy(len(units), nNodes, func(i int) int32 {
+	srcOff, bySrc := graph.GroupBy(len(units), nNodes, func(i int) int32 {
 		if units[i].Kind != plan.UnitRaw {
 			return -1
 		}
@@ -373,36 +373,12 @@ func (e *Engine) newConstruction() (*construction, error) {
 		}
 	}
 	var byUnit []int32
-	cx.contribOff, byUnit = groupBy(len(walk), len(units), func(i int) int32 { return walk[i].unit })
+	cx.contribOff, byUnit = graph.GroupBy(len(walk), len(units), func(i int) int32 { return walk[i].unit })
 	cx.contribs = make([]pairInput, len(walk))
 	for j, i := range byUnit {
 		cx.contribs[j] = walk[i].c
 	}
 	return cx, nil
-}
-
-// groupBy is a stable counting sort: it buckets items 0..n-1 by key(i) in
-// [0, nKeys), skipping items whose key is negative, and returns the items
-// of key k as members[off[k]:off[k+1]], ascending.
-func groupBy(n, nKeys int, key func(int) int32) (off, members []int32) {
-	off = make([]int32, nKeys+1)
-	for i := 0; i < n; i++ {
-		if k := key(i); k >= 0 {
-			off[k+1]++
-		}
-	}
-	for k := 0; k < nKeys; k++ {
-		off[k+1] += off[k]
-	}
-	members = make([]int32, off[nKeys])
-	next := append([]int32(nil), off[:nKeys]...)
-	for i := 0; i < n; i++ {
-		if k := key(i); k >= 0 {
-			members[next[k]] = int32(i)
-			next[k]++
-		}
-	}
-	return off, members
 }
 
 // buildDeps derives each unit's wait-for set (Section 3): a forwarded raw

@@ -91,7 +91,7 @@ func (e *Engine) assembleRecord(n, d graph.NodeID, out routing.Edge, rawVal map[
 			pairs = append(pairs, plan.Pair{Source: s, Dest: d})
 		}
 	} else {
-		for _, pr := range inst.EdgePairs[out] {
+		for _, pr := range inst.EdgePairs(out) {
 			if pr.Dest == d {
 				pairs = append(pairs, pr)
 			}
@@ -130,7 +130,7 @@ func (e *Engine) assembleRecord(n, d graph.NodeID, out routing.Edge, rawVal map[
 			continue
 		}
 		in := routing.Edge{From: path[pos-1], To: path[pos]}
-		if e.Plan.Sol[in].Agg[d] {
+		if e.Plan.Solution(in).Agg[d] {
 			if !usedUpstream {
 				usedUpstream = true
 				r, ok := recVal[nodeDest{node: n, dest: d}]

@@ -203,7 +203,7 @@ func NewSuppressor(p *plan.Plan, model radio.Model, policy Policy) (*Suppressor,
 		rt := pairRoute{pair: pr, path: path, aggIdx: -1, preNode: pr.Dest}
 		for i := 0; i+1 < len(path); i++ {
 			e := routing.Edge{From: path[i], To: path[i+1]}
-			if p.Sol[e].Agg[pr.Dest] {
+			if p.Solution(e).Agg[pr.Dest] {
 				rt.aggIdx = i
 				rt.preNode = path[i]
 				break
@@ -214,7 +214,7 @@ func NewSuppressor(p *plan.Plan, model radio.Model, policy Policy) (*Suppressor,
 		if rt.aggIdx >= 0 {
 			for i := rt.aggIdx; i+1 < len(path); i++ {
 				e := routing.Edge{From: path[i], To: path[i+1]}
-				if !p.Sol[e].Agg[pr.Dest] {
+				if !p.Solution(e).Agg[pr.Dest] {
 					return nil, fmt.Errorf("sim: pair %d→%d leaves record form after edge %v; plan unsupported for suppression",
 						pr.Source, pr.Dest, e)
 				}
@@ -277,10 +277,10 @@ func (s *Suppressor) intern() {
 	}
 
 	// The raw units the default plan ships, in deterministic order.
-	for _, e := range inst.EdgeList {
+	for i, e := range inst.EdgeList {
 		eid := edge(e)
 		var srcs []graph.NodeID
-		for src := range s.Plan.Sol[e].Raw {
+		for src := range s.Plan.Sol[i].Raw {
 			srcs = append(srcs, src)
 		}
 		sort.Slice(srcs, func(i, j int) bool { return srcs[i] < srcs[j] })

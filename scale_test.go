@@ -66,14 +66,16 @@ func TestPlanScale10k(t *testing.T) {
 }
 
 // TestInstanceAllocBound gates the bytes NewInstance allocates for the
-// plan-scale workload, where routes come from per-destination walks that
-// stop a few hops out rather than whole-network shortest-path trees (68 MB
-// at n=10000). The count is deterministic; each bound is twice the
-// measured value, rounded up.
+// plan-scale workload, where routes come from one reverse-path walk that
+// is reset per destination and stops a few hops out, rather than a
+// whole-network shortest-path tree per destination (68 MB at n=10000),
+// and the edge index is built from one sorted array instead of maps. The
+// count is deterministic; each bound is twice the measured value, rounded
+// up.
 func TestInstanceAllocBound(t *testing.T) {
-	n, bound := 10000, uint64(26_000_000) // measured 12 992 992
+	n, bound := 10000, uint64(5_600_000) // measured 2 758 792 (12 992 992 with a walk per destination and map-keyed pairs)
 	if testing.Short() {
-		n, bound = 2000, 2_300_000 // measured 1 138 408
+		n, bound = 2000, 1_100_000 // measured 516 808 (1 138 408)
 	}
 	net, specs := scaleWorkload(t, n)
 	var before, after runtime.MemStats
