@@ -8,9 +8,9 @@ package m2m
 
 import (
 	"context"
-
 	"testing"
 
+	"m2m/internal/agg"
 	"m2m/internal/experiments"
 	"m2m/internal/plan"
 	"m2m/internal/radio"
@@ -239,6 +239,90 @@ func BenchmarkNewEngine1k(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// engine1k compiles the optimal plan of the 1000-node instance, with
+// destination i's function replaced by remix(i, f) when remix is non-nil,
+// and returns it with a full reading set.
+func engine1k(b *testing.B, remix func(i int, f Func) Func) (*sim.Engine, map[NodeID]float64) {
+	b.Helper()
+	net, inst := instance1k(b)
+	if remix != nil {
+		specs := make([]Spec, len(inst.Specs))
+		for i, sp := range inst.Specs {
+			specs[i] = Spec{Dest: sp.Dest, Func: remix(i, sp.Func)}
+		}
+		var err error
+		if inst, err = net.NewInstance(specs, RouterReversePath); err != nil {
+			b.Fatal(err)
+		}
+	}
+	p, err := Optimize(inst)
+	if err != nil {
+		b.Fatal(err)
+	}
+	eng, err := sim.NewEngine(p, net.Radio, sim.Options{MergeMessages: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	readings := make(map[NodeID]float64, net.Len())
+	for i := 0; i < net.Len(); i++ {
+		readings[NodeID(i)] = float64(i%97) / 8
+	}
+	return eng, readings
+}
+
+// benchRunInto measures one zero-allocation round of eng.
+func benchRunInto(b *testing.B, eng *sim.Engine, readings map[NodeID]float64) {
+	st := eng.NewRoundState()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := eng.RunInto(readings, st); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkRunInto1k measures one fault-free round of the 1000-node
+// instance's weighted sums into a caller-held RoundState.
+func BenchmarkRunInto1k(b *testing.B) {
+	eng, readings := engine1k(b, nil)
+	benchRunInto(b, eng, readings)
+}
+
+// BenchmarkRunIntoKinds1k is BenchmarkRunInto1k with the destinations'
+// functions cycling through the seven table-driven kinds and a q-digest,
+// which runs through its Func methods.
+func BenchmarkRunIntoKinds1k(b *testing.B) {
+	eng, readings := engine1k(b, func(i int, f Func) Func {
+		w := make(map[NodeID]float64)
+		for _, s := range f.Sources() {
+			w[s] = f.(*agg.WeightedSum).Weight(s)
+		}
+		switch i % 8 {
+		case 0:
+			return f
+		case 1:
+			return agg.NewWeightedAverage(w)
+		case 2:
+			return agg.NewWeightedStdDev(w)
+		case 3:
+			return agg.NewMin(f.Sources())
+		case 4:
+			return agg.NewMax(f.Sources())
+		case 5:
+			return agg.NewRange(f.Sources())
+		case 6:
+			return agg.NewCountAbove(f.Sources(), 6)
+		}
+		q, err := agg.NewQDigest(f.Sources(), 4, 0, 12, 0.5)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return q
+	})
+	benchRunInto(b, eng, readings)
 }
 
 // BenchmarkOptimizeHeavy measures optimization with every node a

@@ -13,7 +13,6 @@ package agg
 
 import (
 	"fmt"
-	"math"
 	"sort"
 
 	"m2m/internal/graph"
@@ -128,167 +127,145 @@ func (w weighted) weight(name string, s graph.NodeID) float64 {
 // the wire layer serializes into pre-aggregation table entries.
 func (w weighted) Weight(s graph.NodeID) float64 { return w.weight("aggregate", s) }
 
+// tabled is the body of the seven table-driven builtins: the weight table
+// and the family's Kind, whose record algebra (kinds.go) every method
+// below delegates to, so each family's algebra is defined once. The
+// weight is the pre-aggregation parameter; CountAbove overrides the
+// pre-aggregation methods to pass its threshold instead.
+type tabled struct {
+	weighted
+	kind Kind
+}
+
+func newTabled(k Kind, weights map[graph.NodeID]float64) tabled {
+	return tabled{weighted: newWeighted(weights), kind: k}
+}
+
+// Name identifies the family: "wsum", "wavg", "wstddev", "min", "max",
+// "range" or "countabove".
+func (t tabled) Name() string { return tabledNames[t.kind] }
+
+func (t tabled) PreAgg(s graph.NodeID, v float64) Record {
+	r := make(Record, t.kind.Slots())
+	t.PreAggInto(r, s, v)
+	return r
+}
+
+func (t tabled) Merge(a, b Record) Record {
+	r := a.Clone()
+	t.kind.MergeInto(r, b)
+	return r
+}
+
+func (t tabled) Eval(r Record) float64 { return t.kind.Eval(r) }
+
+// RecordLen implements InPlace.
+func (t tabled) RecordLen() int { return t.kind.Slots() }
+
+// PreAggInto implements InPlace.
+func (t tabled) PreAggInto(dst Record, s graph.NodeID, v float64) {
+	t.kind.PreAggInto(dst, t.weight(t.Name(), s), v)
+}
+
+// MergeInto implements InPlace.
+func (t tabled) MergeInto(dst, src Record) { t.kind.MergeInto(dst, src) }
+
 // WeightedSum computes Σ α_s·v_s. Record layout: [sum].
-type WeightedSum struct{ weighted }
+type WeightedSum struct{ tabled }
 
 // NewWeightedSum returns a weighted sum over the given per-source weights.
 func NewWeightedSum(weights map[graph.NodeID]float64) *WeightedSum {
-	return &WeightedSum{newWeighted(weights)}
+	return &WeightedSum{newTabled(KindWeightedSum, weights)}
 }
 
-func (f *WeightedSum) Name() string { return "wsum" }
-
-func (f *WeightedSum) PreAgg(s graph.NodeID, v float64) Record {
-	return Record{f.weight(f.Name(), s) * v}
-}
-
-func (f *WeightedSum) Merge(a, b Record) Record { return Record{a[0] + b[0]} }
-func (f *WeightedSum) Eval(r Record) float64    { return r[0] }
-func (f *WeightedSum) RecordBytes() int         { return 4 }
-func (f *WeightedSum) Linear() bool             { return true }
+func (f *WeightedSum) RecordBytes() int { return 4 }
+func (f *WeightedSum) Linear() bool     { return true }
 
 // WeightedAverage computes (Σ α_s·v_s)/n, the paper's running example.
 // Record layout: [weightedSum, count]; the count costs an extra 2-byte
 // integer on the wire, which is why its record outweighs a raw value.
-type WeightedAverage struct{ weighted }
+type WeightedAverage struct{ tabled }
 
 // NewWeightedAverage returns a weighted average over the given weights.
 func NewWeightedAverage(weights map[graph.NodeID]float64) *WeightedAverage {
-	return &WeightedAverage{newWeighted(weights)}
+	return &WeightedAverage{newTabled(KindWeightedAverage, weights)}
 }
 
-func (f *WeightedAverage) Name() string { return "wavg" }
-
-func (f *WeightedAverage) PreAgg(s graph.NodeID, v float64) Record {
-	return Record{f.weight(f.Name(), s) * v, 1}
-}
-
-func (f *WeightedAverage) Merge(a, b Record) Record {
-	return Record{a[0] + b[0], a[1] + b[1]}
-}
-
-func (f *WeightedAverage) Eval(r Record) float64 { return r[0] / r[1] }
-func (f *WeightedAverage) RecordBytes() int      { return 4 + 2 }
-func (f *WeightedAverage) Linear() bool          { return false }
+func (f *WeightedAverage) RecordBytes() int { return 4 + 2 }
+func (f *WeightedAverage) Linear() bool     { return false }
 
 // WeightedStdDev computes the standard deviation of the weighted inputs
 // α_s·v_s. Record layout: [sum, sumSquares, count].
-type WeightedStdDev struct{ weighted }
+type WeightedStdDev struct{ tabled }
 
 // NewWeightedStdDev returns a weighted standard deviation aggregate.
 func NewWeightedStdDev(weights map[graph.NodeID]float64) *WeightedStdDev {
-	return &WeightedStdDev{newWeighted(weights)}
-}
-
-func (f *WeightedStdDev) Name() string { return "wstddev" }
-
-func (f *WeightedStdDev) PreAgg(s graph.NodeID, v float64) Record {
-	x := f.weight(f.Name(), s) * v
-	return Record{x, x * x, 1}
-}
-
-func (f *WeightedStdDev) Merge(a, b Record) Record {
-	return Record{a[0] + b[0], a[1] + b[1], a[2] + b[2]}
-}
-
-func (f *WeightedStdDev) Eval(r Record) float64 {
-	mean := r[0] / r[2]
-	return math.Sqrt(math.Max(0, r[1]/r[2]-mean*mean))
+	return &WeightedStdDev{newTabled(KindWeightedStdDev, weights)}
 }
 
 func (f *WeightedStdDev) RecordBytes() int { return 4 + 4 + 2 }
 func (f *WeightedStdDev) Linear() bool     { return false }
 
 // Min computes the minimum raw reading. Record layout: [min].
-type Min struct{ weighted }
+type Min struct{ tabled }
 
 // NewMin returns a minimum aggregate over the given sources.
 func NewMin(sources []graph.NodeID) *Min {
-	return &Min{newWeighted(unitWeights(sources))}
+	return &Min{newTabled(KindMin, unitWeights(sources))}
 }
 
-func (f *Min) Name() string { return "min" }
-
-func (f *Min) PreAgg(s graph.NodeID, v float64) Record {
-	f.weight(f.Name(), s) // membership check
-	return Record{v}
-}
-
-func (f *Min) Merge(a, b Record) Record { return Record{math.Min(a[0], b[0])} }
-func (f *Min) Eval(r Record) float64    { return r[0] }
-func (f *Min) RecordBytes() int         { return 4 }
-func (f *Min) Linear() bool             { return false }
+func (f *Min) RecordBytes() int { return 4 }
+func (f *Min) Linear() bool     { return false }
 
 // Max computes the maximum raw reading. Record layout: [max].
-type Max struct{ weighted }
+type Max struct{ tabled }
 
 // NewMax returns a maximum aggregate over the given sources.
 func NewMax(sources []graph.NodeID) *Max {
-	return &Max{newWeighted(unitWeights(sources))}
+	return &Max{newTabled(KindMax, unitWeights(sources))}
 }
 
-func (f *Max) Name() string { return "max" }
-
-func (f *Max) PreAgg(s graph.NodeID, v float64) Record {
-	f.weight(f.Name(), s)
-	return Record{v}
-}
-
-func (f *Max) Merge(a, b Record) Record { return Record{math.Max(a[0], b[0])} }
-func (f *Max) Eval(r Record) float64    { return r[0] }
-func (f *Max) RecordBytes() int         { return 4 }
-func (f *Max) Linear() bool             { return false }
+func (f *Max) RecordBytes() int { return 4 }
+func (f *Max) Linear() bool     { return false }
 
 // Range computes max−min, used by the wildlife example to detect motion
 // spread. Record layout: [min, max].
-type Range struct{ weighted }
+type Range struct{ tabled }
 
 // NewRange returns a range (max−min) aggregate over the given sources.
 func NewRange(sources []graph.NodeID) *Range {
-	return &Range{newWeighted(unitWeights(sources))}
+	return &Range{newTabled(KindRange, unitWeights(sources))}
 }
 
-func (f *Range) Name() string { return "range" }
-
-func (f *Range) PreAgg(s graph.NodeID, v float64) Record {
-	f.weight(f.Name(), s)
-	return Record{v, v}
-}
-
-func (f *Range) Merge(a, b Record) Record {
-	return Record{math.Min(a[0], b[0]), math.Max(a[1], b[1])}
-}
-
-func (f *Range) Eval(r Record) float64 { return r[1] - r[0] }
-func (f *Range) RecordBytes() int      { return 4 + 4 }
-func (f *Range) Linear() bool          { return false }
+func (f *Range) RecordBytes() int { return 4 + 4 }
+func (f *Range) Linear() bool     { return false }
 
 // CountAbove counts sources whose reading exceeds a threshold (e.g. "how
 // many motion sensors fired"). Record layout: [count].
 type CountAbove struct {
-	weighted
+	tabled
 	Threshold float64
 }
 
 // NewCountAbove returns a threshold-count aggregate.
 func NewCountAbove(sources []graph.NodeID, threshold float64) *CountAbove {
-	return &CountAbove{weighted: newWeighted(unitWeights(sources)), Threshold: threshold}
+	return &CountAbove{tabled: newTabled(KindCountAbove, unitWeights(sources)), Threshold: threshold}
 }
-
-func (f *CountAbove) Name() string { return "countabove" }
 
 func (f *CountAbove) PreAgg(s graph.NodeID, v float64) Record {
-	f.weight(f.Name(), s)
-	if v > f.Threshold {
-		return Record{1}
-	}
-	return Record{0}
+	r := make(Record, 1)
+	f.PreAggInto(r, s, v)
+	return r
 }
 
-func (f *CountAbove) Merge(a, b Record) Record { return Record{a[0] + b[0]} }
-func (f *CountAbove) Eval(r Record) float64    { return r[0] }
-func (f *CountAbove) RecordBytes() int         { return 2 }
-func (f *CountAbove) Linear() bool             { return false }
+// PreAggInto implements InPlace.
+func (f *CountAbove) PreAggInto(dst Record, s graph.NodeID, v float64) {
+	f.weight(f.Name(), s) // membership check
+	f.kind.PreAggInto(dst, f.Threshold, v)
+}
+
+func (f *CountAbove) RecordBytes() int { return 2 }
+func (f *CountAbove) Linear() bool     { return false }
 
 func unitWeights(sources []graph.NodeID) map[graph.NodeID]float64 {
 	m := make(map[graph.NodeID]float64, len(sources))

@@ -1,10 +1,6 @@
 package agg
 
-import (
-	"math"
-
-	"m2m/internal/graph"
-)
+import "m2m/internal/graph"
 
 // InPlace is the allocation-free extension of Func the compiled round
 // executor uses: records live in caller-owned scratch arenas and are
@@ -50,103 +46,3 @@ func MergeInto(f Func, dst, src Record) {
 	}
 	copy(dst, f.Merge(dst, src))
 }
-
-// RecordLen implements InPlace.
-func (f *WeightedSum) RecordLen() int { return 1 }
-
-// PreAggInto implements InPlace.
-func (f *WeightedSum) PreAggInto(dst Record, s graph.NodeID, v float64) {
-	dst[0] = f.weight(f.Name(), s) * v
-}
-
-// MergeInto implements InPlace.
-func (f *WeightedSum) MergeInto(dst, src Record) { dst[0] = dst[0] + src[0] }
-
-// RecordLen implements InPlace.
-func (f *WeightedAverage) RecordLen() int { return 2 }
-
-// PreAggInto implements InPlace.
-func (f *WeightedAverage) PreAggInto(dst Record, s graph.NodeID, v float64) {
-	dst[0] = f.weight(f.Name(), s) * v
-	dst[1] = 1
-}
-
-// MergeInto implements InPlace.
-func (f *WeightedAverage) MergeInto(dst, src Record) {
-	dst[0] = dst[0] + src[0]
-	dst[1] = dst[1] + src[1]
-}
-
-// RecordLen implements InPlace.
-func (f *WeightedStdDev) RecordLen() int { return 3 }
-
-// PreAggInto implements InPlace.
-func (f *WeightedStdDev) PreAggInto(dst Record, s graph.NodeID, v float64) {
-	x := f.weight(f.Name(), s) * v
-	dst[0] = x
-	dst[1] = x * x
-	dst[2] = 1
-}
-
-// MergeInto implements InPlace.
-func (f *WeightedStdDev) MergeInto(dst, src Record) {
-	dst[0] = dst[0] + src[0]
-	dst[1] = dst[1] + src[1]
-	dst[2] = dst[2] + src[2]
-}
-
-// RecordLen implements InPlace.
-func (f *Min) RecordLen() int { return 1 }
-
-// PreAggInto implements InPlace.
-func (f *Min) PreAggInto(dst Record, s graph.NodeID, v float64) {
-	f.weight(f.Name(), s) // membership check
-	dst[0] = v
-}
-
-// MergeInto implements InPlace.
-func (f *Min) MergeInto(dst, src Record) { dst[0] = math.Min(dst[0], src[0]) }
-
-// RecordLen implements InPlace.
-func (f *Max) RecordLen() int { return 1 }
-
-// PreAggInto implements InPlace.
-func (f *Max) PreAggInto(dst Record, s graph.NodeID, v float64) {
-	f.weight(f.Name(), s)
-	dst[0] = v
-}
-
-// MergeInto implements InPlace.
-func (f *Max) MergeInto(dst, src Record) { dst[0] = math.Max(dst[0], src[0]) }
-
-// RecordLen implements InPlace.
-func (f *Range) RecordLen() int { return 2 }
-
-// PreAggInto implements InPlace.
-func (f *Range) PreAggInto(dst Record, s graph.NodeID, v float64) {
-	f.weight(f.Name(), s)
-	dst[0] = v
-	dst[1] = v
-}
-
-// MergeInto implements InPlace.
-func (f *Range) MergeInto(dst, src Record) {
-	dst[0] = math.Min(dst[0], src[0])
-	dst[1] = math.Max(dst[1], src[1])
-}
-
-// RecordLen implements InPlace.
-func (f *CountAbove) RecordLen() int { return 1 }
-
-// PreAggInto implements InPlace.
-func (f *CountAbove) PreAggInto(dst Record, s graph.NodeID, v float64) {
-	f.weight(f.Name(), s)
-	if v > f.Threshold {
-		dst[0] = 1
-	} else {
-		dst[0] = 0
-	}
-}
-
-// MergeInto implements InPlace.
-func (f *CountAbove) MergeInto(dst, src Record) { dst[0] = dst[0] + src[0] }

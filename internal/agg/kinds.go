@@ -88,69 +88,130 @@ func ParamOf(f Func, s graph.NodeID) (float64, error) {
 	return 1, nil
 }
 
-// kindOps describes a family's weight-independent record algebra.
-type kindOps struct {
-	slots  int
-	preAgg func(param, v float64) Record
-	merge  func(a, b Record) Record
-	eval   func(r Record) float64
+// tabledNames are the Func names of the table-driven kinds.
+var tabledNames = [...]string{
+	KindWeightedSum:     "wsum",
+	KindWeightedAverage: "wavg",
+	KindWeightedStdDev:  "wstddev",
+	KindMin:             "min",
+	KindMax:             "max",
+	KindRange:           "range",
+	KindCountAbove:      "countabove",
 }
 
-var kindTable = map[Kind]kindOps{
-	KindWeightedSum: {
-		slots:  1,
-		preAgg: func(p, v float64) Record { return Record{p * v} },
-		merge:  func(a, b Record) Record { return Record{a[0] + b[0]} },
-		eval:   func(r Record) float64 { return r[0] },
-	},
-	KindWeightedAverage: {
-		slots:  2,
-		preAgg: func(p, v float64) Record { return Record{p * v, 1} },
-		merge:  func(a, b Record) Record { return Record{a[0] + b[0], a[1] + b[1]} },
-		eval:   func(r Record) float64 { return r[0] / r[1] },
-	},
-	KindWeightedStdDev: {
-		slots:  3,
-		preAgg: func(p, v float64) Record { x := p * v; return Record{x, x * x, 1} },
-		merge:  func(a, b Record) Record { return Record{a[0] + b[0], a[1] + b[1], a[2] + b[2]} },
-		eval: func(r Record) float64 {
-			mean := r[0] / r[2]
-			v := r[1]/r[2] - mean*mean
-			if v < 0 {
-				v = 0
-			}
-			return sqrt(v)
-		},
-	},
-	KindMin: {
-		slots:  1,
-		preAgg: func(_, v float64) Record { return Record{v} },
-		merge:  func(a, b Record) Record { return Record{min2(a[0], b[0])} },
-		eval:   func(r Record) float64 { return r[0] },
-	},
-	KindMax: {
-		slots:  1,
-		preAgg: func(_, v float64) Record { return Record{v} },
-		merge:  func(a, b Record) Record { return Record{max2(a[0], b[0])} },
-		eval:   func(r Record) float64 { return r[0] },
-	},
-	KindRange: {
-		slots:  2,
-		preAgg: func(_, v float64) Record { return Record{v, v} },
-		merge:  func(a, b Record) Record { return Record{min2(a[0], b[0]), max2(a[1], b[1])} },
-		eval:   func(r Record) float64 { return r[1] - r[0] },
-	},
-	KindCountAbove: {
-		slots: 1,
-		preAgg: func(p, v float64) Record {
-			if v > p {
-				return Record{1}
-			}
-			return Record{0}
-		},
-		merge: func(a, b Record) Record { return Record{a[0] + b[0]} },
-		eval:  func(r Record) float64 { return r[0] },
-	},
+// The record algebra of the seven table-driven kinds follows. Nodes
+// executing from disseminated tables (PreAggByKind and friends), the
+// builtin Funcs and the compiled round program all fold records through
+// these methods, so each family's algebra is defined once. The methods
+// expect a table-driven kind and records of its arity, and do not check
+// either. Every product that is later added is written float64(x*y): the
+// explicit conversion forbids fusing it into a multiply-add (Go spec,
+// "Floating-point operators"), which arm64 would otherwise emit and which
+// would change the result's last bit between executors.
+
+// TableDriven reports whether k's algebra needs nothing but the
+// per-source parameter: the seven non-sketch kinds.
+func (k Kind) TableDriven() bool { return k >= KindWeightedSum && k <= KindCountAbove }
+
+// Slots returns the record arity of a table-driven kind, 0 otherwise.
+func (k Kind) Slots() int {
+	switch k {
+	case KindWeightedSum, KindMin, KindMax, KindCountAbove:
+		return 1
+	case KindWeightedAverage, KindRange:
+		return 2
+	case KindWeightedStdDev:
+		return 3
+	}
+	return 0
+}
+
+// Scalar reports whether k's record is one slot, which PreAgg1 and
+// Merge1 fold in a register.
+func (k Kind) Scalar() bool { return k.Slots() == 1 }
+
+// PreAgg1 is PreAggInto for a Scalar kind, returning the record's slot.
+func (k Kind) PreAgg1(param, v float64) float64 {
+	switch k {
+	case KindWeightedSum:
+		return float64(param * v)
+	case KindCountAbove:
+		if v > param {
+			return 1
+		}
+		return 0
+	}
+	return v // KindMin, KindMax
+}
+
+// Merge1 is MergeInto for a Scalar kind over the records' slots. Min and
+// max have math.Min/math.Max semantics, so the merge is commutative at
+// ±0 and propagates NaN.
+func (k Kind) Merge1(a, b float64) float64 {
+	if k == KindMin || k == KindMax {
+		return k.extreme(a, b)
+	}
+	return a + b // KindWeightedSum, KindCountAbove
+}
+
+// extreme keeps Merge1 small enough to inline into the round loop.
+func (k Kind) extreme(a, b float64) float64 {
+	if k == KindMin {
+		return math.Min(a, b)
+	}
+	return math.Max(a, b)
+}
+
+// PreAggInto writes the one-source record of reading v into dst, using
+// the source's pre-aggregation parameter (see ParamOf).
+func (k Kind) PreAggInto(dst Record, param, v float64) {
+	switch k {
+	case KindWeightedAverage:
+		dst[0] = float64(param * v)
+		dst[1] = 1
+	case KindWeightedStdDev:
+		x := float64(param * v)
+		dst[0] = x
+		dst[1] = float64(x * x)
+		dst[2] = 1
+	case KindRange:
+		dst[0] = v
+		dst[1] = v
+	default:
+		dst[0] = k.PreAgg1(param, v)
+	}
+}
+
+// MergeInto folds src into dst: dst = dst ⊕ src.
+func (k Kind) MergeInto(dst, src Record) {
+	switch k {
+	case KindWeightedAverage:
+		dst[0] = dst[0] + src[0]
+		dst[1] = dst[1] + src[1]
+	case KindWeightedStdDev:
+		dst[0] = dst[0] + src[0]
+		dst[1] = dst[1] + src[1]
+		dst[2] = dst[2] + src[2]
+	case KindRange:
+		dst[0] = math.Min(dst[0], src[0])
+		dst[1] = math.Max(dst[1], src[1])
+	default:
+		dst[0] = k.Merge1(dst[0], src[0])
+	}
+}
+
+// Eval extracts the aggregate from a record that merged every source.
+func (k Kind) Eval(r Record) float64 {
+	switch k {
+	case KindWeightedAverage:
+		return r[0] / r[1]
+	case KindWeightedStdDev:
+		mean := r[0] / r[2]
+		return math.Sqrt(math.Max(0, r[1]/r[2]-float64(mean*mean)))
+	case KindRange:
+		return r[1] - r[0]
+	}
+	return r[0]
 }
 
 // kindErr distinguishes a genuinely unknown kind from a sketch kind whose
@@ -165,58 +226,42 @@ func kindErr(k Kind) error {
 // PreAggByKind pre-aggregates one reading using the family's per-source
 // parameter.
 func PreAggByKind(k Kind, param, v float64) (Record, error) {
-	ops, ok := kindTable[k]
-	if !ok {
+	if !k.TableDriven() {
 		return nil, kindErr(k)
 	}
-	return ops.preAgg(param, v), nil
+	r := make(Record, k.Slots())
+	k.PreAggInto(r, param, v)
+	return r, nil
 }
 
 // MergeByKind merges two records of the family.
 func MergeByKind(k Kind, a, b Record) (Record, error) {
-	ops, ok := kindTable[k]
-	if !ok {
+	if !k.TableDriven() {
 		return nil, kindErr(k)
 	}
-	if len(a) != ops.slots || len(b) != ops.slots {
-		return nil, fmt.Errorf("agg: kind %d records need %d slots (got %d, %d)", k, ops.slots, len(a), len(b))
+	if n := k.Slots(); len(a) != n || len(b) != n {
+		return nil, fmt.Errorf("agg: kind %d records need %d slots (got %d, %d)", k, n, len(a), len(b))
 	}
-	return ops.merge(a, b), nil
+	r := a.Clone()
+	k.MergeInto(r, b)
+	return r, nil
 }
 
 // EvalByKind evaluates a complete record of the family.
 func EvalByKind(k Kind, r Record) (float64, error) {
-	ops, ok := kindTable[k]
-	if !ok {
+	if !k.TableDriven() {
 		return 0, kindErr(k)
 	}
-	if len(r) != ops.slots {
-		return 0, fmt.Errorf("agg: kind %d record needs %d slots (got %d)", k, ops.slots, len(r))
+	if n := k.Slots(); len(r) != n {
+		return 0, fmt.Errorf("agg: kind %d record needs %d slots (got %d)", k, n, len(r))
 	}
-	return ops.eval(r), nil
+	return k.Eval(r), nil
 }
 
 // SlotsOf returns the record arity of the family.
 func SlotsOf(k Kind) (int, error) {
-	ops, ok := kindTable[k]
-	if !ok {
+	if !k.TableDriven() {
 		return 0, kindErr(k)
 	}
-	return ops.slots, nil
+	return k.Slots(), nil
 }
-
-func min2(a, b float64) float64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max2(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func sqrt(x float64) float64 { return math.Sqrt(x) }

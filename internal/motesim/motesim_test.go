@@ -149,9 +149,12 @@ func TestMoteBaselinePlans(t *testing.T) {
 	}
 }
 
+// TestKindRegistryMatchesFuncs pins the weight-independent kind algebra
+// motes run from their tables to the full Func implementations bit for
+// bit, on readings that include ±0 and ±Inf, folding each record both as
+// acc⊕r and as r⊕acc: a merge that is not commutative at the signed zeros
+// (a min written a < b ? a : b) fails it.
 func TestKindRegistryMatchesFuncs(t *testing.T) {
-	// The weight-independent kind algebra must agree with the full Func
-	// implementations on random inputs.
 	rng := rand.New(rand.NewSource(3))
 	srcs := []graph.NodeID{0, 1, 2, 3}
 	w := map[graph.NodeID]float64{0: 0.5, 1: -1.25, 2: 2, 3: 0.75}
@@ -164,41 +167,81 @@ func TestKindRegistryMatchesFuncs(t *testing.T) {
 		agg.NewRange(srcs),
 		agg.NewCountAbove(srcs, 0.3),
 	}
+	special := []float64{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1)}
+	reading := func() float64 {
+		if rng.Intn(2) == 0 {
+			return special[rng.Intn(len(special))]
+		}
+		return rng.NormFloat64() * 3
+	}
+	sameBits := func(a, b agg.Record) bool {
+		if len(a) != len(b) {
+			return false
+		}
+		for i := range a {
+			if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+				return false
+			}
+		}
+		return true
+	}
 	for _, f := range funcs {
 		k, err := agg.KindOf(f)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for trial := 0; trial < 30; trial++ {
-			var full, byKind agg.Record
-			for _, s := range srcs {
-				v := rng.NormFloat64() * 3
-				pf := f.PreAgg(s, v)
-				param, err := agg.ParamOf(f, s)
-				if err != nil {
-					t.Fatal(err)
-				}
-				pk, err := agg.PreAggByKind(k, param, v)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if full == nil {
-					full, byKind = pf, pk
-					continue
-				}
-				full = f.Merge(full, pf)
-				byKind, err = agg.MergeByKind(k, byKind, pk)
-				if err != nil {
-					t.Fatal(err)
-				}
+		for trial := 0; trial < 200; trial++ {
+			vs := make([]float64, len(srcs))
+			for i := range vs {
+				vs[i] = reading()
 			}
-			want := f.Eval(full)
-			got, err := agg.EvalByKind(k, byKind)
-			if err != nil {
-				t.Fatal(err)
+			var evals [2]float64
+			for si, swap := range []bool{false, true} {
+				var full, byKind agg.Record
+				for i, s := range srcs {
+					v := vs[i]
+					pf := f.PreAgg(s, v)
+					param, err := agg.ParamOf(f, s)
+					if err != nil {
+						t.Fatal(err)
+					}
+					pk, err := agg.PreAggByKind(k, param, v)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !sameBits(pk, pf) {
+						t.Fatalf("%s: PreAggByKind(%v) = %v, func %v", f.Name(), v, pk, pf)
+					}
+					if full == nil {
+						full, byKind = pf, pk
+						continue
+					}
+					if swap {
+						full = f.Merge(pf, full)
+						byKind, err = agg.MergeByKind(k, pk, byKind)
+					} else {
+						full = f.Merge(full, pf)
+						byKind, err = agg.MergeByKind(k, byKind, pk)
+					}
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !sameBits(byKind, full) {
+						t.Fatalf("%s (swap=%v): kind record %v != func %v", f.Name(), swap, byKind, full)
+					}
+				}
+				want := f.Eval(full)
+				got, err := agg.EvalByKind(k, byKind)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("%s (swap=%v): kind algebra %v != func %v", f.Name(), swap, got, want)
+				}
+				evals[si] = got
 			}
-			if math.Abs(got-want) > 1e-9*(1+math.Abs(want)) {
-				t.Fatalf("%s: kind algebra %v != func %v", f.Name(), got, want)
+			if math.Float64bits(evals[0]) != math.Float64bits(evals[1]) {
+				t.Fatalf("%s: merge not commutative on %v: %v vs %v", f.Name(), vs, evals[0], evals[1])
 			}
 		}
 		slots, err := agg.SlotsOf(k)

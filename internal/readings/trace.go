@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 
@@ -20,7 +21,8 @@ type Trace struct {
 }
 
 // NewTrace wraps a parsed reading matrix for an n-node network. Every row
-// must carry exactly n readings.
+// must carry exactly n finite readings: a NaN or infinite reading would
+// poison every merge on its paths.
 func NewTrace(n int, rows [][]float64) (*Trace, error) {
 	if len(rows) == 0 {
 		return nil, fmt.Errorf("readings: empty trace")
@@ -28,6 +30,11 @@ func NewTrace(n int, rows [][]float64) (*Trace, error) {
 	for i, r := range rows {
 		if len(r) != n {
 			return nil, fmt.Errorf("readings: trace row %d has %d readings, network has %d nodes", i, len(r), n)
+		}
+		for j, v := range r {
+			if !finite(v) {
+				return nil, fmt.Errorf("readings: trace row %d reading %d is %v; readings must be finite", i, j, v)
+			}
 		}
 	}
 	return &Trace{n: n, rows: rows}, nil
@@ -51,7 +58,8 @@ func (t *Trace) Next() map[graph.NodeID]float64 {
 // reading per station separated by commas and/or whitespace. Blank lines
 // and '#' comments are skipped, and a leading non-numeric line is treated
 // as a column header. Row lengths must agree; NewTrace checks them
-// against the network.
+// against the network. A line of numbers holding NaN or an infinity,
+// which strconv.ParseFloat accepts, is an error naming the line.
 func ParseTrace(r io.Reader) ([][]float64, error) {
 	sc := bufio.NewScanner(r)
 	var rows [][]float64
@@ -70,11 +78,15 @@ func ParseTrace(r io.Reader) ([][]float64, error) {
 		}
 		row := make([]float64, 0, len(fields))
 		ok := true
+		nonFinite := ""
 		for _, f := range fields {
 			v, err := strconv.ParseFloat(f, 64)
 			if err != nil {
 				ok = false
 				break
+			}
+			if !finite(v) && nonFinite == "" {
+				nonFinite = f
 			}
 			row = append(row, v)
 		}
@@ -83,6 +95,9 @@ func ParseTrace(r io.Reader) ([][]float64, error) {
 				continue // column header
 			}
 			return nil, fmt.Errorf("readings: trace line %d is not numeric", lineNo)
+		}
+		if nonFinite != "" {
+			return nil, fmt.Errorf("readings: trace line %d holds non-finite reading %q", lineNo, nonFinite)
 		}
 		if len(rows) > 0 && len(row) != len(rows[0]) {
 			return nil, fmt.Errorf("readings: trace line %d has %d readings, earlier rows have %d", lineNo, len(row), len(rows[0]))
@@ -97,3 +112,5 @@ func ParseTrace(r io.Reader) ([][]float64, error) {
 	}
 	return rows, nil
 }
+
+func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }

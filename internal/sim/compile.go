@@ -13,11 +13,20 @@ import (
 // partial record the plan can ever hold is interned into a dense slot id,
 // and every message unit becomes a unitOp: a raw copy between two slots,
 // or a record assembly whose operand list replays the map-based reference
-// executor's merge sequence exactly. Repeated rounds then run over
-// contiguous scratch arrays (RoundState) with no map lookups and no heap
+// executor's merge sequence exactly. Ops are laid out in processing order
+// and their operands in one flat array in the same order, so a round is
+// one linear pass over contiguous memory with no map lookups and no heap
 // allocations, and — because the compiled program is immutable after
 // construction — arbitrarily many rounds may execute concurrently over
 // one Engine (RunConcurrent).
+//
+// The aggregation algebra is compiled in too. Every raw operand carries
+// its source's pre-aggregation parameter (agg.ParamOf), resolved once, and
+// every op and final merge carries its function's table-driven agg.Kind,
+// whose in-place record algebra the executors switch on: no weight-table
+// lookups and no interface calls per operand. Kind 0 marks a function
+// outside the table (the sketch kinds, external Funcs), which runs
+// through its Func and InPlace methods instead.
 //
 // The presence checks the reference executor performs at run time are
 // discharged statically here: compile replays the processing order over
@@ -37,36 +46,36 @@ const (
 // unitInput is one operand of a compiled record assembly, in the exact
 // order the reference executor merges them.
 type unitInput struct {
+	param  float64 // inRaw: the source's pre-aggregation parameter
+	slot   int32   // raw slot (inRaw) or record slot (inRec)
+	source int32   // inRaw: the source whose reading the slot holds
+	srcBit int32   // inRaw: dense source index, for coverage bitsets
 	kind   inputKind
-	slot   int32        // raw slot (inRaw) or record slot (inRec)
-	source graph.NodeID // inRaw: the source whose reading the slot holds
-	srcBit int32        // inRaw: dense source index, for coverage bitsets
 }
 
-// unitOp is the compiled form of one message unit, indexed by unit index.
+// unitOp is the compiled form of one message unit. Ops are stored in
+// processing order: op p compiles unit e.order[p].
 type unitOp struct {
-	kind plan.UnitKind
+	raw      bool     // UnitRaw: copy raw slot from -> to
+	outMerge bool     // UnitAgg: out already holds a record when this op runs (static)
+	alg      agg.Kind // fn's kernel kind; 0 runs fn's own methods
 
-	// UnitRaw: copy raw slot from -> to.
 	from, to int32
 
-	// UnitAgg: assemble inputs, fold into record slot out.
-	inputs   []unitInput
-	out      int32
-	outMerge bool // out already holds a record when this op runs (static)
-	fn       agg.Func
-	ip       agg.InPlace // fn's in-place extension, nil if unsupported
-	fnLen    int32
-	dest     graph.NodeID
+	// UnitAgg: assemble operands ins[lo:hi], fold into record slot out.
+	lo, hi int32
+	out    int32
+	fnLen  int32
+	fn     agg.Func // runs the record algebra when alg is 0
 }
 
 // finalOp is the compiled final merge and evaluation at one destination.
 type finalOp struct {
 	dest    graph.NodeID
-	fn      agg.Func
-	ip      agg.InPlace
+	alg     agg.Kind
 	fnLen   int32
-	inputs  []unitInput
+	lo, hi  int32 // operands ins[lo:hi]
+	fn      agg.Func
 	sources []graph.NodeID // fn.Sources(), ascending
 	srcBits []int32        // dense source index of each entry of sources
 }
@@ -76,16 +85,17 @@ type compiled struct {
 	nRaw int // raw value slots: dense (node, source) ids
 	nRec int // partial record slots: dense (node, dest) ids
 
-	recOff []int32 // record slot -> offset into the record arena
-	recLen []int32 // record slot -> record arity
+	recOff []int32 // record slot -> offset into the record arena, slots side by side
 	arena  int     // total arena length (float64 slots)
 	maxRec int     // widest record (assembly scratch size)
 
 	srcIDs  []graph.NodeID // sources, ascending (dense source index order)
 	srcSlot []int32        // dense source index -> raw slot of (s, s)
 
-	ops       []unitOp // indexed by unit index
-	unitBytes []int32  // indexed by unit index: on-wire payload bytes
+	ops       []unitOp    // in processing order
+	ins       []unitInput // every op's operands, then every final's
+	msgOff    []int32     // message -> its first op; messages are contiguous in ops
+	unitBytes []int32     // indexed by unit index: on-wire payload bytes
 	finals    []finalOp
 	finalOf   map[graph.NodeID]int32 // destination -> index into finals
 
@@ -97,10 +107,13 @@ type compiled struct {
 	covWords int // words per coverage bitset: ceil(len(srcIDs)/64)
 }
 
-// inPlaceOf returns f's in-place extension, or nil.
-func inPlaceOf(f agg.Func) agg.InPlace {
-	ip, _ := f.(agg.InPlace)
-	return ip
+// kernelKind returns f's table-driven kind, or 0 when f's record algebra
+// runs through its own methods.
+func kernelKind(f agg.Func) agg.Kind {
+	if k, err := agg.KindOf(f); err == nil && k.TableDriven() {
+		return k
+	}
+	return 0
 }
 
 // compile builds the flat round program. It must run after orderMessages
@@ -152,7 +165,6 @@ func (e *Engine) compile(cx *construction) error {
 			recSlotOf[rep] = int32(c.nRec)
 			c.nRec++
 			l := int32(agg.RecordLen(inst.SpecByDest[d].Func))
-			c.recLen = append(c.recLen, l)
 			c.recOff = append(c.recOff, int32(c.arena))
 			c.arena += int(l)
 			if int(l) > c.maxRec {
@@ -170,64 +182,99 @@ func (e *Engine) compile(cx *construction) error {
 		}
 	}
 
-	// compileInputs turns the pair walk's contributions to destination d's
-	// record at node n into operands, in reference merge order. The
-	// upstream record is folded once, at the first record-form pair.
-	inputBuf := make([]unitInput, 0, len(cx.contribs)+len(cx.finalContribs))
-	compileInputs := func(n, d graph.NodeID, pairs []pairInput) ([]unitInput, error) {
-		lo := len(inputBuf)
+	// operands appends the operands of destination d's record at node n to
+	// ins: the pair walk's contributions in reference merge order, the
+	// upstream record folded once, at the first record-form pair.
+	operands := func(ins []unitInput, n, d graph.NodeID, pairs []pairInput) ([]unitInput, error) {
+		lo := len(ins)
+		f := inst.SpecByDest[d].Func
 		usedUpstream := false
 		for _, pi := range pairs {
 			if pi.rec >= 0 {
 				if !usedUpstream {
 					usedUpstream = true
-					inputBuf = append(inputBuf, unitInput{kind: inRec, slot: recSlot(cx.recRep[pi.rec], d)})
+					ins = append(ins, unitInput{kind: inRec, slot: recSlot(cx.recRep[pi.rec], d)})
 				}
 				continue
 			}
-			inputBuf = append(inputBuf, unitInput{kind: inRaw, slot: rawSlot(n, pi.source, pi.prov), source: pi.source, srcBit: srcBit[pi.source]})
+			param, err := agg.ParamOf(f, pi.source)
+			if err != nil {
+				return nil, fmt.Errorf("sim: record for %d at %d: %w", d, n, err)
+			}
+			ins = append(ins, unitInput{kind: inRaw, slot: rawSlot(n, pi.source, pi.prov), source: int32(pi.source), srcBit: srcBit[pi.source], param: param})
 		}
-		if len(inputBuf) == lo {
+		if len(ins) == lo {
 			return nil, fmt.Errorf("sim: empty record for %d at %d", d, n)
 		}
-		return inputBuf[lo:len(inputBuf):len(inputBuf)], nil
+		return ins, nil
+	}
+	unitOperands := func(ins []unitInput, ui int) ([]unitInput, error) {
+		u := e.units[ui]
+		return operands(ins, u.Edge.From, u.Node, cx.contribs[cx.contribOff[ui]:cx.contribOff[ui+1]])
 	}
 
-	c.ops = make([]unitOp, len(e.units))
+	// Intern every slot the units touch in unit index order, the order the
+	// program fingerprints pin; the layout pass below then only looks them
+	// up.
 	c.unitBytes = make([]int32, len(e.units))
+	var scratch []unitInput
 	for i, u := range e.units {
 		c.unitBytes[i] = int32(e.Plan.Bytes(u))
 		if u.Kind == plan.UnitRaw {
-			c.ops[i] = unitOp{kind: plan.UnitRaw, from: rawSlot(u.Edge.From, u.Node, cx.rawUp[i]), to: rawSlot(u.Edge.To, u.Node, cx.rawProv[i])}
+			rawSlot(u.Edge.From, u.Node, cx.rawUp[i])
+			rawSlot(u.Edge.To, u.Node, cx.rawProv[i])
 			continue
 		}
-		inputs, err := compileInputs(u.Edge.From, u.Node, cx.contribs[cx.contribOff[i]:cx.contribOff[i+1]])
-		if err != nil {
+		var err error
+		if scratch, err = unitOperands(scratch[:0], i); err != nil {
+			return err
+		}
+		recSlot(cx.recRep[i], u.Node)
+	}
+
+	// Lay the ops and their operands out in processing order, then the
+	// final merges in destination order.
+	c.ops = make([]unitOp, len(e.order))
+	c.ins = make([]unitInput, 0, len(cx.contribs)+len(cx.finalContribs))
+	for p, ui := range e.order {
+		u := e.units[ui]
+		if u.Kind == plan.UnitRaw {
+			c.ops[p] = unitOp{raw: true, from: rawSlot(u.Edge.From, u.Node, cx.rawUp[ui]), to: rawSlot(u.Edge.To, u.Node, cx.rawProv[ui])}
+			continue
+		}
+		lo := len(c.ins)
+		var err error
+		if c.ins, err = unitOperands(c.ins, ui); err != nil {
 			return err
 		}
 		f := inst.SpecByDest[u.Node].Func
-		c.ops[i] = unitOp{
-			kind:   plan.UnitAgg,
-			inputs: inputs,
-			out:    recSlot(cx.recRep[i], u.Node),
-			fn:     f,
-			ip:     inPlaceOf(f),
-			fnLen:  int32(agg.RecordLen(f)),
-			dest:   u.Node,
+		c.ops[p] = unitOp{
+			alg:   kernelKind(f),
+			lo:    int32(lo),
+			hi:    int32(len(c.ins)),
+			out:   recSlot(cx.recRep[ui], u.Node),
+			fnLen: int32(agg.RecordLen(f)),
+			fn:    f,
 		}
 	}
+	c.msgOff = make([]int32, len(e.messages)+1)
+	for mi, msg := range e.messages {
+		c.msgOff[mi+1] = c.msgOff[mi] + int32(len(msg))
+	}
 	for fi, d := range cx.dests {
-		inputs, err := compileInputs(d, d, cx.finalContribs[cx.finalOff[fi]:cx.finalOff[fi+1]])
-		if err != nil {
+		lo := len(c.ins)
+		var err error
+		if c.ins, err = operands(c.ins, d, d, cx.finalContribs[cx.finalOff[fi]:cx.finalOff[fi+1]]); err != nil {
 			return err
 		}
 		f := inst.SpecByDest[d].Func
 		fo := finalOp{
 			dest:    d,
-			fn:      f,
-			ip:      inPlaceOf(f),
+			alg:     kernelKind(f),
 			fnLen:   int32(agg.RecordLen(f)),
-			inputs:  inputs,
+			lo:      int32(lo),
+			hi:      int32(len(c.ins)),
+			fn:      f,
 			sources: f.Sources(),
 		}
 		fo.srcBits = make([]int32, len(fo.sources))
@@ -276,7 +323,7 @@ func (e *Engine) compile(cx *construction) error {
 			switch in.kind {
 			case inRaw:
 				if in.slot < 0 || !rawSet[in.slot] {
-					if in.source == n {
+					if graph.NodeID(in.source) == n {
 						return fmt.Errorf("sim: local reading of %d missing", in.source)
 					}
 					return fmt.Errorf("sim: raw %d missing at %d for record %d", in.source, n, d)
@@ -289,10 +336,10 @@ func (e *Engine) compile(cx *construction) error {
 		}
 		return nil
 	}
-	for _, idx := range e.order {
-		op := &c.ops[idx]
-		if op.kind == plan.UnitRaw {
-			u := e.units[idx]
+	for p := range c.ops {
+		op := &c.ops[p]
+		u := e.units[e.order[p]]
+		if op.raw {
 			if op.from < 0 || !rawSet[op.from] {
 				return fmt.Errorf("sim: raw %d missing at %d", u.Node, u.Edge.From)
 			}
@@ -301,8 +348,7 @@ func (e *Engine) compile(cx *construction) error {
 			}
 			continue
 		}
-		u := e.units[idx]
-		if err := checkInputs(u.Edge.From, u.Node, op.inputs); err != nil {
+		if err := checkInputs(u.Edge.From, u.Node, c.ins[op.lo:op.hi]); err != nil {
 			return err
 		}
 		op.outMerge = recSet[op.out]
@@ -310,7 +356,7 @@ func (e *Engine) compile(cx *construction) error {
 	}
 	for i := range c.finals {
 		fo := &c.finals[i]
-		if err := checkInputs(fo.dest, fo.dest, fo.inputs); err != nil {
+		if err := checkInputs(fo.dest, fo.dest, c.ins[fo.lo:fo.hi]); err != nil {
 			return err
 		}
 	}

@@ -117,13 +117,7 @@ func NewEngine(p *plan.Plan, model radio.Model, opts Options) (*Engine, error) {
 	for i, u := range e.units {
 		e.provUnit[i] = u.Kind == plan.UnitRaw && cx.rawProv[i] == int32(i)
 	}
-	d := graph.NewDigraph(len(e.units))
-	for u, ds := range e.deps {
-		for _, dep := range ds {
-			d.AddArc(dep, u)
-		}
-	}
-	if d.HasCycle() {
+	if !depsAcyclic(e.deps) {
 		return nil, fmt.Errorf("sim: wait-for cycle among message units (Theorem 2 violated)")
 	}
 	if err := e.buildMessages(cx, opts.MergeMessages); err != nil {
@@ -148,6 +142,45 @@ func NewEngine(p *plan.Plan, model radio.Model, opts Options) (*Engine, error) {
 	e.pool.New = func() any { return e.NewRoundState() }
 	e.lossyPool.New = func() any { return e.newLossyState() }
 	return e, nil
+}
+
+// depsAcyclic reports whether the wait-for relation deps (deps[u] = the
+// units u waits for) is acyclic: an iterative three-colour depth-first
+// search, linear in units plus arcs.
+func depsAcyclic(deps [][]int) bool {
+	const (
+		white = iota // unvisited
+		grey         // on the search path
+		black        // finished: no cycle through it
+	)
+	colour := make([]uint8, len(deps))
+	type frame struct{ u, next int }
+	var path []frame
+	for root := range deps {
+		if colour[root] != white {
+			continue
+		}
+		colour[root] = grey
+		path = append(path[:0], frame{u: root})
+		for len(path) > 0 {
+			f := &path[len(path)-1]
+			if f.next == len(deps[f.u]) {
+				colour[f.u] = black
+				path = path[:len(path)-1]
+				continue
+			}
+			v := deps[f.u][f.next]
+			f.next++
+			switch colour[v] {
+			case grey:
+				return false
+			case white:
+				colour[v] = grey
+				path = append(path, frame{u: v})
+			}
+		}
+	}
+	return true
 }
 
 // Provider sentinels of construction.rawUp and rawProv and of pairInput.prov.

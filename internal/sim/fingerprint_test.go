@@ -100,30 +100,54 @@ func programFingerprint(t *testing.T, e *Engine) string {
 	f.int(int64(c.nRaw))
 	f.int(int64(c.nRec))
 	f.int32s(c.recOff)
-	f.int32s(c.recLen)
+	// Record slots lie side by side in the arena, so each one's arity is
+	// the distance to the next.
+	recLen := make([]int32, c.nRec)
+	for i := range recLen {
+		end := int32(c.arena)
+		if i+1 < c.nRec {
+			end = c.recOff[i+1]
+		}
+		recLen[i] = end - c.recOff[i]
+	}
+	f.int32s(recLen)
 	f.int(int64(c.arena))
 	f.int(int64(c.maxRec))
 	f.nodes(c.srcIDs)
 	f.int32s(c.srcSlot)
+	// Ops are stored in processing order and their operands in one flat
+	// array; hash them per unit index, with the fields of the unit-indexed
+	// layout the goldens were taken on.
+	posOf := make([]int, len(e.order))
+	for p, ui := range e.order {
+		posOf[ui] = p
+	}
 	f.int(int64(len(c.ops)))
-	for _, op := range c.ops {
-		f.int(int64(op.kind))
+	for ui := range c.ops {
+		op := c.ops[posOf[ui]]
+		kind, dest := plan.UnitRaw, graph.NodeID(0)
+		var ins []unitInput
+		if !op.raw {
+			kind, dest, ins = plan.UnitAgg, e.units[ui].Node, c.ins[op.lo:op.hi]
+		}
+		_, inPlace := op.fn.(agg.InPlace)
+		f.int(int64(kind))
 		f.int(int64(op.from))
 		f.int(int64(op.to))
-		f.inputs(op.inputs)
+		f.inputs(ins)
 		f.int(int64(op.out))
 		f.bool(op.outMerge)
 		f.int(int64(op.fnLen))
-		f.int(int64(op.dest))
+		f.int(int64(dest))
 		f.bool(op.fn != nil)
-		f.bool(op.ip != nil)
+		f.bool(inPlace)
 	}
 	f.int32s(c.unitBytes)
 	f.int(int64(len(c.finals)))
 	for _, fo := range c.finals {
 		f.int(int64(fo.dest))
 		f.int(int64(fo.fnLen))
-		f.inputs(fo.inputs)
+		f.inputs(c.ins[fo.lo:fo.hi])
 		f.nodes(fo.sources)
 		f.int32s(fo.srcBits)
 		f.int(int64(c.finalOf[fo.dest]))

@@ -8,7 +8,6 @@ import (
 
 	"m2m/internal/agg"
 	"m2m/internal/graph"
-	"m2m/internal/plan"
 )
 
 // RoundState is the recyclable scratch of one compiled round: the raw
@@ -41,81 +40,180 @@ func (e *Engine) NewRoundState() *RoundState {
 func (e *Engine) getState() *RoundState   { return e.pool.Get().(*RoundState) }
 func (e *Engine) putState(st *RoundState) { e.pool.Put(st) }
 
+// preAggRec writes raw operand in's pre-aggregated reading v into dst:
+// through the kernel of a table-driven kind k, through fn when k is 0.
+func preAggRec(k agg.Kind, fn agg.Func, dst agg.Record, in *unitInput, v float64) {
+	if k != 0 {
+		k.PreAggInto(dst, in.param, v)
+		return
+	}
+	agg.PreAggInto(fn, dst, graph.NodeID(in.source), v)
+}
+
+// mergeRec folds src into dst (dst = dst ⊕ src) through the kernel of k,
+// or through fn when k is 0.
+func mergeRec(k agg.Kind, fn agg.Func, dst, src agg.Record) {
+	if k != 0 {
+		k.MergeInto(dst, src)
+		return
+	}
+	agg.MergeInto(fn, dst, src)
+}
+
+// evalRec evaluates a complete record through the kernel of k, or
+// through fn when k is 0.
+func evalRec(k agg.Kind, fn agg.Func, r agg.Record) float64 {
+	if k != 0 {
+		return k.Eval(r)
+	}
+	return fn.Eval(r)
+}
+
+// scalarOperand is operand in of a Scalar kind k, as a register value.
+func scalarOperand(k agg.Kind, in *unitInput, raw, arena []float64, recOff []int32) float64 {
+	if in.kind == inRec {
+		return arena[recOff[in.slot]]
+	}
+	return k.PreAgg1(in.param, raw[in.slot])
+}
+
+// foldScalar is assembleInto for a Scalar kind: the same operand sequence
+// and merges, folded in a register instead of a record.
+func foldScalar(k agg.Kind, ins []unitInput, raw, arena []float64, recOff []int32) float64 {
+	var acc float64
+	for i := range ins {
+		x := scalarOperand(k, &ins[i], raw, arena, recOff)
+		if i == 0 {
+			acc = x
+		} else {
+			acc = k.Merge1(acc, x)
+		}
+	}
+	return acc
+}
+
 // assembleInto replays one compiled operand list into tmp: the first
 // operand is written, the rest folded with the function's merge — the
 // exact sequence (and therefore the exact floats) of the reference
 // executor's assembleRecord. Presence was proven at compile time, so
 // there are no runtime checks.
-func assembleInto(fn agg.Func, ip agg.InPlace, inputs []unitInput, st *RoundState, c *compiled, tmp agg.Record) {
-	for i, in := range inputs {
+func assembleInto(k agg.Kind, fn agg.Func, ins []unitInput, st *RoundState, recOff []int32, tmp agg.Record) {
+	for i := range ins {
+		in := &ins[i]
 		if in.kind == inRec {
-			rec := st.arena[c.recOff[in.slot] : c.recOff[in.slot]+c.recLen[in.slot]]
+			rec := st.arena[recOff[in.slot]:][:len(tmp)]
 			if i == 0 {
 				copy(tmp, rec)
-			} else if ip != nil {
-				ip.MergeInto(tmp, rec)
 			} else {
-				copy(tmp, fn.Merge(tmp, rec))
+				mergeRec(k, fn, tmp, rec)
 			}
 			continue
 		}
 		v := st.raw[in.slot]
 		if i == 0 {
-			if ip != nil {
-				ip.PreAggInto(tmp, in.source, v)
-			} else {
-				copy(tmp, fn.PreAgg(in.source, v))
-			}
+			preAggRec(k, fn, tmp, in, v)
 			continue
 		}
 		op := st.tmp2[:len(tmp)]
-		if ip != nil {
-			ip.PreAggInto(op, in.source, v)
-			ip.MergeInto(tmp, op)
-		} else {
-			copy(op, fn.PreAgg(in.source, v))
-			copy(tmp, fn.Merge(tmp, op))
-		}
+		preAggRec(k, fn, op, in, v)
+		mergeRec(k, fn, tmp, op)
+	}
+}
+
+// assemble builds record op's (or final merge's) record from operands
+// ins into st.tmp and returns it: Scalar kinds fold in a register and
+// store once, the others assemble in place.
+func (c *compiled) assemble(k agg.Kind, fn agg.Func, fnLen int32, ins []unitInput, st *RoundState) agg.Record {
+	tmp := st.tmp[:fnLen]
+	if k.Scalar() {
+		tmp[0] = foldScalar(k, ins, st.raw, st.arena, c.recOff)
+	} else {
+		assembleInto(k, fn, ins, st, c.recOff, tmp)
+	}
+	return tmp
+}
+
+// store writes record op's assembled record rec into its output slot,
+// merging it with the record already there when the slot is shared.
+func (c *compiled) store(op *unitOp, st *RoundState, rec agg.Record) {
+	out := st.arena[c.recOff[op.out]:][:op.fnLen]
+	if op.outMerge {
+		mergeRec(op.alg, op.fn, out, rec)
+	} else {
+		copy(out, rec)
 	}
 }
 
 // runCompiled executes one round of the compiled program over st, writing
-// each destination's aggregate into values. With a nil observer it is
+// each destination's aggregate into values: one linear pass over the ops
+// in processing order, then the final merges. Without an observer it is
 // allocation-free.
 func (e *Engine) runCompiled(readings map[graph.NodeID]float64, st *RoundState, values map[graph.NodeID]float64, obs Observer) {
 	c := e.prog
 	for i, slot := range c.srcSlot {
 		st.raw[slot] = readings[c.srcIDs[i]]
 	}
-	for _, idx := range e.order {
-		op := &c.ops[idx]
-		if op.kind == plan.UnitRaw {
-			v := st.raw[op.from]
-			st.raw[op.to] = v
-			if obs != nil {
-				obs(e.units[idx], v, nil)
-			}
-			continue
-		}
-		tmp := st.tmp[:op.fnLen]
-		assembleInto(op.fn, op.ip, op.inputs, st, c, tmp)
-		if obs != nil {
-			obs(e.units[idx], 0, append(agg.Record(nil), tmp...))
-		}
-		out := st.arena[c.recOff[op.out] : c.recOff[op.out]+op.fnLen]
-		if !op.outMerge {
-			copy(out, tmp)
-		} else if op.ip != nil {
-			op.ip.MergeInto(out, tmp)
-		} else {
-			copy(out, op.fn.Merge(out, tmp))
-		}
+	if obs != nil {
+		e.observeOps(st, obs)
+	} else {
+		c.runOps(st)
 	}
 	for i := range c.finals {
 		fo := &c.finals[i]
-		tmp := st.tmp[:fo.fnLen]
-		assembleInto(fo.fn, fo.ip, fo.inputs, st, c, tmp)
-		values[fo.dest] = fo.fn.Eval(tmp)
+		rec := c.assemble(fo.alg, fo.fn, fo.fnLen, c.ins[fo.lo:fo.hi], st)
+		values[fo.dest] = evalRec(fo.alg, fo.fn, rec)
+	}
+}
+
+// runOps is the pass over the ops. Raw copies are inline, and so is the
+// weighted sum, the default workload kind: foldScalar spelled out with a
+// constant kind, so the kernel's kind switches compile away and the loop
+// makes no calls on that path (about a fifth off a 10k round).
+func (c *compiled) runOps(st *RoundState) {
+	raw, arena, recOff := st.raw, st.arena, c.recOff
+	for p := range c.ops {
+		op := &c.ops[p]
+		switch {
+		case op.raw:
+			raw[op.to] = raw[op.from]
+		case op.alg == agg.KindWeightedSum:
+			const k = agg.KindWeightedSum
+			var x float64
+			for i, in := range c.ins[op.lo:op.hi] {
+				y := scalarOperand(k, &in, raw, arena, recOff)
+				if i == 0 {
+					x = y
+				} else {
+					x = k.Merge1(x, y)
+				}
+			}
+			out := &arena[recOff[op.out]]
+			if op.outMerge {
+				x = k.Merge1(*out, x)
+			}
+			*out = x
+		default:
+			c.store(op, st, c.assemble(op.alg, op.fn, op.fnLen, c.ins[op.lo:op.hi], st))
+		}
+	}
+}
+
+// observeOps is runOps reporting every unit to obs: raw values as they
+// are copied and records as they are assembled, before any merge into a
+// shared slot. Observed records are clones the observer may keep.
+func (e *Engine) observeOps(st *RoundState, obs Observer) {
+	c := e.prog
+	for p := range c.ops {
+		op := &c.ops[p]
+		u := e.units[e.order[p]]
+		if op.raw {
+			st.raw[op.to] = st.raw[op.from]
+			obs(u, st.raw[op.to], nil)
+			continue
+		}
+		rec := c.assemble(op.alg, op.fn, op.fnLen, c.ins[op.lo:op.hi], st)
+		obs(u, 0, append(agg.Record(nil), rec...))
+		c.store(op, st, rec)
 	}
 }
 
@@ -275,26 +373,18 @@ func addContrib(cs []contrib, nc contrib) []contrib {
 	return cs
 }
 
-// mergeRecInto folds src into dst with fn's in-place extension when it has
-// one, reproducing dst = fn.Merge(dst, src) bit for bit either way.
-func mergeRecInto(fn agg.Func, ip agg.InPlace, dst, src agg.Record) {
-	if ip != nil {
-		ip.MergeInto(dst, src)
-	} else {
-		copy(dst, fn.Merge(dst, src))
-	}
-}
-
 // assemble replays one compiled operand list under partial delivery:
 // absent operands are skipped, and a record slot's value is its delivered
 // contributions folded in planned message order, ((c0⊕c1)⊕…), before it is
 // merged in — the association order of Run's arena, so a fault-free round
-// is byte-identical to Run however the arrivals interleaved. Covered
-// sources accumulate into covTmp; it reports whether anything was present.
-func (st *lossyState) assemble(fn agg.Func, ip agg.InPlace, inputs []unitInput, tmp agg.Record) bool {
+// is byte-identical to Run however the arrivals interleaved. It folds
+// with the same kernel as runCompiled. Covered sources accumulate into
+// covTmp; it reports whether anything was present.
+func (st *lossyState) assemble(k agg.Kind, fn agg.Func, ins []unitInput, tmp agg.Record) bool {
 	covClear(st.covTmp)
 	got := false
-	for _, in := range inputs {
+	for i := range ins {
+		in := &ins[i]
 		if in.kind == inRec {
 			cs := st.contribs[in.slot]
 			if len(cs) == 0 {
@@ -304,14 +394,14 @@ func (st *lossyState) assemble(fn agg.Func, ip agg.InPlace, inputs []unitInput, 
 			copy(rec, cs[0].rec)
 			covOr(st.covTmp, cs[0].cov)
 			for _, cc := range cs[1:] {
-				mergeRecInto(fn, ip, rec, cc.rec)
+				mergeRec(k, fn, rec, cc.rec)
 				covOr(st.covTmp, cc.cov)
 			}
 			if !got {
 				got = true
 				copy(tmp, rec)
 			} else {
-				mergeRecInto(fn, ip, tmp, rec)
+				mergeRec(k, fn, tmp, rec)
 			}
 			continue
 		}
@@ -321,20 +411,11 @@ func (st *lossyState) assemble(fn agg.Func, ip agg.InPlace, inputs []unitInput, 
 		v := st.raw[in.slot]
 		if !got {
 			got = true
-			if ip != nil {
-				ip.PreAggInto(tmp, in.source, v)
-			} else {
-				copy(tmp, fn.PreAgg(in.source, v))
-			}
+			preAggRec(k, fn, tmp, in, v)
 		} else {
 			op := agg.Record(st.tmp2[:len(tmp)])
-			if ip != nil {
-				ip.PreAggInto(op, in.source, v)
-				ip.MergeInto(tmp, op)
-			} else {
-				copy(op, fn.PreAgg(in.source, v))
-				copy(tmp, fn.Merge(tmp, op))
-			}
+			preAggRec(k, fn, op, in, v)
+			mergeRec(k, fn, tmp, op)
 		}
 		covSetBit(st.covTmp, in.srcBit)
 	}
@@ -404,9 +485,10 @@ func (r *faultRound) down(n graph.NodeID) bool {
 func (r *faultRound) snapshot(mi int, raws []carriedRaw, recs []carriedRec) ([]carriedRaw, []carriedRec, int) {
 	c, st := r.e.prog, r.st
 	body := 0
-	for _, ui := range r.e.messages[mi] {
-		op := &c.ops[ui]
-		if op.kind == plan.UnitRaw {
+	ops := c.ops[c.msgOff[mi]:c.msgOff[mi+1]]
+	for j, ui := range r.e.messages[mi] {
+		op := &ops[j]
+		if op.raw {
 			if st.rawSet[op.from] {
 				raws = append(raws, carriedRaw{slot: op.to, val: st.raw[op.from]})
 				body += int(c.unitBytes[ui])
@@ -414,7 +496,7 @@ func (r *faultRound) snapshot(mi int, raws []carriedRaw, recs []carriedRec) ([]c
 			continue
 		}
 		tmp := st.tmp[:op.fnLen]
-		if st.assemble(op.fn, op.ip, op.inputs, tmp) {
+		if st.assemble(op.alg, op.fn, c.ins[op.lo:op.hi], tmp) {
 			recs = append(recs, carriedRec{
 				slot: op.out,
 				rec:  append(agg.Record(nil), tmp...),
@@ -464,7 +546,7 @@ func (r *faultRound) report(fi int, dead bool) *DeliveryReport {
 		return rep
 	}
 	tmp := r.st.tmp[:fo.fnLen]
-	got := r.st.assemble(fo.fn, fo.ip, fo.inputs, tmp)
+	got := r.st.assemble(fo.alg, fo.fn, r.e.prog.ins[fo.lo:fo.hi], tmp)
 	for j, s := range fo.sources {
 		if covHasBit(r.st.covTmp, fo.srcBits[j]) {
 			rep.Covered = append(rep.Covered, s)
@@ -477,6 +559,6 @@ func (r *faultRound) report(fi int, dead bool) *DeliveryReport {
 		return rep
 	}
 	rep.Fresh = len(rep.Missing) == 0
-	r.res.Values[fo.dest] = fo.fn.Eval(tmp)
+	r.res.Values[fo.dest] = evalRec(fo.alg, fo.fn, tmp)
 	return rep
 }
