@@ -27,49 +27,25 @@ const (
 // "amplify", or "spray".
 func ParseByzMode(s string) (ByzMode, error) { return chaos.ParseByzMode(s) }
 
-// ByzantineConfig tunes the outlier-quarantine loop of a
-// ResilientSession. The loop assumes commensurate sensors: every
-// monitored source samples the same physical field, so an honest
-// reading sits within a few robust scales of the population median.
-// Zero values select the defaults noted on each field.
-type ByzantineConfig struct {
-	// GateK is the residual gate in robust scales: a source whose
-	// reported reading sits more than GateK scaled deviations from the
-	// robust center is a suspect this round (default 6).
-	GateK float64
-	// Window is how many consecutive suspect rounds a source survives
-	// before its specs are excised and the session replans without it
-	// (default 3).
-	Window int
-	// CleanRounds is how many consecutive in-gate rounds an excised
-	// source must show before it is re-admitted into the workload
-	// (default 8).
-	CleanRounds int
-	// MinScale floors the robust scale estimate, so a quiescent field
-	// (near-zero dispersion) does not turn sensor noise into suspicion
-	// (default 1).
-	MinScale float64
-}
-
-func (c ByzantineConfig) withDefaults() (ByzantineConfig, error) {
-	if c.GateK == 0 {
-		c.GateK = 6
-	}
-	if c.Window == 0 {
-		c.Window = 3
-	}
-	if c.CleanRounds == 0 {
-		c.CleanRounds = 8
-	}
-	if c.MinScale == 0 {
-		c.MinScale = 1
-	}
-	if c.GateK < 0 || c.Window < 0 || c.CleanRounds < 0 || c.MinScale < 0 ||
-		math.IsNaN(c.GateK) || math.IsNaN(c.MinScale) {
-		return c, fmt.Errorf("m2m: negative byzantine config %+v", c)
-	}
-	return c, nil
-}
+// The outlier-quarantine loop of a ResilientSession assumes commensurate
+// sensors: every monitored source samples the same physical field, so an
+// honest reading sits within a few robust scales of the population
+// median.
+const (
+	// byzGateK is the residual gate in robust scales: a source whose
+	// reported reading sits more than byzGateK scaled deviations from the
+	// robust center is a suspect this round.
+	byzGateK = 6.0
+	// byzWindow is how many consecutive suspect rounds a source survives
+	// before its specs are excised and the session replans without it.
+	byzWindow = 3
+	// byzCleanRounds is how many consecutive in-gate rounds an excised
+	// source must show before it is re-admitted into the workload.
+	byzCleanRounds = 8
+	// byzMinScale floors the robust scale estimate, so a quiescent field
+	// (near-zero dispersion) does not turn sensor noise into suspicion.
+	byzMinScale = 1.0
+)
 
 // ExcisionEvent records one quarantine decision: a source excised from
 // the workload for sustained out-of-gate reporting, and (eventually) its
@@ -93,8 +69,8 @@ type ExcisionEvent struct {
 // observeByzantine runs the base station's outlier audit after a round:
 // collect every monitored source's reported reading, locate the robust
 // center (median) and scale (MAD), flag out-of-gate reporters, excise
-// sources that stayed suspect for Window consecutive rounds, and
-// re-admit excised sources that stayed clean for CleanRounds.
+// sources that stayed suspect for byzWindow consecutive rounds, and
+// re-admit excised sources that stayed clean for byzCleanRounds.
 //
 // The center and scale are estimated over the non-excised reports only:
 // known liars must not drag the scale up and widen their own gate. With
@@ -121,8 +97,8 @@ func (s *ResilientSession) observeByzantine(cur map[NodeID]float64, step *Resili
 	}
 	center := median(est)
 	scale := 1.4826 * medianAbsDev(est, center)
-	if scale < s.byz.MinScale {
-		scale = s.byz.MinScale
+	if scale < byzMinScale {
+		scale = byzMinScale
 	}
 
 	var toExcise, toReadmit []NodeID
@@ -133,11 +109,11 @@ func (s *ResilientSession) observeByzantine(cur map[NodeID]float64, step *Resili
 			continue
 		}
 		dev := math.Abs(r-center) / scale
-		if dev > s.byz.GateK {
+		if dev > byzGateK {
 			s.cleanRuns[n] = 0
 			s.suspectRuns[n]++
 			step.Suspects = append(step.Suspects, n)
-			if !s.excised[n] && s.suspectRuns[n] >= s.byz.Window {
+			if !s.excised[n] && s.suspectRuns[n] >= byzWindow {
 				toExcise = append(toExcise, n)
 				residuals[n] = dev
 			}
@@ -146,7 +122,7 @@ func (s *ResilientSession) observeByzantine(cur map[NodeID]float64, step *Resili
 		s.suspectRuns[n] = 0
 		if s.excised[n] {
 			s.cleanRuns[n]++
-			if s.cleanRuns[n] >= s.byz.CleanRounds {
+			if s.cleanRuns[n] >= byzCleanRounds {
 				toReadmit = append(toReadmit, n)
 			}
 		}
@@ -198,7 +174,7 @@ func (s *ResilientSession) excise(n NodeID, residual float64) (*ExcisionEvent, e
 	return ev, nil
 }
 
-// readmit restores an excised source that has behaved for CleanRounds
+// readmit restores an excised source that has behaved for byzCleanRounds
 // consecutive rounds: the workload is rebuilt from the pristine specs
 // minus the dead and still-excised sets, and the session replans
 // incrementally — the inverse of excise, through the same machinery.

@@ -686,7 +686,7 @@ func runByzantine(net *m2m.Network, specs []m2m.Spec, kind m2m.RouterKind, gen m
 	}
 	inj.WithByzantine(m2m.NodeID(byzNode), mode, param, byzRound, dur)
 	check(inj.Validate())
-	s, err := m2m.NewResilientSession(net, specs, kind, gen, inj, m2m.ResilientConfig{Byzantine: &m2m.ByzantineConfig{}})
+	s, err := m2m.NewResilientSession(net, specs, kind, gen, inj, m2m.ResilientConfig{Byzantine: true})
 	check(err)
 	window := "forever"
 	if byzLen > 0 {

@@ -250,7 +250,7 @@ func TestExcisionReplanKeepsTDMA(t *testing.T) {
 	if err := inj.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	s, err := NewResilientSession(net, specs, RouterReversePath, gen, inj, ResilientConfig{Byzantine: &ByzantineConfig{}})
+	s, err := NewResilientSession(net, specs, RouterReversePath, gen, inj, ResilientConfig{Byzantine: true})
 	if err != nil {
 		t.Fatal(err)
 	}

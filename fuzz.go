@@ -102,12 +102,10 @@ func NewScenarioRun(sc *Scenario) (*ScenarioRun, error) {
 		MaxRetries:    sc.MaxRetries,
 		MissThreshold: sc.MissThreshold,
 		DetourBudget:  sc.DetourBudget,
+		Byzantine:     len(sc.Byzantine) > 0,
 	}
 	if a := sc.Async; a != nil {
 		cfg.Async = &AsyncConfig{DeadlineMS: a.DeadlineMS}
-	}
-	if len(sc.Byzantine) > 0 {
-		cfg.Byzantine = &ByzantineConfig{}
 	}
 	if c := sc.Collide; c != nil && c.EagerTDMA {
 		cfg.TDMASwitchThreshold = 0.01

@@ -84,9 +84,7 @@ func (p *Partition) Cuts(r int, e routing.Edge) bool {
 // the Deliver/NodeDead schedule interface.
 type Injector struct {
 	seed       int64
-	loss       func(routing.Edge) float64
-	uniformP   float64 // last WithUniformLoss argument, for Validate
-	hasUniform bool
+	loss       float64 // WithUniformLoss argument, unclamped for Validate
 	outages    map[link][]Outage
 	crashes    map[graph.NodeID]int
 	revives    map[graph.NodeID]int
@@ -117,30 +115,13 @@ func New(seed int64) *Injector {
 	}
 }
 
-// WithLoss installs an explicit per-edge loss schedule. The function must
-// return a probability in [0, 1); it is queried per directed plan edge.
-// Out-of-range returns (NaN, negative, or >= 1) are clamped by LinkLoss
-// rather than silently making Deliver always or never succeed.
-func (in *Injector) WithLoss(fn func(routing.Edge) float64) *Injector {
-	in.loss = fn
-	in.hasUniform = false
-	return in
-}
-
 // WithUniformLoss makes every link lose packets independently with
-// probability p in [0, 1).
+// probability p in [0, 1). Validate rejects an out-of-range p; LinkLoss
+// clamps it for callers that skip Validate, rather than silently making
+// Deliver always or never succeed.
 func (in *Injector) WithUniformLoss(p float64) *Injector {
-	in.WithLoss(func(routing.Edge) float64 { return p })
-	in.uniformP = p
-	in.hasUniform = true
+	in.loss = p
 	return in
-}
-
-// WithDistanceLoss drives per-link loss from link length via the supplied
-// distance function and a gray-zone loss model (radio.LossForDistance is
-// the intended lossFor).
-func (in *Injector) WithDistanceLoss(dist func(routing.Edge) float64, lossFor func(d float64) float64) *Injector {
-	return in.WithLoss(func(e routing.Edge) float64 { return lossFor(dist(e)) })
 }
 
 // WithJitter installs the per-copy latency model: every delivered copy
@@ -264,10 +245,8 @@ func (in *Injector) Validate() error {
 			return fmt.Errorf("chaos: partition [%d,+%d) invalid", p.Start, p.Rounds)
 		}
 	}
-	if in.hasUniform {
-		if math.IsNaN(in.uniformP) || in.uniformP < 0 || in.uniformP >= 1 {
-			return fmt.Errorf("chaos: uniform loss probability %v outside [0,1)", in.uniformP)
-		}
+	if math.IsNaN(in.loss) || in.loss < 0 || in.loss >= 1 {
+		return fmt.Errorf("chaos: uniform loss probability %v outside [0,1)", in.loss)
 	}
 	if in.baseMS < 0 || in.jitterMS < 0 {
 		return fmt.Errorf("chaos: negative latency model (base=%v, jitter=%v)", in.baseMS, in.jitterMS)
@@ -321,15 +300,12 @@ func (in *Injector) LinkDown(round int, e routing.Edge) bool {
 	return false
 }
 
-// LinkLoss returns the stochastic loss probability configured for e,
-// clamped into [0, 1): a schedule returning NaN or a negative value loses
-// nothing, and one returning >= 1 is pinned just below certain loss so ARQ
-// retries still draw independently instead of silently never delivering.
-func (in *Injector) LinkLoss(e routing.Edge) float64 {
-	if in.loss == nil {
-		return 0
-	}
-	p := in.loss(e)
+// LinkLoss returns the stochastic loss probability of every link, clamped
+// into [0, 1): NaN or a negative value loses nothing, and one >= 1 is
+// pinned just below certain loss so ARQ retries still draw independently
+// instead of silently never delivering.
+func (in *Injector) LinkLoss() float64 {
+	p := in.loss
 	if math.IsNaN(p) || p < 0 {
 		return 0
 	}
@@ -349,7 +325,7 @@ func (in *Injector) Deliver(round int, e routing.Edge, attempt int) bool {
 	if in.LinkDown(round, e) {
 		return false
 	}
-	p := in.LinkLoss(e)
+	p := in.LinkLoss()
 	if p <= 0 {
 		return true
 	}

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"m2m/internal/graph"
-	"m2m/internal/radio"
 	"m2m/internal/routing"
 )
 
@@ -251,33 +250,6 @@ func TestCrashIsPermanent(t *testing.T) {
 	}
 }
 
-func TestDistanceLoss(t *testing.T) {
-	// Edge length drives loss through the gray-zone model: a short link is
-	// perfect, a full-range link lossy.
-	dist := func(e routing.Edge) float64 {
-		if e.From == 0 {
-			return 10
-		}
-		return 49
-	}
-	in := New(3).WithDistanceLoss(dist, func(d float64) float64 {
-		return radio.LossForDistance(d, 50, 0.5)
-	})
-	short := routing.Edge{From: 0, To: 1}
-	long := routing.Edge{From: 1, To: 2}
-	if got := in.LinkLoss(short); got != 0 {
-		t.Errorf("short link loss = %v, want 0", got)
-	}
-	if got := in.LinkLoss(long); got <= 0.3 {
-		t.Errorf("long link loss = %v, want near max", got)
-	}
-	for r := 0; r < 20; r++ {
-		if !in.Deliver(r, short, 0) {
-			t.Fatal("perfect link dropped")
-		}
-	}
-}
-
 func TestValidate(t *testing.T) {
 	if err := New(0).Crash(1, -1).Validate(); err == nil {
 		t.Error("negative crash round accepted")
@@ -383,14 +355,8 @@ func TestLossScheduleValidateAndClamp(t *testing.T) {
 	if err := New(0).WithUniformLoss(0.999).Validate(); err != nil {
 		t.Errorf("valid loss rejected: %v", err)
 	}
-	// A later explicit schedule replaces the uniform one in Validate's eyes.
-	if err := New(0).WithUniformLoss(2).WithLoss(func(routing.Edge) float64 { return 0.1 }).Validate(); err != nil {
-		t.Errorf("replaced uniform loss still validated: %v", err)
-	}
-
-	e := routing.Edge{From: 0, To: 1}
 	clamp := func(p float64) float64 {
-		return New(0).WithLoss(func(routing.Edge) float64 { return p }).LinkLoss(e)
+		return New(0).WithUniformLoss(p).LinkLoss()
 	}
 	if got := clamp(math.NaN()); got != 0 {
 		t.Errorf("NaN clamped to %v, want 0", got)
@@ -401,10 +367,11 @@ func TestLossScheduleValidateAndClamp(t *testing.T) {
 	if got := clamp(1.5); got >= 1 || got < 0.999 {
 		t.Errorf("over-unity clamped to %v, want just below 1", got)
 	}
-	// Even a clamped certain-loss schedule draws independently: with the
+	// Even a clamped certain loss draws independently: with the
 	// probability pinned below 1 every attempt still consults the hash, so
 	// ARQ never silently degenerates into a guaranteed black hole.
-	in := New(0).WithLoss(func(routing.Edge) float64 { return 7 })
+	e := routing.Edge{From: 0, To: 1}
+	in := New(0).WithUniformLoss(7)
 	for r := 0; r < 10; r++ {
 		if in.Deliver(r, e, 0) {
 			t.Fatalf("round %d: delivery at near-certain loss", r)

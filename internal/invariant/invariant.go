@@ -98,10 +98,10 @@ type Options struct {
 	// it. It exists for mutation-testing the checkers themselves: a
 	// deliberately corrupted step must be caught.
 	MutateStep func(*m2m.ResilientStep)
-	// MaxViolations stops the run once this many violations accumulate
-	// (default 8).
-	MaxViolations int
 }
+
+// maxViolations stops a checked run once this many violations accumulate.
+const maxViolations = 8
 
 // checker carries the ground-truth state threaded through a run.
 type checker struct {

@@ -27,20 +27,16 @@ func CheckSeed(seed int64) *Report {
 // checker enabled.
 func Check(sc *m2m.Scenario) *Report { return CheckWith(sc, Options{}) }
 
-// CheckWith is Check with options (test hooks, violation caps).
+// CheckWith is Check with options (test hooks).
 func CheckWith(sc *m2m.Scenario, opts Options) *Report {
 	rep := &Report{Seed: sc.Seed, Scenario: sc}
-	maxV := opts.MaxViolations
-	if maxV <= 0 {
-		maxV = 8
-	}
 	run, err := m2m.NewScenarioRun(sc)
 	if err != nil {
 		rep.addf("build", -1, "building run: %v", err)
 		return rep
 	}
 	c := newChecker(run)
-	for i := 0; i < sc.Rounds && len(rep.Violations) < maxV; i++ {
+	for i := 0; i < sc.Rounds && len(rep.Violations) < maxViolations; i++ {
 		c.observeGround(i)
 		step, err := run.Step()
 		if err != nil {
@@ -57,7 +53,7 @@ func CheckWith(sc *m2m.Scenario, opts Options) *Report {
 		c.checkStep(rep, step)
 		rep.Rounds = i + 1
 	}
-	if len(rep.Violations) < maxV {
+	if len(rep.Violations) < maxViolations {
 		c.checkEnd(rep)
 	}
 	return rep

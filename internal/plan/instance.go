@@ -208,28 +208,6 @@ func (inst *Instance) EdgeDests(e routing.Edge) []graph.NodeID {
 	return slices.Compact(out)
 }
 
-// InEdges returns the directed workload edges entering n, sorted.
-func (inst *Instance) InEdges(n graph.NodeID) []routing.Edge {
-	var out []routing.Edge
-	for _, e := range inst.EdgeList {
-		if e.To == n {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
-// OutEdges returns the directed workload edges leaving n, sorted.
-func (inst *Instance) OutEdges(n graph.NodeID) []routing.Edge {
-	var out []routing.Edge
-	for _, e := range inst.EdgeList {
-		if e.From == n {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
 // PairEdgeIndex returns the position of e on the path of pr, or -1 if the
 // path does not cross e.
 func (inst *Instance) PairEdgeIndex(pr Pair, e routing.Edge) int {

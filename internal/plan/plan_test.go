@@ -239,17 +239,23 @@ func sharedRouter(t testing.TB) func(*graph.Undirected) routing.Router {
 func reverseRouter(g *graph.Undirected) routing.Router { return routing.NewReversePath(g) }
 
 func TestTheorem1NoRepairsUnderSharing(t *testing.T) {
-	// With the shared-tree router both routing restrictions hold, so the
-	// independently solved edges must assemble without any repair.
-	rng := rand.New(rand.NewSource(2007))
-	for trial := 0; trial < 15; trial++ {
-		inst := randomInstance(t, rng, 40, 6, 5, sharedRouter(t))
-		p, err := Optimize(inst)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if p.Repairs != 0 {
-			t.Fatalf("trial %d: Theorem 1 violated, %d repairs under shared-tree routing", trial, p.Repairs)
+	// With the shared-tree and reverse-path routers both routing
+	// restrictions hold (see routing.Router), so the independently solved
+	// edges must assemble without any repair.
+	for name, router := range map[string]func(*graph.Undirected) routing.Router{
+		"shared-tree":  sharedRouter(t),
+		"reverse-path": reverseRouter,
+	} {
+		rng := rand.New(rand.NewSource(2007))
+		for trial := 0; trial < 15; trial++ {
+			inst := randomInstance(t, rng, 40, 6, 5, router)
+			p, err := Optimize(inst)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if p.Repairs != 0 {
+				t.Fatalf("%s trial %d: Theorem 1 violated, %d repairs", name, trial, p.Repairs)
+			}
 		}
 	}
 }

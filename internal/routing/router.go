@@ -17,8 +17,11 @@ import (
 // The paper's stronger path-sharing restriction (identical i→j paths across
 // ALL trees, Section 2.1) additionally makes every per-source multicast
 // structure a tree and is what Theorem 1's zero-conflict guarantee rests
-// on. SharedTree satisfies it; ReversePath satisfies only the suffix
-// property, so the planner may need (counted) repairs.
+// on. SharedTree satisfies it, and so does ReversePath: its next hop from
+// x toward d is the smallest-ID neighbour one hop closer to d, and when a
+// route to d passes x and then m, every neighbour of x one hop closer to
+// m is one hop closer to d. Two routes through x and then m therefore
+// take the same next hop, and by induction share their x→m path.
 type Router interface {
 	// Name identifies the routing strategy.
 	Name() string

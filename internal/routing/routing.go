@@ -342,9 +342,6 @@ func (b *SharedTree) treePath(a, c graph.NodeID) []graph.NodeID {
 	return path
 }
 
-// CheckMinimality verifies the paper's first routing restriction for t.
-func CheckMinimality(t *Tree) error { return t.Validate() }
-
 // CheckSharing verifies the paper's second restriction across trees: every
 // ordered node pair (i, j) connected inside two trees must use the same
 // i→j path. It returns the first conflicting pair found, or nil.

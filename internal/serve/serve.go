@@ -183,9 +183,6 @@ func (s *Server) Close() {
 // complete — draining never truncates a round.
 func (s *Server) BeginDrain() { s.draining.Store(true) }
 
-// Draining reports whether BeginDrain has been called.
-func (s *Server) Draining() bool { return s.draining.Load() }
-
 func (s *Server) janitor() {
 	defer close(s.janitorDone)
 	if s.cfg.IdleTimeout < 0 {

@@ -41,30 +41,30 @@ type AsyncConfig struct {
 	// attempt (0 selects the default 3; negative means none), matching the
 	// synchronous stop-and-wait budget.
 	MaxRetries int
-	// InitialRTOMS seeds a link's retransmission timeout before it has any
-	// RTT sample (default 200). A message's timeout additionally never
-	// drops below twice its data + ack serialization time, so a sender can
-	// never time out a packet that has not finished leaving the radio.
-	InitialRTOMS float64
-	// MinRTOMS and MaxRTOMS clamp the adaptive timeout (defaults 1 and
-	// 60000). Backoff doubles the timeout per retransmission up to the cap.
-	MinRTOMS float64
-	MaxRTOMS float64
 	// DeadlineMS closes every destination's round at this simulated time,
 	// emitting whatever partial coverage has arrived (0 = unbounded).
 	DeadlineMS float64
-	// DedupWindow is the per-link (epoch, seq) window depth a real mote is
-	// assumed to keep (default 64). The simulator always dedups exactly —
-	// values never double-count — but any duplicate that a window this
-	// size would have let through is reported in WindowOverflows.
-	DedupWindow int
-	// ByteTimeMS is the serialization time of one on-air byte (default
-	// 8/38.4 ≈ 0.208, the CC1000's 38.4 kbaud Manchester link).
-	ByteTimeMS float64
 }
 
-// DefaultByteTimeMS is the CC1000 serialization time of one byte.
-const DefaultByteTimeMS = 8.0 / 38.4
+const (
+	// initialRTOMS seeds a link's retransmission timeout before it has any
+	// RTT sample. A message's timeout additionally never drops below twice
+	// its data + ack serialization time, so a sender can never time out a
+	// packet that has not finished leaving the radio.
+	initialRTOMS = 200.0
+	// minRTOMS and maxRTOMS clamp the adaptive timeout. Backoff doubles
+	// the timeout per retransmission up to the cap.
+	minRTOMS = 1.0
+	maxRTOMS = 60000.0
+	// dedupWindow is the per-link (epoch, seq) window depth a real mote is
+	// assumed to keep. The simulator always dedups exactly — values never
+	// double-count — but any duplicate that a window this size would have
+	// let through is reported in WindowOverflows.
+	dedupWindow = 64
+	// byteTimeMS is the serialization time of one on-air byte: the
+	// CC1000's 38.4 kbaud Manchester link.
+	byteTimeMS = 8.0 / 38.4
+)
 
 func (c AsyncConfig) withDefaults() AsyncConfig {
 	if c.MaxRetries == 0 {
@@ -72,38 +72,13 @@ func (c AsyncConfig) withDefaults() AsyncConfig {
 	} else if c.MaxRetries < 0 {
 		c.MaxRetries = 0
 	}
-	if c.InitialRTOMS == 0 {
-		c.InitialRTOMS = 200
-	}
-	if c.MinRTOMS == 0 {
-		c.MinRTOMS = 1
-	}
-	if c.MaxRTOMS == 0 {
-		c.MaxRTOMS = 60000
-	}
-	if c.DedupWindow == 0 {
-		c.DedupWindow = 64
-	}
-	if c.ByteTimeMS == 0 {
-		c.ByteTimeMS = DefaultByteTimeMS
-	}
 	return c
 }
 
 // Validate rejects configurations the executor cannot run.
 func (c AsyncConfig) Validate() error {
-	d := c.withDefaults()
-	if d.InitialRTOMS < 0 || d.MinRTOMS < 0 || d.MaxRTOMS < d.MinRTOMS {
-		return fmt.Errorf("sim: RTO bounds [%v, %v] (initial %v) invalid", d.MinRTOMS, d.MaxRTOMS, d.InitialRTOMS)
-	}
-	if d.DeadlineMS < 0 {
-		return fmt.Errorf("sim: negative deadline %v", d.DeadlineMS)
-	}
-	if d.DedupWindow < 0 {
-		return fmt.Errorf("sim: negative dedup window %d", d.DedupWindow)
-	}
-	if d.ByteTimeMS <= 0 {
-		return fmt.Errorf("sim: non-positive byte time %v", d.ByteTimeMS)
+	if c.DeadlineMS < 0 {
+		return fmt.Errorf("sim: negative deadline %v", c.DeadlineMS)
 	}
 	return nil
 }
@@ -132,17 +107,18 @@ func (r *rttEstimator) observe(ms float64) {
 	r.srtt += 0.125 * (ms - r.srtt)
 }
 
-// rto is the current retransmission timeout under cfg's clamps.
-func (r *rttEstimator) rto(cfg AsyncConfig) float64 {
+// rto is the current retransmission timeout, clamped to
+// [minRTOMS, maxRTOMS].
+func (r *rttEstimator) rto() float64 {
 	if !r.valid {
-		return cfg.InitialRTOMS
+		return initialRTOMS
 	}
 	rto := r.srtt + 4*r.rttvar
-	if rto < cfg.MinRTOMS {
-		rto = cfg.MinRTOMS
+	if rto < minRTOMS {
+		rto = minRTOMS
 	}
-	if rto > cfg.MaxRTOMS {
-		rto = cfg.MaxRTOMS
+	if rto > maxRTOMS {
+		rto = maxRTOMS
 	}
 	return rto
 }
@@ -166,10 +142,10 @@ type AsyncResult struct {
 	// DeadlineClosed counts destinations whose round the deadline closed.
 	DeadlineClosed int
 	// MaxDedupDepth is the deepest window position a duplicate was caught
-	// at; a real mote needs DedupWindow of at least this.
+	// at; a real mote needs a dedup window of at least this.
 	MaxDedupDepth int
 	// WindowOverflows counts duplicates that arrived deeper than the
-	// configured DedupWindow — a mote with that window would have
+	// 64-tag dedup window — a mote with that window would have
 	// double-counted them (the simulator still dedups exactly).
 	WindowOverflows int
 }
@@ -429,9 +405,9 @@ func (a *AsyncRunner) Run(round int, readings map[graph.NodeID]float64, faults F
 	}
 
 	serMS := func(bodyBytes int) float64 {
-		return cfg.ByteTimeMS * float64(e.Radio.MessageBytes(bodyBytes))
+		return byteTimeMS * float64(e.Radio.MessageBytes(bodyBytes))
 	}
-	serAckMS := cfg.ByteTimeMS * float64(e.Radio.HeaderBytes)
+	serAckMS := byteTimeMS * float64(e.Radio.HeaderBytes)
 
 	// Slot duration (largest planned frame) maps the oracle's slot
 	// arithmetic — TDMA send times, backoff gaps — onto simulated time.
@@ -578,7 +554,7 @@ func (a *AsyncRunner) Run(round int, readings map[graph.NodeID]float64, faults F
 			// retransmission carries these same bytes under the same tag.
 			st.raws, st.recs, st.body = r.snapshot(ev.msg, nil, nil)
 			est := a.estimator(st.edge)
-			st.rto = est.rto(cfg)
+			st.rto = est.rto()
 			if floor := 2 * (serMS(st.body) + serAckMS); st.rto < floor {
 				st.rto = floor
 			}
@@ -615,7 +591,7 @@ func (a *AsyncRunner) Run(round int, readings map[graph.NodeID]float64, faults F
 					if depth > res.MaxDedupDepth {
 						res.MaxDedupDepth = depth
 					}
-					if depth >= cfg.DedupWindow {
+					if depth >= dedupWindow {
 						res.WindowOverflows++
 					}
 				}
@@ -659,8 +635,8 @@ func (a *AsyncRunner) Run(round int, readings map[graph.NodeID]float64, faults F
 			if st.attempts <= cfg.MaxRetries {
 				st.retransmitted = true
 				st.rto *= 2
-				if st.rto > cfg.MaxRTOMS {
-					st.rto = cfg.MaxRTOMS
+				if st.rto > maxRTOMS {
+					st.rto = maxRTOMS
 				}
 				when := ev.t
 				if cp != nil && cp.mode != TxUnscheduled {

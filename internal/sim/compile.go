@@ -176,7 +176,14 @@ func (e *Engine) compile(cx *construction) error {
 
 	// The assembly scratch must fit every destination's record, including
 	// destinations whose contributions all arrive raw (no record slot).
+	// Every listed source is proven first: RecordLen probes PreAgg on the
+	// first one when the Func has no InPlace form.
 	for _, sp := range inst.SpecByDest {
+		for _, s := range sp.Func.Sources() {
+			if _, err := agg.ParamOf(sp.Func, s); err != nil {
+				return fmt.Errorf("sim: record for %d: %w", sp.Dest, err)
+			}
+		}
 		if l := agg.RecordLen(sp.Func); l > c.maxRec {
 			c.maxRec = l
 		}

@@ -295,14 +295,20 @@ func TestNewEngineRejectsUnknownSource(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	f := extraSourceFunc{Func: agg.NewWeightedSum(map[graph.NodeID]float64{0: 2}), extra: 1}
-	inst, err := plan.NewInstance(g, routing.NewReversePath(g), []agg.Spec{{Dest: 2, Func: f}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = NewEngine(plan.Multicast(inst), radio.DefaultModel(), Options{MergeMessages: true})
-	if err == nil || !strings.Contains(err.Error(), "not a source") {
-		t.Fatalf("NewEngine error %v, want one naming the unknown source", err)
+	// The unknown source listed last, then first: the first listed source
+	// is the one an arity probe of a Func without InPlace pre-aggregates.
+	for _, f := range []extraSourceFunc{
+		{Func: agg.NewWeightedSum(map[graph.NodeID]float64{0: 2}), extra: 1},
+		{Func: agg.NewWeightedSum(map[graph.NodeID]float64{1: 2}), extra: 0},
+	} {
+		inst, err := plan.NewInstance(g, routing.NewReversePath(g), []agg.Spec{{Dest: 2, Func: f}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = NewEngine(plan.Multicast(inst), radio.DefaultModel(), Options{MergeMessages: true})
+		if err == nil || !strings.Contains(err.Error(), "not a source") {
+			t.Fatalf("extra source %d: NewEngine error %v, want one naming the unknown source", f.extra, err)
+		}
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"m2m/internal/graph"
+	"m2m/internal/plan"
 )
 
 // TestNodeTablesRoundTrip: the dissemination blob must reconstruct every
@@ -22,50 +23,55 @@ func TestNodeTablesRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("node %d: %v", id, err)
 		}
+		checkNodeTables(t, inst, tab, id, dec)
+	}
+}
 
-		if len(dec.Raw) != len(tab.Raw[id]) {
-			t.Fatalf("node %d: raw count %d != %d", id, len(dec.Raw), len(tab.Raw[id]))
+// checkNodeTables fails t unless dec holds node id's share of tab.
+func checkNodeTables(t testing.TB, inst *plan.Instance, tab *plan.Tables, id graph.NodeID, dec *NodeTables) {
+	t.Helper()
+	if len(dec.Raw) != len(tab.Raw[id]) {
+		t.Fatalf("node %d: raw count %d != %d", id, len(dec.Raw), len(tab.Raw[id]))
+	}
+	for i, e := range tab.Raw[id] {
+		if dec.Raw[i] != e {
+			t.Fatalf("node %d: raw[%d] = %+v, want %+v", id, i, dec.Raw[i], e)
 		}
-		for i, e := range tab.Raw[id] {
-			if dec.Raw[i] != e {
-				t.Fatalf("node %d: raw[%d] = %+v, want %+v", id, i, dec.Raw[i], e)
-			}
-		}
+	}
 
-		if len(dec.PreAgg) != len(tab.PreAgg[id]) {
-			t.Fatalf("node %d: preagg count mismatch", id)
+	if len(dec.PreAgg) != len(tab.PreAgg[id]) {
+		t.Fatalf("node %d: preagg count mismatch", id)
+	}
+	for i, e := range tab.PreAgg[id] {
+		d := dec.PreAgg[i]
+		if d.Source != e.Source || d.Dest != e.Dest {
+			t.Fatalf("node %d: preagg[%d] identity mismatch", id, i)
 		}
-		for i, e := range tab.PreAgg[id] {
-			d := dec.PreAgg[i]
-			if d.Source != e.Source || d.Dest != e.Dest {
-				t.Fatalf("node %d: preagg[%d] identity mismatch", id, i)
-			}
-			wf := inst.SpecByDest[e.Dest].Func.(interface{ Weight(graph.NodeID) float64 })
-			if math.Abs(d.Weight-wf.Weight(e.Source)) > Resolution {
-				t.Fatalf("node %d: preagg[%d] weight %v, want %v", id, i, d.Weight, wf.Weight(e.Source))
-			}
+		wf := inst.SpecByDest[e.Dest].Func.(interface{ Weight(graph.NodeID) float64 })
+		if math.Abs(d.Weight-wf.Weight(e.Source)) > Resolution {
+			t.Fatalf("node %d: preagg[%d] weight %v, want %v", id, i, d.Weight, wf.Weight(e.Source))
 		}
+	}
 
-		if len(dec.Partial) != len(tab.Partial[id]) {
-			t.Fatalf("node %d: partial count mismatch", id)
+	if len(dec.Partial) != len(tab.Partial[id]) {
+		t.Fatalf("node %d: partial count mismatch", id)
+	}
+	for i, e := range tab.Partial[id] {
+		d := dec.Partial[i]
+		if d.Dest != e.Dest || d.Inputs != e.Inputs || d.Local != e.Local {
+			t.Fatalf("node %d: partial[%d] = %+v, want %+v", id, i, d, e)
 		}
-		for i, e := range tab.Partial[id] {
-			d := dec.Partial[i]
-			if d.Dest != e.Dest || d.Inputs != e.Inputs || d.Local != e.Local {
-				t.Fatalf("node %d: partial[%d] = %+v, want %+v", id, i, d, e)
-			}
-			if !e.Local && d.Out != e.Out {
-				t.Fatalf("node %d: partial[%d] out mismatch", id, i)
-			}
+		if !e.Local && d.Out != e.Out {
+			t.Fatalf("node %d: partial[%d] out mismatch", id, i)
 		}
+	}
 
-		if len(dec.Outgoing) != len(tab.Outgoing[id]) {
-			t.Fatalf("node %d: outgoing count mismatch", id)
-		}
-		for i, e := range tab.Outgoing[id] {
-			if dec.Outgoing[i] != e {
-				t.Fatalf("node %d: outgoing[%d] = %+v, want %+v", id, i, dec.Outgoing[i], e)
-			}
+	if len(dec.Outgoing) != len(tab.Outgoing[id]) {
+		t.Fatalf("node %d: outgoing count mismatch", id)
+	}
+	for i, e := range tab.Outgoing[id] {
+		if dec.Outgoing[i] != e {
+			t.Fatalf("node %d: outgoing[%d] = %+v, want %+v", id, i, dec.Outgoing[i], e)
 		}
 	}
 }

@@ -1,8 +1,10 @@
 package wire
 
 import (
+	"bytes"
 	"testing"
 
+	"m2m/internal/graph"
 	"m2m/internal/plan"
 )
 
@@ -158,6 +160,42 @@ func FuzzDecodeTDMA(f *testing.F) {
 		}
 		if !bytesEqual(re, data) {
 			t.Fatalf("frame not byte-identical across round trip:\n%x\n%x", re, data)
+		}
+	})
+}
+
+// FuzzDecodeNodeTables hardens the motes' table decoder: arbitrary bytes
+// are either rejected or decode to tables whose encoding is exactly as
+// long as the input — never panic, never over-read — and every blob
+// EncodeNodeTables produces decodes to the tables it encoded.
+func FuzzDecodeNodeTables(f *testing.F) {
+	inst, _, tab := planFixture(f, 21)
+	blobs := make([][]byte, inst.Net.Len())
+	for n := range blobs {
+		blob, err := EncodeNodeTables(inst, tab, graph.NodeID(n))
+		if err != nil {
+			f.Fatal(err)
+		}
+		blobs[n] = blob
+		f.Add(uint16(n), blob)
+	}
+	f.Add(uint16(0), []byte{})
+	f.Add(uint16(0), []byte{0xFF})
+	f.Add(uint16(3), []byte{0, 1, 0, 2, 0, 5, 0, 0, 0, 0, 0, 0})
+	f.Add(uint16(3), []byte{0xFF, 0xFF, 0, 0})
+
+	f.Fuzz(func(t *testing.T, node uint16, data []byte) {
+		n := graph.NodeID(node)
+		dec, err := DecodeNodeTables(n, data)
+		if err != nil {
+			return
+		}
+		size := 8 + 4*len(dec.Raw) + 8*len(dec.PreAgg) + 6*len(dec.Partial) + 3*len(dec.Outgoing)
+		if size != len(data) {
+			t.Fatalf("decoded tables encode to %d bytes, input has %d", size, len(data))
+		}
+		if int(node) < len(blobs) && bytes.Equal(blobs[node], data) {
+			checkNodeTables(t, inst, tab, n, dec)
 		}
 	})
 }

@@ -29,9 +29,11 @@ const (
 	Resolution = 1.0 / (1 << fracBits)
 )
 
-// EncodeFixed converts a float to wire fixed point.
+// EncodeFixed converts a float to wire fixed point. Every word decodes to
+// a value it accepts, the most negative one, -MaxAbsValue-Resolution,
+// included.
 func EncodeFixed(x float64) (int32, error) {
-	if math.IsNaN(x) || math.Abs(x) > MaxAbsValue {
+	if math.IsNaN(x) || x > MaxAbsValue || x < -MaxAbsValue-Resolution {
 		return 0, fmt.Errorf("wire: value %v outside fixed-point range", x)
 	}
 	return int32(math.Round(x * (1 << fracBits))), nil

@@ -41,6 +41,14 @@ func TestFixedPointRejectsOutOfRange(t *testing.T) {
 	if _, err := EncodeFixed(MaxAbsValue - 1); err != nil {
 		t.Errorf("in-range value rejected: %v", err)
 	}
+	for _, w := range []int32{math.MinInt32, math.MaxInt32} {
+		if got, err := EncodeFixed(DecodeFixed(w)); err != nil || got != w {
+			t.Errorf("word %d re-encodes to %d, %v", w, got, err)
+		}
+	}
+	if _, err := EncodeFixed(DecodeFixed(math.MinInt32) - Resolution); err == nil {
+		t.Error("value below the most negative word accepted")
+	}
 }
 
 func TestMessageRoundTrip(t *testing.T) {
@@ -130,7 +138,7 @@ func TestAppendUnitErrors(t *testing.T) {
 }
 
 // planFixture builds an optimized plan over a small random network.
-func planFixture(t *testing.T, seed int64) (*plan.Instance, *plan.Plan, *plan.Tables) {
+func planFixture(t testing.TB, seed int64) (*plan.Instance, *plan.Plan, *plan.Tables) {
 	t.Helper()
 	l := topology.UniformRandom(40, topology.GreatDuckIsland().Area, seed)
 	l.EnsureConnected(50)

@@ -116,10 +116,6 @@ type ResilientConfig struct {
 	// starts piggybacking low-battery beacons toward the base station
 	// (default 0.25).
 	EvacuateThreshold float64
-	// EvacuatePenalty is the edge-weight multiplier applied to edges
-	// incident to evacuating nodes when routes are rebuilt, steering
-	// detours away from dying relays (default 8, minimum 1).
-	EvacuatePenalty float64
 	// TDMASwitchThreshold is the smoothed collision-loss fraction
 	// (collided attempts over transmissions) at which the session stops
 	// riding contention out and switches to scheduled transmission: it
@@ -129,15 +125,19 @@ type ResilientConfig struct {
 	// it. Zero selects the default 0.15; negative disables the switch.
 	// Irrelevant unless the fault schedule enables collisions.
 	TDMASwitchThreshold float64
-	// Byzantine, when non-nil, arms the outlier-quarantine loop: after
-	// every round the base station residual-tests each monitored source's
-	// reported reading against the robust (median/MAD) population
-	// estimate, excises sustained outliers from the workload via an
-	// incremental replan, and re-admits them after sustained clean
-	// behavior. Lies reach the session only through the fault schedule's
+	// Byzantine arms the outlier-quarantine loop: after every round the
+	// base station residual-tests each monitored source's reported
+	// reading against the robust (median/MAD) population estimate,
+	// excises sustained outliers from the workload via an incremental
+	// replan, and re-admits them after sustained clean behavior. Lies reach the session only through the fault schedule's
 	// CorruptReading (a FaultInjector with WithByzantine windows).
-	Byzantine *ByzantineConfig
+	Byzantine bool
 }
+
+// evacuatePenalty is the edge-weight multiplier applied to edges incident
+// to evacuating nodes when routes are rebuilt, steering detours away from
+// dying relays.
+const evacuatePenalty = 8
 
 // Validate rejects configurations the zero-value defaults cannot repair:
 // negative counters, thresholds outside their domain, non-finite values,
@@ -165,19 +165,11 @@ func (c ResilientConfig) Validate() error {
 	if math.IsNaN(c.EvacuateThreshold) || c.EvacuateThreshold < 0 || c.EvacuateThreshold > 1 {
 		return fmt.Errorf("m2m: evacuation threshold %g outside [0,1]", c.EvacuateThreshold)
 	}
-	if math.IsNaN(c.EvacuatePenalty) || (c.EvacuatePenalty != 0 && c.EvacuatePenalty < 1) {
-		return fmt.Errorf("m2m: evacuation penalty %g below 1", c.EvacuatePenalty)
-	}
 	if math.IsNaN(c.TDMASwitchThreshold) || c.TDMASwitchThreshold > 1 {
 		return fmt.Errorf("m2m: TDMA switch threshold %g above 1", c.TDMASwitchThreshold)
 	}
 	if c.Async != nil {
 		if err := c.Async.Validate(); err != nil {
-			return err
-		}
-	}
-	if c.Byzantine != nil {
-		if _, err := c.Byzantine.withDefaults(); err != nil {
 			return err
 		}
 	}
@@ -196,9 +188,6 @@ func (c ResilientConfig) withDefaults() ResilientConfig {
 	}
 	if c.EvacuateThreshold == 0 {
 		c.EvacuateThreshold = 0.25
-	}
-	if c.EvacuatePenalty == 0 {
-		c.EvacuatePenalty = 8
 	}
 	if c.TDMASwitchThreshold == 0 {
 		c.TDMASwitchThreshold = 0.15
@@ -367,12 +356,11 @@ type ResilientSession struct {
 	evacuated map[NodeID]bool
 	prices    map[NodeID]int64
 
-	// Byzantine-quarantine state (nil/empty unless cfg.Byzantine is set):
+	// Byzantine-quarantine state (empty unless cfg.Byzantine is set):
 	// the monitored source set (union of the pristine workload's sources,
 	// ascending), per-node consecutive suspect and clean counters, the
 	// currently excised set, and the excision event log (openExcision
 	// indexes the events still awaiting re-admission).
-	byz          *ByzantineConfig
 	monitored    []NodeID
 	suspectRuns  map[NodeID]int
 	cleanRuns    map[NodeID]int
@@ -466,12 +454,7 @@ func newResilientSession(net *Network, specs []Spec, kind RouterKind, inst *Inst
 		s.burn = make(map[NodeID]float64)
 		s.evacuated = make(map[NodeID]bool)
 	}
-	if cfg.Byzantine != nil {
-		bz, err := cfg.Byzantine.withDefaults()
-		if err != nil {
-			return nil, err
-		}
-		s.byz = &bz
+	if cfg.Byzantine {
 		srcSet := make(map[NodeID]bool)
 		for _, sp := range specs {
 			for _, src := range sp.Func.Sources() {
@@ -762,7 +745,7 @@ func (s *ResilientSession) Step() (*ResilientStep, error) {
 	// against the robust population estimate, excise sustained outliers,
 	// re-admit the reformed — before dissemination so excision diffs go
 	// out this round.
-	if s.byz != nil {
+	if s.cfg.Byzantine {
 		if err := s.observeByzantine(cur, step); err != nil {
 			return nil, err
 		}
@@ -1064,7 +1047,7 @@ func (s *ResilientSession) sendBeacon(bfs *graph.PathTree, n NodeID, attempts ma
 
 // evacuate shifts traffic off relays forecast to die within the horizon,
 // before they fail: routes are rebuilt on an energy-weighted copy of the
-// topology whose edges into evacuating nodes carry EvacuatePenalty, every
+// topology whose edges into evacuating nodes carry evacuatePenalty, every
 // edge's vertex cover is re-posed with residual-scaled node prices, and
 // the incremental plan disseminates under a new epoch exactly like a
 // recovery replan — except nothing has failed yet.
@@ -1128,7 +1111,7 @@ func (s *ResilientSession) newInstance(g *graph.Undirected, specs []Spec) (*Inst
 		net2 := &Network{Layout: s.net.Layout, Graph: g, Radio: s.net.Radio}
 		return net2.NewInstance(specs, s.kind)
 	}
-	wg, err := failure.EvacuationGraph(g, hot, s.cfg.EvacuatePenalty)
+	wg, err := failure.EvacuationGraph(g, hot, evacuatePenalty)
 	if err != nil {
 		return nil, err
 	}

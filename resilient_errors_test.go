@@ -24,7 +24,6 @@ func TestResilientConfigValidate(t *testing.T) {
 		{"horizon without battery", ResilientConfig{EvacuateHorizonRounds: 2}, "battery ledger"},
 		{"NaN evacuate threshold", ResilientConfig{EvacuateThreshold: math.NaN()}, "evacuation threshold"},
 		{"evacuate threshold above 1", ResilientConfig{EvacuateThreshold: 1.5}, "outside [0,1]"},
-		{"evacuate penalty below 1", ResilientConfig{EvacuatePenalty: 0.5}, "evacuation penalty"},
 		{"NaN TDMA threshold", ResilientConfig{TDMASwitchThreshold: math.NaN()}, "TDMA"},
 		{"TDMA threshold above 1", ResilientConfig{TDMASwitchThreshold: 1.5}, "TDMA"},
 	}

@@ -63,7 +63,7 @@ func TestSoak(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s/%d/%d: optimize: %v", tp.name, rk, variant, err)
 				}
-				if rk == RouterSharedTree && p.Repairs != 0 {
+				if p.Repairs != 0 {
 					t.Fatalf("%s/%d/%d: Theorem 1 violated (%d repairs)", tp.name, rk, variant, p.Repairs)
 				}
 				if _, err := p.BuildTables(); err != nil {
