@@ -12,8 +12,10 @@ import (
 
 	"m2m/internal/agg"
 	"m2m/internal/experiments"
+	"m2m/internal/graph"
 	"m2m/internal/plan"
 	"m2m/internal/radio"
+	"m2m/internal/routing"
 	"m2m/internal/sim"
 	"m2m/internal/vcover"
 )
@@ -199,6 +201,44 @@ func BenchmarkNewInstance1k(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// benchTreeBuild measures one global routing tree build on a 45-node
+// random network (a resilient-mix scenario's size) and on the 1000-node
+// network of the 1k benchmarks.
+func benchTreeBuild(b *testing.B, build func(*graph.Undirected) error) {
+	for _, size := range []struct {
+		name  string
+		nodes int
+	}{{"45", 45}, {"1k", 1000}} {
+		net := RandomNetwork(size.nodes, 1)
+		b.Run(size.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := build(net.Graph); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkNewMinDegreeTree measures building the low-degree routing
+// tree: the center search and the swap local search.
+func BenchmarkNewMinDegreeTree(b *testing.B) {
+	benchTreeBuild(b, func(g *graph.Undirected) error {
+		_, err := routing.NewMinDegreeTree(g)
+		return err
+	})
+}
+
+// BenchmarkNewSharedTree measures building the shortest-path routing
+// tree at the network center.
+func BenchmarkNewSharedTree(b *testing.B) {
+	benchTreeBuild(b, func(g *graph.Undirected) error {
+		_, err := routing.NewSharedTree(g)
+		return err
+	})
 }
 
 // BenchmarkReoptimize1k measures the incremental replan of the 1000-node

@@ -37,6 +37,24 @@ func PreAggInto(f Func, dst Record, s graph.NodeID, v float64) {
 	copy(dst, f.PreAgg(s, v))
 }
 
+// readingPreAgg is implemented by the sketch kinds, whose one-source
+// record depends on the reading alone: every source weighs 1.
+type readingPreAgg interface {
+	preAggReading(dst Record, v float64)
+}
+
+// PreAggMemberInto is PreAggInto for a source s the caller has already
+// proven a member of f (ParamOf succeeded, as the compiled round program
+// checks once at build time): the sketch kinds then skip the per-call
+// membership lookup their PreAggInto makes.
+func PreAggMemberInto(f Func, dst Record, s graph.NodeID, v float64) {
+	if r, ok := f.(readingPreAgg); ok {
+		r.preAggReading(dst, v)
+		return
+	}
+	PreAggInto(f, dst, s, v)
+}
+
 // MergeInto folds src into dst (dst = Merge(dst, src)), in place when f
 // supports it.
 func MergeInto(f Func, dst, src Record) {

@@ -70,6 +70,13 @@ func (h histogram) bucketOf(v float64) int {
 	return i
 }
 
+// preAggReading writes the one-reading record of v into dst: a count of
+// one in v's bucket. It is PreAggInto without the membership check.
+func (h histogram) preAggReading(dst Record, v float64) {
+	clear(dst)
+	dst[h.bucketOf(v)] = 1
+}
+
 // midpoint returns the representative value of bucket i.
 func (h histogram) midpoint(i int) float64 {
 	w := (h.hi - h.lo) / float64(h.Buckets())
@@ -139,9 +146,8 @@ func (f *QDigest) Name() string { return "qdigest" }
 func (f *QDigest) Quantile() float64 { return f.quantile }
 
 func (f *QDigest) PreAgg(s graph.NodeID, v float64) Record {
-	f.weight(f.Name(), s) // membership check
 	r := make(Record, f.Buckets())
-	r[f.bucketOf(v)] = 1
+	f.PreAggInto(r, s, v)
 	return r
 }
 
@@ -160,11 +166,8 @@ func (f *QDigest) RecordLen() int { return f.Buckets() }
 
 // PreAggInto implements InPlace.
 func (f *QDigest) PreAggInto(dst Record, s graph.NodeID, v float64) {
-	f.weight(f.Name(), s)
-	for i := range dst {
-		dst[i] = 0
-	}
-	dst[f.bucketOf(v)] = 1
+	f.weight(f.Name(), s) // membership check
+	f.preAggReading(dst, v)
 }
 
 // MergeInto implements InPlace.
@@ -201,9 +204,8 @@ func (f *TrimmedMean) Name() string { return "trimmedmean" }
 func (f *TrimmedMean) Trim() float64 { return f.trim }
 
 func (f *TrimmedMean) PreAgg(s graph.NodeID, v float64) Record {
-	f.weight(f.Name(), s)
 	r := make(Record, f.Buckets())
-	r[f.bucketOf(v)] = 1
+	f.PreAggInto(r, s, v)
 	return r
 }
 
@@ -245,11 +247,8 @@ func (f *TrimmedMean) RecordLen() int { return f.Buckets() }
 
 // PreAggInto implements InPlace.
 func (f *TrimmedMean) PreAggInto(dst Record, s graph.NodeID, v float64) {
-	f.weight(f.Name(), s)
-	for i := range dst {
-		dst[i] = 0
-	}
-	dst[f.bucketOf(v)] = 1
+	f.weight(f.Name(), s) // membership check
+	f.preAggReading(dst, v)
 }
 
 // MergeInto implements InPlace.
@@ -316,10 +315,8 @@ func (f *HyperLogLog) register(v float64) (int, float64) {
 }
 
 func (f *HyperLogLog) PreAgg(s graph.NodeID, v float64) Record {
-	f.weight(f.Name(), s)
 	r := make(Record, f.Registers())
-	idx, rank := f.register(v)
-	r[idx] = rank
+	f.PreAggInto(r, s, v)
 	return r
 }
 
@@ -369,10 +366,14 @@ func (f *HyperLogLog) RecordLen() int { return f.Registers() }
 
 // PreAggInto implements InPlace.
 func (f *HyperLogLog) PreAggInto(dst Record, s graph.NodeID, v float64) {
-	f.weight(f.Name(), s)
-	for i := range dst {
-		dst[i] = 0
-	}
+	f.weight(f.Name(), s) // membership check
+	f.preAggReading(dst, v)
+}
+
+// preAggReading writes the one-reading record of v into dst: v's rank in
+// its register. It is PreAggInto without the membership check.
+func (f *HyperLogLog) preAggReading(dst Record, v float64) {
+	clear(dst)
 	idx, rank := f.register(v)
 	dst[idx] = rank
 }

@@ -223,3 +223,38 @@ func TestConfiguredKindsRejectTableExecution(t *testing.T) {
 		t.Errorf("unknown kind error = %v", err)
 	}
 }
+
+// TestSketchMemberPreAgg pins the engine's checked-once path: for a
+// member source PreAggMemberInto writes exactly PreAggInto's record, while
+// the public PreAggInto still panics on a non-member.
+func TestSketchMemberPreAgg(t *testing.T) {
+	srcs := sketchSources(8)
+	qd, _ := NewQDigest(srcs, 4, 0, 100, 0.5)
+	tm, _ := NewTrimmedMean(srcs, 5, 0, 100, 0.25)
+	hll, _ := NewHyperLogLog(srcs, 4)
+	for _, f := range []Func{qd, tm, hll} {
+		n := RecordLen(f)
+		want, got := make(Record, n), make(Record, n)
+		for i, v := range []float64{-5, 0, 3.25, 50, 99.9, 100, 250, math.NaN()} {
+			s := srcs[i%len(srcs)]
+			for j := range got {
+				got[j] = float64(j) + 7 // stale contents must be overwritten
+			}
+			PreAggInto(f, want, s, v)
+			PreAggMemberInto(f, got, s, v)
+			for j := range want {
+				if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
+					t.Fatalf("%s: reading %g slot %d: member path %g, PreAggInto %g", f.Name(), v, j, got[j], want[j])
+				}
+			}
+		}
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: PreAggInto on a non-source did not panic", f.Name())
+				}
+			}()
+			PreAggInto(f, want, 99, 1)
+		}()
+	}
+}

@@ -184,6 +184,15 @@ func (w *Walk) Layer(h int) []NodeID {
 	return w.order[w.start[h]:end:end]
 }
 
+// Eccentricity expands the walk through the root's whole component and
+// returns the hop distance of its farthest node: the index of the last
+// layer.
+func (w *Walk) Eccentricity() int {
+	for _, ok := w.step(); ok; _, ok = w.step() {
+	}
+	return len(w.start) - 1
+}
+
 // Dijkstra computes weighted shortest paths from root with deterministic
 // tiebreaking: among equal-distance paths, the parent with the smallest ID
 // is chosen. Edge weights must be non-negative.

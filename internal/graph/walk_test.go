@@ -69,8 +69,8 @@ func walkNetworks() []namedGraph {
 
 // TestWalkMatchesReference queries the walk far nodes first, in shuffled
 // order within each distance, and compares every node's hop count and
-// parent with the reference; it also checks the layers and that BFS, the
-// walk run to exhaustion, agrees.
+// parent with the reference; it also checks the layers, the
+// eccentricity, and that BFS, the walk run to exhaustion, agrees.
 func TestWalkMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for _, nw := range walkNetworks() {
@@ -138,6 +138,9 @@ func TestWalkMatchesReference(t *testing.T) {
 			if lw.Layer(-1) != nil {
 				t.Fatalf("%s root %d: Layer(-1) non-nil", name, root)
 			}
+			if e := g.Walk(root).Eccentricity(); e != maxHop {
+				t.Fatalf("%s root %d: Eccentricity() = %d, want %d", name, root, e, maxHop)
+			}
 		}
 	}
 }
@@ -156,8 +159,8 @@ func BenchmarkBFS(b *testing.B) {
 }
 
 // TestWalkResetMatchesFreshWalk resets one walk from root to root, after
-// partial and after full exploration, and checks each reset walk against
-// the reference of its new root.
+// partial and after full exploration, and checks each reset walk and its
+// eccentricity against the reference of its new root.
 func TestWalkResetMatchesFreshWalk(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	for _, nw := range walkNetworks() {
@@ -181,6 +184,9 @@ func TestWalkResetMatchesFreshWalk(t *testing.T) {
 					t.Fatalf("%s root %d node %d: reset walk (hops %d, parent %d), reference (%d, %d)",
 						nw.name, root, v, h, p, hops[v], parent[v])
 				}
+			}
+			if e, want := w.Eccentricity(), slices.Max(hops); e != want {
+				t.Fatalf("%s root %d: Eccentricity() = %d after a reset, want %d", nw.name, root, e, want)
 			}
 		}
 	}

@@ -28,6 +28,14 @@ type MinDegreeTree struct {
 
 // NewMinDegreeTree builds the low-degree global routing tree for net,
 // rooted at the node with minimum eccentricity (smallest ID on ties).
+//
+// The search keeps the tree rooted at the center as parent and depth
+// arrays, so a non-tree edge's cycle is the tree path between its ends,
+// found by climbing both to their lowest common ancestor in time
+// proportional to the path. A swap re-roots the tree with one O(n) walk;
+// swaps are rare next to cycle queries. A pass over the edges therefore
+// costs O(m·depth) plus O(n) per swap, and allocates only to grow one
+// reused path buffer.
 func NewMinDegreeTree(net *graph.Undirected) (*MinDegreeTree, error) {
 	if net.Len() == 0 {
 		return nil, fmt.Errorf("routing: empty network")
@@ -35,98 +43,22 @@ func NewMinDegreeTree(net *graph.Undirected) (*MinDegreeTree, error) {
 	if !occupiedConnected(net) {
 		return nil, fmt.Errorf("routing: network not connected")
 	}
-	n := net.Len()
-	center := graph.NodeID(0)
-	bestEcc := -1
-	for u := 0; u < n; u++ {
-		if net.Degree(graph.NodeID(u)) == 0 {
-			continue
-		}
-		pt := net.BFS(graph.NodeID(u))
-		ecc := 0
-		for v := 0; v < n; v++ {
-			if h := pt.Hops(graph.NodeID(v)); h > ecc {
-				ecc = h
-			}
-		}
-		if bestEcc == -1 || ecc < bestEcc {
-			bestEcc, center = ecc, graph.NodeID(u)
-		}
-	}
-
-	// Tree as a symmetric adjacency-set view, seeded from the BFS tree.
-	inTree := make([]map[graph.NodeID]bool, n)
-	deg := make([]int, n)
-	for i := range inTree {
-		inTree[i] = make(map[graph.NodeID]bool)
-	}
-	addT := func(a, b graph.NodeID) {
-		inTree[a][b] = true
-		inTree[b][a] = true
-		deg[a]++
-		deg[b]++
-	}
-	delT := func(a, b graph.NodeID) {
-		delete(inTree[a], b)
-		delete(inTree[b], a)
-		deg[a]--
-		deg[b]--
-	}
-	bfs := net.BFS(center)
-	for u := 0; u < n; u++ {
-		id := graph.NodeID(u)
-		if id != center && bfs.Reachable(id) {
-			addT(id, bfs.Parent[u])
-		}
-	}
-
-	// treePath walks the current tree from a to b (both inclusive) by BFS.
-	treePath := func(a, b graph.NodeID) []graph.NodeID {
-		par := make([]graph.NodeID, n)
-		for i := range par {
-			par[i] = -1
-		}
-		par[a] = a
-		for q := []graph.NodeID{a}; len(q) > 0; {
-			x := q[0]
-			q = q[1:]
-			if x == b {
-				break
-			}
-			for y := range inTree[x] {
-				if par[y] == -1 {
-					par[y] = x
-					q = append(q, y)
-				}
-			}
-		}
-		var rev []graph.NodeID
-		for v := b; ; v = par[v] {
-			rev = append(rev, v)
-			if v == a {
-				break
-			}
-		}
-		for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
-			rev[i], rev[j] = rev[j], rev[i]
-		}
-		return rev
-	}
-
+	t := newSwapTree(net, networkCenter(net))
 	edges := net.Edges()
+	var path []graph.NodeID
 	for improved := true; improved; {
 		improved = false
 		for _, e := range edges {
 			u, v := e.U, e.V
-			if inTree[u][v] {
+			if t.parent[u] == v || t.parent[v] == u {
 				continue
 			}
-			path := treePath(u, v)
+			path = treePathInto(path, t.parent, t.depth, u, v)
 			// The cycle is path plus the edge (u,v); find its highest-degree
-			// interior node (deterministic: first along the path).
+			// interior node (deterministic: first along the path from u).
 			wi := -1
 			for i := 1; i < len(path)-1; i++ {
-				if wi == -1 || deg[path[i]] > deg[path[wi]] {
+				if wi == -1 || t.deg(path[i]) > t.deg(path[wi]) {
 					wi = i
 				}
 			}
@@ -134,54 +66,120 @@ func NewMinDegreeTree(net *graph.Undirected) (*MinDegreeTree, error) {
 				continue
 			}
 			w := path[wi]
-			lim := deg[u]
-			if deg[v] > lim {
-				lim = deg[v]
-			}
-			if deg[w] < lim+2 {
+			if t.deg(w) < max(t.deg(u), t.deg(v))+2 {
 				continue
 			}
 			// Swap: drop w's cycle edge toward u's side, add (u,v).
-			delT(path[wi-1], w)
-			addT(u, v)
+			t.unlink(path[wi-1], w)
+			t.link(u, v)
+			t.reroot()
 			improved = true
 		}
 	}
 
-	// Re-root the improved tree at the center to the PathTree form
-	// SharedTree routes over.
 	global := &graph.PathTree{
-		Root:   center,
-		Dist:   make([]float64, n),
-		Parent: make([]graph.NodeID, n),
+		Root:   t.root,
+		Dist:   make([]float64, len(t.depth)),
+		Parent: t.parent,
 	}
-	for i := range global.Parent {
-		global.Parent[i] = -1
+	maxDeg := 0
+	for u, d := range t.depth {
+		if d > 0 {
+			global.Dist[u] = float64(d)
+		}
+		maxDeg = max(maxDeg, t.deg(graph.NodeID(u)))
 	}
-	global.Parent[center] = center
-	for q := []graph.NodeID{center}; len(q) > 0; {
-		x := q[0]
-		q = q[1:]
-		for y := range inTree[x] {
-			if global.Parent[y] == -1 && y != center {
-				global.Parent[y] = x
-				global.Dist[y] = global.Dist[x] + 1
+	return &MinDegreeTree{
+		SharedTree: SharedTree{global: global, depth: t.depth},
+		maxDeg:     maxDeg,
+	}, nil
+}
+
+// swapTree is the local search's working tree: symmetric adjacency lists,
+// so a node's tree degree is len(adj[x]), and parent/depth arrays rooted
+// at the center that answer path queries. Nodes outside the tree
+// (isolated slots) have parent and depth -1.
+type swapTree struct {
+	root   graph.NodeID
+	adj    [][]graph.NodeID
+	parent []graph.NodeID
+	depth  []int32
+	queue  []graph.NodeID // reroot scratch
+}
+
+// newSwapTree seeds the working tree with net's BFS tree at root. A
+// node's tree degree never exceeds its network degree, so every
+// adjacency list is carved from one backing array at its network degree.
+func newSwapTree(net *graph.Undirected, root graph.NodeID) *swapTree {
+	n := net.Len()
+	t := &swapTree{
+		root:  root,
+		adj:   make([][]graph.NodeID, n),
+		depth: make([]int32, n),
+		queue: make([]graph.NodeID, 0, n),
+	}
+	back := make([]graph.NodeID, 2*net.NumEdges())
+	off := 0
+	for u := range t.adj {
+		d := net.Degree(graph.NodeID(u))
+		t.adj[u] = back[off : off : off+d]
+		off += d
+	}
+	bfs := net.BFS(root)
+	t.parent = bfs.Parent
+	for u, p := range t.parent {
+		if p == -1 {
+			t.depth[u] = -1
+			continue
+		}
+		t.depth[u] = int32(bfs.Dist[u])
+		if graph.NodeID(u) != root {
+			t.link(graph.NodeID(u), p)
+		}
+	}
+	return t
+}
+
+func (t *swapTree) deg(x graph.NodeID) int { return len(t.adj[x]) }
+
+func (t *swapTree) link(a, b graph.NodeID) {
+	t.adj[a] = append(t.adj[a], b)
+	t.adj[b] = append(t.adj[b], a)
+}
+
+func (t *swapTree) unlink(a, b graph.NodeID) {
+	t.adj[a] = removeNode(t.adj[a], b)
+	t.adj[b] = removeNode(t.adj[b], a)
+}
+
+// removeNode deletes x from s by moving the last element into its place;
+// adjacency order is irrelevant to a tree's parent pointers.
+func removeNode(s []graph.NodeID, x graph.NodeID) []graph.NodeID {
+	for i, y := range s {
+		if y == x {
+			s[i] = s[len(s)-1]
+			return s[:len(s)-1]
+		}
+	}
+	panic(fmt.Sprintf("routing: %d is not a tree neighbour", x))
+}
+
+// reroot recomputes parent and depth from the adjacency lists by one
+// breadth-first walk from the root. The tree spans the same nodes after a
+// swap, so nodes outside it keep their -1 entries.
+func (t *swapTree) reroot() {
+	q := append(t.queue[:0], t.root)
+	t.parent[t.root], t.depth[t.root] = t.root, 0
+	for i := 0; i < len(q); i++ {
+		x := q[i]
+		for _, y := range t.adj[x] {
+			if y != t.parent[x] {
+				t.parent[y], t.depth[y] = x, t.depth[x]+1
 				q = append(q, y)
 			}
 		}
 	}
-	depth := make(map[graph.NodeID]int, n)
-	maxDeg := 0
-	for u := 0; u < n; u++ {
-		depth[graph.NodeID(u)] = global.Hops(graph.NodeID(u))
-		if deg[u] > maxDeg {
-			maxDeg = deg[u]
-		}
-	}
-	return &MinDegreeTree{
-		SharedTree: SharedTree{global: global, depth: depth},
-		maxDeg:     maxDeg,
-	}, nil
+	t.queue = q
 }
 
 // Name implements Router.
@@ -189,18 +187,3 @@ func (b *MinDegreeTree) Name() string { return "min-degree-tree" }
 
 // MaxDegree returns the maximum node degree of the global tree.
 func (b *MinDegreeTree) MaxDegree() int { return b.maxDeg }
-
-// TreeDegree returns n's degree in the global tree (its parent plus its
-// children) — the bound on its schedulable fan-in.
-func (b *MinDegreeTree) TreeDegree(n graph.NodeID) int {
-	d := 0
-	if n != b.global.Root {
-		d = 1
-	}
-	for u := range b.depth {
-		if u != n && b.global.Parent[u] == n && u != b.global.Root {
-			d++
-		}
-	}
-	return d
-}

@@ -1,7 +1,9 @@
 package routing
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"m2m/internal/graph"
@@ -173,13 +175,269 @@ func TestMinDegreeTreeDegreeMatchesMax(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	max := 0
-	for u := 0; u < net.Len(); u++ {
-		if d := mt.TreeDegree(graph.NodeID(u)); d > max {
-			max = d
+	// A node's tree degree is its children plus its parent link, counted
+	// from the tree's own parent array.
+	deg := make([]int, net.Len())
+	for u, p := range mt.global.Parent {
+		if p >= 0 && graph.NodeID(u) != mt.global.Root {
+			deg[u]++
+			deg[p]++
 		}
 	}
-	if max != mt.MaxDegree() {
-		t.Errorf("TreeDegree max %d != MaxDegree %d", max, mt.MaxDegree())
+	if got := slices.Max(deg); got != mt.MaxDegree() {
+		t.Errorf("max tree degree from Parent %d != MaxDegree %d", got, mt.MaxDegree())
+	}
+}
+
+// refTree is a reference build's result: the tree as a PathTree, every
+// node's depth (-1 outside the tree) and the maximum tree degree.
+type refTree struct {
+	global *graph.PathTree
+	depth  map[graph.NodeID]int
+	maxDeg int
+}
+
+// refCenter is the reference center search: a full BFS from every linked
+// node, its eccentricity the largest Hops over all nodes.
+func refCenter(net *graph.Undirected) graph.NodeID {
+	n := net.Len()
+	center := graph.NodeID(0)
+	bestEcc := -1
+	for u := 0; u < n; u++ {
+		if net.Degree(graph.NodeID(u)) == 0 {
+			continue
+		}
+		pt := net.BFS(graph.NodeID(u))
+		ecc := 0
+		for v := 0; v < n; v++ {
+			if h := pt.Hops(graph.NodeID(v)); h > ecc {
+				ecc = h
+			}
+		}
+		if bestEcc == -1 || ecc < bestEcc {
+			bestEcc, center = ecc, graph.NodeID(u)
+		}
+	}
+	return center
+}
+
+// refSharedTree is the reference SharedTree: the BFS tree at refCenter.
+func refSharedTree(net *graph.Undirected) refTree {
+	global := net.BFS(refCenter(net))
+	depth := make(map[graph.NodeID]int, net.Len())
+	for u := 0; u < net.Len(); u++ {
+		depth[graph.NodeID(u)] = global.Hops(graph.NodeID(u))
+	}
+	return refTree{global: global, depth: depth}
+}
+
+// refMinDegreeTree is the reference local search NewMinDegreeTree must
+// reproduce exactly: the tree as adjacency-set maps, every cycle found by
+// a fresh BFS inside the tree, and a final BFS re-rooting at the center.
+func refMinDegreeTree(net *graph.Undirected) refTree {
+	n := net.Len()
+	center := refCenter(net)
+
+	inTree := make([]map[graph.NodeID]bool, n)
+	deg := make([]int, n)
+	for i := range inTree {
+		inTree[i] = make(map[graph.NodeID]bool)
+	}
+	addT := func(a, b graph.NodeID) {
+		inTree[a][b] = true
+		inTree[b][a] = true
+		deg[a]++
+		deg[b]++
+	}
+	delT := func(a, b graph.NodeID) {
+		delete(inTree[a], b)
+		delete(inTree[b], a)
+		deg[a]--
+		deg[b]--
+	}
+	bfs := net.BFS(center)
+	for u := 0; u < n; u++ {
+		id := graph.NodeID(u)
+		if id != center && bfs.Reachable(id) {
+			addT(id, bfs.Parent[u])
+		}
+	}
+
+	treePath := func(a, b graph.NodeID) []graph.NodeID {
+		par := make([]graph.NodeID, n)
+		for i := range par {
+			par[i] = -1
+		}
+		par[a] = a
+		for q := []graph.NodeID{a}; len(q) > 0; {
+			x := q[0]
+			q = q[1:]
+			if x == b {
+				break
+			}
+			for y := range inTree[x] {
+				if par[y] == -1 {
+					par[y] = x
+					q = append(q, y)
+				}
+			}
+		}
+		var rev []graph.NodeID
+		for v := b; ; v = par[v] {
+			rev = append(rev, v)
+			if v == a {
+				break
+			}
+		}
+		slices.Reverse(rev)
+		return rev
+	}
+
+	edges := net.Edges()
+	for improved := true; improved; {
+		improved = false
+		for _, e := range edges {
+			u, v := e.U, e.V
+			if inTree[u][v] {
+				continue
+			}
+			path := treePath(u, v)
+			wi := -1
+			for i := 1; i < len(path)-1; i++ {
+				if wi == -1 || deg[path[i]] > deg[path[wi]] {
+					wi = i
+				}
+			}
+			if wi == -1 {
+				continue
+			}
+			w := path[wi]
+			if deg[w] < max(deg[u], deg[v])+2 {
+				continue
+			}
+			delT(path[wi-1], w)
+			addT(u, v)
+			improved = true
+		}
+	}
+
+	global := &graph.PathTree{
+		Root:   center,
+		Dist:   make([]float64, n),
+		Parent: make([]graph.NodeID, n),
+	}
+	for i := range global.Parent {
+		global.Parent[i] = -1
+	}
+	global.Parent[center] = center
+	for q := []graph.NodeID{center}; len(q) > 0; {
+		x := q[0]
+		q = q[1:]
+		for y := range inTree[x] {
+			if global.Parent[y] == -1 && y != center {
+				global.Parent[y] = x
+				global.Dist[y] = global.Dist[x] + 1
+				q = append(q, y)
+			}
+		}
+	}
+	depth := make(map[graph.NodeID]int, n)
+	for u := 0; u < n; u++ {
+		depth[graph.NodeID(u)] = global.Hops(graph.NodeID(u))
+	}
+	return refTree{global: global, depth: depth, maxDeg: slices.Max(deg)}
+}
+
+// diffTree reports the first difference between a built tree and its
+// reference: root, parent, distance, depth, then maximum degree.
+func diffTree(got *SharedTree, gotMax int, want refTree) error {
+	if got.global.Root != want.global.Root {
+		return fmt.Errorf("root %d, reference %d", got.global.Root, want.global.Root)
+	}
+	for u := range want.global.Parent {
+		id := graph.NodeID(u)
+		switch {
+		case got.global.Parent[u] != want.global.Parent[u]:
+			return fmt.Errorf("parent of %d is %d, reference %d", u, got.global.Parent[u], want.global.Parent[u])
+		case got.global.Dist[u] != want.global.Dist[u]:
+			return fmt.Errorf("dist of %d is %g, reference %g", u, got.global.Dist[u], want.global.Dist[u])
+		case int(got.depth[u]) != want.depth[id]:
+			return fmt.Errorf("depth of %d is %d, reference %d", u, got.depth[u], want.depth[id])
+		}
+	}
+	if gotMax != want.maxDeg {
+		return fmt.Errorf("max degree %d, reference %d", gotMax, want.maxDeg)
+	}
+	return nil
+}
+
+// diffMinDegreeOracle builds both trees for net and reports the first
+// difference between NewMinDegreeTree and the reference local search.
+func diffMinDegreeOracle(net *graph.Undirected) error {
+	mt, err := NewMinDegreeTree(net)
+	if err != nil {
+		return err
+	}
+	return diffTree(&mt.SharedTree, mt.MaxDegree(), refMinDegreeTree(net))
+}
+
+// diffSharedTreeOracle is diffMinDegreeOracle for NewSharedTree and the
+// reference center search.
+func diffSharedTreeOracle(net *graph.Undirected) error {
+	st, err := NewSharedTree(net)
+	if err != nil {
+		return err
+	}
+	return diffTree(st, 0, refSharedTree(net))
+}
+
+// oracleGraph draws a connected graph on 5–84 slots for the differential
+// tests: a random spanning tree over the occupied slots, extra edges at a
+// drawn density, and, in one graph of three, a few isolated slots (the
+// shape a session leaves after condemning nodes). Graphs alternate
+// between sparse, path-like trees and dense meshes.
+func oracleGraph(rng *rand.Rand) *graph.Undirected {
+	n := 5 + rng.Intn(80)
+	g := graph.NewUndirected(n)
+	occ := rng.Perm(n)
+	if rng.Intn(3) == 0 {
+		occ = occ[:n-1-rng.Intn(min(4, n-2))]
+	}
+	for i := 1; i < len(occ); i++ {
+		// Attaching to a recent node makes long paths, to any node bushy trees.
+		lo := 0
+		if rng.Intn(2) == 0 {
+			lo = max(0, i-3)
+		}
+		g.AddEdge(graph.NodeID(occ[i]), graph.NodeID(occ[lo+rng.Intn(i-lo)]), 1)
+	}
+	extra := rng.Intn(3 * len(occ))
+	for k := 0; k < extra; k++ {
+		a, b := occ[rng.Intn(len(occ))], occ[rng.Intn(len(occ))]
+		if a != b && !g.HasEdge(graph.NodeID(a), graph.NodeID(b)) {
+			g.AddEdge(graph.NodeID(a), graph.NodeID(b), 1)
+		}
+	}
+	return g
+}
+
+// TestMinDegreeMatchesReference requires NewMinDegreeTree and
+// NewSharedTree to build exactly the trees of the reference map-based
+// local search and the full-BFS center search, on random connected
+// graphs with and without isolated slots.
+func TestMinDegreeMatchesReference(t *testing.T) {
+	trials := 3000
+	if testing.Short() {
+		trials = 300
+	}
+	rng := rand.New(rand.NewSource(27))
+	for trial := 0; trial < trials; trial++ {
+		net := oracleGraph(rng)
+		if err := diffMinDegreeOracle(net); err != nil {
+			t.Fatalf("trial %d (%d nodes, %d links): min-degree tree: %v", trial, net.Len(), net.NumEdges(), err)
+		}
+		if err := diffSharedTreeOracle(net); err != nil {
+			t.Fatalf("trial %d (%d nodes, %d links): shared tree: %v", trial, net.Len(), net.NumEdges(), err)
+		}
 	}
 }

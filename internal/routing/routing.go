@@ -15,6 +15,7 @@ package routing
 import (
 	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"m2m/internal/graph"
@@ -249,7 +250,7 @@ func occupiedConnected(net *graph.Undirected) bool {
 // holds by construction and Theorem 1 applies without repair.
 type SharedTree struct {
 	global *graph.PathTree
-	depth  map[graph.NodeID]int
+	depth  []int32 // hops from the root; -1 outside the tree
 }
 
 // NewSharedTree builds the global routing tree for net, rooted at the node
@@ -264,29 +265,40 @@ func NewSharedTree(net *graph.Undirected) (*SharedTree, error) {
 	if !occupiedConnected(net) {
 		return nil, fmt.Errorf("routing: network not connected")
 	}
-	center := graph.NodeID(0)
-	bestEcc := -1
-	for u := 0; u < net.Len(); u++ {
-		if net.Degree(graph.NodeID(u)) == 0 {
-			continue
+	global := net.BFS(networkCenter(net))
+	depth := make([]int32, net.Len())
+	for u := range depth {
+		depth[u] = -1
+		if global.Reachable(graph.NodeID(u)) {
+			depth[u] = int32(global.Dist[u])
 		}
-		pt := net.BFS(graph.NodeID(u))
-		ecc := 0
-		for v := 0; v < net.Len(); v++ {
-			if h := pt.Hops(graph.NodeID(v)); h > ecc {
-				ecc = h
-			}
-		}
-		if bestEcc == -1 || ecc < bestEcc {
-			bestEcc, center = ecc, graph.NodeID(u)
-		}
-	}
-	global := net.BFS(center)
-	depth := make(map[graph.NodeID]int, net.Len())
-	for u := 0; u < net.Len(); u++ {
-		depth[graph.NodeID(u)] = global.Hops(graph.NodeID(u))
 	}
 	return &SharedTree{global: global, depth: depth}, nil
+}
+
+// networkCenter returns the linked node of minimum eccentricity, the
+// smallest ID on ties. One walk is reset from node to node; a walk that
+// reaches the best eccentricity so far is abandoned there, since only a
+// strictly smaller one can win.
+func networkCenter(net *graph.Undirected) graph.NodeID {
+	var w *graph.Walk
+	center, bestEcc := graph.NodeID(0), -1
+	for u := 0; u < net.Len(); u++ {
+		id := graph.NodeID(u)
+		if net.Degree(id) == 0 {
+			continue
+		}
+		if w == nil {
+			w = net.Walk(id)
+		} else {
+			w.Reset(id)
+		}
+		if bestEcc >= 0 && w.Layer(bestEcc) != nil {
+			continue
+		}
+		center, bestEcc = id, w.Eccentricity()
+	}
+	return center
 }
 
 // Name implements Builder.
@@ -313,31 +325,41 @@ func (b *SharedTree) Build(net *graph.Undirected, source graph.NodeID, dests []g
 	return t, nil
 }
 
-// treePath returns the unique path from a to b inside the global tree.
+// treePath returns the unique path from a to c inside the global tree,
+// or nil if either lies outside it.
 func (b *SharedTree) treePath(a, c graph.NodeID) []graph.NodeID {
-	if b.depth[a] < 0 || b.depth[c] < 0 {
+	if !b.inTree(a) || !b.inTree(c) {
 		return nil
 	}
-	// Climb both endpoints to their lowest common ancestor.
-	var upA, upC []graph.NodeID
+	return treePathInto(nil, b.global.Parent, b.depth, a, c)
+}
+
+func (b *SharedTree) inTree(u graph.NodeID) bool {
+	return u >= 0 && int(u) < len(b.depth) && b.depth[u] >= 0
+}
+
+// treePathInto returns the path from a to c, both inclusive, in the tree
+// given by parent and depth pointers, reusing buf's storage. It climbs
+// both ends to their lowest common ancestor once to size the path, then
+// again to fill it from both ends.
+func treePathInto(buf, parent []graph.NodeID, depth []int32, a, c graph.NodeID) []graph.NodeID {
 	x, y := a, c
-	for b.depth[x] > b.depth[y] {
-		upA = append(upA, x)
-		x = b.global.Parent[x]
+	for depth[x] > depth[y] {
+		x = parent[x]
 	}
-	for b.depth[y] > b.depth[x] {
-		upC = append(upC, y)
-		y = b.global.Parent[y]
+	for depth[y] > depth[x] {
+		y = parent[y]
 	}
 	for x != y {
-		upA = append(upA, x)
-		upC = append(upC, y)
-		x = b.global.Parent[x]
-		y = b.global.Parent[y]
+		x, y = parent[x], parent[y]
 	}
-	path := append(upA, x)
-	for i := len(upC) - 1; i >= 0; i-- {
-		path = append(path, upC[i])
+	up, down := int(depth[a]-depth[x]), int(depth[c]-depth[x])
+	path := slices.Grow(buf[:0], up+down+1)[:up+down+1]
+	for i, v := 0, a; i <= up; i, v = i+1, parent[v] {
+		path[i] = v
+	}
+	for i, v := up+down, c; i > up; i, v = i-1, parent[v] {
+		path[i] = v
 	}
 	return path
 }

@@ -42,12 +42,13 @@ func (e *Engine) putState(st *RoundState) { e.pool.Put(st) }
 
 // preAggRec writes raw operand in's pre-aggregated reading v into dst:
 // through the kernel of a table-driven kind k, through fn when k is 0.
+// compile proved the operand's source a member of fn (agg.ParamOf).
 func preAggRec(k agg.Kind, fn agg.Func, dst agg.Record, in *unitInput, v float64) {
 	if k != 0 {
 		k.PreAggInto(dst, in.param, v)
 		return
 	}
-	agg.PreAggInto(fn, dst, graph.NodeID(in.source), v)
+	agg.PreAggMemberInto(fn, dst, graph.NodeID(in.source), v)
 }
 
 // mergeRec folds src into dst (dst = dst ⊕ src) through the kernel of k,
