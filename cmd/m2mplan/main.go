@@ -79,7 +79,6 @@ func main() {
 	fmt.Printf("  directed edges:  %d\n", len(inst.EdgeList))
 	fmt.Printf("  message units:   %d raw + %d records = %d\n", rawUnits, aggUnits, rawUnits+aggUnits)
 	fmt.Printf("  body bytes:      %d\n", p.TotalBodyBytes())
-	fmt.Printf("  repairs:         %d\n", p.Repairs)
 	fmt.Printf("  state entries:   %d (%d bytes to disseminate)\n",
 		tables.TotalEntries(), tables.StateBytes())
 

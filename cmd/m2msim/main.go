@@ -200,8 +200,7 @@ func main() {
 
 	opt, err := m2m.Optimize(inst)
 	check(err)
-	fmt.Printf("optimal plan: %d units over %d edges, %d consistency repairs\n",
-		len(opt.Units()), len(inst.EdgeList), opt.Repairs)
+	fmt.Printf("optimal plan: %d units over %d edges\n", len(opt.Units()), len(inst.EdgeList))
 
 	if *traceUnits {
 		eng, err := sim.NewEngine(opt, net.Radio, sim.Options{MergeMessages: true})

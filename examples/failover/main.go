@@ -89,8 +89,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("recovery: %d/%d edge solutions reused, %d re-solved, %d repairs\n",
-		stats.EdgesReused, stats.EdgesTotal, stats.EdgesSolved, recovered.Repairs)
+	fmt.Printf("recovery: %d/%d edge solutions reused, %d re-solved\n",
+		stats.EdgesReused, stats.EdgesTotal, stats.EdgesSolved)
 
 	// Price the update dissemination (diff vs full reinstall).
 	oldTab, err := p.BuildTables()

@@ -204,6 +204,5 @@ func solveLocal(infos []pairInfo) (*plan.EdgeSolution, error) {
 			sol.Agg[d] = true
 		}
 	}
-	sol.Resolves = 1
 	return sol, nil
 }

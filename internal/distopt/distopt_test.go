@@ -51,11 +51,6 @@ func TestDistributedMatchesCentralized(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if central.Repairs != 0 {
-			// The distributed protocol has no repair channel; skip the rare
-			// instance that needed one (counted centrally).
-			continue
-		}
 		dist, err := Optimize(inst, radio.DefaultModel())
 		if err != nil {
 			t.Fatal(err)

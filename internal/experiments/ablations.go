@@ -189,15 +189,15 @@ func addOneSource(inst *plan.Instance, d graph.NodeID, seed int64) ([]agg.Spec, 
 }
 
 // RouterAblation compares the two routers on the same workloads: energy of
-// the optimal plan, repair count, and how many directed edges the
-// workloads occupy (a proxy for path sharing).
+// the optimal plan and how many directed edges the workloads occupy (a
+// proxy for path sharing).
 func RouterAblation(cfg Config) (*tablefmt.Table, error) {
 	_, net := gdi()
 	tbl := tablefmt.New(
 		"Routing ablation — reverse-path vs shared-tree (optimal plan)",
-		"pct_dests", "reverse_mJ", "shared_mJ", "reverse_repairs", "reverse_edges", "shared_edges")
+		"pct_dests", "reverse_mJ", "shared_mJ", "reverse_edges", "shared_edges")
 	for pct := 20; pct <= 100; pct += 40 {
-		ys, err := averagedRow(cfg, 5, func(seed int64) ([]float64, error) {
+		ys, err := averagedRow(cfg, 4, func(seed int64) ([]float64, error) {
 			specs, err := evalWorkload(net, float64(pct)/100, seed)
 			if err != nil {
 				return nil, err
@@ -207,10 +207,6 @@ func RouterAblation(cfg Config) (*tablefmt.Table, error) {
 				return nil, err
 			}
 			sh, err := buildInstance(net, specs, true)
-			if err != nil {
-				return nil, err
-			}
-			pRev, err := plan.Optimize(rev)
 			if err != nil {
 				return nil, err
 			}
@@ -224,7 +220,6 @@ func RouterAblation(cfg Config) (*tablefmt.Table, error) {
 			}
 			return []float64{
 				eRev, eSh,
-				float64(pRev.Repairs),
 				float64(len(rev.EdgeList)),
 				float64(len(sh.EdgeList)),
 			}, nil

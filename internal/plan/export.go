@@ -8,11 +8,10 @@ import (
 // ExportedPlan is the JSON-friendly view of a plan, for tooling and
 // offline inspection (cmd/m2mplan -json).
 type ExportedPlan struct {
-	Method  string         `json:"method"`
-	Repairs int            `json:"repairs"`
-	Units   int            `json:"units"`
-	Bytes   int            `json:"body_bytes"`
-	Edges   []ExportedEdge `json:"edges"`
+	Method string         `json:"method"`
+	Units  int            `json:"units"`
+	Bytes  int            `json:"body_bytes"`
+	Edges  []ExportedEdge `json:"edges"`
 }
 
 // ExportedEdge is one edge's transmit decision.
@@ -26,10 +25,9 @@ type ExportedEdge struct {
 // Export returns the serializable view of p, edges in canonical order.
 func (p *Plan) Export() *ExportedPlan {
 	out := &ExportedPlan{
-		Method:  string(p.Method),
-		Repairs: p.Repairs,
-		Units:   len(p.Units()),
-		Bytes:   p.TotalBodyBytes(),
+		Method: string(p.Method),
+		Units:  len(p.Units()),
+		Bytes:  p.TotalBodyBytes(),
 	}
 	for i, e := range p.Inst.EdgeList {
 		sol := p.Sol[i]

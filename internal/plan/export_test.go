@@ -13,7 +13,7 @@ func TestExportFigure1C(t *testing.T) {
 		t.Fatal(err)
 	}
 	ex := p.Export()
-	if ex.Method != "optimal" || ex.Repairs != 0 {
+	if ex.Method != "optimal" {
 		t.Errorf("header = %+v", ex)
 	}
 	if ex.Units != len(p.Units()) || ex.Bytes != p.TotalBodyBytes() {

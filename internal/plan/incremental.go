@@ -17,8 +17,8 @@ type UpdateStats struct {
 	// EdgesReused is the number of edges whose single-edge inputs were
 	// unchanged and whose old solutions were carried over verbatim.
 	EdgesReused int
-	// EdgesSolved counts fresh single-edge optimizations (new or changed
-	// inputs, plus any consistency repairs).
+	// EdgesSolved counts fresh single-edge optimizations: the edges with
+	// new or changed inputs.
 	EdgesSolved int
 	// EdgesChangedSolution counts edges whose final solution differs from
 	// the old plan (including edges absent from one of the two plans) —
@@ -44,8 +44,9 @@ func Reoptimize(old *Plan, inst *Instance) (*Plan, *UpdateStats, error) {
 //
 // Only edges whose inputs changed (see changedEdges) are solved again;
 // the two edge lists are matched by one merge, and every other solution
-// is carried over by reference. The consistency repair and the coverage
-// check still run over the whole plan.
+// is carried over by reference (nothing changes a solution once it is
+// built). The Theorem 1 availability check and the coverage check still
+// run over the whole plan, and a violation is an error as in Optimize.
 func ReoptimizeWithPrices(old *Plan, inst *Instance, prices map[graph.NodeID]int64) (*Plan, *UpdateStats, error) {
 	p := &Plan{Inst: inst, Method: MethodOptimal, Sol: make([]*EdgeSolution, len(inst.EdgeList)), Prices: prices}
 	stats := &UpdateStats{EdgesTotal: len(inst.EdgeList)}
@@ -60,11 +61,9 @@ func ReoptimizeWithPrices(old *Plan, inst *Instance, prices map[graph.NodeID]int
 	for i := range inst.EdgeList {
 		if old != nil && !changed[i] {
 			if j := prevOf[i]; j < len(old.Sol) {
-				if prev := old.Sol[j]; prev != nil && len(prev.ForbiddenRaw) == 0 {
-					// Carry the old solution over by reference (copy-on-write:
-					// the repair loop clones before mutating a shared solution),
-					// so a mostly-unchanged reoptimization copies nothing.
-					prev.shared.Store(true)
+				if prev := old.Sol[j]; prev != nil {
+					// Carry the old solution over by reference, so a
+					// mostly-unchanged reoptimization copies nothing.
 					p.Sol[i] = prev
 					stats.EdgesReused++
 					continue
@@ -75,17 +74,16 @@ func ReoptimizeWithPrices(old *Plan, inst *Instance, prices map[graph.NodeID]int
 			sc = getEdgeScratch()
 			defer putEdgeScratch(sc)
 		}
-		sol, err := solveEdge(inst, i, nil, prices, sc)
+		sol, err := solveEdge(inst, i, prices, sc)
 		if err != nil {
 			return nil, nil, err
 		}
 		p.Sol[i] = sol
 		stats.EdgesSolved++
 	}
-	if err := p.repairLoop(); err != nil {
+	if err := p.checkTheorem1(); err != nil {
 		return nil, nil, err
 	}
-	stats.EdgesSolved += p.Repairs
 	if err := p.validateCover(); err != nil {
 		return nil, nil, err
 	}
@@ -165,27 +163,6 @@ func changedEdges(old *Plan, inst *Instance, prices map[graph.NodeID]int64, prev
 	return changed
 }
 
-func cloneSolution(s *EdgeSolution) *EdgeSolution {
-	c := &EdgeSolution{
-		Raw:      make(map[graph.NodeID]bool, len(s.Raw)),
-		Agg:      make(map[graph.NodeID]bool, len(s.Agg)),
-		Resolves: s.Resolves,
-	}
-	for k := range s.Raw {
-		c.Raw[k] = true
-	}
-	for k := range s.Agg {
-		c.Agg[k] = true
-	}
-	if len(s.ForbiddenRaw) > 0 {
-		c.ForbiddenRaw = make(map[graph.NodeID]bool, len(s.ForbiddenRaw))
-		for k := range s.ForbiddenRaw {
-			c.ForbiddenRaw[k] = true
-		}
-	}
-	return c
-}
-
 func sameSolution(a, b *EdgeSolution) bool {
 	if a == b {
 		return true // reused by reference during Reoptimize
@@ -209,8 +186,8 @@ func sameSolution(a, b *EdgeSolution) bool {
 // countChangedSolutions counts the edges whose solution differs between
 // old and new_ (edges present in only one plan included), given the edge
 // match from matchEdges. A solution carried over by reference is unchanged
-// at the cost of a pointer comparison, so only the solved, repaired and
-// vanished edges do real work.
+// at the cost of a pointer comparison, so only the solved and vanished
+// edges do real work.
 func countChangedSolutions(old, new_ *Plan, prevOf []int, vanished int) int {
 	changed := vanished // a vanished edge's nodes must drop state
 	for i, sol := range new_.Sol {

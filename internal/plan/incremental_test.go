@@ -3,6 +3,7 @@ package plan
 import (
 	"math/rand"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -230,11 +231,11 @@ func referenceStats(old *Plan, p *Plan) UpdateStats {
 		return true
 	}
 	for _, e := range inst.EdgeList {
-		if prev := old.Solution(e); prev != nil && len(prev.ForbiddenRaw) == 0 && sameInputs(e) {
+		if prev := old.Solution(e); prev != nil && sameInputs(e) {
 			st.EdgesReused++
 		}
 	}
-	st.EdgesSolved = st.EdgesTotal - st.EdgesReused + p.Repairs
+	st.EdgesSolved = st.EdgesTotal - st.EdgesReused
 	oldSol := make(map[routing.Edge]*EdgeSolution, len(old.Sol))
 	for i, e := range oldInst.EdgeList {
 		oldSol[e] = old.Sol[i]
@@ -356,23 +357,22 @@ func isSource(inst *Instance, n graph.NodeID) bool {
 	return false
 }
 
-// TestReoptimizeWithRepairs replans a plan whose consistency repair fired,
-// so an old solution carries ForbiddenRaw state and must be solved again
-// rather than reused. Source 0 reaches relay 5 over two in-edges, one per
-// destination (7 and 8), which the suffix property allows but path sharing
-// does not. Under the prices below each in-edge aggregates its destination,
-// while 5→6 would carry 0, 1 and 2 raw; the repair forbids those.
-// (ReversePath cannot produce this: its hop-count trees with smallest-ID
-// parents give every source one route to each relay, so its plans never
-// need repairs.)
-func TestReoptimizeWithRepairs(t *testing.T) {
+// TestRouterBreakingTheorem1IsAnError plans with a router that keeps the
+// suffix property but breaks path sharing, so Theorem 1 does not apply.
+// Source 0 reaches relay 5 over two in-edges, one per destination (7 and
+// 8). Under the prices below each in-edge aggregates its destination,
+// while 5→6 would carry 0, 1 and 2 raw: values aggregated upstream. Both
+// Optimize and Reoptimize must refuse the plan and name the router, the
+// edge and the source. (ReversePath cannot produce this: its hop-count
+// trees with smallest-ID parents give every source one route to each
+// relay.)
+func TestRouterBreakingTheorem1IsAnError(t *testing.T) {
 	g := graph.NewUndirected(11)
 	router := tableRouter{
-		{Source: 0, Dest: 7}:  {0, 3, 5, 6, 7},
-		{Source: 1, Dest: 7}:  {1, 3, 5, 6, 7},
-		{Source: 0, Dest: 8}:  {0, 4, 5, 6, 8},
-		{Source: 2, Dest: 8}:  {2, 4, 5, 6, 8},
-		{Source: 9, Dest: 10}: {9, 10},
+		{Source: 0, Dest: 7}: {0, 3, 5, 6, 7},
+		{Source: 1, Dest: 7}: {1, 3, 5, 6, 7},
+		{Source: 0, Dest: 8}: {0, 4, 5, 6, 8},
+		{Source: 2, Dest: 8}: {2, 4, 5, 6, 8},
 	}
 	sum := func(ids ...graph.NodeID) agg.Func {
 		w := make(map[graph.NodeID]float64)
@@ -387,25 +387,33 @@ func TestReoptimizeWithRepairs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	old, err := OptimizeWithPrices(inst, prices)
+	// Destination 7 alone routes every source once through 5, so its plan
+	// is a valid base to replan from.
+	one, err := NewInstance(g, router, specs[:1])
 	if err != nil {
 		t.Fatal(err)
 	}
-	if old.Repairs == 0 {
-		t.Fatal("the instance needed no repairs")
+	old, err := OptimizeWithPrices(one, prices)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for name, delta := range map[string][]agg.Spec{
-		"unrelated spec added": append(specs[:2:2], agg.Spec{Dest: 10, Func: sum(9)}),
-		"destination dropped":  specs[:1],
-	} {
-		t.Run(name, func(t *testing.T) {
-			newInst, err := NewInstance(g, router, delta)
-			if err != nil {
-				t.Fatal(err)
+	check := func(name string, err error) {
+		t.Helper()
+		if err == nil {
+			t.Fatalf("%s accepted a plan that breaks Theorem 1", name)
+		}
+		for _, want := range []string{`router "table"`, "edge 5→6", "source 0"} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("%s error %q does not name %s", name, err, want)
 			}
-			checkReplan(t, old, newInst, prices)
-		})
+		}
 	}
+	_, err = OptimizeWithPrices(inst, prices)
+	check("OptimizeWithPrices", err)
+	_, _, err = ReoptimizeWithPrices(old, inst, prices)
+	check("ReoptimizeWithPrices", err)
+	_, _, err = ReoptimizeWithPrices(nil, inst, prices)
+	check("ReoptimizeWithPrices from nothing", err)
 }
 
 // TestConcurrentReoptimizeFromSharedPlan replans one cached plan from two

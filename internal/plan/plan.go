@@ -26,23 +26,12 @@ const (
 
 // EdgeSolution is the transmit decision for one directed edge: which
 // sources travel raw and which destinations travel as partial aggregate
-// records (the vertex cover of the edge's bipartite problem).
+// records (the vertex cover of the edge's bipartite problem). The planner
+// never changes a solution once built, so plans share unchanged ones by
+// reference (Reoptimize).
 type EdgeSolution struct {
 	Raw map[graph.NodeID]bool
 	Agg map[graph.NodeID]bool
-	// ForbiddenRaw records sources whose raw option was removed by the
-	// consistency repair pass (only non-empty when the router violates the
-	// paper's sharing restriction). It is nil until the repair pass first
-	// touches the edge.
-	ForbiddenRaw map[graph.NodeID]bool
-	// Resolves counts how many times this edge was (re-)solved.
-	Resolves int
-	// shared marks a solution carried over by reference from an old plan
-	// during Reoptimize; the repair loop clones it before mutating. It is
-	// atomic because a cached plan may serve as the Reoptimize base of
-	// many concurrent sessions (the serving layer's plan cache), each
-	// marking the same carried-over solutions shared.
-	shared atomic.Bool
 }
 
 // NewEdgeSolution returns an empty solution with initialized sets, for
@@ -50,13 +39,10 @@ type EdgeSolution struct {
 // Plans themselves.
 func NewEdgeSolution() *EdgeSolution {
 	return &EdgeSolution{
-		Raw:          make(map[graph.NodeID]bool),
-		Agg:          make(map[graph.NodeID]bool),
-		ForbiddenRaw: make(map[graph.NodeID]bool),
+		Raw: make(map[graph.NodeID]bool),
+		Agg: make(map[graph.NodeID]bool),
 	}
 }
-
-func newEdgeSolution() *EdgeSolution { return NewEdgeSolution() }
 
 // Plan is a global many-to-many aggregation plan: one EdgeSolution per
 // workload edge.
@@ -65,8 +51,7 @@ type Plan struct {
 	Method Method
 	// Sol holds the solution of every edge, aligned with Inst.EdgeList:
 	// Sol[i] is the solution of Inst.EdgeList[i].
-	Sol     []*EdgeSolution
-	Repairs int // edges re-solved to restore consistency (0 under Theorem 1's assumptions)
+	Sol []*EdgeSolution
 	// Prices are the per-node energy prices the plan was solved under (nil
 	// or missing entries mean price 1). A node's price multiplies its unit
 	// weight in every edge's vertex-cover problem, so the cover prefers
@@ -94,10 +79,12 @@ func priceOf(prices map[graph.NodeID]int64, n graph.NodeID) int64 {
 
 // Optimize computes the paper's optimal plan: every edge is solved as an
 // independent weighted bipartite vertex cover with the canonical global
-// tiebreak. If the router satisfies the paper's sharing restriction,
-// Theorem 1 guarantees the per-edge optima are mutually consistent and the
-// repair loop never fires; otherwise conflicting edges are re-solved with
-// the unavailable raw options forbidden, and Repairs reports how many.
+// tiebreak. Theorem 1 guarantees the per-edge optima are mutually
+// consistent when the router satisfies the paper's routing restrictions
+// (see routing.Router), as every router in this repository does. A router
+// that breaks them can make an edge send raw a value that was aggregated
+// upstream; Optimize then returns an error naming the router, the edge
+// and the source.
 func Optimize(inst *Instance) (*Plan, error) {
 	return OptimizeWithPrices(inst, nil)
 }
@@ -127,7 +114,7 @@ func OptimizeWithPrices(inst *Instance, prices map[graph.NodeID]int64) (*Plan, e
 				if i >= len(inst.EdgeList) {
 					return
 				}
-				p.Sol[i], errs[i] = solveEdge(inst, i, nil, prices, sc)
+				p.Sol[i], errs[i] = solveEdge(inst, i, prices, sc)
 			}
 		}()
 	}
@@ -137,7 +124,7 @@ func OptimizeWithPrices(inst *Instance, prices map[graph.NodeID]int64) (*Plan, e
 			return nil, err
 		}
 	}
-	if err := p.repairLoop(); err != nil {
+	if err := p.checkTheorem1(); err != nil {
 		return nil, err
 	}
 	if err := p.validateCover(); err != nil {
@@ -146,54 +133,19 @@ func OptimizeWithPrices(inst *Instance, prices map[graph.NodeID]int64) (*Plan, e
 	return p, nil
 }
 
-// repairLoop restores consistency: it forbids raw options that upstream
-// decisions made unavailable and re-solves the affected edges, to
-// fixpoint. Each iteration forbids at least one new (edge, source) raw
-// option, so the loop terminates. Under the paper's sharing restriction
-// (Theorem 1) no iteration ever fires. Its final pass finds no violation,
-// which is Validate's availability check: a plan leaving repairLoop needs
-// only validateCover.
-func (p *Plan) repairLoop() error {
-	var sc *edgeScratch
-	var resolve []int
-	for {
-		violations := p.rawViolations()
-		if len(violations) == 0 {
-			return nil
-		}
-		if sc == nil {
-			sc = getEdgeScratch()
-			defer putEdgeScratch(sc)
-		}
-		resolve = resolve[:0]
-		for _, v := range violations {
-			sol := p.Sol[v.edge]
-			if sol.shared.Load() {
-				sol = cloneSolution(sol)
-				p.Sol[v.edge] = sol
-			}
-			if sol.ForbiddenRaw == nil {
-				sol.ForbiddenRaw = make(map[graph.NodeID]bool)
-			}
-			sol.ForbiddenRaw[v.source] = true
-			resolve = append(resolve, v.edge)
-		}
-		slices.Sort(resolve)
-		for _, e := range slices.Compact(resolve) {
-			old := p.Sol[e]
-			sol, err := solveEdge(p.Inst, e, old.ForbiddenRaw, p.Prices, sc)
-			if err != nil {
-				return err
-			}
-			sol.Resolves = old.Resolves + 1
-			sol.ForbiddenRaw = make(map[graph.NodeID]bool, len(old.ForbiddenRaw))
-			for s := range old.ForbiddenRaw {
-				sol.ForbiddenRaw[s] = true
-			}
-			p.Sol[e] = sol
-			p.Repairs++
-		}
+// checkTheorem1 rejects a plan whose independently solved edges do not
+// fit together: an edge that sends a source raw although the raw value was
+// aggregated on every route into the edge's tail. Under the routing
+// restrictions of Theorem 1 this never happens, so a violation is the
+// router's fault.
+func (p *Plan) checkTheorem1() error {
+	vs := p.rawViolations()
+	if len(vs) == 0 {
+		return nil
 	}
+	e := p.Inst.EdgeList[vs[0].edge]
+	return fmt.Errorf("plan: router %q breaks Theorem 1's routing restrictions: edge %v sends source %d raw, but its raw value was aggregated before reaching %d (and %d more)",
+		p.Inst.Router.Name(), e, vs[0].source, e.From, len(vs)-1)
 }
 
 // Multicast returns the pure-multicast baseline plan: every value crosses
@@ -201,11 +153,10 @@ func (p *Plan) repairLoop() error {
 func Multicast(inst *Instance) *Plan {
 	p := &Plan{Inst: inst, Method: MethodMulticast, Sol: make([]*EdgeSolution, len(inst.EdgeList))}
 	for i, e := range inst.EdgeList {
-		sol := newEdgeSolution()
+		sol := NewEdgeSolution()
 		for _, s := range inst.EdgeSources(e) {
 			sol.Raw[s] = true
 		}
-		sol.Resolves = 1
 		p.Sol[i] = sol
 	}
 	return p
@@ -217,11 +168,10 @@ func Multicast(inst *Instance) *Plan {
 func AggregateASAP(inst *Instance) *Plan {
 	p := &Plan{Inst: inst, Method: MethodAggregation, Sol: make([]*EdgeSolution, len(inst.EdgeList))}
 	for i, e := range inst.EdgeList {
-		sol := newEdgeSolution()
+		sol := NewEdgeSolution()
 		for _, d := range inst.EdgeDests(e) {
 			sol.Agg[d] = true
 		}
-		sol.Resolves = 1
 		p.Sol[i] = sol
 	}
 	return p
@@ -238,7 +188,7 @@ func AggregateASAP(inst *Instance) *Plan {
 // per-worker scratch; the problem it builds is identical to the former
 // map-based construction (an edge's pairs are sorted by (Source, Dest), so
 // sources dedup adjacently and duplicate cover edges are adjacent too).
-func solveEdge(inst *Instance, ei int, forbidRaw map[graph.NodeID]bool, prices map[graph.NodeID]int64, sc *edgeScratch) (*EdgeSolution, error) {
+func solveEdge(inst *Instance, ei int, prices map[graph.NodeID]int64, sc *edgeScratch) (*EdgeSolution, error) {
 	pairs := inst.Pairs(ei)
 	sc.ensure(inst.Net.Len())
 	sc.sources = sc.sources[:0]
@@ -276,15 +226,7 @@ func solveEdge(inst *Instance, ei int, forbidRaw map[graph.NodeID]bool, prices m
 		prob.Edges = append(prob.Edges, [2]int{int(i), int(j)})
 	}
 
-	var forbidU []bool
-	if len(forbidRaw) > 0 {
-		sc.forbidU = sc.forbidU[:0]
-		for _, s := range sc.sources {
-			sc.forbidU = append(sc.forbidU, forbidRaw[s])
-		}
-		forbidU = sc.forbidU
-	}
-	cover, err := vcover.SolveConstrained(prob, forbidU)
+	cover, err := vcover.Solve(prob)
 	if err != nil {
 		return nil, fmt.Errorf("plan: edge %v: %w", inst.EdgeList[ei], err)
 	}
@@ -300,9 +242,8 @@ func solveEdge(inst *Instance, ei int, forbidRaw map[graph.NodeID]bool, prices m
 		}
 	}
 	sol := &EdgeSolution{
-		Raw:      make(map[graph.NodeID]bool, nRaw),
-		Agg:      make(map[graph.NodeID]bool, nAgg),
-		Resolves: 1,
+		Raw: make(map[graph.NodeID]bool, nRaw),
+		Agg: make(map[graph.NodeID]bool, nAgg),
 	}
 	for i, s := range sc.sources {
 		if cover.InU[i] {
@@ -409,8 +350,10 @@ func (p *Plan) rawViolations() []violation {
 }
 
 // Validate checks that the plan is executable: every pair is covered on
-// every edge of its path, raw transmissions are available at their tails,
-// and forbidden raw options are respected.
+// every edge of its path and raw transmissions are available at their
+// tails. Optimize and Reoptimize make both checks themselves; Validate is
+// for plans assembled elsewhere (baselines, the distributed optimizer,
+// benchmarks).
 func (p *Plan) Validate() error {
 	if err := p.validateCover(); err != nil {
 		return err
@@ -423,8 +366,7 @@ func (p *Plan) Validate() error {
 }
 
 // validateCover is Validate without the availability check: every edge
-// has a solution covering each of its pairs, and no edge transmits a
-// forbidden raw value.
+// has a solution covering each of its pairs.
 func (p *Plan) validateCover() error {
 	inst := p.Inst
 	for i, e := range inst.EdgeList {
@@ -440,13 +382,6 @@ func (p *Plan) validateCover() error {
 			}
 			if !raw && !sol.Agg[pr.Dest] {
 				return fmt.Errorf("plan: pair %d→%d uncovered on edge %v", pr.Source, pr.Dest, e)
-			}
-		}
-		if len(sol.ForbiddenRaw) > 0 {
-			for s := range sol.Raw {
-				if sol.ForbiddenRaw[s] {
-					return fmt.Errorf("plan: forbidden raw %d transmitted on %v", s, e)
-				}
 			}
 		}
 	}

@@ -21,7 +21,6 @@ type edgeScratch struct {
 	vIdx    []int32 // node → V index, valid for this solve's dests only
 	vStamp  []int32 // dedup stamp for dests
 	epoch   int32
-	forbidU []bool
 }
 
 var edgeScratchPool = sync.Pool{New: func() any { return new(edgeScratch) }}

@@ -111,7 +111,7 @@ func (p *Plan) BuildTables() (*Tables, error) {
 	// Pre-aggregation entries are deduplicated per node: the same (s, d)
 	// weight may legitimately be stored at more than one node if a record
 	// is dropped and the value re-enters raw downstream (possible only in
-	// repaired or baseline plans).
+	// hand-assembled or baseline plans).
 	type preKey struct {
 		n graph.NodeID
 		e PreAggEntry

@@ -17,11 +17,20 @@ import (
 // The paper's stronger path-sharing restriction (identical i→j paths across
 // ALL trees, Section 2.1) additionally makes every per-source multicast
 // structure a tree and is what Theorem 1's zero-conflict guarantee rests
-// on. SharedTree satisfies it, and so does ReversePath: its next hop from
-// x toward d is the smallest-ID neighbour one hop closer to d, and when a
+// on. It is a precondition of the planner: plan.Optimize and
+// plan.Reoptimize return an error naming the router, the edge and the
+// source when independently solved edges would send raw a value that was
+// aggregated upstream. Every router here passes that check. SharedTree
+// and MinDegreeTree route inside one tree. ReversePath's next hop from x
+// toward d is the smallest-ID neighbour one hop closer to d, and when a
 // route to d passes x and then m, every neighbour of x one hop closer to
 // m is one hop closer to d. Two routes through x and then m therefore
 // take the same next hop, and by induction share their x→m path.
+// WeightedReversePath repeats that argument over exact weighted distances,
+// and MilestoneRouter keeps a pure function of the inner router's path.
+// SourceSPT routes each source inside its own shortest-path tree, so its
+// per-source structures are trees by construction; NewInstance rejects it
+// where the per-destination side breaks.
 type Router interface {
 	// Name identifies the routing strategy.
 	Name() string
@@ -105,6 +114,17 @@ func (r *ReversePath) Path(s, d graph.NodeID) ([]graph.NodeID, error) {
 // uniformly weighted graph it picks the same parents as ReversePath
 // (Dijkstra and BFS share the smallest-ID tiebreak), so plans degrade to
 // the unweighted ones when nothing is penalized.
+//
+// Path sharing holds as for ReversePath. Let m lie on x's route toward d.
+// x's parent p toward d is its smallest-ID neighbour on a shortest x→d
+// path, and p also lies on a shortest x→m path. Every neighbour of x on
+// a shortest x→m path is one on a shortest x→d path too, since m is on
+// one. So p is the smallest-ID shortest-path neighbour of x toward m,
+// whatever d is, and routes through x and then m share their x→m path.
+// The argument compares path sums for equality, so it needs them exact:
+// they are, because evacuation weights are 1 or the integer penalty
+// (failure.EvacuationGraph), and sums of small integers are exact in
+// float64.
 type WeightedReversePath struct {
 	net   *graph.Undirected
 	trees map[graph.NodeID]*graph.PathTree

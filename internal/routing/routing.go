@@ -187,8 +187,8 @@ func treeFromPaths(pt *graph.PathTree, source graph.NodeID, dests []graph.NodeID
 // SPT is the paper's "standard algorithm for constructing single-source
 // multicast trees": the union of deterministic shortest paths from the
 // source to each destination, drawn from one Dijkstra tree per source.
-// Trees from different sources may violate the path-sharing restriction;
-// the planner detects and repairs the resulting conflicts.
+// Trees from different sources may violate the path-sharing restriction,
+// which the planner rejects (see Router).
 type SPT struct {
 	// Hops selects hop-count (BFS) shortest paths instead of
 	// distance-weighted ones. Hop-count routing is the sensor-network norm

@@ -7,7 +7,7 @@ import (
 // newSimulator wires the per-session parts (readings, faults, battery)
 // around a cached plan entry. Everything session-private is freshly
 // constructed; everything shared (network, instance, plan) is adopted
-// copy-on-write by the ResilientSession.
+// by reference and never mutated by the ResilientSession.
 func newSimulator(entry *planEntry, req *CreateSessionRequest) (*m2m.ResilientSession, error) {
 	n := entry.net.Len()
 	gen := req.Readings.build(n)

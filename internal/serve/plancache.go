@@ -10,9 +10,10 @@ import (
 // planEntry is one compiled-and-optimized program shared by every session
 // whose (topology, workload, router) triple hashes to the same key. All
 // fields are treated as immutable after construction: sessions adopt the
-// plan copy-on-write (replans clone shared edge solutions before
-// mutating), never touch the instance, and never mutate the network's
-// graph in place — topology surgery always rebuilds into fresh structures.
+// plan by reference (replans share its unchanged edge solutions, which
+// nothing mutates), never touch the instance, and never mutate the
+// network's graph in place — topology surgery always rebuilds into fresh
+// structures.
 type planEntry struct {
 	net   *m2m.Network
 	specs []m2m.Spec

@@ -2,8 +2,8 @@
 // multiplexes many concurrent tenant simulations over shared compiled
 // programs. One optimized plan (the expensive part — flow networks over
 // every routing edge) is cached by a hash of the (topology, workload,
-// router) triple and seeds any number of ResilientSessions copy-on-write,
-// so a thousand identical tenants pay for one Optimize.
+// router) triple and seeds any number of ResilientSessions, which share it
+// read-only, so a thousand identical tenants pay for one Optimize.
 //
 // The server is built to degrade rather than fall over:
 //

@@ -640,7 +640,8 @@ func TestConcurrentLifecycleRace(t *testing.T) {
 
 // TestSharedPlanConcurrentReplans: several lossy sessions seeded from one
 // cached plan recover from crashes concurrently — replans Reoptimize from
-// the shared plan copy-on-write, so nothing corrupts (run under -race).
+// the shared plan without mutating it, so nothing corrupts (run under
+// -race).
 func TestSharedPlanConcurrentReplans(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	body := func(i int) []byte {

@@ -24,8 +24,9 @@ import (
 //     values, same total and per-node energy;
 //  2. duplication and reordering never change delivered values, only
 //     timing and energy, because every transmission is tagged (epoch, seq)
-//     (the versioned wire header of internal/wire) and receivers discard
-//     tags they have already applied. The merge m_d is not idempotent —
+//     and receivers discard tags they have already applied. The tag is
+//     modelled by the receiver's dedup window only: it is never encoded,
+//     and no energy path prices it. The merge m_d is not idempotent —
 //     without the dedup window a duplicated SUM/COUNT partial would
 //     silently corrupt every downstream destination.
 //

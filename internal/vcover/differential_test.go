@@ -91,18 +91,11 @@ func TestFastAndBigPathsAgree(t *testing.T) {
 	rng := rand.New(rand.NewSource(128))
 	for trial := 0; trial < 400; trial++ {
 		p := randomProblem(rng, 8, func() int64 { return int64(rng.Intn(1 << uint(1+rng.Intn(20)))) })
-		var forbid []bool
-		if trial%3 == 0 {
-			forbid = make([]bool, len(p.U))
-			for i := range forbid {
-				forbid[i] = rng.Float64() < 0.3
-			}
-		}
-		fast, err := solveConstrained(p, forbid, false)
+		fast, err := solve(p, false)
 		if err != nil {
 			t.Fatalf("trial %d: fast: %v", trial, err)
 		}
-		big_, err := solveConstrained(p, forbid, true)
+		big_, err := solve(p, true)
 		if err != nil {
 			t.Fatalf("trial %d: big: %v", trial, err)
 		}
@@ -137,11 +130,11 @@ func TestNearOverflowWeightsFallBack(t *testing.T) {
 			sawBigFallback++
 		}
 		scratchPool.Put(sc)
-		fast, err := SolveConstrained(p, nil) // automatic selection
+		fast, err := Solve(p) // automatic selection
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		ref, err := solveConstrained(p, nil, true)
+		ref, err := solve(p, true)
 		if err != nil {
 			t.Fatalf("trial %d: ref: %v", trial, err)
 		}
@@ -155,12 +148,12 @@ func TestNearOverflowWeightsFallBack(t *testing.T) {
 }
 
 // TestFastPathAgainstBruteForce pins both exact solvers against exhaustive
-// enumeration of the perturbed objective, including forbidden vertices.
+// enumeration of the perturbed objective.
 func TestFastPathAgainstBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	for trial := 0; trial < 250; trial++ {
 		p := randomProblem(rng, 5, func() int64 { return int64(1 + rng.Intn(12)) })
-		fast, err := solveConstrained(p, nil, false)
+		fast, err := solve(p, false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -199,11 +192,11 @@ func TestHugeKeysStayFast(t *testing.T) {
 		t.Fatal("sparse huge keys should rank-compress into the fast path")
 	}
 	scratchPool.Put(sc)
-	fast, err := solveConstrained(p, nil, false)
+	fast, err := solve(p, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := solveConstrained(p, nil, true)
+	ref, err := solve(p, true)
 	if err != nil {
 		t.Fatal(err)
 	}

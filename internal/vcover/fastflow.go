@@ -43,11 +43,11 @@ func growI32(s []int32, n int) []int32 {
 	return s[:n]
 }
 
-// run builds the perturbed flow network for the (already preprocessed)
-// problem and returns the residual source-side reachability after max
+// run builds the perturbed flow network for the problem's vertices and
+// edges and returns the residual source-side reachability after max
 // flow — the canonical min cut. keys is the problem's full sorted key set;
 // sumW the sum of all vertex weights (fitsFast guarantees headroom).
-func (f *fastNet) run(U, V []Vertex, residual [][2]int, keys []int, sumW uint64) []bool {
+func (f *fastNet) run(U, V []Vertex, edges [][2]int, keys []int, sumW uint64) []bool {
 	nU, nV := len(U), len(V)
 	n := 2 + nU + nV
 	const src, snk = 0, 1
@@ -68,7 +68,7 @@ func (f *fastNet) run(U, V []Vertex, residual [][2]int, keys []int, sumW uint64)
 	// "Infinite" capacity for the bipartite edges: strictly larger than the
 	// sum of every vertex capacity, (sumW+1)·2^m > sumW·2^m + (2^m - 1).
 	inf := u128Shifted(sumW+1, m)
-	for _, e := range residual {
+	for _, e := range edges {
 		addArc(int32(2+e[0]), int32(2+nU+e[1]), inf)
 	}
 

@@ -3,7 +3,7 @@ package vcover
 import "math/big"
 
 // flowNet is a Dinic max-flow network with arbitrary-precision capacities:
-// the slow path behind SolveConstrained, used when a problem's perturbed
+// the slow path behind Solve, used when a problem's perturbed
 // arithmetic would overflow 128 bits (see the package comment) and as the
 // differential-test reference. It works on the raw vertex keys, so its
 // capacities can span thousands of bits.
@@ -28,11 +28,11 @@ func newFlowNet(n int) *flowNet {
 	}
 }
 
-// solveBig builds the perturbed math/big flow network for the (already
-// preprocessed) problem and returns residual source-side reachability
-// after max flow. It mirrors fastNet.run exactly, with the original
-// (unremapped) keys and the original maxKey+1 shift.
-func solveBig(p *Problem, residual [][2]int) []bool {
+// solveBig builds the perturbed math/big flow network for p and returns
+// residual source-side reachability after max flow. It mirrors
+// fastNet.run exactly, with the original (unremapped) keys and the
+// original maxKey+1 shift.
+func solveBig(p *Problem) []bool {
 	maxKey := 0
 	for _, x := range p.U {
 		if x.Key > maxKey {
@@ -70,7 +70,7 @@ func solveBig(p *Problem, residual [][2]int) []bool {
 		net.addArc(2+nU+j, snk, c)
 	}
 	inf := new(big.Int).Add(total, big.NewInt(1))
-	for _, e := range residual {
+	for _, e := range p.Edges {
 		net.addArc(2+e[0], 2+nU+e[1], new(big.Int).Set(inf))
 	}
 

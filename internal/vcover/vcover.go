@@ -80,32 +80,13 @@ func (s *Solution) Covers(p *Problem) bool {
 	return true
 }
 
-// ChosenU returns the indices of chosen U-vertices in ascending order.
-func (s *Solution) ChosenU() []int { return chosen(s.InU) }
-
-// ChosenV returns the indices of chosen V-vertices in ascending order.
-func (s *Solution) ChosenV() []int { return chosen(s.InV) }
-
-func chosen(in []bool) []int {
-	var out []int
-	for i, b := range in {
-		if b {
-			out = append(out, i)
-		}
-	}
-	sort.Ints(out)
-	return out
-}
-
-// scratch is the pooled per-solve state shared by validation, constraint
-// preprocessing, and the uint128 flow network. One scratch serves one
-// solve at a time; the pool makes concurrent solves allocation-lean.
+// scratch is the pooled per-solve state shared by validation and the
+// uint128 flow network. One scratch serves one solve at a time; the pool
+// makes concurrent solves allocation-lean.
 type scratch struct {
-	keys     []int    // all vertex keys, sorted (rank compression + dup check)
-	forcedV  []bool   // V-vertices forced by forbidden U neighbors
-	residual [][2]int // edges surviving the forced-V preprocessing
-	sumW     uint64   // total true weight of all vertices
-	overflow bool     // sumW overflowed uint64
+	keys     []int  // all vertex keys, sorted (rank compression + dup check)
+	sumW     uint64 // total true weight of all vertices
+	overflow bool   // sumW overflowed uint64
 	net      fastNet
 }
 
@@ -169,69 +150,27 @@ func (sc *scratch) fitsFast() bool {
 // Solve returns the unique minimum-weight vertex cover of p under the
 // canonical key perturbation.
 func Solve(p *Problem) (*Solution, error) {
-	return SolveConstrained(p, nil)
+	return solve(p, false)
 }
 
-// SolveConstrained is Solve with some U-vertices forbidden from the cover
-// (forbidU[i] true means U[i] must NOT be chosen — used by the planner's
-// repair pass when a raw value is unavailable at a downstream edge, having
-// been aggregated upstream). Every V-neighbor of a forbidden U-vertex is
-// then forced into the cover. A nil forbidU imposes no constraints.
-func SolveConstrained(p *Problem, forbidU []bool) (*Solution, error) {
-	return solveConstrained(p, forbidU, false)
-}
-
-// solveConstrained is the implementation; forceBig pins the math/big slow
-// path regardless of fit (differential tests).
-func solveConstrained(p *Problem, forbidU []bool, forceBig bool) (*Solution, error) {
-	if forbidU != nil && len(forbidU) != len(p.U) {
-		return nil, fmt.Errorf("vcover: forbidU length %d != |U| %d", len(forbidU), len(p.U))
-	}
+// solve is the implementation; forceBig pins the math/big slow path
+// regardless of fit (differential tests).
+func solve(p *Problem, forceBig bool) (*Solution, error) {
 	sc := scratchPool.Get().(*scratch)
 	defer scratchPool.Put(sc)
 	if err := sc.validate(p); err != nil {
 		return nil, err
 	}
 
+	var reach []bool
+	if !forceBig && sc.fitsFast() {
+		reach = sc.net.run(p.U, p.V, p.Edges, sc.keys, sc.sumW)
+	} else {
+		reach = solveBig(p)
+	}
 	sol := &Solution{
 		InU: make([]bool, len(p.U)),
 		InV: make([]bool, len(p.V)),
-	}
-
-	// Preprocess constraints: neighbors of forbidden U-vertices are forced
-	// into the cover; edges they cover disappear from the residual problem.
-	if cap(sc.forcedV) < len(p.V) {
-		sc.forcedV = make([]bool, len(p.V))
-	}
-	sc.forcedV = sc.forcedV[:len(p.V)]
-	for j := range sc.forcedV {
-		sc.forcedV[j] = false
-	}
-	if forbidU != nil {
-		for _, e := range p.Edges {
-			if forbidU[e[0]] {
-				sc.forcedV[e[1]] = true
-			}
-		}
-	}
-	sc.residual = sc.residual[:0]
-	for _, e := range p.Edges {
-		if !sc.forcedV[e[1]] {
-			sc.residual = append(sc.residual, e)
-		}
-	}
-	for j, forced := range sc.forcedV {
-		if forced {
-			sol.InV[j] = true
-			sol.Weight += p.V[j].Weight
-		}
-	}
-
-	var reach []bool
-	if !forceBig && sc.fitsFast() {
-		reach = sc.net.run(p.U, p.V, sc.residual, sc.keys, sc.sumW)
-	} else {
-		reach = solveBig(p, sc.residual)
 	}
 
 	// Min cut from residual reachability: U-vertices unreachable from the
@@ -248,7 +187,7 @@ func solveConstrained(p *Problem, forbidU []bool, forceBig bool) (*Solution, err
 		}
 	}
 	for j := range p.V {
-		if reach[2+nU+j] && !sol.InV[j] {
+		if reach[2+nU+j] {
 			sol.InV[j] = true
 			sol.Weight += p.V[j].Weight
 		}
@@ -257,38 +196,5 @@ func solveConstrained(p *Problem, forbidU []bool, forceBig bool) (*Solution, err
 	if !sol.Covers(p) {
 		return nil, fmt.Errorf("vcover: internal error: extracted non-cover")
 	}
-	if forbidU != nil {
-		for i, f := range forbidU {
-			if f && sol.InU[i] {
-				return nil, fmt.Errorf("vcover: internal error: forbidden vertex U[%d] chosen", i)
-			}
-		}
-	}
 	return sol, nil
-}
-
-// AllU returns the trivial cover choosing every U-vertex incident to at
-// least one edge (the pure-multicast plan at a single edge).
-func AllU(p *Problem) *Solution {
-	s := &Solution{InU: make([]bool, len(p.U)), InV: make([]bool, len(p.V))}
-	for _, e := range p.Edges {
-		if !s.InU[e[0]] {
-			s.InU[e[0]] = true
-			s.Weight += p.U[e[0]].Weight
-		}
-	}
-	return s
-}
-
-// AllV returns the trivial cover choosing every V-vertex incident to at
-// least one edge (the pure aggregate-as-early-as-possible plan).
-func AllV(p *Problem) *Solution {
-	s := &Solution{InU: make([]bool, len(p.U)), InV: make([]bool, len(p.V))}
-	for _, e := range p.Edges {
-		if !s.InV[e[1]] {
-			s.InV[e[1]] = true
-			s.Weight += p.V[e[1]].Weight
-		}
-	}
-	return s
 }

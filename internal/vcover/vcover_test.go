@@ -237,60 +237,6 @@ func TestTiebreakPrefersLowerKeys(t *testing.T) {
 	}
 }
 
-func TestSolveConstrained(t *testing.T) {
-	// Star problem where raw would win, but the source is forbidden
-	// (aggregated upstream): every destination must be chosen instead.
-	p := &Problem{U: []Vertex{vtx(100, 1)}}
-	for j := 0; j < 3; j++ {
-		p.V = append(p.V, vtx(j, 4))
-		p.Edges = append(p.Edges, [2]int{0, j})
-	}
-	s, err := SolveConstrained(p, []bool{true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.InU[0] {
-		t.Fatal("forbidden vertex chosen")
-	}
-	if s.Weight != 12 {
-		t.Errorf("weight = %d, want 12", s.Weight)
-	}
-	for j := range p.V {
-		if !s.InV[j] {
-			t.Errorf("V[%d] not chosen", j)
-		}
-	}
-}
-
-func TestSolveConstrainedPartial(t *testing.T) {
-	// Two sources, one forbidden. The other should still be free to win.
-	p := &Problem{
-		U:     []Vertex{vtx(0, 1), vtx(1, 1)},
-		V:     []Vertex{vtx(2, 10), vtx(3, 10)},
-		Edges: [][2]int{{0, 0}, {1, 1}},
-	}
-	s, err := SolveConstrained(p, []bool{true, false})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.InU[0] || !s.InV[0] {
-		t.Error("forbidden source's edge not covered by destination")
-	}
-	if !s.InU[1] || s.InV[1] {
-		t.Error("free source should have been chosen raw")
-	}
-	if s.Weight != 11 {
-		t.Errorf("weight = %d, want 11", s.Weight)
-	}
-}
-
-func TestSolveConstrainedLengthMismatch(t *testing.T) {
-	p := &Problem{U: []Vertex{vtx(0, 1)}}
-	if _, err := SolveConstrained(p, []bool{true, false}); err == nil {
-		t.Error("length mismatch accepted")
-	}
-}
-
 func TestAllUAllV(t *testing.T) {
 	p := &Problem{
 		U:     []Vertex{vtx(0, 2), vtx(1, 3), vtx(2, 4)}, // U[2] isolated
@@ -334,4 +280,46 @@ func TestOptimalNeverWorseThanTrivialCovers(t *testing.T) {
 				trial, opt.Weight, AllU(p).Weight, AllV(p).Weight)
 		}
 	}
+}
+
+// ChosenU returns the indices of chosen U-vertices in ascending order.
+func (s *Solution) ChosenU() []int { return chosen(s.InU) }
+
+// ChosenV returns the indices of chosen V-vertices in ascending order.
+func (s *Solution) ChosenV() []int { return chosen(s.InV) }
+
+func chosen(in []bool) []int {
+	var out []int
+	for i, b := range in {
+		if b {
+			out = append(out, i)
+		}
+	}
+	return out
+}
+
+// AllU returns the trivial cover choosing every U-vertex incident to at
+// least one edge (the pure-multicast plan at a single edge).
+func AllU(p *Problem) *Solution {
+	s := &Solution{InU: make([]bool, len(p.U)), InV: make([]bool, len(p.V))}
+	for _, e := range p.Edges {
+		if !s.InU[e[0]] {
+			s.InU[e[0]] = true
+			s.Weight += p.U[e[0]].Weight
+		}
+	}
+	return s
+}
+
+// AllV returns the trivial cover choosing every V-vertex incident to at
+// least one edge (the pure aggregate-as-early-as-possible plan).
+func AllV(p *Problem) *Solution {
+	s := &Solution{InU: make([]bool, len(p.U)), InV: make([]bool, len(p.V))}
+	for _, e := range p.Edges {
+		if !s.InV[e[1]] {
+			s.InV[e[1]] = true
+			s.Weight += p.V[e[1]].Weight
+		}
+	}
+	return s
 }

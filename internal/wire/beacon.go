@@ -13,8 +13,9 @@ import (
 // one beacon per round toward the base station, advertising its residual
 // charge and observed per-round burn rate so the session can forecast its
 // time-to-death and evacuate traffic off it before it dies. The magic is
-// distinct from FrameMagic, TableDiffMagic, and any plausible legacy unit
-// count, so all three frame families coexist on the wire.
+// distinct from TableDiffMagic, TDMAMagic, and any plausible unit count a
+// data message (EncodeMessage) starts with, so all frame families coexist
+// on the wire.
 const (
 	BeaconMagic   = 0xB7
 	BeaconVersion = 1
@@ -56,9 +57,8 @@ func EncodeBeacon(n graph.NodeID, residualJ, burnJPerRound float64) ([]byte, err
 	return b, nil
 }
 
-// DecodeBeacon decodes a beacon frame. There is no legacy fallback:
-// anything without the exact magic, version, length, and non-negative
-// fields is rejected.
+// DecodeBeacon decodes a beacon frame strictly: anything without the
+// exact magic, version, length, and non-negative fields is rejected.
 func DecodeBeacon(b []byte) (Beacon, error) {
 	if len(b) != BeaconBytes {
 		return Beacon{}, fmt.Errorf("wire: beacon of %d bytes, want %d", len(b), BeaconBytes)

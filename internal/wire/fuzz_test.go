@@ -41,41 +41,6 @@ func FuzzDecodeMessage(f *testing.F) {
 	})
 }
 
-// FuzzDecodeFrame covers the versioned header and the legacy fallback:
-// arbitrary bytes must either be rejected or decode to a frame that
-// survives a re-encode round trip with the same tag — never panic.
-func FuzzDecodeFrame(f *testing.F) {
-	framed, _ := EncodeFrame(7, 42, []Unit{{Kind: plan.UnitAgg, Node: 9, Values: []float64{2, 3}}})
-	legacy, _ := EncodeMessage([]Unit{{Kind: plan.UnitRaw, Node: 3, Values: []float64{1.5}}})
-	f.Add(framed)
-	f.Add(legacy)
-	f.Add([]byte{})
-	f.Add([]byte{FrameMagic})
-	f.Add([]byte{FrameMagic, FrameVersion, 0, 0, 0, 0, 0, 0, 0, 0})
-	f.Add([]byte{FrameMagic, 2, 0, 0, 0, 0, 0, 0, 0, 0, 0})
-
-	f.Fuzz(func(t *testing.T, data []byte) {
-		fr, err := DecodeFrame(data)
-		if err != nil {
-			return
-		}
-		if fr.Legacy && (fr.Epoch != 0 || fr.Seq != 0) {
-			t.Fatalf("legacy frame carries a tag: %+v", fr)
-		}
-		re, err := EncodeFrame(fr.Epoch, fr.Seq, fr.Units)
-		if err != nil {
-			t.Fatalf("decoded frame failed to re-encode: %v", err)
-		}
-		again, err := DecodeFrame(re)
-		if err != nil {
-			t.Fatalf("re-encoded frame failed to decode: %v", err)
-		}
-		if again.Epoch != fr.Epoch || again.Seq != fr.Seq || len(again.Units) != len(fr.Units) {
-			t.Fatalf("frame changed across round trip: %+v vs %+v", again, fr)
-		}
-	})
-}
-
 // FuzzDecodeBeacon hardens the low-battery beacon decoder: arbitrary
 // bytes are either rejected or decode to a beacon that re-encodes
 // byte-identically (the fixed-point fields are already quantized after a

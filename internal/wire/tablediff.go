@@ -16,9 +16,9 @@ import (
 // node (2 B) | blob length (2 B) | blob. A diff carries one node's fresh
 // routing-table blob (EncodeNodeTables) stamped with the plan epoch it
 // belongs to; a node that installs it starts accepting (and emitting)
-// data frames of that epoch. The magic is distinct from both FrameMagic
-// and any legacy unit count a data message could start with, so the two
-// frame families cannot be confused on the wire.
+// data frames of that epoch. The magic is distinct from any unit count a
+// data message (EncodeMessage) could start with, so control and data
+// frames cannot be confused on the wire.
 const (
 	TableDiffMagic   = 0xD7
 	TableDiffVersion = 1
@@ -49,9 +49,9 @@ func EncodeTableDiff(epoch uint32, n graph.NodeID, blob []byte) ([]byte, error) 
 	return append(b, blob...), nil
 }
 
-// DecodeTableDiff decodes a table-diff frame. Unlike DecodeFrame there is
-// no legacy fallback: anything that does not carry the magic, the version,
-// and exactly the declared blob length is rejected.
+// DecodeTableDiff decodes a table-diff frame strictly: anything that does
+// not carry the magic, the version, and exactly the declared blob length
+// is rejected.
 func DecodeTableDiff(b []byte) (TableDiff, error) {
 	if len(b) < TableDiffHeaderBytes {
 		return TableDiff{}, fmt.Errorf("wire: truncated table diff (%d bytes)", len(b))

@@ -52,7 +52,7 @@ func TestTableDiffRejects(t *testing.T) {
 		t.Error("trailing garbage accepted")
 	}
 	bad := append([]byte(nil), good...)
-	bad[0] = FrameMagic
+	bad[0] = 0xA5
 	if _, err := DecodeTableDiff(bad); err == nil {
 		t.Error("wrong magic accepted")
 	}

@@ -11,8 +11,9 @@ import (
 // epoch's complete slot assignment — SlotOf[i] for every planned message
 // i — so a session switching to scheduled transmission can disseminate
 // one frame and have every node drive its radio off the same slots. The
-// magic is distinct from FrameMagic, TableDiffMagic, BeaconMagic, and any
-// plausible legacy unit count, so all frame families coexist on the wire.
+// magic is distinct from TableDiffMagic, BeaconMagic, and any plausible
+// unit count a data message (EncodeMessage) starts with, so all frame
+// families coexist on the wire.
 const (
 	TDMAMagic   = 0xC3
 	TDMAVersion = 1
@@ -52,11 +53,10 @@ func EncodeTDMA(epoch uint32, slotOf []int) ([]byte, error) {
 	return b, nil
 }
 
-// DecodeTDMA decodes a TDMA frame. There is no legacy fallback: anything
-// without the exact magic, version, and declared length is rejected. The
-// decoded assignment is structurally sound only; callers must still
-// validate it against their message graph (Engine.LoadFrame does) before
-// transmitting from it.
+// DecodeTDMA decodes a TDMA frame strictly: anything without the exact
+// magic, version, and declared length is rejected. The decoded assignment
+// is structurally sound only; callers must still validate it against
+// their message graph (Engine.LoadFrame does) before transmitting from it.
 func DecodeTDMA(b []byte) (TDMAFrame, error) {
 	if len(b) < TDMAHeaderBytes {
 		return TDMAFrame{}, fmt.Errorf("wire: truncated TDMA frame (%d bytes)", len(b))

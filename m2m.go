@@ -123,12 +123,12 @@ type RouterKind int
 // Available routers.
 const (
 	// RouterReversePath routes every pair along destination-rooted
-	// shortest-path trees (the sensor-network standard; the planner may
-	// apply counted consistency repairs).
+	// shortest-path trees (the sensor-network standard). Both of the
+	// paper's routing restrictions hold (see routing.Router), so Theorem 1
+	// applies.
 	RouterReversePath RouterKind = iota
 	// RouterSharedTree routes inside one global spanning tree, satisfying
-	// both of the paper's routing restrictions so Theorem 1 applies with
-	// zero repairs.
+	// both of the paper's routing restrictions so Theorem 1 applies.
 	RouterSharedTree
 	// RouterSourceSPT is the paper's literal per-source shortest-path-tree
 	// construction. It can violate the per-destination suffix property the

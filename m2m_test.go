@@ -81,12 +81,10 @@ func TestFacadeSharedTreeRouter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := Optimize(inst)
-	if err != nil {
+	// Optimize returns an error if the independently solved edges do not
+	// fit together, which Theorem 1 rules out under both restrictions.
+	if _, err := Optimize(inst); err != nil {
 		t.Fatal(err)
-	}
-	if p.Repairs != 0 {
-		t.Errorf("shared-tree router needed %d repairs", p.Repairs)
 	}
 }
 

@@ -287,7 +287,7 @@ type ResilientStep struct {
 //     the next fresh delivery.
 //   - Persistent faults — a node silent or unreachable for MissThreshold
 //     consecutive rounds — trigger recovery: the node is removed from the
-//     graph, the workload pruned, routes rebuilt, the plan repaired
+//     graph, the workload pruned, routes rebuilt, the plan re-optimized
 //     incrementally (Corollary 1), and the table diff disseminated at its
 //     priced energy cost. The session then resumes on the healed plan.
 //
@@ -392,8 +392,9 @@ func NewResilientSession(net *Network, specs []Spec, kind RouterKind, gen Readin
 // plan of exactly (net, specs, kind) — typically a serving layer's plan
 // cache entry, so thousands of identical tenants amortize one Optimize.
 // The plan is adopted by reference and never mutated: the session's
-// replans Reoptimize from it copy-on-write, so one plan may seed any
-// number of concurrent sessions.
+// replans Reoptimize from it, sharing its unchanged edge solutions by
+// reference (nothing changes a solution once built), so one plan may seed
+// any number of concurrent sessions.
 func NewResilientSessionWithPlan(net *Network, specs []Spec, kind RouterKind, inst *Instance, p *Plan, gen ReadingGenerator, faults FaultSchedule, cfg ResilientConfig) (*ResilientSession, error) {
 	if err := validateSessionInputs(net, kind, gen, cfg); err != nil {
 		return nil, err

@@ -59,12 +59,10 @@ func TestSoak(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s/%d/%d: instance: %v", tp.name, rk, variant, err)
 				}
+				// Optimize returns an error if Theorem 1 does not hold.
 				p, err := Optimize(inst)
 				if err != nil {
 					t.Fatalf("%s/%d/%d: optimize: %v", tp.name, rk, variant, err)
-				}
-				if p.Repairs != 0 {
-					t.Fatalf("%s/%d/%d: Theorem 1 violated (%d repairs)", tp.name, rk, variant, p.Repairs)
 				}
 				if _, err := p.BuildTables(); err != nil {
 					t.Fatalf("%s/%d/%d: tables: %v", tp.name, rk, variant, err)
