@@ -75,14 +75,35 @@ func (g *Undirected) AddEdge(u, v NodeID, w float64) error {
 	return nil
 }
 
-// AddEdgeUnchecked adds an undirected edge u—v with weight w without the
-// range, self-loop, and duplicate checks of AddEdge. The duplicate scan is
-// O(degree), which turns bulk construction of dense graphs quadratic;
-// callers that generate each edge exactly once (e.g. the topology package's
-// spatial-hash sweep) skip it.
-func (g *Undirected) AddEdgeUnchecked(u, v NodeID, w float64) {
-	g.adj[u] = append(g.adj[u], halfEdge{to: v, w: w})
-	g.adj[v] = append(g.adj[v], halfEdge{to: u, w: w})
+// NewUndirectedFromEdges returns the graph on n nodes with the given
+// edges, without the range, self-loop, and duplicate checks of AddEdge.
+// The duplicate scan is O(degree), which turns bulk construction of dense
+// graphs quadratic; callers that generate each edge exactly once (e.g.
+// the topology package's spatial-hash sweep) skip it. Adjacency lists
+// come out in the order AddEdge would build them edge by edge. They are
+// carved from one backing array, each with capacity equal to its degree,
+// so growing one list later reallocates it instead of overwriting the
+// next.
+func NewUndirectedFromEdges(n int, edges []Edge) *Undirected {
+	g := NewUndirected(n)
+	deg := make([]int32, n)
+	for _, e := range edges {
+		deg[e.U]++
+		deg[e.V]++
+	}
+	back := make([]halfEdge, 2*len(edges))
+	off := 0
+	for u, d := range deg {
+		if d > 0 {
+			g.adj[u] = back[off : off : off+int(d)]
+			off += int(d)
+		}
+	}
+	for _, e := range edges {
+		g.adj[e.U] = append(g.adj[e.U], halfEdge{to: e.V, w: e.W})
+		g.adj[e.V] = append(g.adj[e.V], halfEdge{to: e.U, w: e.W})
+	}
+	return g
 }
 
 // RemoveEdge removes the undirected edge u—v if present and reports whether

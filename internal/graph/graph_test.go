@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 )
 
@@ -380,5 +381,33 @@ func TestWalkStopsAtQueriedLayer(t *testing.T) {
 	}
 	if w.Layer(200) != nil {
 		t.Fatal("Layer(200) non-nil past the end of the line")
+	}
+}
+
+// NewUndirectedFromEdges builds the adjacency lists AddEdge builds from
+// the same edges in the same order, and the lists it carves from one
+// backing array stay independent when one of them grows or shrinks.
+func TestNewUndirectedFromEdges(t *testing.T) {
+	edges := []Edge{{0, 1, 1}, {0, 3, 2}, {1, 2, 3}, {2, 3, 4}, {1, 3, 5}}
+	want := NewUndirected(5)
+	for _, e := range edges {
+		if err := want.AddEdge(e.U, e.V, e.W); err != nil {
+			t.Fatal(err)
+		}
+	}
+	g := NewUndirectedFromEdges(5, edges)
+	if !reflect.DeepEqual(g.adj, want.adj) {
+		t.Fatalf("adjacency %v, want %v", g.adj, want.adj)
+	}
+	if err := g.AddEdge(0, 2, 6); err != nil {
+		t.Fatal(err)
+	}
+	g.RemoveEdge(2, 3)
+	if err := want.AddEdge(0, 2, 6); err != nil {
+		t.Fatal(err)
+	}
+	want.RemoveEdge(2, 3)
+	if !reflect.DeepEqual(g.adj, want.adj) {
+		t.Fatalf("after mutation: adjacency %v, want %v", g.adj, want.adj)
 	}
 }

@@ -441,3 +441,38 @@ func TestMinDegreeMatchesReference(t *testing.T) {
 		}
 	}
 }
+
+// networkCenter's pruned search returns refCenter's node on paths,
+// cycles, and random sparse graphs with isolated slots and several
+// components, where many candidates are skipped unwalked.
+func TestNetworkCenterMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	for trial := 0; trial < 300; trial++ {
+		n := 2 + rng.Intn(60)
+		g := graph.NewUndirected(n)
+		switch trial % 3 {
+		case 0: // path, or a cycle when n allows
+			for i := 1; i < n; i++ {
+				g.AddEdge(graph.NodeID(i-1), graph.NodeID(i), 1)
+			}
+			if n > 2 && trial%2 == 0 {
+				g.AddEdge(graph.NodeID(n-1), 0, 1)
+			}
+		default: // random forest plus chords, some slots left isolated
+			for i := 1; i < n; i++ {
+				if rng.Intn(8) > 0 {
+					g.AddEdge(graph.NodeID(rng.Intn(i)), graph.NodeID(i), 1)
+				}
+			}
+			for k := rng.Intn(n); k > 0; k-- {
+				u, v := graph.NodeID(rng.Intn(n)), graph.NodeID(rng.Intn(n))
+				if u != v && !g.HasEdge(u, v) {
+					g.AddEdge(u, v, 1)
+				}
+			}
+		}
+		if got, want := networkCenter(g), refCenter(g); got != want {
+			t.Fatalf("trial %d (n=%d): center %d, reference %d", trial, n, got, want)
+		}
+	}
+}

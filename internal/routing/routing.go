@@ -279,13 +279,17 @@ func NewSharedTree(net *graph.Undirected) (*SharedTree, error) {
 // networkCenter returns the linked node of minimum eccentricity, the
 // smallest ID on ties. One walk is reset from node to node; a walk that
 // reaches the best eccentricity so far is abandoned there, since only a
-// strictly smaller one can win.
+// strictly smaller one can win. A walk that runs to the end, from u,
+// bounds every node v it reached from below: ecc(v) ≥ hops(u, v), and
+// ecc(v) ≥ ecc(u) − hops(u, v) by the triangle inequality. A candidate
+// whose bound already reaches the best eccentricity is skipped unwalked.
 func networkCenter(net *graph.Undirected) graph.NodeID {
 	var w *graph.Walk
 	center, bestEcc := graph.NodeID(0), -1
+	lower := make([]int32, net.Len()) // lower bound on each node's eccentricity
 	for u := 0; u < net.Len(); u++ {
 		id := graph.NodeID(u)
-		if net.Degree(id) == 0 {
+		if net.Degree(id) == 0 || (bestEcc >= 0 && int(lower[u]) >= bestEcc) {
 			continue
 		}
 		if w == nil {
@@ -297,6 +301,12 @@ func networkCenter(net *graph.Undirected) graph.NodeID {
 			continue
 		}
 		center, bestEcc = id, w.Eccentricity()
+		for h := 0; h <= bestEcc; h++ {
+			b := int32(max(bestEcc-h, h))
+			for _, v := range w.Layer(h) {
+				lower[v] = max(lower[v], b)
+			}
+		}
 	}
 	return center
 }

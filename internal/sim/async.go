@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 
 	"m2m/internal/graph"
@@ -172,6 +171,12 @@ type asyncTopo struct {
 	relevant   [][]int32 // relevant[m] = final indices whose merge reads m
 	inCount    []int32   // per-final count of relevant in-messages
 	seqTag     []uint32  // per-link wire sequence tag of each message
+
+	// Physical links, direction-normalized, in order of first use: link[m]
+	// is message m's, and linkIdx inverts links.
+	link    []int32
+	links   []linkKey
+	linkIdx map[linkKey]int32
 }
 
 // asyncTopology derives the message DAG from the unit-level wait-for sets
@@ -188,6 +193,8 @@ func (e *Engine) buildAsyncTopo() *asyncTopo {
 		relevant:   make([][]int32, len(e.messages)),
 		inCount:    make([]int32, len(e.prog.finals)),
 		seqTag:     make([]uint32, len(e.messages)),
+		link:       make([]int32, len(e.messages)),
+		linkIdx:    make(map[linkKey]int32),
 	}
 	t.deps = e.messageDeps()
 	for mi, ds := range t.deps {
@@ -201,6 +208,14 @@ func (e *Engine) buildAsyncTopo() *asyncTopo {
 		edge := e.units[msg[0]].Edge
 		t.seqTag[mi] = nextSeq[edge]
 		nextSeq[edge]++
+		k := linkKeyOf(edge)
+		li, ok := t.linkIdx[k]
+		if !ok {
+			li = int32(len(t.links))
+			t.links = append(t.links, k)
+			t.linkIdx[k] = li
+		}
+		t.link[mi] = li
 
 		// Relevance to the receiver's own aggregate: the record tagged for
 		// it, or a raw value this edge is the designated provider of.
@@ -232,10 +247,15 @@ func (e *Engine) buildAsyncTopo() *asyncTopo {
 // serves one engine; sessions that replan build a new runner and inherit
 // the old one's caches with InheritState.
 type AsyncRunner struct {
-	eng *Engine
-	cfg AsyncConfig
+	eng  *Engine
+	cfg  AsyncConfig
+	topo *asyncTopo
 
-	rtt       map[linkKey]*rttEstimator
+	rtt []rttEstimator // per physical link, indexed like topo.links
+	// rttAway keeps inherited estimators of links this engine's plan does
+	// not use, so a later replan that uses them again resumes their
+	// history.
+	rttAway   map[linkKey]rttEstimator
 	lastVal   map[graph.NodeID]float64
 	lastFresh map[graph.NodeID]int
 }
@@ -245,10 +265,12 @@ func NewAsyncRunner(e *Engine, cfg AsyncConfig) (*AsyncRunner, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	topo := e.asyncTopology()
 	return &AsyncRunner{
 		eng:       e,
 		cfg:       cfg.withDefaults(),
-		rtt:       make(map[linkKey]*rttEstimator),
+		topo:      topo,
+		rtt:       make([]rttEstimator, len(topo.links)),
 		lastVal:   make(map[graph.NodeID]float64),
 		lastFresh: make(map[graph.NodeID]int),
 	}, nil
@@ -261,8 +283,13 @@ func (a *AsyncRunner) InheritState(prev *AsyncRunner) {
 	if prev == nil {
 		return
 	}
-	for k, v := range prev.rtt {
-		a.rtt[k] = v
+	for k, est := range prev.rttAway {
+		a.adoptRTT(k, est)
+	}
+	for i, est := range prev.rtt {
+		if est.valid {
+			a.adoptRTT(prev.topo.links[i], est)
+		}
 	}
 	for d, v := range prev.lastVal {
 		a.lastVal[d] = v
@@ -270,6 +297,18 @@ func (a *AsyncRunner) InheritState(prev *AsyncRunner) {
 	for d, r := range prev.lastFresh {
 		a.lastFresh[d] = r
 	}
+}
+
+// adoptRTT installs an inherited estimator of link k.
+func (a *AsyncRunner) adoptRTT(k linkKey, est rttEstimator) {
+	if i, ok := a.topo.linkIdx[k]; ok {
+		a.rtt[i] = est
+		return
+	}
+	if a.rttAway == nil {
+		a.rttAway = make(map[linkKey]rttEstimator)
+	}
+	a.rttAway[k] = est
 }
 
 // RunAsync executes one round on a fresh AsyncRunner — no RTT or staleness
@@ -305,26 +344,58 @@ type asyncEvent struct {
 	wreck   bool // a collision-destroyed frame arriving: RX paid, no merge, no ack
 }
 
+// before orders events by time, then kind, then push sequence. seq is
+// unique within a queue, so the order is total and every heap pops the
+// same sequence.
+func (x *asyncEvent) before(y *asyncEvent) bool {
+	if x.t != y.t {
+		return x.t < y.t
+	}
+	if x.kind != y.kind {
+		return x.kind < y.kind
+	}
+	return x.seq < y.seq
+}
+
+// eventQueue is a binary min-heap of events under before.
 type eventQueue []asyncEvent
 
-func (q eventQueue) Len() int { return len(q) }
-func (q eventQueue) Less(i, j int) bool {
-	if q[i].t != q[j].t {
-		return q[i].t < q[j].t
+func (q *eventQueue) push(ev asyncEvent) {
+	h := append(*q, ev)
+	for i := len(h) - 1; i > 0; {
+		p := (i - 1) / 2
+		if !h[i].before(&h[p]) {
+			break
+		}
+		h[i], h[p] = h[p], h[i]
+		i = p
 	}
-	if q[i].kind != q[j].kind {
-		return q[i].kind < q[j].kind
-	}
-	return q[i].seq < q[j].seq
+	*q = h
 }
-func (q eventQueue) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
-func (q *eventQueue) Push(x any)   { *q = append(*q, x.(asyncEvent)) }
-func (q *eventQueue) Pop() any {
-	old := *q
-	n := len(old)
-	x := old[n-1]
-	*q = old[:n-1]
-	return x
+
+// pop removes and returns the first event; the queue must be non-empty.
+func (q *eventQueue) pop() asyncEvent {
+	h := *q
+	top := h[0]
+	n := len(h) - 1
+	h[0] = h[n]
+	h = h[:n]
+	for i := 0; ; {
+		m := 2*i + 1
+		if m >= n {
+			break
+		}
+		if r := m + 1; r < n && h[r].before(&h[m]) {
+			m = r
+		}
+		if !h[m].before(&h[i]) {
+			break
+		}
+		h[i], h[m] = h[m], h[i]
+		i = m
+	}
+	*q = h
+	return top
 }
 
 // amsg is one planned message's live state in the event loop.
@@ -345,6 +416,38 @@ type amsg struct {
 	recs          []carriedRec
 }
 
+// asyncScratch is Run's per-round state, pooled in the engine's
+// lossyState: each message's live state, and per destination whether its
+// round closed and how many relevant inputs it still waits for. Then the
+// per-link receive window: a message's (epoch, seq) tag is unique, so
+// "tag applied" indexes by message; the highest tag heard indexes by the
+// compiled dense edge id.
+type asyncScratch struct {
+	msgs      []amsg
+	closed    []bool
+	pendingIn []int32
+	applied   []bool
+	maxTag    []uint32
+	hasTag    []bool
+}
+
+// reset readies the scratch for a round of e, sizing it on first use.
+func (as *asyncScratch) reset(e *Engine) {
+	nm, nf := len(e.messages), len(e.prog.finals)
+	if len(as.msgs) != nm {
+		as.msgs = make([]amsg, nm)
+		as.closed = make([]bool, nf)
+		as.pendingIn = make([]int32, nf)
+		as.applied = make([]bool, nm)
+		as.maxTag = make([]uint32, e.prog.nMsgEdges)
+		as.hasTag = make([]bool, e.prog.nMsgEdges)
+	}
+	clear(as.closed)
+	clear(as.applied)
+	clear(as.maxTag)
+	clear(as.hasTag)
+}
+
 // Run executes one asynchronous round. With a nil or fault-free schedule
 // the result is byte-identical to Engine.Run (values and energy); under
 // duplication and reordering only timing and energy may change, never the
@@ -352,7 +455,7 @@ type amsg struct {
 func (a *AsyncRunner) Run(round int, readings map[graph.NodeID]float64, faults Faults) (*AsyncResult, error) {
 	e := a.eng
 	c := e.prog
-	topo := e.asyncTopology()
+	topo := a.topo
 	cfg := a.cfg
 	bat := e.battery
 	res := &AsyncResult{}
@@ -366,18 +469,17 @@ func (a *AsyncRunner) Run(round int, readings map[graph.NodeID]float64, faults F
 	defer r.end()
 	faults = r.faults
 	ls := r.st
+	ls.async.reset(e)
+	msgs, closed, pendingIn := ls.async.msgs, ls.async.closed, ls.async.pendingIn
+	applied, maxTag, hasTag := ls.async.applied, ls.async.maxTag, ls.async.hasTag
 
-	msgs := make([]amsg, len(e.messages))
 	for mi, msg := range e.messages {
-		msgs[mi].edge = e.units[msg[0]].Edge
-		msgs[mi].waiting = len(topo.deps[mi])
+		msgs[mi] = amsg{edge: e.units[msg[0]].Edge, waiting: len(topo.deps[mi])}
 	}
 
 	// Per-destination round state, indexed by final index. Dead
 	// destinations are reported closed up front, exactly like the
 	// synchronous executor.
-	closed := make([]bool, len(c.finals))
-	pendingIn := make([]int32, len(c.finals))
 	for fi := range c.finals {
 		if !r.down(c.finals[fi].dest) {
 			pendingIn[fi] = topo.inCount[fi]
@@ -387,22 +489,16 @@ func (a *AsyncRunner) Run(round int, readings map[graph.NodeID]float64, faults F
 		a.ageReport(r.report(fi, true), round)
 	}
 
-	// Per-link receive window: a message's (epoch, seq) tag is unique, so
-	// "tag applied" indexes by message; the highest tag heard indexes by
-	// the compiled dense edge id.
-	applied := make([]bool, len(e.messages))
-	maxTag := make([]uint32, c.nMsgEdges)
-	hasTag := make([]bool, c.nMsgEdges)
-
-	var q eventQueue
+	q := &ls.q
+	*q = (*q)[:0]
 	pushSeq := 0
 	push := func(t float64, kind, msg, attempt, copy int) {
 		pushSeq++
-		heap.Push(&q, asyncEvent{t: t, kind: kind, seq: pushSeq, msg: msg, attempt: attempt, copy: copy})
+		q.push(asyncEvent{t: t, kind: kind, seq: pushSeq, msg: msg, attempt: attempt, copy: copy})
 	}
 	pushWreck := func(t float64, msg, attempt int) {
 		pushSeq++
-		heap.Push(&q, asyncEvent{t: t, kind: evArrive, seq: pushSeq, msg: msg, attempt: attempt, wreck: true})
+		q.push(asyncEvent{t: t, kind: evArrive, seq: pushSeq, msg: msg, attempt: attempt, wreck: true})
 	}
 
 	serMS := func(bodyBytes int) float64 {
@@ -541,8 +637,8 @@ func (a *AsyncRunner) Run(round int, readings map[graph.NodeID]float64, faults F
 		push(cfg.DeadlineMS, evDeadline, -1, 0, 0)
 	}
 
-	for q.Len() > 0 {
-		ev := heap.Pop(&q).(asyncEvent)
+	for len(*q) > 0 {
+		ev := q.pop()
 		switch ev.kind {
 		case evSend:
 			st := &msgs[ev.msg]
@@ -553,9 +649,8 @@ func (a *AsyncRunner) Run(round int, readings map[graph.NodeID]float64, faults F
 			}
 			// Snapshot the payload from what has arrived by now; every
 			// retransmission carries these same bytes under the same tag.
-			st.raws, st.recs, st.body = r.snapshot(ev.msg, nil, nil)
-			est := a.estimator(st.edge)
-			st.rto = est.rto()
+			st.raws, st.recs, st.body = r.snapshot(ev.msg)
+			st.rto = a.rtt[topo.link[ev.msg]].rto()
 			if floor := 2 * (serMS(st.body) + serAckMS); st.rto < floor {
 				st.rto = floor
 			}
@@ -625,7 +720,7 @@ func (a *AsyncRunner) Run(round int, readings map[graph.NodeID]float64, faults F
 			if !st.retransmitted {
 				// Karn's algorithm: only a never-retransmitted message
 				// yields an unambiguous RTT sample.
-				a.estimator(st.edge).observe(ev.t - st.firstSendAt)
+				a.rtt[topo.link[ev.msg]].observe(ev.t - st.firstSendAt)
 			}
 
 		case evTimeout:
@@ -697,17 +792,6 @@ func (a *AsyncRunner) Run(round int, readings map[graph.NodeID]float64, faults F
 		}
 	}
 	return res, nil
-}
-
-// estimator returns (creating on demand) the RTT tracker of e's link.
-func (a *AsyncRunner) estimator(e routing.Edge) *rttEstimator {
-	k := linkKeyOf(e)
-	est := a.rtt[k]
-	if est == nil {
-		est = &rttEstimator{}
-		a.rtt[k] = est
-	}
-	return est
 }
 
 // ageReport fills the staleness fields from the last-known-value cache.

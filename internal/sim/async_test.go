@@ -3,6 +3,7 @@ package sim
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"m2m/internal/chaos"
@@ -481,4 +482,101 @@ func TestAsyncCrashedNodes(t *testing.T) {
 		t.Fatalf("dead dest report = %+v", drep)
 	}
 	validateAll(t, dres)
+}
+
+// A faulted round on a reused AsyncRunner allocates a constant, whatever
+// its message, retry and event counts. The warm-up's first round runs
+// fault-free, so every destination is already in the last-known-value
+// cache and no later round grows it.
+func TestAsyncRunnerSteadyAllocs(t *testing.T) {
+	eng, readings := benchExecutorEngine(t)
+	runner, err := NewAsyncRunner(eng, AsyncConfig{MaxRetries: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := runner.Run(0, readings, nil); err != nil {
+		t.Fatal(err)
+	}
+	pinSteadyAllocs(t, func(i int, inj *chaos.Injector) {
+		if _, err := runner.Run(i, readings, inj); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+// The typed event heap pops in exactly the (t, kind, seq) order a sort
+// gives, with pushes and pops interleaved, ties on t and kind included.
+func TestEventQueueOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 200; trial++ {
+		var q eventQueue
+		var live []asyncEvent
+		seq := 0
+		for step := 0; step < 300; step++ {
+			if len(live) > 0 && rng.Intn(3) == 0 {
+				sort.Slice(live, func(i, j int) bool { return live[i].before(&live[j]) })
+				got := q.pop()
+				if got != live[0] {
+					t.Fatalf("trial %d step %d: popped %+v, want %+v", trial, step, got, live[0])
+				}
+				live = live[1:]
+				continue
+			}
+			seq++
+			ev := asyncEvent{t: float64(rng.Intn(8)) / 2, kind: rng.Intn(evDeadline + 1), seq: seq, msg: rng.Intn(50)}
+			q.push(ev)
+			live = append(live, ev)
+		}
+		sort.Slice(live, func(i, j int) bool { return live[i].before(&live[j]) })
+		for _, want := range live {
+			if got := q.pop(); got != want {
+				t.Fatalf("trial %d drain: popped %+v, want %+v", trial, got, want)
+			}
+		}
+		if len(q) != 0 {
+			t.Fatalf("trial %d: %d events left", trial, len(q))
+		}
+	}
+}
+
+// InheritState carries RTT history by physical link, even through a plan
+// that does not use the link: a link one replan drops and a later replan
+// restores resumes its estimator.
+func TestInheritStateCarriesLinksAcrossPlans(t *testing.T) {
+	runner := func(src graph.NodeID) *AsyncRunner {
+		p, err := plan.Optimize(lineInstance(t, 5, []graph.NodeID{src}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng, err := NewEngine(p, radio.DefaultModel(), Options{MergeMessages: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := NewAsyncRunner(eng, AsyncConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	full := runner(0) // 0→1→2→3→4
+	for i := range full.rtt {
+		full.rtt[i].observe(float64(10 * (i + 1)))
+	}
+	short := runner(2) // 2→3→4 only
+	short.InheritState(full)
+	if len(short.rtt) >= len(full.rtt) {
+		t.Fatalf("short plan uses %d links, full plan %d", len(short.rtt), len(full.rtt))
+	}
+	for i, k := range short.topo.links {
+		if want := full.rtt[full.topo.linkIdx[k]]; short.rtt[i] != want {
+			t.Errorf("link %v: inherited %+v, want %+v", k, short.rtt[i], want)
+		}
+	}
+	again := runner(0)
+	again.InheritState(short)
+	for i, k := range again.topo.links {
+		if want := full.rtt[full.topo.linkIdx[k]]; again.rtt[i] != want {
+			t.Errorf("link %v after a plan without it: %+v, want %+v", k, again.rtt[i], want)
+		}
+	}
 }

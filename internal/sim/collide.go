@@ -3,7 +3,6 @@ package sim
 import (
 	"fmt"
 
-	"m2m/internal/graph"
 	"m2m/internal/routing"
 	"m2m/internal/schedule"
 )
@@ -218,11 +217,25 @@ const (
 // simulated, in order. Executors replay these outcomes one-for-one with
 // their own attempts instead of consulting Deliver themselves.
 type collisionPlan struct {
-	tries     [][]byte
-	delivered []bool
-	slotOf    []int // TxTDMA first-attempt slots (nil otherwise)
-	maxBody   int
-	mode      TxMode
+	tries   [][]byte
+	slotOf  []int // TxTDMA first-attempt slots (nil otherwise)
+	maxBody int
+	mode    TxMode
+}
+
+// collisionScratch is the oracle's pooled per-round state. It is sized on
+// a state's first collision round and reused after.
+type collisionScratch struct {
+	plan       collisionPlan
+	triesBuf   []byte  // message mi's attempts live in [mi·(R+1), (mi+1)·(R+1))
+	waiting    []int32 // per message: unresolved dependencies
+	recvDead   []bool  // per message: receiver dead at round start
+	queued     []bool  // per message: waiting in the slot queue
+	inSlot     []bool  // per message: transmitting in the current slot
+	txs        []int   // the current slot's transmitting messages
+	attemptCtr []int32 // per message edge: Deliver draws so far this round
+	sender     []int64 // per node: stamp of the last slot it transmitted in
+	stamp      int64   // increases once per slot, never reset
 }
 
 // channel is the fate of message mi's try-th attempt, drawn as the
@@ -256,11 +269,12 @@ func attemptSalt(mi, try int) int {
 	return mi*64 + try
 }
 
-// collisionPlanFor resolves the round's contention, or returns nil when
-// the fault schedule does not enable collisions. edgeOK is the epoch
-// fence view (nil = all edges current): a fenced edge's frames are heard
-// but never acknowledged, so its sender burns the whole retry budget.
-func (e *Engine) collisionPlanFor(round int, faults Faults, maxRetries int, edgeOK []bool) (*collisionPlan, error) {
+// collisionPlanFor resolves the round's contention into st's pooled
+// plan, valid until st returns to the pool, or returns nil when the
+// fault schedule does not enable collisions. st.edgeOK is the epoch
+// fence: a fenced edge's frames are heard but never acknowledged, so its
+// sender burns the whole retry budget.
+func (e *Engine) collisionPlanFor(round int, faults Faults, maxRetries int, st *lossyState) (*collisionPlan, error) {
 	if !faults.CollisionsEnabled() {
 		return nil, nil
 	}
@@ -273,111 +287,106 @@ func (e *Engine) collisionPlanFor(round int, faults Faults, maxRetries int, edge
 	}
 	topo := e.asyncTopology()
 	n := len(e.messages)
-	p := &collisionPlan{
-		tries:     make([][]byte, n),
-		delivered: make([]bool, n),
-		maxBody:   ct.maxBody,
-		mode:      e.txMode,
+	cs := &st.coll
+	if len(cs.waiting) != n {
+		cs.plan.tries = make([][]byte, n)
+		cs.waiting = make([]int32, n)
+		cs.recvDead = make([]bool, n)
+		cs.queued = make([]bool, n)
+		cs.inSlot = make([]bool, n)
+		cs.attemptCtr = make([]int32, e.prog.nMsgEdges)
+		cs.sender = make([]int64, e.Plan.Inst.Net.Len())
 	}
+	per := maxRetries + 1
+	if need := n * per; cap(cs.triesBuf) < need {
+		cs.triesBuf = make([]byte, need)
+	}
+	p := &cs.plan
+	p.maxBody, p.mode, p.slotOf = ct.maxBody, e.txMode, nil
 	if e.txMode == TxTDMA {
 		p.slotOf = e.txSched.SlotOf
 	}
+	for mi := range p.tries {
+		p.tries[mi] = cs.triesBuf[mi*per : mi*per : (mi+1)*per]
+		cs.waiting[mi] = int32(len(topo.deps[mi]))
+		cs.recvDead[mi] = faults.NodeDead(round, ct.msgs[mi].To)
+	}
+	clear(cs.attemptCtr)
 
-	// base[mi] is the earliest slot the discipline allows mi's first
-	// attempt in; want[mi] the next slot it will transmit in (-1 =
-	// waiting or finished); waiting[mi] its unresolved dependency count.
-	base := make([]int, n)
-	if p.slotOf != nil {
-		copy(base, p.slotOf)
+	// The queue holds every message waiting to transmit, keyed by the
+	// next slot it will transmit in, as (t, kind, seq) = (slot, 0,
+	// message): it pops one slot's bucket at a time, in planned order.
+	// Each waiting message is queued once.
+	q := &st.q
+	*q = (*q)[:0]
+	enqueue := func(mi, slot int) {
+		cs.queued[mi] = true
+		q.push(asyncEvent{t: float64(slot), seq: mi})
 	}
-	want := make([]int, n)
-	waiting := make([]int, n)
-	finished := make([]bool, n)
-	recvDead := make([]bool, n)
-	fenced := make([]bool, n)
-	for mi := range want {
-		want[mi] = -1
-		waiting[mi] = len(topo.deps[mi])
-		edge := ct.msgs[mi]
-		recvDead[mi] = faults.NodeDead(round, edge.To)
-		if edgeOK != nil {
-			fenced[mi] = !edgeOK[e.prog.msgEdge[mi]]
-		}
-	}
-	attemptCtr := make([]int, e.prog.nMsgEdges)
-	pending := 0
 
 	// resolve marks mi settled at the end of slot s: dependents may
-	// transmit from s+1 on. A dead sender resolves before slot 0 (s=-1):
-	// silence, zero attempts, exactly like the ARQ executor's gate.
+	// transmit from s+1 on, and no earlier than their TDMA slot. A dead
+	// sender resolves before slot 0 (s=-1): silence, zero attempts,
+	// exactly like the ARQ executor's gate. The scan below readies every
+	// message with no unresolved dependency, including those a dead
+	// sender's resolution already readied: a dead sender resolves again,
+	// and a queued message stays queued once.
 	var resolve func(mi, s int)
 	ready := func(mi, s int) {
 		if faults.NodeDead(round, ct.msgs[mi].From) {
-			finished[mi] = true
 			resolve(mi, s)
 			return
 		}
-		w := base[mi]
-		if w < s+1 {
-			w = s + 1
+		if cs.queued[mi] {
+			return
 		}
-		want[mi] = w
-		pending++
+		w := s + 1
+		if p.slotOf != nil && p.slotOf[mi] > w {
+			w = p.slotOf[mi]
+		}
+		enqueue(mi, w)
 	}
 	resolve = func(mi, s int) {
 		for _, dm := range topo.dependents[mi] {
-			waiting[dm]--
-			if waiting[dm] == 0 {
+			cs.waiting[dm]--
+			if cs.waiting[dm] == 0 {
 				ready(dm, s)
 			}
 		}
 	}
-	for mi := range want {
-		if waiting[mi] == 0 {
+	for mi := range cs.waiting {
+		if cs.waiting[mi] == 0 {
 			ready(mi, -1)
 		}
 	}
 
-	inSlot := make(map[int]bool, 8)
-	for pending > 0 {
-		// Next populated slot.
-		s := -1
-		for mi, w := range want {
-			if !finished[mi] && w >= 0 && (s == -1 || w < s) {
-				s = w
-			}
-		}
-		if s == -1 {
-			break
-		}
+	for len(*q) > 0 {
 		// One frame per sender per slot: the radio serializes its own
 		// queue in planned order; deferred frames slip one slot.
-		var txs []int
-		sender := make(map[graph.NodeID]bool)
-		for mi, w := range want {
-			if finished[mi] || w != s {
-				continue
-			}
+		s := int((*q)[0].t)
+		cs.stamp++
+		txs := cs.txs[:0]
+		for len(*q) > 0 && int((*q)[0].t) == s {
+			mi := q.pop().seq
+			cs.queued[mi] = false
 			from := ct.msgs[mi].From
-			if sender[from] {
-				want[mi] = s + 1
+			if cs.sender[from] == cs.stamp {
+				enqueue(mi, s+1)
 				continue
 			}
-			sender[from] = true
+			cs.sender[from] = cs.stamp
 			txs = append(txs, mi)
 		}
-		for k := range inSlot {
-			delete(inSlot, k)
-		}
+		cs.txs = txs
 		for _, mi := range txs {
-			inSlot[mi] = true
+			cs.inSlot[mi] = true
 		}
 		for _, mi := range txs {
 			edge := routing.Edge{From: ct.msgs[mi].From, To: ct.msgs[mi].To}
 			try := len(p.tries[mi])
 			conflicted := false
-			for _, other := range e.cont.conflict[mi] {
-				if inSlot[other] {
+			for _, other := range ct.conflict[mi] {
+				if cs.inSlot[other] {
 					conflicted = true
 					break
 				}
@@ -386,31 +395,26 @@ func (e *Engine) collisionPlanFor(round int, faults Faults, maxRetries int, edge
 			switch {
 			case conflicted && faults.CollisionReceiver(edge.To) && !faults.CaptureWins(round, edge, attemptSalt(mi, try)):
 				oc = coCollided
-			case recvDead[mi]:
+			case cs.recvDead[mi]:
 				oc = coLost
 			default:
 				eid := e.prog.msgEdge[mi]
-				seq := attemptCtr[eid]
-				attemptCtr[eid]++
-				if faults.Deliver(round, edge, seq) {
+				seq := cs.attemptCtr[eid]
+				cs.attemptCtr[eid]++
+				if faults.Deliver(round, edge, int(seq)) {
 					oc = coDelivered
 				} else {
 					oc = coLost
 				}
 			}
 			p.tries[mi] = append(p.tries[mi], oc)
-			if oc == coDelivered && !fenced[mi] {
-				p.delivered[mi] = true
-				finished[mi] = true
-				pending--
+			if oc == coDelivered && st.edgeOK[e.prog.msgEdge[mi]] {
 				resolve(mi, s)
 				continue
 			}
 			// Lost, collided, or heard-but-fenced (never acknowledged):
 			// retry if budget remains, per the discipline.
 			if try >= maxRetries {
-				finished[mi] = true
-				pending--
 				resolve(mi, s)
 				continue
 			}
@@ -422,7 +426,10 @@ func (e *Engine) collisionPlanFor(round int, faults Faults, maxRetries int, edge
 				}
 				next += faults.BackoffSlots(round, edge, attemptSalt(mi, try), window)
 			}
-			want[mi] = next
+			enqueue(mi, next)
+		}
+		for _, mi := range txs {
+			cs.inSlot[mi] = false
 		}
 	}
 	return p, nil

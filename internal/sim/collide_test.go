@@ -1,7 +1,11 @@
 package sim
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"math"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"m2m/internal/agg"
@@ -10,6 +14,8 @@ import (
 	"m2m/internal/plan"
 	"m2m/internal/radio"
 	"m2m/internal/routing"
+	"m2m/internal/topology"
+	"m2m/internal/workload"
 )
 
 // starInstance builds a hub at 0 with direct spokes 1..n: the worst-case
@@ -373,5 +379,84 @@ func TestCollisionAsyncMatchesLossy(t *testing.T) {
 				t.Fatalf("capture %v: value at %d = %v, want %v", capture, d, async.Values[d], v)
 			}
 		}
+	}
+}
+
+// The collision replay is pinned: RunLossy and a reused AsyncRunner over
+// random engines under every discipline, with loss, capture and crashed
+// nodes (whose silent messages resolve before slot 0 and cascade to their
+// dependents), hash to one digest of every outcome, counter, energy and
+// value. The oracle's slot queue and pooled scratch must replay the
+// scan-based resolution it replaced exactly.
+func TestCollisionReplayGolden(t *testing.T) {
+	const want = "376cf22071c5c7715b17c6e9ab0cb817a3278c7c1442d3906766290a3002411f"
+	f := fingerprint{sha256.New()}
+	float := func(x float64) { f.int(int64(math.Float64bits(x))) }
+	hashRound := func(res *LossyResult) {
+		for _, o := range res.Outcomes {
+			f.ints([]int{int(o.Edge.From), int(o.Edge.To), o.Attempts, o.BodyBytes})
+			f.bool(o.Delivered)
+		}
+		f.ints([]int{res.Transmissions, res.Retries, res.Dropped, res.EpochDropped, res.Collisions})
+		float(res.EnergyJ)
+		for _, m := range []map[graph.NodeID]float64{res.Values, res.PerNodeJ} {
+			keys := make([]int, 0, len(m))
+			for k := range m {
+				keys = append(keys, int(k))
+			}
+			sort.Ints(keys)
+			for _, k := range keys {
+				f.int(int64(k))
+				float(m[graph.NodeID(k)])
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(23))
+	for trial := 0; trial < 12; trial++ {
+		l := topology.UniformRandom(40, topology.GreatDuckIsland().Area, int64(trial))
+		l.EnsureConnected(50)
+		g := l.ConnectivityGraph(50)
+		p := fingerprintPlan(t, g, routing.NewReversePath(g), workload.Config{
+			DestFraction: 0.2, SourcesPerDest: 8, Dispersion: 0.9, MaxHops: 4, Seed: int64(trial),
+		})
+		readings := randomReadings(rng, g.Len())
+		inj := chaos.New(int64(trial)).WithUniformLoss(0.15).WithCollisions(0.3)
+		for k := 0; k < 3; k++ {
+			inj.Crash(graph.NodeID(rng.Intn(g.Len())), rng.Intn(3))
+		}
+		for _, mode := range []TxMode{TxUnscheduled, TxBackoff, TxTDMA} {
+			eng, err := NewEngine(p, radio.DefaultModel(), Options{MergeMessages: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if mode == TxTDMA {
+				err = eng.EnableTDMA()
+			} else {
+				err = eng.SetTxMode(mode)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			runner, err := NewAsyncRunner(eng, AsyncConfig{MaxRetries: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for round := 0; round < 4; round++ {
+				lossy, err := eng.RunLossy(round, readings, inj, 2)
+				if err != nil {
+					t.Fatal(err)
+				}
+				hashRound(lossy)
+				async, err := runner.Run(round, readings, inj)
+				if err != nil {
+					t.Fatal(err)
+				}
+				hashRound(&async.LossyResult)
+				float(async.MakespanMS)
+			}
+		}
+	}
+	if got := hex.EncodeToString(f.h.Sum(nil)); got != want {
+		t.Fatalf("collision replay digest %s, want %s", got, want)
 	}
 }

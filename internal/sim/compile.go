@@ -78,6 +78,7 @@ type finalOp struct {
 	fn      agg.Func
 	sources []graph.NodeID // fn.Sources(), ascending
 	srcBits []int32        // dense source index of each entry of sources
+	srcOff  int32          // offset of this final's sources among all finals' sources
 }
 
 // compiled is the flat round program shared by every execution path.
@@ -105,6 +106,9 @@ type compiled struct {
 	edgeTo    []graph.NodeID
 
 	covWords int // words per coverage bitset: ceil(len(srcIDs)/64)
+
+	nFinalSrcs int // total length of every final's sources
+	nEdgeNodes int // distinct endpoints of the message edges
 }
 
 // kernelKind returns f's table-driven kind, or 0 when f's record algebra
@@ -288,6 +292,8 @@ func (e *Engine) compile(cx *construction) error {
 		for i, s := range fo.sources {
 			fo.srcBits[i] = srcBit[s]
 		}
+		fo.srcOff = int32(c.nFinalSrcs)
+		c.nFinalSrcs += len(fo.sources)
 		c.finals = append(c.finals, fo)
 	}
 	c.finalOf = make(map[graph.NodeID]int32, len(c.finals))
@@ -315,6 +321,15 @@ func (e *Engine) compile(cx *construction) error {
 			c.edgeTo = append(c.edgeTo, edge.To)
 		}
 		c.msgEdge[mi] = edgeID[ei] - 1
+	}
+	endpoint := make([]bool, inst.Net.Len())
+	for i := range c.edgeFrom {
+		for _, n := range [2]graph.NodeID{c.edgeFrom[i], c.edgeTo[i]} {
+			if !endpoint[n] {
+				endpoint[n] = true
+				c.nEdgeNodes++
+			}
+		}
 	}
 
 	// Static verification: replay the processing order over presence bits,

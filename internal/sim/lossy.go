@@ -282,8 +282,7 @@ func (e *Engine) RunLossy(round int, readings map[graph.NodeID]float64, faults F
 			res.Outcomes = append(res.Outcomes, out)
 			continue
 		}
-		raws, recs, body := r.snapshot(mi, st.raws[:0], st.recs[:0])
-		st.raws, st.recs = raws, recs
+		raws, recs, body := r.snapshot(mi)
 		out.BodyBytes = body
 
 		// Stop-and-wait: transmit until delivered or the budget runs out;

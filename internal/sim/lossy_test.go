@@ -284,20 +284,74 @@ func TestLossyRejectsNegativeRetries(t *testing.T) {
 	}
 }
 
-// benchExecutorEngine is the shared fixture of the executor benchmarks: a
-// merged engine over a 150-node random instance.
-func benchExecutorEngine(b *testing.B) (*Engine, map[graph.NodeID]float64) {
+// benchExecutorEngine is the shared fixture of the executor benchmarks
+// and allocation pins: a merged engine over a 150-node random instance.
+func benchExecutorEngine(tb testing.TB) (*Engine, map[graph.NodeID]float64) {
 	rng := rand.New(rand.NewSource(1))
-	inst := buildInstance(b, rng, 150, 12, 12, false)
+	inst := buildInstance(tb, rng, 150, 12, 12, false)
 	p, err := plan.Optimize(inst)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	eng, err := NewEngine(p, radio.DefaultModel(), Options{MergeMessages: true})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	return eng, randomReadings(rng, inst.Net.Len())
+}
+
+// steadyAllocBound caps a faulted round's allocations on a recycled
+// state: the result and its Values, Reports and PerNodeJ maps, the
+// outcome slice, and the report and source-id blocks. None of it grows
+// with the round's messages, retries or events.
+const steadyAllocBound = 30
+
+// pinSteadyAllocs measures one executor's allocations per round at loss
+// 0.1 and 0.3, with and without the collision channel, and requires each
+// count within steadyAllocBound and all four equal. run executes round i
+// of the schedule; each schedule is warmed up first, so the pooled
+// scratch has reached its size.
+func pinSteadyAllocs(t *testing.T, run func(i int, inj *chaos.Injector)) {
+	t.Helper()
+	if raceEnabled {
+		t.Skip("sync.Pool drops pooled states at random under the race detector")
+	}
+	var counts []float64
+	for _, coll := range []bool{false, true} {
+		for _, loss := range []float64{0.1, 0.3} {
+			inj := chaos.New(77).WithUniformLoss(loss)
+			if coll {
+				inj.WithCollisions(0.3)
+			}
+			i := 0
+			for ; i < 3; i++ {
+				run(i, inj)
+			}
+			n := testing.AllocsPerRun(40, func() { run(i, inj); i++ })
+			t.Logf("loss %.1f collisions %v: %.0f allocs/round", loss, coll, n)
+			if n > steadyAllocBound {
+				t.Errorf("loss %.1f collisions %v: %.0f allocs per round, want <= %d", loss, coll, n, steadyAllocBound)
+			}
+			counts = append(counts, n)
+		}
+	}
+	for _, n := range counts[1:] {
+		if n != counts[0] {
+			t.Errorf("allocs per round vary with loss and contention: %v", counts)
+			break
+		}
+	}
+}
+
+// A faulted RunLossy round on a reused engine allocates a constant,
+// whatever its message, retry and collision counts.
+func TestRunLossySteadyAllocs(t *testing.T) {
+	eng, readings := benchExecutorEngine(t)
+	pinSteadyAllocs(t, func(i int, inj *chaos.Injector) {
+		if _, err := eng.RunLossy(i, readings, inj, 3); err != nil {
+			t.Fatal(err)
+		}
+	})
 }
 
 func BenchmarkRunLossy(b *testing.B) {
@@ -312,6 +366,33 @@ func BenchmarkRunLossy(b *testing.B) {
 	}
 }
 
+// BenchmarkRunLossyCollide is BenchmarkRunLossy over the collision
+// channel, once per contention-aware transmission discipline.
+func BenchmarkRunLossyCollide(b *testing.B) {
+	for _, mode := range []TxMode{TxBackoff, TxTDMA} {
+		b.Run(mode.String(), func(b *testing.B) {
+			eng, readings := benchExecutorEngine(b)
+			var err error
+			if mode == TxTDMA {
+				err = eng.EnableTDMA()
+			} else {
+				err = eng.SetTxMode(mode)
+			}
+			if err != nil {
+				b.Fatal(err)
+			}
+			inj := chaos.New(77).WithUniformLoss(0.1).WithCollisions(0.3)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := eng.RunLossy(i, readings, inj, 3); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 func BenchmarkRunAsync(b *testing.B) {
 	eng, readings := benchExecutorEngine(b)
 	inj := chaos.New(77).WithUniformLoss(0.1)
@@ -319,6 +400,24 @@ func BenchmarkRunAsync(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := eng.RunAsync(i, readings, inj, AsyncConfig{MaxRetries: 3}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkAsyncRunner is BenchmarkRunAsync on one reused runner, the
+// way sessions step: no per-call runner construction.
+func BenchmarkAsyncRunner(b *testing.B) {
+	eng, readings := benchExecutorEngine(b)
+	runner, err := NewAsyncRunner(eng, AsyncConfig{MaxRetries: 3})
+	if err != nil {
+		b.Fatal(err)
+	}
+	inj := chaos.New(77).WithUniformLoss(0.1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := runner.Run(i, readings, inj); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -293,7 +293,9 @@ func (e *Engine) RunConcurrent(ctx context.Context, batch []map[graph.NodeID]flo
 // lossyState is the recyclable scratch of the lossy and asynchronous
 // executors: the compiled raw slots with dynamic presence flags and, per
 // record slot, the partial records delivered to it, since under faults
-// slot occupancy is a runtime property.
+// slot occupancy is a runtime property. It also holds every per-round
+// array the executors and the collision oracle need, so a round on a
+// recycled state allocates only the result it returns.
 type lossyState struct {
 	raw      []float64
 	rawSet   []bool
@@ -302,14 +304,41 @@ type lossyState struct {
 	tmp2     []float64
 	tmp3     []float64 // contribution-fold buffer
 	covTmp   []uint64
-	attempt  []int32      // per message-edge ARQ attempt sequence
-	edgeOK   []bool       // per message-edge epoch fence (true = epochs match)
-	raws     []carriedRaw // RunLossy's per-message payload snapshot scratch
+	attempt  []int32 // per message-edge ARQ attempt sequence
+	edgeOK   []bool  // per message-edge epoch fence (true = epochs match)
+
+	// The round's snapshot arenas. Every message's payload, and each
+	// carried record and coverage set, is a cap-limited sub-slice of
+	// these, so it stays valid for the whole round: an append that
+	// outgrows an arena moves later snapshots to a new array and leaves
+	// earlier ones where they are. getLossyState empties them.
+	raws     []carriedRaw
 	recs     []carriedRec
+	recArena []float64
+	covArena []uint64
+
+	// q is the event heap: the collision oracle's slot queue while
+	// beginRound resolves contention, then the async event loop's queue.
+	q     eventQueue
+	async asyncScratch     // AsyncRunner.Run's per-message and per-destination state
+	coll  collisionScratch // collisionPlanFor's scratch and resolved plan
 }
 
+// newLossyState sizes a state for the engine's program. The snapshot
+// arenas get the capacity of one round in which every message carries
+// every unit, the most a round can snapshot, since each message
+// snapshots once.
 func (e *Engine) newLossyState() *lossyState {
 	c := e.prog
+	nRaws, nRecs, recFloats := 0, 0, 0
+	for i := range c.ops {
+		if op := &c.ops[i]; op.raw {
+			nRaws++
+		} else {
+			nRecs++
+			recFloats += int(op.fnLen)
+		}
+	}
 	return &lossyState{
 		raw:      make([]float64, c.nRaw),
 		rawSet:   make([]bool, c.nRaw),
@@ -320,6 +349,10 @@ func (e *Engine) newLossyState() *lossyState {
 		covTmp:   make([]uint64, c.covWords),
 		attempt:  make([]int32, c.nMsgEdges),
 		edgeOK:   make([]bool, c.nMsgEdges),
+		raws:     make([]carriedRaw, 0, nRaws),
+		recs:     make([]carriedRec, 0, nRecs),
+		recArena: make([]float64, 0, recFloats),
+		covArena: make([]uint64, 0, nRecs*c.covWords),
 	}
 }
 
@@ -334,10 +367,20 @@ func (e *Engine) getLossyState() *lossyState {
 	for i := range st.attempt {
 		st.attempt[i] = 0
 	}
+	st.raws, st.recs = st.raws[:0], st.recs[:0]
+	st.recArena, st.covArena = st.recArena[:0], st.covArena[:0]
 	return st
 }
 
 func (e *Engine) putLossyState(st *lossyState) { e.lossyPool.Put(st) }
+
+// carve appends src to the arena and returns the copy as a cap-limited
+// sub-slice, which no later append can write through.
+func carve[T any](arena *[]T, src []T) []T {
+	off := len(*arena)
+	*arena = append(*arena, src...)
+	return (*arena)[off:len(*arena):len(*arena)]
+}
 
 // fillEdgeFence evaluates the epoch fence over the interned message edges:
 // an edge is open only when both endpoints run the executing plan's epoch.
@@ -435,6 +478,12 @@ type faultRound struct {
 	st     *lossyState
 	cp     *collisionPlan // nil unless the schedule enables collisions
 	res    *LossyResult
+
+	// The round's reports are carved from one block, and their Covered
+	// and Missing lists from one block of source ids: destination fi's
+	// lists share ids[finals[fi].srcOff:][:len(finals[fi].sources)].
+	reps []DeliveryReport
+	ids  []graph.NodeID
 }
 
 // beginRound sets up one faulty-path round writing into res: a nil
@@ -449,7 +498,7 @@ func (e *Engine) beginRound(round int, readings map[graph.NodeID]float64, faults
 	c := e.prog
 	r := faultRound{e: e, round: round, faults: faults, st: e.getLossyState(), res: res}
 	e.fillEdgeFence(r.st, faults)
-	cp, err := e.collisionPlanFor(round, faults, maxRetries, r.st.edgeOK)
+	cp, err := e.collisionPlanFor(round, faults, maxRetries, r.st)
 	if err != nil {
 		r.end()
 		return faultRound{}, err
@@ -463,8 +512,10 @@ func (e *Engine) beginRound(round int, readings map[graph.NodeID]float64, faults
 	}
 	res.Values = make(map[graph.NodeID]float64, len(c.finals))
 	res.Reports = make(map[graph.NodeID]*DeliveryReport, len(c.finals))
-	res.PerNodeJ = make(map[graph.NodeID]float64)
+	res.PerNodeJ = make(map[graph.NodeID]float64, c.nEdgeNodes)
 	res.Outcomes = make([]EdgeOutcome, 0, len(e.messages))
+	r.reps = make([]DeliveryReport, len(c.finals))
+	r.ids = make([]graph.NodeID, c.nFinalSrcs)
 	res.Messages = len(e.messages)
 	return r, nil
 }
@@ -480,33 +531,34 @@ func (r *faultRound) down(n graph.NodeID) bool {
 
 // snapshot gathers message mi's payload from what has reached its sender
 // by now: the raw values present and, for each record unit with any input
-// present, its assembled partial record and coverage. It appends to raws
-// and recs and returns them with the body size in bytes; every
-// (re)transmission of the message carries these bytes.
-func (r *faultRound) snapshot(mi int, raws []carriedRaw, recs []carriedRec) ([]carriedRaw, []carriedRec, int) {
+// present, its assembled partial record and coverage. The payload is
+// carved from the round's arenas and stays valid until the round ends;
+// body is its size in bytes, which every (re)transmission of the
+// message carries.
+func (r *faultRound) snapshot(mi int) (raws []carriedRaw, recs []carriedRec, body int) {
 	c, st := r.e.prog, r.st
-	body := 0
+	raw0, rec0 := len(st.raws), len(st.recs)
 	ops := c.ops[c.msgOff[mi]:c.msgOff[mi+1]]
 	for j, ui := range r.e.messages[mi] {
 		op := &ops[j]
 		if op.raw {
 			if st.rawSet[op.from] {
-				raws = append(raws, carriedRaw{slot: op.to, val: st.raw[op.from]})
+				st.raws = append(st.raws, carriedRaw{slot: op.to, val: st.raw[op.from]})
 				body += int(c.unitBytes[ui])
 			}
 			continue
 		}
 		tmp := st.tmp[:op.fnLen]
 		if st.assemble(op.alg, op.fn, c.ins[op.lo:op.hi], tmp) {
-			recs = append(recs, carriedRec{
+			st.recs = append(st.recs, carriedRec{
 				slot: op.out,
-				rec:  append(agg.Record(nil), tmp...),
-				cov:  append([]uint64(nil), st.covTmp...),
+				rec:  carve(&st.recArena, tmp),
+				cov:  carve(&st.covArena, st.covTmp),
 			})
 			body += int(c.unitBytes[ui])
 		}
 	}
-	return raws, recs, body
+	return st.raws[raw0:len(st.raws):len(st.raws)], st.recs[rec0:len(st.recs):len(st.recs)], body
 }
 
 // deliver applies message mi's snapshot at its receiver: raw values fill
@@ -535,25 +587,44 @@ func (r *faultRound) attempted(attempts int) {
 // destination is starved with every source missing; otherwise the final
 // merge folds whatever arrived and its coverage splits the sources. finals
 // follow Dests() order and each function's source list is ascending, so
-// Covered and Missing come out sorted without a per-round sort.
+// Covered and Missing come out sorted without a per-round sort. Either
+// list is nil when empty.
 func (r *faultRound) report(fi int, dead bool) *DeliveryReport {
 	fo := &r.e.prog.finals[fi]
-	rep := &DeliveryReport{Dest: fo.dest}
+	rep := &r.reps[fi]
+	rep.Dest = fo.dest
 	r.res.Reports[fo.dest] = rep
+	ids := r.ids[fo.srcOff:][:len(fo.sources):len(fo.sources)]
 	if dead {
 		rep.DestDead = true
 		rep.Starved = true
-		rep.Missing = append([]graph.NodeID(nil), fo.sources...)
+		if len(ids) > 0 {
+			rep.Missing = ids
+			copy(rep.Missing, fo.sources)
+		}
 		return rep
 	}
 	tmp := r.st.tmp[:fo.fnLen]
 	got := r.st.assemble(fo.alg, fo.fn, r.e.prog.ins[fo.lo:fo.hi], tmp)
+	nc := 0
+	for _, b := range fo.srcBits {
+		if covHasBit(r.st.covTmp, b) {
+			nc++
+		}
+	}
+	covered, missing := ids[:0:nc], ids[nc:nc:len(ids)]
 	for j, s := range fo.sources {
 		if covHasBit(r.st.covTmp, fo.srcBits[j]) {
-			rep.Covered = append(rep.Covered, s)
+			covered = append(covered, s)
 		} else {
-			rep.Missing = append(rep.Missing, s)
+			missing = append(missing, s)
 		}
+	}
+	if nc > 0 {
+		rep.Covered = covered
+	}
+	if len(missing) > 0 {
+		rep.Missing = missing
 	}
 	if !got {
 		rep.Starved = true

@@ -163,13 +163,13 @@ func (l *Layout) ConnectivityGraph(rangeMeters float64) *graph.Undirected {
 	if rangeMeters <= 0 {
 		panic("topology: non-positive radio range")
 	}
-	g := graph.NewUndirected(len(l.Points))
 	if len(l.Points) < 2 {
-		return g
+		return graph.NewUndirected(len(l.Points))
 	}
 	cg := buildCellGrid(l.Points, rangeMeters)
 	r2 := rangeMeters * rangeMeters
 	cand := make([]int32, 0, 64)
+	var edges []graph.Edge
 	for i := range l.Points {
 		cand = cg.neighborsAbove(int32(i), cand[:0])
 		slices.Sort(cand)
@@ -177,11 +177,11 @@ func (l *Layout) ConnectivityGraph(rangeMeters float64) *graph.Undirected {
 		for _, j := range cand {
 			if pi.Dist2(l.Points[j]) <= r2 {
 				// No self-loops or duplicates: j > i, one cell per point.
-				g.AddEdgeUnchecked(graph.NodeID(i), graph.NodeID(j), pi.Dist(l.Points[j]))
+				edges = append(edges, graph.Edge{U: graph.NodeID(i), V: graph.NodeID(j), W: pi.Dist(l.Points[j])})
 			}
 		}
 	}
-	return g
+	return graph.NewUndirectedFromEdges(len(l.Points), edges)
 }
 
 // EnsureConnected deterministically repairs l so that its connectivity
