@@ -257,11 +257,3 @@ func EvalByKind(k Kind, r Record) (float64, error) {
 	}
 	return k.Eval(r), nil
 }
-
-// SlotsOf returns the record arity of the family.
-func SlotsOf(k Kind) (int, error) {
-	if !k.TableDriven() {
-		return 0, kindErr(k)
-	}
-	return k.Slots(), nil
-}

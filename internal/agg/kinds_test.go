@@ -60,17 +60,14 @@ func TestKindAlgebraMatchesFuncs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		slots, err := SlotsOf(k)
-		if err != nil {
-			t.Fatal(err)
-		}
+		slots := k.Slots()
 		for trial := 0; trial < 50; trial++ {
 			var viaFunc, viaKind Record
 			for _, s := range srcs {
 				v := rng.NormFloat64() * 4
 				pf := f.PreAgg(s, v)
 				if len(pf) != slots {
-					t.Fatalf("%s: PreAgg arity %d != SlotsOf %d", f.Name(), len(pf), slots)
+					t.Fatalf("%s: PreAgg arity %d != Slots %d", f.Name(), len(pf), slots)
 				}
 				param, err := ParamOf(f, s)
 				if err != nil {
@@ -111,9 +108,6 @@ func TestKindErrors(t *testing.T) {
 	}
 	if _, err := EvalByKind(Kind(0), Record{1}); err == nil {
 		t.Error("unknown kind Eval accepted")
-	}
-	if _, err := SlotsOf(Kind(0)); err == nil {
-		t.Error("unknown kind Slots accepted")
 	}
 	if _, err := MergeByKind(KindRange, Record{1}, Record{1, 2}); err == nil {
 		t.Error("arity mismatch accepted")

@@ -212,9 +212,6 @@ func TestConfiguredKindsRejectTableExecution(t *testing.T) {
 		if _, err := PreAggByKind(k, 1, 0); err == nil || !strings.Contains(err.Error(), "configuration") {
 			t.Errorf("PreAggByKind(%d) error = %v, want configuration error", k, err)
 		}
-		if _, err := SlotsOf(k); err == nil || !strings.Contains(err.Error(), "configuration") {
-			t.Errorf("SlotsOf(%d) error = %v, want configuration error", k, err)
-		}
 	}
 	if Configured(KindWeightedSum) {
 		t.Error("wsum marked Configured")

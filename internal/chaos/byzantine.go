@@ -147,27 +147,6 @@ func (in *Injector) CorruptReading(round int, n graph.NodeID, v float64) float64
 	return v
 }
 
-// ByzantineActive reports whether node n is scheduled to lie in the
-// given round.
-func (in *Injector) ByzantineActive(round int, n graph.NodeID) bool {
-	for _, w := range in.byz[n] {
-		if w.active(round) {
-			return true
-		}
-	}
-	return false
-}
-
-// ByzantineNodes returns every node with at least one scheduled
-// corruption window, unordered, mapped to its window count.
-func (in *Injector) ByzantineNodes() map[graph.NodeID]int {
-	out := make(map[graph.NodeID]int, len(in.byz))
-	for n, ws := range in.byz {
-		out[n] = len(ws)
-	}
-	return out
-}
-
 // validateByzantine rejects corruption windows that overlap a round in
 // which the node cannot report at all: from its crash round until an
 // optional revive, or from its depletion round on. Mode parameters must

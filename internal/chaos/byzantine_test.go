@@ -72,19 +72,15 @@ func TestByzantineActiveAndNodes(t *testing.T) {
 		WithByzantine(5, ByzAmplify, 2, 30, 5).
 		WithByzantine(8, ByzSpray, 1, 0, Forever)
 	for r, want := range map[int]bool{9: false, 10: true, 14: true, 15: false, 30: true, 35: false} {
-		if got := in.ByzantineActive(r, 5); got != want {
-			t.Errorf("ByzantineActive(%d, 5) = %v", r, got)
+		if got := in.CorruptReading(r, 5, 7) != 7; got != want {
+			t.Errorf("round %d: node 5 corrupting = %v, want %v", r, got, want)
 		}
 	}
-	if !in.ByzantineActive(1<<20, 8) {
+	if in.CorruptReading(1<<20, 8, 7) == 7 {
 		t.Error("Forever window expired")
 	}
-	nodes := in.ByzantineNodes()
-	if len(nodes) != 2 || nodes[5] != 2 || nodes[8] != 1 {
-		t.Errorf("ByzantineNodes = %v", nodes)
-	}
-	if New(1).ByzantineActive(0, 5) {
-		t.Error("empty injector reports a byzantine node")
+	if New(1).CorruptReading(10, 5, 7) != 7 {
+		t.Error("empty injector corrupts a reading")
 	}
 }
 
@@ -98,9 +94,6 @@ func TestByzantineNegativeDurationClamped(t *testing.T) {
 	for r := 0; r < 10; r++ {
 		if got := in.CorruptReading(r, 2, 7); got != 7 {
 			t.Errorf("round %d: clamped window corrupted reading to %g", r, got)
-		}
-		if in.ByzantineActive(r, 2) {
-			t.Errorf("round %d: clamped window active", r)
 		}
 	}
 }

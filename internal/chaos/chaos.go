@@ -98,10 +98,8 @@ type Injector struct {
 	reordProb float64
 	reordMS   float64
 
-	collide      bool
-	captureProb  float64
-	collideScope map[graph.NodeID]bool
-	collideN     int // network size declared by WithCollisionReceivers
+	collide     bool
+	captureProb float64
 }
 
 // New returns an empty injector whose stochastic draws derive from seed.
@@ -370,50 +368,6 @@ func (in *Injector) Duplicates(round int, e routing.Edge, attempt int) int {
 		return 1
 	}
 	return 0
-}
-
-// Crashes returns the scheduled (node, round) crash list, unordered.
-func (in *Injector) Crashes() map[graph.NodeID]int {
-	out := make(map[graph.NodeID]int, len(in.crashes))
-	for n, r := range in.crashes {
-		out[n] = r
-	}
-	return out
-}
-
-// Revives returns the scheduled (node, round) revival list, unordered.
-func (in *Injector) Revives() map[graph.NodeID]int {
-	out := make(map[graph.NodeID]int, len(in.revives))
-	for n, r := range in.revives {
-		out[n] = r
-	}
-	return out
-}
-
-// Depletions returns the scheduled (node, round) battery-exhaustion list,
-// unordered.
-func (in *Injector) Depletions() map[graph.NodeID]int {
-	out := make(map[graph.NodeID]int, len(in.depletions))
-	for n, r := range in.depletions {
-		out[n] = r
-	}
-	return out
-}
-
-// Partitions returns the scheduled partitions in insertion order.
-func (in *Injector) Partitions() []Partition {
-	return append([]Partition(nil), in.partitions...)
-}
-
-// PartitionActive reports whether any scheduled partition severs the
-// network in the given round.
-func (in *Injector) PartitionActive(round int) bool {
-	for i := range in.partitions {
-		if in.partitions[i].Active(round) {
-			return true
-		}
-	}
-	return false
 }
 
 // GrowSide picks a connected side of the requested size for a partition:

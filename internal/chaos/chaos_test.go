@@ -261,8 +261,8 @@ func TestValidate(t *testing.T) {
 	if err := ok.Validate(); err != nil {
 		t.Errorf("valid schedule rejected: %v", err)
 	}
-	if ok.Crashes()[graph.NodeID(1)] != 3 {
-		t.Error("Crashes() lost the schedule")
+	if ok.NodeDead(2, 1) || !ok.NodeDead(3, 1) {
+		t.Error("validated schedule lost the crash")
 	}
 }
 
@@ -276,9 +276,6 @@ func TestReviveMakesCrashTransient(t *testing.T) {
 		if in.NodeDead(r, 6) != want {
 			t.Errorf("round %d: NodeDead = %v, want %v", r, !want, want)
 		}
-	}
-	if got := in.Revives()[graph.NodeID(6)]; got != 9 {
-		t.Errorf("Revives() = %d, want 9", got)
 	}
 }
 
@@ -317,16 +314,9 @@ func TestPartitionCutsOnlyCrossingLinks(t *testing.T) {
 		if in.LinkDown(r, internal) || in.LinkDown(r, outside) {
 			t.Errorf("round %d: non-crossing link severed", r)
 		}
-		if in.PartitionActive(r) != want {
-			t.Errorf("round %d: PartitionActive = %v, want %v", r, !want, want)
-		}
 		if want && in.Deliver(r, crossing, 0) {
 			t.Errorf("round %d: delivery across the cut", r)
 		}
-	}
-	ps := in.Partitions()
-	if len(ps) != 1 || len(ps[0].Side) != 2 || ps[0].Side[0] != 2 || ps[0].Side[1] != 3 {
-		t.Errorf("Partitions() = %+v", ps)
 	}
 }
 

@@ -19,7 +19,6 @@ import (
 	"fmt"
 	"math"
 
-	"m2m/internal/graph"
 	"m2m/internal/routing"
 )
 
@@ -37,22 +36,6 @@ const (
 func (in *Injector) WithCollisions(capture float64) *Injector {
 	in.collide = true
 	in.captureProb = capture
-	return in
-}
-
-// WithCollisionReceivers restricts which receivers can lose frames to
-// contention: only transmissions toward the listed nodes collide. n is the
-// network size, kept for Validate's range check. Transmissions toward
-// unlisted receivers never collide themselves but still interfere — a
-// sender in range of a listed receiver destroys that receiver's frame
-// regardless of where its own frame is headed. With no call (or no nodes)
-// every receiver is in scope.
-func (in *Injector) WithCollisionReceivers(n int, nodes ...graph.NodeID) *Injector {
-	in.collideN = n
-	in.collideScope = make(map[graph.NodeID]bool, len(nodes))
-	for _, nd := range nodes {
-		in.collideScope[nd] = true
-	}
 	return in
 }
 
@@ -75,15 +58,6 @@ func (in *Injector) CaptureProb() float64 {
 		return math.Nextafter(1, 0)
 	}
 	return p
-}
-
-// CollisionReceiver reports whether frames toward n are in collision
-// scope. An empty scope means every receiver collides.
-func (in *Injector) CollisionReceiver(n graph.NodeID) bool {
-	if len(in.collideScope) == 0 {
-		return true
-	}
-	return in.collideScope[n]
 }
 
 // CaptureWins reports whether the attempt-th frame of the round on e is
@@ -115,19 +89,10 @@ func (in *Injector) BackoffSlots(round int, e routing.Edge, attempt, window int)
 
 // validateCollisions rejects contention configs the executor cannot
 // price: capture probabilities outside what CaptureProb clamps into
-// [0, 1), and collision-scope receivers outside the declared network.
+// [0, 1).
 func (in *Injector) validateCollisions() error {
-	if in.collide {
-		if math.IsNaN(in.captureProb) || in.captureProb < 0 || in.captureProb >= 1 {
-			return fmt.Errorf("chaos: capture probability %v outside [0,1)", in.captureProb)
-		}
-	}
-	if in.collideScope != nil {
-		for n := range in.collideScope {
-			if int(n) < 0 || int(n) >= in.collideN {
-				return fmt.Errorf("chaos: collision receiver %d outside network of %d nodes", n, in.collideN)
-			}
-		}
+	if in.collide && (math.IsNaN(in.captureProb) || in.captureProb < 0 || in.captureProb >= 1) {
+		return fmt.Errorf("chaos: capture probability %v outside [0,1)", in.captureProb)
 	}
 	return nil
 }

@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 
-	"m2m/internal/graph"
 	"m2m/internal/routing"
 )
 
@@ -15,9 +14,6 @@ func TestCollisionDefaults(t *testing.T) {
 	}
 	if p := in.CaptureProb(); p != 0 {
 		t.Fatalf("zero injector capture prob %v", p)
-	}
-	if !in.CollisionReceiver(3) {
-		t.Fatal("empty scope must include every receiver")
 	}
 	e := routing.Edge{From: 1, To: 2}
 	if in.CaptureWins(0, e, 0) {
@@ -55,25 +51,6 @@ func TestCollisionValidate(t *testing.T) {
 	}
 	if err := New(1).WithCollisions(math.NaN()).Validate(); err == nil {
 		t.Fatal("NaN capture probability accepted")
-	}
-	if err := New(1).WithCollisions(0).WithCollisionReceivers(5, 0, 4).Validate(); err != nil {
-		t.Fatalf("in-range receivers rejected: %v", err)
-	}
-	if err := New(1).WithCollisions(0).WithCollisionReceivers(5, 5).Validate(); err == nil {
-		t.Fatal("out-of-range receiver accepted")
-	}
-	if err := New(1).WithCollisions(0).WithCollisionReceivers(5, graph.NodeID(-1)).Validate(); err == nil {
-		t.Fatal("negative receiver accepted")
-	}
-}
-
-func TestCollisionReceiverScope(t *testing.T) {
-	in := New(1).WithCollisions(0).WithCollisionReceivers(10, 2, 7)
-	for n := graph.NodeID(0); n < 10; n++ {
-		want := n == 2 || n == 7
-		if got := in.CollisionReceiver(n); got != want {
-			t.Errorf("CollisionReceiver(%d) = %v, want %v", n, got, want)
-		}
 	}
 }
 

@@ -33,9 +33,6 @@ func (p Point) Sub(q Point) Point { return Point{p.X - q.X, p.Y - q.Y} }
 // Scale returns p scaled by k.
 func (p Point) Scale(k float64) Point { return Point{p.X * k, p.Y * k} }
 
-// Norm returns the Euclidean length of p viewed as a vector.
-func (p Point) Norm() float64 { return math.Hypot(p.X, p.Y) }
-
 // String implements fmt.Stringer.
 func (p Point) String() string { return fmt.Sprintf("(%.2f, %.2f)", p.X, p.Y) }
 
@@ -55,53 +52,10 @@ func (r Rect) Width() float64 { return r.MaxX - r.MinX }
 // Height returns the vertical extent of r.
 func (r Rect) Height() float64 { return r.MaxY - r.MinY }
 
-// Area returns the area of r.
-func (r Rect) Area() float64 { return r.Width() * r.Height() }
-
-// Contains reports whether p lies inside r (boundary inclusive).
-func (r Rect) Contains(p Point) bool {
-	return p.X >= r.MinX && p.X <= r.MaxX && p.Y >= r.MinY && p.Y <= r.MaxY
-}
-
 // Clamp returns the point of r closest to p.
 func (r Rect) Clamp(p Point) Point {
 	return Point{
 		X: math.Min(math.Max(p.X, r.MinX), r.MaxX),
 		Y: math.Min(math.Max(p.Y, r.MinY), r.MaxY),
 	}
-}
-
-// Center returns the center point of r.
-func (r Rect) Center() Point {
-	return Point{X: (r.MinX + r.MaxX) / 2, Y: (r.MinY + r.MaxY) / 2}
-}
-
-// Bounds returns the smallest Rect containing all pts. It returns the zero
-// Rect for an empty slice.
-func Bounds(pts []Point) Rect {
-	if len(pts) == 0 {
-		return Rect{}
-	}
-	r := Rect{MinX: pts[0].X, MinY: pts[0].Y, MaxX: pts[0].X, MaxY: pts[0].Y}
-	for _, p := range pts[1:] {
-		r.MinX = math.Min(r.MinX, p.X)
-		r.MinY = math.Min(r.MinY, p.Y)
-		r.MaxX = math.Max(r.MaxX, p.X)
-		r.MaxY = math.Max(r.MaxY, p.Y)
-	}
-	return r
-}
-
-// Centroid returns the arithmetic mean of pts. It returns the zero Point
-// for an empty slice.
-func Centroid(pts []Point) Point {
-	if len(pts) == 0 {
-		return Point{}
-	}
-	var c Point
-	for _, p := range pts {
-		c.X += p.X
-		c.Y += p.Y
-	}
-	return c.Scale(1 / float64(len(pts)))
 }

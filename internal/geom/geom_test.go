@@ -74,27 +74,12 @@ func TestVectorOps(t *testing.T) {
 	if got := p.Scale(2); got != (Point{2, 4}) {
 		t.Errorf("Scale = %v", got)
 	}
-	if got := (Point{3, 4}).Norm(); !almostEq(got, 5) {
-		t.Errorf("Norm = %v", got)
-	}
 }
 
 func TestRect(t *testing.T) {
 	r := NewRect(1, 2, 10, 20)
 	if r.Width() != 10 || r.Height() != 20 {
 		t.Fatalf("dims = %v × %v", r.Width(), r.Height())
-	}
-	if r.Area() != 200 {
-		t.Fatalf("Area = %v", r.Area())
-	}
-	if !r.Contains(Point{1, 2}) || !r.Contains(Point{11, 22}) || !r.Contains(Point{5, 10}) {
-		t.Error("Contains failed on inside/boundary points")
-	}
-	if r.Contains(Point{0, 10}) || r.Contains(Point{5, 23}) {
-		t.Error("Contains accepted outside points")
-	}
-	if got := r.Center(); got != (Point{6, 12}) {
-		t.Errorf("Center = %v", got)
 	}
 }
 
@@ -119,36 +104,10 @@ func TestClampInsideProperty(t *testing.T) {
 		if math.IsNaN(x) || math.IsNaN(y) {
 			return true
 		}
-		return r.Contains(r.Clamp(Point{x, y}))
+		c := r.Clamp(Point{x, y})
+		return c.X >= r.MinX && c.X <= r.MaxX && c.Y >= r.MinY && c.Y <= r.MaxY
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestBounds(t *testing.T) {
-	if got := Bounds(nil); got != (Rect{}) {
-		t.Errorf("Bounds(nil) = %v", got)
-	}
-	pts := []Point{{1, 5}, {-2, 3}, {4, -1}}
-	got := Bounds(pts)
-	want := Rect{MinX: -2, MinY: -1, MaxX: 4, MaxY: 5}
-	if got != want {
-		t.Errorf("Bounds = %v, want %v", got, want)
-	}
-	for _, p := range pts {
-		if !got.Contains(p) {
-			t.Errorf("Bounds does not contain %v", p)
-		}
-	}
-}
-
-func TestCentroid(t *testing.T) {
-	if got := Centroid(nil); got != (Point{}) {
-		t.Errorf("Centroid(nil) = %v", got)
-	}
-	got := Centroid([]Point{{0, 0}, {2, 0}, {1, 3}})
-	if !almostEq(got.X, 1) || !almostEq(got.Y, 1) {
-		t.Errorf("Centroid = %v", got)
 	}
 }

@@ -1,7 +1,5 @@
 package graph
 
-import "sort"
-
 // Digraph is a directed graph over integer vertex IDs 0..n-1, used for
 // dependency analysis (wait-for graphs between message units and messages).
 type Digraph struct {
@@ -26,13 +24,6 @@ func (d *Digraph) AddArc(u, v int) {
 		}
 	}
 	d.out[u] = append(d.out[u], v)
-}
-
-// Succ returns the successors of u sorted ascending.
-func (d *Digraph) Succ(u int) []int {
-	out := append([]int(nil), d.out[u]...)
-	sort.Ints(out)
-	return out
 }
 
 // HasCycle reports whether d contains a directed cycle.

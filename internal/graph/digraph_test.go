@@ -56,8 +56,8 @@ func TestDuplicateArcIgnored(t *testing.T) {
 	d := NewDigraph(2)
 	d.AddArc(0, 1)
 	d.AddArc(0, 1)
-	if got := d.Succ(0); len(got) != 1 {
-		t.Errorf("Succ(0) = %v", got)
+	if got := d.out[0]; len(got) != 1 {
+		t.Errorf("successors of 0 = %v", got)
 	}
 }
 
@@ -104,7 +104,7 @@ func TestTopoOrderRespectsArcs(t *testing.T) {
 			pos[v] = i
 		}
 		for u := 0; u < n; u++ {
-			for _, v := range d.Succ(u) {
+			for _, v := range d.out[u] {
 				if pos[u] >= pos[v] {
 					t.Fatalf("arc %d->%d violates topo order", u, v)
 				}

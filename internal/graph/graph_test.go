@@ -261,81 +261,6 @@ func TestConnectedTrivial(t *testing.T) {
 	}
 }
 
-func TestMSTWeight(t *testing.T) {
-	// Classic 4-node example; MST weight = 1+2+3 = 6.
-	g := NewUndirected(4)
-	mustAdd(t, g, 0, 1, 1)
-	mustAdd(t, g, 1, 2, 2)
-	mustAdd(t, g, 2, 3, 3)
-	mustAdd(t, g, 0, 3, 10)
-	mustAdd(t, g, 0, 2, 10)
-	tr := g.MST(0)
-	total := 0.0
-	for u := 1; u < 4; u++ {
-		w, err := g.Weight(NodeID(u), tr.Parent[u])
-		if err != nil {
-			t.Fatalf("MST parent edge missing for %d", u)
-		}
-		total += w
-	}
-	if total != 6 {
-		t.Errorf("MST weight = %v, want 6", total)
-	}
-}
-
-func TestMSTMatchesBruteForceWeight(t *testing.T) {
-	rng := rand.New(rand.NewSource(99))
-	for trial := 0; trial < 20; trial++ {
-		n := 2 + rng.Intn(7) // small enough for brute force
-		g := randomConnected(rng, n)
-		tr := g.MST(0)
-		got := 0.0
-		for u := 1; u < n; u++ {
-			w, err := g.Weight(NodeID(u), tr.Parent[u])
-			if err != nil {
-				t.Fatalf("trial %d: missing MST edge", trial)
-			}
-			got += w
-		}
-		want := bruteMST(g)
-		if diff := got - want; diff > 1e-9 || diff < -1e-9 {
-			t.Errorf("trial %d: MST weight %v, brute force %v", trial, got, want)
-		}
-	}
-}
-
-// bruteMST enumerates all spanning trees via edge subsets (tiny n only).
-func bruteMST(g *Undirected) float64 {
-	edges := g.Edges()
-	n := g.Len()
-	best := Unreachable
-	for mask := 0; mask < 1<<len(edges); mask++ {
-		if popcount(mask) != n-1 {
-			continue
-		}
-		sub := NewUndirected(n)
-		w := 0.0
-		for i, e := range edges {
-			if mask&(1<<i) != 0 {
-				sub.AddEdge(e.U, e.V, e.W)
-				w += e.W
-			}
-		}
-		if sub.Connected() && w < best {
-			best = w
-		}
-	}
-	return best
-}
-
-func popcount(x int) int {
-	c := 0
-	for ; x != 0; x &= x - 1 {
-		c++
-	}
-	return c
-}
-
 func randomConnected(rng *rand.Rand, n int) *Undirected {
 	g := NewUndirected(n)
 	// Random spanning tree first, then extra edges.

@@ -298,43 +298,3 @@ func (g *Undirected) Connected() bool {
 	}
 	return len(g.Components()) == 1
 }
-
-// MST computes a minimum spanning tree of g using Prim's algorithm with
-// smallest-ID tiebreaking, returning the tree as a PathTree rooted at root.
-// If g is disconnected, nodes outside root's component are unreachable in
-// the result.
-func (g *Undirected) MST(root NodeID) *PathTree {
-	t := newTree(g.n, root)
-	t.Dist[root] = 0
-	inTree := make([]bool, g.n)
-	best := make([]float64, g.n)
-	for i := range best {
-		best[i] = Unreachable
-	}
-	best[root] = 0
-	pq := &nodeHeap{{id: root, dist: 0}}
-	for pq.Len() > 0 {
-		item := heap.Pop(pq).(nodeItem)
-		u := item.id
-		if inTree[u] {
-			continue
-		}
-		inTree[u] = true
-		if u != root {
-			w, _ := g.Weight(u, t.Parent[u])
-			t.Dist[u] = t.Dist[t.Parent[u]] + w
-		}
-		for _, h := range g.adj[u] {
-			v, w := h.to, h.w
-			if inTree[v] {
-				continue
-			}
-			if w < best[v] || (w == best[v] && u < t.Parent[v]) {
-				best[v] = w
-				t.Parent[v] = u
-				heap.Push(pq, nodeItem{id: v, dist: w})
-			}
-		}
-	}
-	return t
-}

@@ -23,8 +23,9 @@
 //     and bounds it from above afterwards.
 //   - epoch: the plan epoch is monotone, and an epoch that never moved
 //     implies no fenced or dropped frames.
-//   - tdma: in collision-only fault-free scenarios, every scheduled
-//     round after the TDMA switch is bit-identical to plain Execute.
+//   - tdma: no round after the TDMA switch collides; in collision-only
+//     fault-free scenarios every such round is also bit-identical to
+//     plain Execute.
 //
 // At session end the convergence checker rebuilds a plan from scratch on
 // the surviving topology and requires the session's incrementally

@@ -50,6 +50,11 @@ func TestPinnedSeeds(t *testing.T) {
 		// and the classifier must credit in-flight condemnations.
 		8449: "severed endpoint aborts replan under brown-out",
 		9199: "severed endpoint aborts replan under brown-out",
+		// Collide scenarios under link loss: TDMA retries and late
+		// dependents fired outside their own frame slots, collided
+		// round after round, and K-miss detection condemned a live node.
+		500952:   "lossy TDMA retries stay in their own slots",
+		20300971: "lossy TDMA retries stay in their own slots",
 	}
 	for seed, why := range pinned {
 		rep := CheckSeed(seed)

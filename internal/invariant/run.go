@@ -257,14 +257,21 @@ func (c *checker) checkEpoch(rep *Report, step *m2m.ResilientStep) {
 	c.lastEpoch = ep
 }
 
-// checkTDMA holds collision-only fault-free scenarios to the scheduled
-// executor's contract: once the session has switched, every round is
+// checkTDMA holds every scenario to the scheduled discipline's contract:
+// once the session has switched, no round collides, lossy or not. In
+// collision-only fault-free scenarios every such round must also be
 // bit-identical to a plain synchronous Execute of the same plan.
 func (c *checker) checkTDMA(rep *Report, step *m2m.ResilientStep) {
-	if !c.collideOnly || !c.prevTDMA {
+	if !c.prevTDMA {
 		return
 	}
 	round := step.Round
+	if step.Collisions != 0 {
+		rep.addf("tdma", round, "%d collisions in a scheduled round", step.Collisions)
+	}
+	if !c.collideOnly {
+		return
+	}
 	want, err := m2m.Execute(c.sess.CurrentPlan(), c.run.Net, c.run.Readings())
 	if err != nil {
 		rep.addf("tdma", round, "reference execution: %v", err)

@@ -208,18 +208,6 @@ func (inst *Instance) EdgeDests(e routing.Edge) []graph.NodeID {
 	return slices.Compact(out)
 }
 
-// PairEdgeIndex returns the position of e on the path of pr, or -1 if the
-// path does not cross e.
-func (inst *Instance) PairEdgeIndex(pr Pair, e routing.Edge) int {
-	path := inst.Paths[pr]
-	for i := 0; i+1 < len(path); i++ {
-		if path[i] == e.From && path[i+1] == e.To {
-			return i
-		}
-	}
-	return -1
-}
-
 // MulticastSize returns the number of nodes in source s's multicast
 // structure (|T_s| in Theorem 3): every node on some path from s.
 func (inst *Instance) MulticastSize(s graph.NodeID) int {

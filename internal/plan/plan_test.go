@@ -175,12 +175,6 @@ func TestInstanceEdgePairs(t *testing.T) {
 	if len(inst.EdgePairs(routing.Edge{From: 5, To: 4})) != 0 || inst.EdgeIndex(routing.Edge{From: 5, To: 4}) != -1 {
 		t.Error("phantom pairs on reverse edge")
 	}
-	if inst.PairEdgeIndex(Pair{Source: 0, Dest: 6}, ij) != 1 {
-		t.Error("PairEdgeIndex wrong")
-	}
-	if inst.PairEdgeIndex(Pair{Source: 0, Dest: 6}, routing.Edge{From: 9, To: 9}) != -1 {
-		t.Error("PairEdgeIndex of absent edge")
-	}
 }
 
 func TestTreeSizes(t *testing.T) {

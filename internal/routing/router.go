@@ -2,7 +2,6 @@ package routing
 
 import (
 	"fmt"
-	"slices"
 
 	"m2m/internal/graph"
 )
@@ -241,36 +240,6 @@ func (c *SuffixChecker) Add(p []graph.NodeID) error {
 				m, c.dest, c.next[m], p[i+1])
 		}
 		c.stamp[m], c.next[m] = c.epoch, p[i+1]
-	}
-	return nil
-}
-
-// CheckSuffixProperty verifies the per-destination suffix property over a
-// set of canonical paths grouped by destination. It returns the first
-// violation in ascending destination order, or nil.
-func CheckSuffixProperty(pathsByDest map[graph.NodeID][][]graph.NodeID) error {
-	n := 0
-	for d, paths := range pathsByDest {
-		n = max(n, int(d)+1)
-		for _, p := range paths {
-			for _, v := range p {
-				n = max(n, int(v)+1)
-			}
-		}
-	}
-	dests := make([]graph.NodeID, 0, len(pathsByDest))
-	for d := range pathsByDest {
-		dests = append(dests, d)
-	}
-	slices.Sort(dests)
-	c := NewSuffixChecker(n)
-	for _, d := range dests {
-		c.Begin(d)
-		for _, p := range pathsByDest[d] {
-			if err := c.Add(p); err != nil {
-				return err
-			}
-		}
 	}
 	return nil
 }

@@ -58,7 +58,7 @@ func TestReversePathSuffixProperty(t *testing.T) {
 		}
 		byDest[d] = append(byDest[d], p)
 	}
-	if err := CheckSuffixProperty(byDest); err != nil {
+	if err := checkSuffixProperty(byDest); err != nil {
 		t.Errorf("reverse-path violated suffix property: %v", err)
 	}
 }
@@ -84,7 +84,7 @@ func TestSharedTreeRouterSuffixProperty(t *testing.T) {
 		}
 		byDest[d] = append(byDest[d], p)
 	}
-	if err := CheckSuffixProperty(byDest); err != nil {
+	if err := checkSuffixProperty(byDest); err != nil {
 		t.Errorf("shared-tree violated suffix property: %v", err)
 	}
 }
@@ -126,11 +126,11 @@ func TestCheckSuffixPropertyDetectsViolation(t *testing.T) {
 			{3, 2, 4, 5}, // node 2 goes to 4 here but 5 above
 		},
 	}
-	if err := CheckSuffixProperty(byDest); err == nil {
+	if err := checkSuffixProperty(byDest); err == nil {
 		t.Error("divergent suffixes accepted")
 	}
 	bad := map[graph.NodeID][][]graph.NodeID{5: {{1, 2}}}
-	if err := CheckSuffixProperty(bad); err == nil {
+	if err := checkSuffixProperty(bad); err == nil {
 		t.Error("path not ending at destination accepted")
 	}
 }
@@ -273,4 +273,34 @@ func TestReversePathReusesWalkAcrossDestinations(t *testing.T) {
 			}
 		}
 	}
+}
+
+// checkSuffixProperty runs a SuffixChecker over paths grouped by
+// destination, in ascending destination order, and returns the first
+// violation, or nil.
+func checkSuffixProperty(pathsByDest map[graph.NodeID][][]graph.NodeID) error {
+	n := 0
+	for d, paths := range pathsByDest {
+		n = max(n, int(d)+1)
+		for _, p := range paths {
+			for _, v := range p {
+				n = max(n, int(v)+1)
+			}
+		}
+	}
+	dests := make([]graph.NodeID, 0, len(pathsByDest))
+	for d := range pathsByDest {
+		dests = append(dests, d)
+	}
+	slices.Sort(dests)
+	c := NewSuffixChecker(n)
+	for _, d := range dests {
+		c.Begin(d)
+		for _, p := range pathsByDest[d] {
+			if err := c.Add(p); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }

@@ -1,7 +1,9 @@
 package routing
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"m2m/internal/graph"
@@ -17,26 +19,35 @@ func lineGraph(n int) *graph.Undirected {
 	return g
 }
 
+// checkSharing verifies the paper's path-sharing restriction over a set of
+// canonical paths: every ordered node pair (i, j) that two paths connect,
+// i before j, must be connected by the same i→j sub-path. It returns the
+// first conflict found, or nil.
+func checkSharing(paths [][]graph.NodeID) error {
+	type key struct{ from, to graph.NodeID }
+	seen := make(map[key]string)
+	for _, p := range paths {
+		for i := range p {
+			for j := i + 1; j < len(p); j++ {
+				k := key{from: p[i], to: p[j]}
+				sig := fmt.Sprint(p[i : j+1])
+				if prev, ok := seen[k]; ok && prev != sig {
+					return fmt.Errorf("sharing violated for %d→%d: %s vs %s", k.from, k.to, prev, sig)
+				}
+				seen[k] = sig
+			}
+		}
+	}
+	return nil
+}
+
 func TestSPTLine(t *testing.T) {
-	g := lineGraph(5)
-	tr, err := SPT{Hops: true}.Build(g, 0, []graph.NodeID{4})
+	p, err := NewSourceSPT(lineGraph(5)).Path(0, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := tr.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	path := tr.PathTo(4)
-	if len(path) != 5 {
-		t.Fatalf("path = %v", path)
-	}
-	for i, n := range path {
-		if n != graph.NodeID(i) {
-			t.Fatalf("path = %v", path)
-		}
-	}
-	if tr.Size() != 5 {
-		t.Errorf("Size = %d", tr.Size())
+	if !slices.Equal(p, []graph.NodeID{0, 1, 2, 3, 4}) {
+		t.Fatalf("path = %v", p)
 	}
 }
 
@@ -49,234 +60,177 @@ func TestSPTBranching(t *testing.T) {
 	g.AddEdge(0, 2, 1)
 	g.AddEdge(1, 3, 1)
 	g.AddEdge(2, 4, 1)
-	tr, err := SPT{Hops: true}.Build(g, 0, []graph.NodeID{3, 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := tr.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	kids := tr.Children(0)
-	if len(kids) != 2 || kids[0] != 1 || kids[1] != 2 {
-		t.Errorf("Children(0) = %v", kids)
-	}
-	if got := tr.Edges(); len(got) != 4 {
-		t.Errorf("Edges = %v", got)
+	r := NewSourceSPT(g)
+	for d, want := range map[graph.NodeID][]graph.NodeID{3: {0, 1, 3}, 4: {0, 2, 4}} {
+		if p, err := r.Path(0, d); err != nil || !slices.Equal(p, want) {
+			t.Errorf("path 0→%d = %v, %v; want %v", d, p, err, want)
+		}
 	}
 }
 
 func TestSPTUnreachableDest(t *testing.T) {
 	g := graph.NewUndirected(3)
 	g.AddEdge(0, 1, 1)
-	if _, err := (SPT{Hops: true}).Build(g, 0, []graph.NodeID{2}); err == nil {
+	if _, err := NewSourceSPT(g).Path(0, 2); err == nil {
 		t.Error("unreachable destination accepted")
 	}
 }
 
-func TestTreeMinimalityAllLeavesAreDests(t *testing.T) {
-	g := lineGraph(6)
-	tr, err := SPT{Hops: true}.Build(g, 0, []graph.NodeID{3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Tree must stop at node 3; nodes 4, 5 are not included.
-	if tr.Contains(4) || tr.Contains(5) {
-		t.Error("tree extends past its last destination")
-	}
-	// Corrupt the tree with a dangling non-destination leaf: Validate must
-	// reject it as a minimality violation.
-	tr.Parent[4] = 3
-	if err := tr.Validate(); err == nil {
-		t.Error("non-destination leaf accepted")
-	}
-}
-
-func TestValidateDetectsDetachedAndCycle(t *testing.T) {
-	tr := &Tree{Source: 0, Dests: []graph.NodeID{2}, Parent: map[graph.NodeID]graph.NodeID{2: 1}}
-	if err := tr.Validate(); err == nil {
-		t.Error("detached node accepted")
-	}
-	tr = &Tree{Source: 0, Dests: []graph.NodeID{1}, Parent: map[graph.NodeID]graph.NodeID{1: 2, 2: 1}}
-	if err := tr.Validate(); err == nil {
-		t.Error("cycle accepted")
-	}
-	tr = &Tree{Source: 0, Dests: []graph.NodeID{1}, Parent: map[graph.NodeID]graph.NodeID{}}
-	if err := tr.Validate(); err == nil {
-		t.Error("unspanned destination accepted")
-	}
-}
-
+// TestSourceIsAlsoDest checks the Router contract for s == d on every
+// router: a node may be both a source and a destination (paper,
+// Section 2.2).
 func TestSourceIsAlsoDest(t *testing.T) {
-	// A node may be both a source and a destination (paper, Section 2.2).
 	g := lineGraph(3)
-	tr, err := SPT{Hops: true}.Build(g, 0, []graph.NodeID{0, 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := tr.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if p := tr.PathTo(0); len(p) != 1 || p[0] != 0 {
-		t.Errorf("PathTo(source) = %v", p)
-	}
-}
-
-func TestSharedTreeSatisfiesSharing(t *testing.T) {
-	l := topology.GreatDuckIsland()
-	g := l.ConnectivityGraph(50)
 	st, err := NewSharedTree(g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rng := rand.New(rand.NewSource(1))
-	var trees []*Tree
-	for s := 0; s < 20; s++ {
-		var dests []graph.NodeID
-		for d := 0; d < g.Len(); d++ {
-			if rng.Float64() < 0.15 && d != s {
-				dests = append(dests, graph.NodeID(d))
-			}
-		}
-		if len(dests) == 0 {
-			continue
-		}
-		tr, err := st.Build(g, graph.NodeID(s), dests)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := tr.Validate(); err != nil {
-			t.Fatalf("tree of %d invalid: %v", s, err)
-		}
-		trees = append(trees, tr)
+	md, err := NewMinDegreeTree(g)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if err := CheckSharing(trees); err != nil {
-		t.Errorf("shared-tree builder violated sharing: %v", err)
+	for _, r := range []Router{st, md, NewReversePath(g), NewWeightedReversePath(g), NewSourceSPT(g),
+		NewMilestoneRouter(g, NewReversePath(g), KeepNone)} {
+		if p, err := r.Path(0, 0); err != nil || !slices.Equal(p, []graph.NodeID{0}) {
+			t.Errorf("%s: Path(0, 0) = %v, %v", r.Name(), p, err)
+		}
+	}
+}
+
+// TestSharedTreeSatisfiesSharing checks the full path-sharing restriction
+// (not only the per-destination suffix property) on the routers that
+// claim it on any graph, over random pairs on the evaluation network.
+// WeightedReversePath claims it only for exact (integer) weights.
+func TestSharedTreeSatisfiesSharing(t *testing.T) {
+	g := topology.GreatDuckIsland().ConnectivityGraph(50)
+	st, err := NewSharedTree(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	md, err := NewMinDegreeTree(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range []Router{st, md, NewReversePath(g), NewMilestoneRouter(g, NewReversePath(g), KeepEveryKth(3))} {
+		rng := rand.New(rand.NewSource(1))
+		var paths [][]graph.NodeID
+		for trial := 0; trial < 300; trial++ {
+			p, err := r.Path(graph.NodeID(rng.Intn(g.Len())), graph.NodeID(rng.Intn(g.Len())))
+			if err != nil {
+				t.Fatal(err)
+			}
+			paths = append(paths, p)
+		}
+		if err := checkSharing(paths); err != nil {
+			t.Errorf("%s: %v", r.Name(), err)
+		}
 	}
 }
 
 func TestSharedTreePathEndpoints(t *testing.T) {
-	g := lineGraph(7)
-	st, err := NewSharedTree(g)
+	st, err := NewSharedTree(lineGraph(7))
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, err := st.Build(g, 5, []graph.NodeID{1})
+	p, err := st.Path(5, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := tr.PathTo(1)
-	if p[0] != 5 || p[len(p)-1] != 1 || len(p) != 5 {
+	if !slices.Equal(p, []graph.NodeID{5, 4, 3, 2, 1}) {
 		t.Errorf("path = %v", p)
 	}
 }
 
 func TestCheckSharingDetectsViolation(t *testing.T) {
-	// Two trees disagreeing on the 0→3 path: 0-1-3 vs 0-2-3.
-	t1 := &Tree{Source: 0, Dests: []graph.NodeID{3},
-		Parent: map[graph.NodeID]graph.NodeID{1: 0, 3: 1}}
-	t2 := &Tree{Source: 0, Dests: []graph.NodeID{3},
-		Parent: map[graph.NodeID]graph.NodeID{2: 0, 3: 2}}
-	if err := CheckSharing([]*Tree{t1, t2}); err == nil {
+	// Two paths disagreeing on the 0→3 sub-path: 0-1-3 vs 0-2-3.
+	a, b := []graph.NodeID{0, 1, 3}, []graph.NodeID{0, 2, 3}
+	if err := checkSharing([][]graph.NodeID{a, b}); err == nil {
 		t.Error("sharing violation not detected")
 	}
-	if err := CheckSharing([]*Tree{t1, t1}); err != nil {
-		t.Errorf("identical trees flagged: %v", err)
+	if err := checkSharing([][]graph.NodeID{a, a}); err != nil {
+		t.Errorf("identical paths flagged: %v", err)
 	}
 }
 
 func TestSPTDeterministic(t *testing.T) {
-	l := topology.GreatDuckIsland()
-	g := l.ConnectivityGraph(50)
+	g := topology.GreatDuckIsland().ConnectivityGraph(50)
 	dests := []graph.NodeID{10, 20, 30, 40}
-	a, err := SPT{Hops: true}.Build(g, 5, dests)
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := NewSourceSPT(g)
 	for i := 0; i < 5; i++ {
-		b, err := SPT{Hops: true}.Build(g, 5, dests)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(a.Parent) != len(b.Parent) {
-			t.Fatal("nondeterministic tree size")
-		}
-		for n, p := range a.Parent {
-			if b.Parent[n] != p {
-				t.Fatalf("nondeterministic parent of %d", n)
+		b := NewSourceSPT(g)
+		for _, d := range dests {
+			pa, err := a.Path(5, d)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pb, err := b.Path(5, d)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(pa, pb) {
+				t.Fatalf("nondeterministic path 5→%d: %v vs %v", d, pa, pb)
 			}
 		}
 	}
 }
 
+// TestSPTDistanceVariant checks that the hop-count and the
+// distance-weighted shortest-path routers differ where hops and weights
+// disagree: 0-1 (1), 1-2 (1), 0-2 (5).
 func TestSPTDistanceVariant(t *testing.T) {
-	// Weighted: 0-1 (10), 1-2 (10), 0-2 (15). Distance routing goes direct;
-	// hop routing also goes direct (1 hop). Make hop path differ: add node 3.
 	g := graph.NewUndirected(3)
 	g.AddEdge(0, 1, 1)
 	g.AddEdge(1, 2, 1)
 	g.AddEdge(0, 2, 5)
-	hops, err := SPT{Hops: true}.Build(g, 0, []graph.NodeID{2})
+	hops, err := NewReversePath(g).Path(0, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dist, err := SPT{Hops: false}.Build(g, 0, []graph.NodeID{2})
+	dist, err := NewWeightedReversePath(g).Path(0, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(hops.PathTo(2)) != 2 {
-		t.Errorf("hop path = %v", hops.PathTo(2))
+	if len(hops) != 2 {
+		t.Errorf("hop path = %v", hops)
 	}
-	if len(dist.PathTo(2)) != 3 {
-		t.Errorf("dist path = %v", dist.PathTo(2))
-	}
-	if (SPT{Hops: true}).Name() == (SPT{Hops: false}).Name() {
-		t.Error("names must distinguish variants")
+	if len(dist) != 3 {
+		t.Errorf("dist path = %v", dist)
 	}
 }
 
 func TestContractKeepNone(t *testing.T) {
 	g := lineGraph(6)
-	tr, err := SPT{Hops: true}.Build(g, 0, []graph.NodeID{5})
+	mr := NewMilestoneRouter(g, NewReversePath(g), KeepNone)
+	p, err := mr.Path(0, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	vt, err := Contract(tr, KeepNone)
-	if err != nil {
-		t.Fatal(err)
+	if !slices.Equal(p, []graph.NodeID{0, 5}) {
+		t.Fatalf("virtual path = %v", p)
 	}
-	if len(vt.Parent) != 1 {
-		t.Fatalf("virtual edges = %v", vt.Edges())
-	}
-	e := Edge{From: 0, To: 5}
-	if vt.PhysicalHops(e) != 5 {
-		t.Errorf("PhysicalHops = %d", vt.PhysicalHops(e))
-	}
-	if got := vt.HopPaths[e]; len(got) != 6 || got[0] != 0 || got[5] != 5 {
-		t.Errorf("HopPaths = %v", got)
+	if h := mr.EdgeHops(Edge{From: 0, To: 5}); h != 5 {
+		t.Errorf("EdgeHops = %d", h)
 	}
 }
 
 func TestContractKeepAllIsIdentity(t *testing.T) {
 	g := lineGraph(5)
-	tr, err := SPT{Hops: true}.Build(g, 0, []graph.NodeID{4})
+	inner := NewReversePath(g)
+	mr := NewMilestoneRouter(g, inner, KeepAll)
+	p, err := mr.Path(0, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	vt, err := Contract(tr, KeepAll)
+	want, err := inner.Path(0, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(vt.Parent) != len(tr.Parent) {
-		t.Fatalf("contracted tree differs: %v vs %v", vt.Edges(), tr.Edges())
+	if !slices.Equal(p, want) {
+		t.Fatalf("contracted path %v differs from %v", p, want)
 	}
-	for n, p := range tr.Parent {
-		if vt.Parent[n] != p {
-			t.Errorf("parent of %d differs", n)
-		}
-	}
-	for _, e := range vt.Edges() {
-		if vt.PhysicalHops(e) != 1 {
-			t.Errorf("edge %v has %d physical hops", e, vt.PhysicalHops(e))
+	for i := 0; i+1 < len(p); i++ {
+		if h := mr.EdgeHops(Edge{From: p[i], To: p[i+1]}); h != 1 {
+			t.Errorf("edge %d→%d has %d physical hops", p[i], p[i+1], h)
 		}
 	}
 }
@@ -292,27 +246,20 @@ func TestContractPreservesBranching(t *testing.T) {
 	g.AddEdge(0, 4, 1)
 	g.AddEdge(4, 5, 1)
 	g.AddEdge(5, 6, 1)
-	tr, err := SPT{Hops: true}.Build(g, 0, []graph.NodeID{3, 6})
-	if err != nil {
-		t.Fatal(err)
-	}
 	keepOnly2 := func(n graph.NodeID) bool { return n == 2 }
-	vt, err := Contract(tr, keepOnly2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := vt.Validate(); err != nil {
-		t.Fatalf("virtual tree invalid: %v", err)
-	}
+	mr := NewMilestoneRouter(g, NewReversePath(g), keepOnly2)
 	// Virtual nodes: 0 (src), 2 (milestone), 3, 6 (dests).
-	if !vt.Contains(2) || vt.Contains(1) || vt.Contains(4) || vt.Contains(5) {
-		t.Errorf("virtual nodes = %v", vt.Nodes())
+	for d, want := range map[graph.NodeID][]graph.NodeID{3: {0, 2, 3}, 6: {0, 6}} {
+		p, err := mr.Path(0, d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(p, want) {
+			t.Errorf("virtual path 0→%d = %v, want %v", d, p, want)
+		}
 	}
-	if vt.Parent[6] != 0 || vt.Parent[3] != 2 || vt.Parent[2] != 0 {
-		t.Errorf("virtual parents = %v", vt.Parent)
-	}
-	if vt.PhysicalHops(Edge{From: 0, To: 6}) != 3 {
-		t.Errorf("0→6 hops = %d", vt.PhysicalHops(Edge{From: 0, To: 6}))
+	if h := mr.EdgeHops(Edge{From: 0, To: 6}); h != 3 {
+		t.Errorf("0→6 hops = %d", h)
 	}
 }
 
@@ -342,37 +289,4 @@ func TestKeepEveryKth(t *testing.T) {
 		}
 	}()
 	KeepEveryKth(0)
-}
-
-func TestKeepByQuality(t *testing.T) {
-	g := lineGraph(5)
-	// Links 1—2 and 2—3 are lossy: nodes 1, 2, 3 touch a bad link.
-	loss := func(u, v graph.NodeID) float64 {
-		if (u == 1 && v == 2) || (u == 2 && v == 1) ||
-			(u == 2 && v == 3) || (u == 3 && v == 2) {
-			return 0.5
-		}
-		return 0.05
-	}
-	keep := KeepByQuality(g, loss, 0.1)
-	want := map[graph.NodeID]bool{0: true, 1: false, 2: false, 3: false, 4: true}
-	for n, w := range want {
-		if got := keep(n); got != w {
-			t.Errorf("keep(%d) = %v, want %v", n, got, w)
-		}
-	}
-	// Permissive threshold keeps everything.
-	all := KeepByQuality(g, loss, 0.9)
-	for n := graph.NodeID(0); n < 5; n++ {
-		if !all(n) {
-			t.Errorf("permissive keep(%d) = false", n)
-		}
-	}
-}
-
-func TestContractRejectsInvalidTree(t *testing.T) {
-	bad := &Tree{Source: 0, Dests: []graph.NodeID{1}, Parent: map[graph.NodeID]graph.NodeID{}}
-	if _, err := Contract(bad, KeepAll); err == nil {
-		t.Error("invalid tree accepted")
-	}
 }

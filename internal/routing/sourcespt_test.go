@@ -99,7 +99,7 @@ func TestSourceSPTCanViolateSuffixProperty(t *testing.T) {
 			{1, 3, 6, 7, 5}, // enters 3, leaves toward 6: diverges from the row above
 		},
 	}
-	if err := CheckSuffixProperty(byDest); err == nil {
+	if err := checkSuffixProperty(byDest); err == nil {
 		t.Fatal("engineered divergence not detected")
 	}
 }
@@ -125,7 +125,7 @@ func TestSourceSPTOftenAgreesOnGDI(t *testing.T) {
 			}
 			byDest[d] = append(byDest[d], p)
 		}
-		if CheckSuffixProperty(byDest) == nil {
+		if checkSuffixProperty(byDest) == nil {
 			accepted++
 		}
 	}

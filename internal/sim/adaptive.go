@@ -63,9 +63,6 @@ func (a *AdaptiveSuppressor) CurrentPolicy() Policy {
 	}
 }
 
-// Rate returns the smoothed change-fraction estimate.
-func (a *AdaptiveSuppressor) Rate() float64 { return a.rate }
-
 // Round executes one suppressed round under the currently selected policy
 // and then updates the volatility estimate with this round's observation.
 func (a *AdaptiveSuppressor) Round(deltas map[graph.NodeID]float64) (*SuppressionRound, Policy, error) {

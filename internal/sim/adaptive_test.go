@@ -47,7 +47,7 @@ func TestAdaptiveConvergesToVolatility(t *testing.T) {
 		}
 	}
 	if a.CurrentPolicy() != PolicyAggressive {
-		t.Errorf("quiet phase policy = %v (rate %v)", a.CurrentPolicy(), a.Rate())
+		t.Errorf("quiet phase policy = %v (rate %v)", a.CurrentPolicy(), a.rate)
 	}
 	// Storm: everything changes — adaptive must back off to no override.
 	for round := 0; round < 15; round++ {
@@ -56,7 +56,7 @@ func TestAdaptiveConvergesToVolatility(t *testing.T) {
 		}
 	}
 	if a.CurrentPolicy() != PolicyNone {
-		t.Errorf("storm phase policy = %v (rate %v)", a.CurrentPolicy(), a.Rate())
+		t.Errorf("storm phase policy = %v (rate %v)", a.CurrentPolicy(), a.rate)
 	}
 	// Calm returns: the EWMA decays back toward aggressive.
 	for round := 0; round < 25; round++ {
@@ -65,7 +65,7 @@ func TestAdaptiveConvergesToVolatility(t *testing.T) {
 		}
 	}
 	if a.CurrentPolicy() != PolicyAggressive {
-		t.Errorf("recovered policy = %v (rate %v)", a.CurrentPolicy(), a.Rate())
+		t.Errorf("recovered policy = %v (rate %v)", a.CurrentPolicy(), a.rate)
 	}
 }
 

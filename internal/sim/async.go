@@ -737,8 +737,11 @@ func (a *AsyncRunner) Run(round int, readings map[graph.NodeID]float64, faults F
 				when := ev.t
 				if cp != nil && cp.mode != TxUnscheduled {
 					// Backoff and TDMA recovery: delay the retransmission by
-					// the oracle's seeded binary exponential backoff draw so
-					// retries de-synchronize in time like they do in slots.
+					// the seeded binary exponential backoff draw so retries
+					// de-synchronize in time. Under TDMA the oracle puts a
+					// retry in the message's next frame copy instead; this
+					// delay only approximates that wait, and the attempt's
+					// outcome still comes from the oracle.
 					ft := st.attempts - 1 // the try that just failed
 					window := 2
 					for i := 0; i < ft && i < 5; i++ {

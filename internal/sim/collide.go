@@ -23,10 +23,9 @@ import (
 // traffic serializes FIFO in planned order). Two frames in one slot
 // destroy each other when they conflict under the protocol interference
 // model — shared receiver, or either receiver in range of the other
-// sender — unless a seeded capture draw rescues one, or the receiver is
-// outside the configured collision scope. A destroyed frame still costs
-// the sender TX and the receiver RX (the wreck is heard, then fails its
-// checksum); a plain loss costs TX only.
+// sender — unless a seeded capture draw rescues one. A destroyed frame
+// still costs the sender TX and the receiver RX (the wreck is heard, then
+// fails its checksum); a plain loss costs TX only.
 //
 // Transmission disciplines (TxMode):
 //
@@ -35,11 +34,11 @@ import (
 //     other two modes exist to fix;
 //   - TxBackoff: as above, but retries wait a seeded random binary
 //     exponential backoff, de-synchronizing contending senders;
-//   - TxTDMA: first attempts fire in the slots of a validated
-//     internal/schedule frame (conflict-free by construction — a
-//     fault-free TDMA round has zero collisions and is byte-identical to
-//     Engine.Run), with backoff ARQ as the recovery path for retries,
-//     which fall outside the frame's guarantees.
+//   - TxTDMA: every attempt fires in the message's own slot of a
+//     validated internal/schedule frame (conflict-free by construction),
+//     the first in the first copy of the frame its dependencies allow, a
+//     retry in the next copy. No TDMA round collides, lossy or not, and
+//     a fault-free one is byte-identical to Engine.Run.
 //
 // Known approximation: the oracle gates senders and receivers on the
 // fault schedule's NodeDead at round start, not on mid-round battery
@@ -58,8 +57,9 @@ const (
 	// TxBackoff sends ASAP and retries after a seeded random binary
 	// exponential backoff.
 	TxBackoff
-	// TxTDMA drives first attempts off the loaded schedule frame and
-	// recovers retries with backoff ARQ. Requires EnableTDMA or LoadFrame.
+	// TxTDMA sends every attempt in the message's own slot of the loaded
+	// schedule frame, retries in later copies of the frame. Requires
+	// EnableTDMA or LoadFrame.
 	TxTDMA
 )
 
@@ -194,9 +194,6 @@ func (e *Engine) SetTxMode(m TxMode) error {
 	return nil
 }
 
-// TransmitMode returns the current transmission discipline.
-func (e *Engine) TransmitMode() TxMode { return e.txMode }
-
 // Frame returns the installed TDMA slot assignment (nil when none).
 func (e *Engine) Frame() []int {
 	if e.txSched == nil {
@@ -230,7 +227,6 @@ type collisionScratch struct {
 	triesBuf   []byte  // message mi's attempts live in [mi·(R+1), (mi+1)·(R+1))
 	waiting    []int32 // per message: unresolved dependencies
 	recvDead   []bool  // per message: receiver dead at round start
-	queued     []bool  // per message: waiting in the slot queue
 	inSlot     []bool  // per message: transmitting in the current slot
 	txs        []int   // the current slot's transmitting messages
 	attemptCtr []int32 // per message edge: Deliver draws so far this round
@@ -292,7 +288,6 @@ func (e *Engine) collisionPlanFor(round int, faults Faults, maxRetries int, st *
 		cs.plan.tries = make([][]byte, n)
 		cs.waiting = make([]int32, n)
 		cs.recvDead = make([]bool, n)
-		cs.queued = make([]bool, n)
 		cs.inSlot = make([]bool, n)
 		cs.attemptCtr = make([]int32, e.prog.nMsgEdges)
 		cs.sender = make([]int64, e.Plan.Inst.Net.Len())
@@ -303,8 +298,23 @@ func (e *Engine) collisionPlanFor(round int, faults Faults, maxRetries int, st *
 	}
 	p := &cs.plan
 	p.maxBody, p.mode, p.slotOf = ct.maxBody, e.txMode, nil
+	frameLen := 0
 	if e.txMode == TxTDMA {
-		p.slotOf = e.txSched.SlotOf
+		p.slotOf, frameLen = e.txSched.SlotOf, e.txSched.Len()
+	}
+	// ownSlot is the first slot at or after s that belongs to mi: under
+	// TxTDMA every attempt, first or retry, waits for mi's own slot in
+	// the current or a later copy of the frame, so no two conflicting
+	// messages ever share a slot; otherwise any slot is mi's.
+	ownSlot := func(mi, s int) int {
+		if p.slotOf == nil {
+			return s
+		}
+		own := p.slotOf[mi]
+		if own >= s {
+			return own
+		}
+		return own + (s-own+frameLen-1)/frameLen*frameLen
 	}
 	for mi := range p.tries {
 		p.tries[mi] = cs.triesBuf[mi*per : mi*per : (mi+1)*per]
@@ -320,31 +330,22 @@ func (e *Engine) collisionPlanFor(round int, faults Faults, maxRetries int, st *
 	q := &st.q
 	*q = (*q)[:0]
 	enqueue := func(mi, slot int) {
-		cs.queued[mi] = true
 		q.push(asyncEvent{t: float64(slot), seq: mi})
 	}
 
 	// resolve marks mi settled at the end of slot s: dependents may
-	// transmit from s+1 on, and no earlier than their TDMA slot. A dead
-	// sender resolves before slot 0 (s=-1): silence, zero attempts,
-	// exactly like the ARQ executor's gate. The scan below readies every
-	// message with no unresolved dependency, including those a dead
-	// sender's resolution already readied: a dead sender resolves again,
-	// and a queued message stays queued once.
+	// transmit from s+1 on, in their own slot. A dead sender resolves
+	// before slot 0 (s=-1): silence, zero attempts, exactly like the ARQ
+	// executor's gate. Each message is readied, and so resolved, exactly
+	// once: the scan below readies only messages without dependencies,
+	// and resolve readies a dependent when its last dependency resolves.
 	var resolve func(mi, s int)
 	ready := func(mi, s int) {
 		if faults.NodeDead(round, ct.msgs[mi].From) {
 			resolve(mi, s)
 			return
 		}
-		if cs.queued[mi] {
-			return
-		}
-		w := s + 1
-		if p.slotOf != nil && p.slotOf[mi] > w {
-			w = p.slotOf[mi]
-		}
-		enqueue(mi, w)
+		enqueue(mi, ownSlot(mi, s+1))
 	}
 	resolve = func(mi, s int) {
 		for _, dm := range topo.dependents[mi] {
@@ -355,7 +356,7 @@ func (e *Engine) collisionPlanFor(round int, faults Faults, maxRetries int, st *
 		}
 	}
 	for mi := range cs.waiting {
-		if cs.waiting[mi] == 0 {
+		if len(topo.deps[mi]) == 0 {
 			ready(mi, -1)
 		}
 	}
@@ -368,7 +369,6 @@ func (e *Engine) collisionPlanFor(round int, faults Faults, maxRetries int, st *
 		txs := cs.txs[:0]
 		for len(*q) > 0 && int((*q)[0].t) == s {
 			mi := q.pop().seq
-			cs.queued[mi] = false
 			from := ct.msgs[mi].From
 			if cs.sender[from] == cs.stamp {
 				enqueue(mi, s+1)
@@ -393,7 +393,7 @@ func (e *Engine) collisionPlanFor(round int, faults Faults, maxRetries int, st *
 			}
 			var oc byte
 			switch {
-			case conflicted && faults.CollisionReceiver(edge.To) && !faults.CaptureWins(round, edge, attemptSalt(mi, try)):
+			case conflicted && !faults.CaptureWins(round, edge, attemptSalt(mi, try)):
 				oc = coCollided
 			case cs.recvDead[mi]:
 				oc = coLost
@@ -419,7 +419,10 @@ func (e *Engine) collisionPlanFor(round int, faults Faults, maxRetries int, st *
 				continue
 			}
 			next := s + 1
-			if e.txMode != TxUnscheduled {
+			switch e.txMode {
+			case TxTDMA:
+				next = ownSlot(mi, next)
+			case TxBackoff:
 				window := 2
 				for i := 0; i < try && i < 5; i++ {
 					window *= 2

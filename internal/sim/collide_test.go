@@ -231,33 +231,31 @@ func TestCaptureRescuesFrames(t *testing.T) {
 	}
 }
 
-func TestCollisionScopeExemptsReceiver(t *testing.T) {
-	// Scope restricted to a node that receives nothing here: frames toward
-	// the hub never collide, so the contended round is byte-identical to
-	// the clean one.
-	inst := starInstance(t, 6)
-	readings := randomReadings(rand.New(rand.NewSource(7)), inst.Net.Len())
-	eng := collideEngine(t, inst)
-	plain, err := eng.Run(readings)
-	if err != nil {
-		t.Fatal(err)
-	}
-	inj := chaos.New(11).WithCollisions(0).WithCollisionReceivers(inst.Net.Len(), 3)
-	res, err := eng.RunLossy(0, readings, inj, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Collisions != 0 || res.Dropped != 0 {
-		t.Fatalf("out-of-scope receiver still lost frames: collisions=%d dropped=%d",
-			res.Collisions, res.Dropped)
-	}
-	if res.EnergyJ != plain.EnergyJ {
-		t.Fatalf("energy %v != %v", res.EnergyJ, plain.EnergyJ)
-	}
-	for d, v := range plain.Values {
-		if res.Values[d] != v {
-			t.Fatalf("value at %d = %v, want %v", d, res.Values[d], v)
+// TestDeadChainDoesNotReleaseLiveDependent: a message fed both by a
+// chain of dead senders (0→1→2, with 0 and 1 crashed) and by a live
+// sender (4→2) must wait for the live one. Resolving a dead-sender
+// message twice released 2→3 in slot 0, next to 4→2, where the two
+// collided round after round and starved the destination.
+func TestDeadChainDoesNotReleaseLiveDependent(t *testing.T) {
+	g := graph.NewUndirected(5)
+	for _, e := range [][2]graph.NodeID{{0, 1}, {1, 2}, {2, 3}, {4, 2}} {
+		if err := g.AddEdge(e[0], e[1], 1); err != nil {
+			t.Fatal(err)
 		}
+	}
+	w := map[graph.NodeID]float64{0: 1, 1: 1, 4: 1}
+	inst, err := plan.NewInstance(g, routing.NewReversePath(g), []agg.Spec{{Dest: 3, Func: agg.NewWeightedSum(w)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := collideEngine(t, inst)
+	inj := chaos.New(1).WithCollisions(0).Crash(0, 0).Crash(1, 0)
+	res, err := eng.RunLossy(0, map[graph.NodeID]float64{0: 1, 1: 2, 2: 3, 3: 4, 4: 5}, inj, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Collisions != 0 || res.Values[3] != 5 {
+		t.Errorf("collisions %d, value %v at 3; want 0 and 5 (source 4 alone)", res.Collisions, res.Values[3])
 	}
 }
 
@@ -274,8 +272,8 @@ func TestLoadFrameValidation(t *testing.T) {
 	if err := eng.LoadFrame(s.SlotOf); err != nil {
 		t.Fatalf("valid frame rejected: %v", err)
 	}
-	if eng.TransmitMode() != TxTDMA {
-		t.Fatalf("mode %v after LoadFrame", eng.TransmitMode())
+	if eng.txMode != TxTDMA {
+		t.Fatalf("mode %v after LoadFrame", eng.txMode)
 	}
 
 	// All-zero assignment packs every conflicting spoke into one slot.
@@ -294,15 +292,15 @@ func TestLoadFrameValidation(t *testing.T) {
 		t.Fatal("negative slot accepted")
 	}
 	// Failed loads must not clobber the installed frame.
-	if eng.TransmitMode() != TxTDMA || eng.Frame() == nil {
+	if eng.txMode != TxTDMA || eng.Frame() == nil {
 		t.Fatal("failed LoadFrame corrupted the installed frame")
 	}
 }
 
 func TestSetTxModeRules(t *testing.T) {
 	eng := collideEngine(t, starInstance(t, 4))
-	if eng.TransmitMode() != TxUnscheduled {
-		t.Fatalf("default mode %v", eng.TransmitMode())
+	if eng.txMode != TxUnscheduled {
+		t.Fatalf("default mode %v", eng.txMode)
 	}
 	if eng.Frame() != nil {
 		t.Fatal("frame installed before EnableTDMA")
@@ -319,7 +317,7 @@ func TestSetTxModeRules(t *testing.T) {
 	if err := eng.EnableTDMA(); err != nil {
 		t.Fatal(err)
 	}
-	if eng.TransmitMode() != TxTDMA || len(eng.Frame()) == 0 {
+	if eng.txMode != TxTDMA || len(eng.Frame()) == 0 {
 		t.Fatal("EnableTDMA did not install a frame")
 	}
 	if err := eng.SetTxMode(TxTDMA); err != nil {
@@ -386,10 +384,9 @@ func TestCollisionAsyncMatchesLossy(t *testing.T) {
 // random engines under every discipline, with loss, capture and crashed
 // nodes (whose silent messages resolve before slot 0 and cascade to their
 // dependents), hash to one digest of every outcome, counter, energy and
-// value. The oracle's slot queue and pooled scratch must replay the
-// scan-based resolution it replaced exactly.
+// value, so any change to how the oracle resolves a round shows here.
 func TestCollisionReplayGolden(t *testing.T) {
-	const want = "376cf22071c5c7715b17c6e9ab0cb817a3278c7c1442d3906766290a3002411f"
+	const want = "5a3bca8a900ff0f002dd2c46239a5865be1d83b9856fe74da5ee9d03b623391c"
 	f := fingerprint{sha256.New()}
 	float := func(x float64) { f.int(int64(math.Float64bits(x))) }
 	hashRound := func(res *LossyResult) {

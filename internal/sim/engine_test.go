@@ -1,8 +1,11 @@
 package sim
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"m2m/internal/agg"
@@ -38,10 +41,13 @@ func buildInstance(t testing.TB, rng *rand.Rand, n, nDests, nSrcs int, shared bo
 		for len(srcSet) < nSrcs {
 			srcSet[graph.NodeID(rng.Intn(n))] = true
 		}
-		var srcs []graph.NodeID
-		w := make(map[graph.NodeID]float64)
+		srcs := make([]graph.NodeID, 0, len(srcSet))
 		for s := range srcSet {
 			srcs = append(srcs, s)
+		}
+		slices.Sort(srcs)
+		w := make(map[graph.NodeID]float64)
+		for _, s := range srcs {
 			w[s] = rng.Float64()*2 - 1
 		}
 		var f agg.Func
@@ -62,6 +68,34 @@ func buildInstance(t testing.TB, rng *rand.Rand, n, nDests, nSrcs int, shared bo
 		t.Fatal(err)
 	}
 	return inst
+}
+
+// TestBuildInstanceDeterministic: every test and benchmark built on
+// buildInstance must see the same instance for the same seed, so the
+// engine program and a fault-free round's values repeat exactly.
+func TestBuildInstanceDeterministic(t *testing.T) {
+	digest := func() string {
+		rng := rand.New(rand.NewSource(7))
+		eng := collideEngine(t, buildInstance(t, rng, 40, 6, 6, false))
+		res, err := eng.Run(randomReadings(rng, 40))
+		if err != nil {
+			t.Fatal(err)
+		}
+		f := fingerprint{sha256.New()}
+		dests := make([]graph.NodeID, 0, len(res.Values))
+		for d := range res.Values {
+			dests = append(dests, d)
+		}
+		slices.Sort(dests)
+		for _, d := range dests {
+			f.int(int64(d))
+			f.int(int64(math.Float64bits(res.Values[d])))
+		}
+		return programFingerprint(t, eng) + hex.EncodeToString(f.h.Sum(nil))
+	}
+	if a, b := digest(), digest(); a != b {
+		t.Fatalf("two builds from one seed differ:\n%s\n%s", a, b)
+	}
 }
 
 func randomReadings(rng *rand.Rand, n int) map[graph.NodeID]float64 {

@@ -34,12 +34,8 @@ type Faults interface {
 
 	// CollisionsEnabled reports whether the slot-contention model is on;
 	// when false the executors bypass the oracle and never consult the
-	// other three collision methods.
+	// other two collision methods.
 	CollisionsEnabled() bool
-	// CollisionReceiver reports whether frames toward n are in collision
-	// scope (out-of-scope receivers never lose frames to contention but
-	// their senders still interfere with in-scope ones).
-	CollisionReceiver(n graph.NodeID) bool
 	// CaptureWins reports whether the attempt-th frame of the round on e
 	// survives a collision it is part of.
 	CaptureWins(round int, e routing.Edge, attempt int) bool
@@ -73,7 +69,6 @@ func (NoFaults) Deliver(int, routing.Edge, int) bool                     { retur
 func (NoFaults) LatencyMS(int, routing.Edge, int, int) float64           { return 0 }
 func (NoFaults) Duplicates(int, routing.Edge, int) int                   { return 0 }
 func (NoFaults) CollisionsEnabled() bool                                 { return false }
-func (NoFaults) CollisionReceiver(graph.NodeID) bool                     { return false }
 func (NoFaults) CaptureWins(int, routing.Edge, int) bool                 { return false }
 func (NoFaults) BackoffSlots(int, routing.Edge, int, int) int            { return 0 }
 func (NoFaults) CorruptReading(_ int, _ graph.NodeID, v float64) float64 { return v }

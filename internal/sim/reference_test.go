@@ -115,7 +115,7 @@ func (e *Engine) assembleRecord(n, d graph.NodeID, out routing.Edge, rawVal map[
 		if final {
 			pos = len(path) - 1
 		} else {
-			pos = inst.PairEdgeIndex(pr, out)
+			pos = pairEdgeIndex(inst.Paths[pr], out)
 			if pos < 0 {
 				return nil, fmt.Errorf("sim: pair %d→%d does not cross %v", pr.Source, pr.Dest, out)
 			}
@@ -151,4 +151,15 @@ func (e *Engine) assembleRecord(n, d graph.NodeID, out routing.Edge, rawVal map[
 		return nil, fmt.Errorf("sim: empty record for %d at %d", d, n)
 	}
 	return rec, nil
+}
+
+// pairEdgeIndex returns the position of e on path, or -1 if the path does
+// not cross e.
+func pairEdgeIndex(path []graph.NodeID, e routing.Edge) int {
+	for i := 0; i+1 < len(path); i++ {
+		if path[i] == e.From && path[i+1] == e.To {
+			return i
+		}
+	}
+	return -1
 }

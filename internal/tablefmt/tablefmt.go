@@ -40,12 +40,6 @@ func (t *Table) AddRow(x float64, ys ...float64) {
 // Len returns the number of rows.
 func (t *Table) Len() int { return len(t.rows) }
 
-// Row returns the x and y values of row i.
-func (t *Table) Row(i int) (float64, []float64) {
-	r := t.rows[i]
-	return r.x, append([]float64(nil), r.y...)
-}
-
 // Column returns the series values of the named column, or nil if absent.
 func (t *Table) Column(name string) []float64 {
 	idx := -1

@@ -151,7 +151,7 @@ func TestScaledClusteredLargeLayouts(t *testing.T) {
 		t.Fatal("ScaledClustered layout not connected at 50 m")
 	}
 	refDensity := float64(GDINodes) / (GDIWidth * GDIHeight)
-	if d := l.Density(); d < refDensity*0.9 || d > refDensity*1.1 {
+	if d := density(l); d < refDensity*0.9 || d > refDensity*1.1 {
 		t.Errorf("density %v strays from reference %v", d, refDensity)
 	}
 	l2 := ScaledClustered(n, 42)

@@ -28,14 +28,6 @@ type Layout struct {
 // Len returns the number of nodes.
 func (l *Layout) Len() int { return len(l.Points) }
 
-// Density returns nodes per square meter.
-func (l *Layout) Density() float64 {
-	if l.Area.Area() == 0 {
-		return 0
-	}
-	return float64(len(l.Points)) / l.Area.Area()
-}
-
 // Great Duck Island reference figures (paper, Section 4).
 const (
 	GDINodes  = 68

@@ -1,9 +1,6 @@
 package vcover
 
-import (
-	"math/big"
-	"math/bits"
-)
+import "math/bits"
 
 // u128 is an unsigned 128-bit integer in two uint64 limbs. It is the
 // fixed-width replacement for math/big perturbed capacities: the canonical
@@ -73,11 +70,4 @@ func u128Bit(pos uint) u128 {
 		return u128{lo: 1 << pos}
 	}
 	return u128{hi: 1 << (pos - 64)}
-}
-
-// toBig returns x as a math/big integer (differential tests only).
-func (x u128) toBig() *big.Int {
-	b := new(big.Int).SetUint64(x.hi)
-	b.Lsh(b, 64)
-	return b.Or(b, new(big.Int).SetUint64(x.lo))
 }

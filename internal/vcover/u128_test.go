@@ -74,3 +74,10 @@ func FuzzU128Ops(f *testing.F) {
 		}
 	})
 }
+
+// toBig returns x as a math/big integer.
+func (x u128) toBig() *big.Int {
+	b := new(big.Int).SetUint64(x.hi)
+	b.Lsh(b, 64)
+	return b.Or(b, new(big.Int).SetUint64(x.lo))
+}

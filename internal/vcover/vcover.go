@@ -56,13 +56,6 @@ type Problem struct {
 	Edges [][2]int
 }
 
-// Validate checks index ranges, weight signs, and key uniqueness.
-func (p *Problem) Validate() error {
-	sc := scratchPool.Get().(*scratch)
-	defer scratchPool.Put(sc)
-	return sc.validate(p)
-}
-
 // Solution is a vertex cover of a Problem.
 type Solution struct {
 	InU, InV []bool

