@@ -34,8 +34,9 @@ fuzz-scenarios:
 	$(GO) run -race ./cmd/m2mfuzz -n 500 -q
 
 # Overnight soak: keep drawing seeds and checking invariants until the
-# clock runs out (~275 scenarios/sec without -race). Failing seeds are
-# shrunk to repro-seed<N>.json in the working directory.
+# clock runs out (~400 scenarios/sec without -race, measured over 20 s on
+# a 2-vCPU VM). Failing seeds are shrunk to repro-seed<N>.json in the
+# working directory.
 FUZZ_SOAK_DURATION ?= 10m
 fuzz-soak:
 	$(GO) run ./cmd/m2mfuzz -n 0 -duration $(FUZZ_SOAK_DURATION) -q

@@ -241,6 +241,50 @@ func BenchmarkNewSharedTree(b *testing.B) {
 	})
 }
 
+// BenchmarkScenarioSetup measures setting up 100 generated fault
+// scenarios (seeds 100001–100100, resilient-mix's first): drawing each
+// scenario and building its run. The run adopts the network and workload
+// the generator drew, and plans them once.
+func BenchmarkScenarioSetup(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		for seed := int64(100001); seed <= 100100; seed++ {
+			sc, err := GenerateScenario(seed)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := NewScenarioRun(sc); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
+// BenchmarkRandomNetwork10k measures plan-10k's topology stage: a
+// 10,000-node uniform layout repaired to be connected, and its
+// connectivity graph.
+func BenchmarkRandomNetwork10k(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		RandomNetwork(10000, 1)
+	}
+}
+
+// BenchmarkGenerateWorkload10k measures plan-10k's workload stage: 200
+// destinations with 20 sources each, drawn by hop dispersion d = 0.9
+// within 4 hops.
+func BenchmarkGenerateWorkload10k(b *testing.B) {
+	net := RandomNetwork(10000, 1)
+	cfg := WorkloadConfig{NumDests: 200, SourcesPerDest: 20, Dispersion: 0.9, MaxHops: 4, Seed: 1}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := net.GenerateWorkload(cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkReoptimize1k measures the incremental replan of the 1000-node
 // plan after one destination's spec is dropped (Corollary 1): only the
 // edges the dropped pairs crossed are solved again.

@@ -50,12 +50,7 @@ func main() {
 		}
 		diameter := 0
 		for u := 0; u < g.Len(); u++ {
-			bfs := g.BFS(graph.NodeID(u))
-			for v := 0; v < g.Len(); v++ {
-				if h := bfs.Hops(graph.NodeID(v)); h > diameter {
-					diameter = h
-				}
-			}
+			diameter = max(diameter, g.Walk(graph.NodeID(u)).Eccentricity())
 		}
 		fmt.Printf("nodes:     %d\n", g.Len())
 		fmt.Printf("area:      %.0f × %.0f m²\n", net.Layout.Area.Width(), net.Layout.Area.Height())

@@ -45,17 +45,19 @@ func DecodeScenario(data []byte) (*Scenario, error) { return chaos.DecodeScenari
 // first, then the concrete network and workload, then fault schedules
 // resolved against them (outages on real links, partition sides grown
 // connected, crash sets that never disconnect the survivors, liars
-// drawn from the workload's sources).
+// drawn from the workload's sources). The network and workload stay
+// with the scenario for the first NewScenarioRun built from it.
 func GenerateScenario(seed int64) (*Scenario, error) {
 	sc := chaos.NewScenario(seed)
-	net, specs, err := buildScenarioShape(sc)
+	shape, err := buildScenarioShape(sc)
 	if err != nil {
 		return nil, err
 	}
-	protected, sources := scenarioWorkloadNodes(specs)
-	if err := sc.PopulateSchedules(net.Graph, protected, sources); err != nil {
+	protected, sources := scenarioWorkloadNodes(shape.specs)
+	if err := sc.PopulateSchedules(shape.net.Graph, protected, sources); err != nil {
 		return nil, err
 	}
+	chaos.StashShape(sc, shape)
 	return sc, nil
 }
 
@@ -79,15 +81,21 @@ type ScenarioRun struct {
 // NewScenarioRun builds the network, workload, injector, ledger and
 // session a populated scenario describes. Building the same scenario
 // twice yields byte-identical runs; building from a decoded JSON repro
-// yields the original run.
+// yields the original run. The first run of a generated scenario adopts
+// the network and workload GenerateScenario drew, unless a shape field
+// was edited since; every other run builds its own.
 func NewScenarioRun(sc *Scenario) (*ScenarioRun, error) {
 	if err := sc.Validate(); err != nil {
 		return nil, err
 	}
-	net, specs, err := buildScenarioShape(sc)
-	if err != nil {
-		return nil, err
+	shape, ok := chaos.TakeShape(sc).(*scenarioShape)
+	if !ok {
+		var err error
+		if shape, err = buildScenarioShape(sc); err != nil {
+			return nil, err
+		}
 	}
+	net, specs := shape.net, shape.specs
 	inj, err := sc.Injector()
 	if err != nil {
 		return nil, err
@@ -110,10 +118,18 @@ func NewScenarioRun(sc *Scenario) (*ScenarioRun, error) {
 	if c := sc.Collide; c != nil && c.EagerTDMA {
 		cfg.TDMASwitchThreshold = 0.01
 	}
+	inst, err := net.NewInstance(specs, kind)
+	if err != nil {
+		return nil, err
+	}
+	p, err := Optimize(inst)
+	if err != nil {
+		return nil, err
+	}
 	var bat *Battery
 	if b := sc.Battery; b != nil {
 		if b.CapacityJ == 0 {
-			capJ, err := scenarioBatteryCapacity(sc, net, specs, kind)
+			capJ, err := scenarioBatteryCapacity(sc, net, p)
 			if err != nil {
 				return nil, err
 			}
@@ -126,7 +142,7 @@ func NewScenarioRun(sc *Scenario) (*ScenarioRun, error) {
 		cfg.EvacuateHorizonRounds = b.EvacHorizon
 	}
 
-	sess, err := NewResilientSession(net, specs, kind, gen, inj, cfg)
+	sess, err := NewResilientSessionWithPlan(net, specs, kind, inst, p, gen, inj, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -162,7 +178,13 @@ func (g *recordingGen) Next() map[NodeID]float64 {
 	return g.last
 }
 
-func buildScenarioShape(sc *Scenario) (*Network, []Spec, error) {
+// scenarioShape is a scenario's network and the workload drawn over it.
+type scenarioShape struct {
+	net   *Network
+	specs []Spec
+}
+
+func buildScenarioShape(sc *Scenario) (*scenarioShape, error) {
 	var net *Network
 	switch sc.Topology {
 	case "random":
@@ -172,7 +194,7 @@ func buildScenarioShape(sc *Scenario) (*Network, []Spec, error) {
 	case "grid":
 		net = GridNetwork(sc.GridX, sc.GridY, sc.Spacing)
 	default:
-		return nil, nil, fmt.Errorf("m2m: unknown scenario topology %q", sc.Topology)
+		return nil, fmt.Errorf("m2m: unknown scenario topology %q", sc.Topology)
 	}
 	specs, err := net.GenerateWorkload(WorkloadConfig{
 		NumDests:       sc.Dests,
@@ -183,18 +205,18 @@ func buildScenarioShape(sc *Scenario) (*Network, []Spec, error) {
 		Seed:           sc.WorkloadSeed,
 	})
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if sc.Sketch != "" {
 		for i, sp := range specs {
 			f, err := scenarioSketchFunc(sc.Sketch, sp.Func.Sources())
 			if err != nil {
-				return nil, nil, err
+				return nil, err
 			}
 			specs[i] = Spec{Dest: sp.Dest, Func: f}
 		}
 	}
-	return net, specs, nil
+	return &scenarioShape{net: net, specs: specs}, nil
 }
 
 // scenarioSketchFunc swaps a generated workload function for a robust
@@ -243,19 +265,11 @@ func buildScenarioReadings(sc *Scenario) ReadingGenerator {
 }
 
 // scenarioBatteryCapacity prices one fault-free round of the scenario's
-// plan and scales the hottest node's burn by the headroom over the full
+// plan p and scales the hottest node's burn by the headroom over the full
 // horizon, so headroom < 1 makes relays brown out mid-run and headroom
 // well above 1 keeps the ledger a pure accounting check. The result is
 // written back into the scenario so its JSON repro pins the ledger.
-func scenarioBatteryCapacity(sc *Scenario, net *Network, specs []Spec, kind RouterKind) (float64, error) {
-	inst, err := net.NewInstance(specs, kind)
-	if err != nil {
-		return 0, err
-	}
-	p, err := Optimize(inst)
-	if err != nil {
-		return 0, err
-	}
+func scenarioBatteryCapacity(sc *Scenario, net *Network, p *Plan) (float64, error) {
 	probe := buildScenarioReadings(sc)
 	res, err := Execute(p, net, probe.Next())
 	if err != nil {

@@ -173,6 +173,11 @@ type Scenario struct {
 	Battery    *BatteryDim    `json:"battery,omitempty"`
 	Byzantine  []ByzDim       `json:"byzantine,omitempty"`
 	Collide    *CollideDim    `json:"collide,omitempty"`
+
+	// built is the network and workload the generator drew, waiting for
+	// the first run built from this scenario (see StashShape). It is not
+	// part of the repro: JSON skips unexported fields.
+	built *builtShape
 }
 
 // srng is a tiny deterministic stream over the package's splitmix64

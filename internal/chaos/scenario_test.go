@@ -18,9 +18,9 @@ func scenarioGraph(t testing.TB, sc *Scenario) *graph.Undirected {
 	var l *topology.Layout
 	switch sc.Topology {
 	case "random":
-		l = topology.Scaled(sc.Nodes, sc.TopoSeed)
+		l, _ = topology.Scaled(sc.Nodes, sc.TopoSeed)
 	case "clustered":
-		l = topology.ScaledClustered(sc.Nodes, sc.TopoSeed)
+		l, _ = topology.ScaledClustered(sc.Nodes, sc.TopoSeed)
 	case "grid":
 		l = topology.Grid(sc.GridX, sc.GridY, sc.Spacing)
 	default:

@@ -15,7 +15,7 @@ import (
 
 func fixture(t testing.TB, seed int64, shared bool) *plan.Instance {
 	t.Helper()
-	l := topology.UniformRandom(45, topology.GreatDuckIsland().Area, seed)
+	l := topology.UniformRandom(45, topology.GDIArea(), seed)
 	l.EnsureConnected(50)
 	g := l.ConnectivityGraph(50)
 	specs, err := workload.Generate(g, workload.Config{

@@ -47,10 +47,7 @@ const (
 )
 
 // gdi returns the evaluation network (68 nodes, 50 m range).
-func gdi() (*topology.Layout, *graph.Undirected) {
-	l := topology.GreatDuckIsland()
-	return l, l.ConnectivityGraph(radio.DefaultRangeMeters)
-}
+func gdi() (*topology.Layout, *graph.Undirected) { return topology.GreatDuckIsland() }
 
 // roundEnergy builds the requested plan over inst and returns its
 // per-round energy in millijoules.

@@ -28,8 +28,7 @@ func OutOfNetwork(cfg Config) (*tablefmt.Table, error) {
 	for n := 50; n <= 250; n += 100 {
 		n := n
 		ys, err := averagedRow(cfg, 4, func(seed int64) ([]float64, error) {
-			l := topology.Scaled(n, seed)
-			net := l.ConnectivityGraph(radio.DefaultRangeMeters)
+			_, net := topology.Scaled(n, seed)
 			specs, err := workload.Generate(net, workload.Config{
 				DestFraction:   0.25,
 				SourcesPerDest: evalSourcesPerDest,

@@ -174,8 +174,7 @@ func Fig6(cfg Config) (*tablefmt.Table, error) {
 		"nodes", ColOptimal, ColMulticast, ColAggregation)
 	for n := 50; n <= 250; n += 50 {
 		ys, err := averagedRow(cfg, 3, func(seed int64) ([]float64, error) {
-			l := topology.Scaled(n, seed)
-			net := l.ConnectivityGraph(radio.DefaultRangeMeters)
+			_, net := topology.Scaled(n, seed)
 			specs, err := workload.Generate(net, workload.Config{
 				DestFraction:   0.25,
 				SourcesPerDest: int(0.15 * float64(n)),
@@ -225,10 +224,8 @@ func Fig7(cfg Config) (*tablefmt.Table, error) {
 	for pi := 0; pi <= 6; pi++ {
 		p := float64(pi) * 0.05
 		ys, err := averagedRow(cfg, 3, func(seed int64) ([]float64, error) {
-			l := topology.UniformRandom(topology.GDINodes,
-				topology.GreatDuckIsland().Area, seed)
-			l.EnsureConnected(radio.DefaultRangeMeters)
-			net := l.ConnectivityGraph(radio.DefaultRangeMeters)
+			l := topology.UniformRandom(topology.GDINodes, topology.GDIArea(), seed)
+			net := l.EnsureConnected(radio.DefaultRangeMeters)
 			specs, err := workload.Generate(net, workload.Config{
 				DestFraction:   0.3,
 				SourcesPerDest: 25,

@@ -242,7 +242,7 @@ func TestCritical(t *testing.T) {
 // the recovered plan still computes every surviving aggregate exactly.
 func TestNodeFailureRecoveryEndToEnd(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
-	l := topology.UniformRandom(45, topology.GreatDuckIsland().Area, 99)
+	l := topology.UniformRandom(45, topology.GDIArea(), 99)
 	l.EnsureConnected(50)
 	g := l.ConnectivityGraph(50)
 	specs, err := workload.Generate(g, workload.Config{

@@ -131,12 +131,12 @@ func TestBFSDistancesAndPaths(t *testing.T) {
 	if tr.Parent[3] != 4 {
 		t.Errorf("Parent[3] = %d, want 4", tr.Parent[3])
 	}
-	p := tr.PathTo(3)
-	if len(p) != 3 || p[0] != 0 || p[2] != 3 {
-		t.Errorf("PathTo(3) = %v", p)
+	p, err := tr.PathTo(3)
+	if err != nil || len(p) != 3 || p[0] != 0 || p[2] != 3 {
+		t.Errorf("PathTo(3) = %v, %v", p, err)
 	}
-	if tr.Hops(3) != 2 {
-		t.Errorf("Hops(3) = %d", tr.Hops(3))
+	if h, err := tr.Hops(3); h != 2 || err != nil {
+		t.Errorf("Hops(3) = %d, %v", h, err)
 	}
 }
 
@@ -147,11 +147,11 @@ func TestBFSUnreachable(t *testing.T) {
 	if tr.Reachable(2) {
 		t.Error("node 2 reported reachable")
 	}
-	if tr.PathTo(2) != nil {
-		t.Error("PathTo(2) non-nil")
+	if p, err := tr.PathTo(2); p != nil || err != nil {
+		t.Errorf("PathTo(2) = %v, %v; want nil, nil", p, err)
 	}
-	if tr.Hops(2) != -1 {
-		t.Errorf("Hops(2) = %d", tr.Hops(2))
+	if h, err := tr.Hops(2); h != -1 || err != nil {
+		t.Errorf("Hops(2) = %d, %v; want -1, nil", h, err)
 	}
 }
 
@@ -217,9 +217,15 @@ func TestDijkstraSuffixProperty(t *testing.T) {
 		g := randomConnected(rng, n)
 		tr := g.Dijkstra(0)
 		for u := 0; u < n; u++ {
-			p := tr.PathTo(NodeID(u))
+			p, err := tr.PathTo(NodeID(u))
+			if err != nil {
+				t.Fatal(err)
+			}
 			for i, w := range p {
-				pw := tr.PathTo(w)
+				pw, err := tr.PathTo(w)
+				if err != nil {
+					t.Fatal(err)
+				}
 				if len(pw) != i+1 {
 					t.Fatalf("prefix property violated at node %d via %d", u, w)
 				}

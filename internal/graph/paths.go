@@ -2,6 +2,7 @@ package graph
 
 import (
 	"container/heap"
+	"fmt"
 	"math"
 	"slices"
 	"sort"
@@ -24,35 +25,35 @@ type PathTree struct {
 func (t *PathTree) Reachable(u NodeID) bool { return t.Parent[u] != -1 }
 
 // PathTo returns the node sequence from t.Root to u (inclusive of both), or
-// nil if u is unreachable.
-func (t *PathTree) PathTo(u NodeID) []NodeID {
-	if !t.Reachable(u) {
-		return nil
+// nil if u is unreachable. It returns an error if u's parent chain does not
+// reach the root within n-1 hops, so a tree whose parents form a cycle
+// cannot make it loop.
+func (t *PathTree) PathTo(u NodeID) ([]NodeID, error) {
+	h, err := t.Hops(u)
+	if h < 0 {
+		return nil, err
 	}
-	var rev []NodeID
-	for v := u; ; v = t.Parent[v] {
-		rev = append(rev, v)
-		if v == t.Root {
-			break
-		}
+	path := make([]NodeID, h+1)
+	for i, v := h, u; i >= 0; i, v = i-1, t.Parent[v] {
+		path[i] = v
 	}
-	for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
-		rev[i], rev[j] = rev[j], rev[i]
-	}
-	return rev
+	return path, nil
 }
 
 // Hops returns the number of edges on the tree path from the root to u, or
-// -1 if unreachable.
-func (t *PathTree) Hops(u NodeID) int {
+// -1 if unreachable. Like PathTo, it returns an error for a parent chain
+// that does not reach the root within n-1 hops.
+func (t *PathTree) Hops(u NodeID) (int, error) {
 	if !t.Reachable(u) {
-		return -1
+		return -1, nil
 	}
 	h := 0
 	for v := u; v != t.Root; v = t.Parent[v] {
-		h++
+		if h++; h >= len(t.Parent) || t.Parent[v] < 0 {
+			return -1, fmt.Errorf("graph: parent chain from %d does not reach root %d", u, t.Root)
+		}
 	}
-	return h
+	return h, nil
 }
 
 // BFS computes hop-count shortest paths from root, breaking parent ties by
@@ -195,7 +196,9 @@ func (w *Walk) Eccentricity() int {
 
 // Dijkstra computes weighted shortest paths from root with deterministic
 // tiebreaking: among equal-distance paths, the parent with the smallest ID
-// is chosen. Edge weights must be non-negative.
+// is chosen. Edge weights must be non-negative. With a zero-weight edge,
+// a node's parent is the smallest-ID equal-distance neighbour finalized
+// before it, which keeps the parent pointers a tree.
 func (g *Undirected) Dijkstra(root NodeID) *PathTree {
 	t := newTree(g.n, root)
 	t.Dist[root] = 0
@@ -216,7 +219,9 @@ func (g *Undirected) Dijkstra(root NodeID) *PathTree {
 				t.Dist[v] = nd
 				t.Parent[v] = u
 				heap.Push(pq, nodeItem{id: v, dist: nd})
-			case nd == t.Dist[v] && u < t.Parent[v] && v != root:
+			case nd == t.Dist[v] && u < t.Parent[v] && v != root && !done[v]:
+				// A finalized v keeps its parent: across a zero-weight
+				// edge, re-parenting it to u can close a parent cycle.
 				t.Parent[v] = u
 			}
 		}

@@ -18,7 +18,7 @@ import (
 func buildCase(t testing.TB, seed int64, shared bool, nDests, nSrcs int) (*plan.Instance, *plan.Plan, map[graph.NodeID]float64) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
-	l := topology.UniformRandom(40, topology.GreatDuckIsland().Area, seed)
+	l := topology.UniformRandom(40, topology.GDIArea(), seed)
 	l.EnsureConnected(50)
 	g := l.ConnectivityGraph(50)
 	perm := rng.Perm(40)

@@ -208,7 +208,7 @@ func randomInstance(t testing.TB, rng *rand.Rand, n, nDests, nSrcsPer int, route
 // randomNet draws a connected n-node network over the Great Duck Island
 // area with a 50 m radio range.
 func randomNet(rng *rand.Rand, n int) *graph.Undirected {
-	l := topology.UniformRandom(n, topology.GreatDuckIsland().Area, rng.Int63())
+	l := topology.UniformRandom(n, topology.GDIArea(), rng.Int63())
 	l.EnsureConnected(50)
 	return l.ConnectivityGraph(50)
 }
@@ -261,6 +261,21 @@ func TestTheorem1HoldsForShippedRouters(t *testing.T) {
 		}
 		return wg
 	}
+	// stack reweighs the drawn links to 0 or 1, a quarter of them 0, as if
+	// their ends shared a position.
+	stack := func(rng *rand.Rand, g *graph.Undirected) *graph.Undirected {
+		zg := graph.NewUndirected(g.Len())
+		for _, e := range g.Edges() {
+			w := 1.0
+			if rng.Intn(4) == 0 {
+				w = 0
+			}
+			if err := zg.AddEdge(e.U, e.V, w); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return zg
+	}
 	cases := []struct {
 		name   string
 		net    func(*rand.Rand, *graph.Undirected) *graph.Undirected // nil keeps the drawn network
@@ -275,6 +290,13 @@ func TestTheorem1HoldsForShippedRouters(t *testing.T) {
 		{
 			name:   "weighted-reverse-path",
 			net:    evacuate,
+			router: func(g *graph.Undirected) routing.Router { return routing.NewWeightedReversePath(g) },
+		},
+		{
+			// Zero-weight links, as between the evaluation layout's
+			// stacked nodes, once broke Dijkstra's parent pointers.
+			name:   "weighted-reverse-path-zero-weight",
+			net:    stack,
 			router: func(g *graph.Undirected) routing.Router { return routing.NewWeightedReversePath(g) },
 		},
 		{

@@ -53,7 +53,10 @@ func NewMinDegreeTree(net *graph.Undirected) (*MinDegreeTree, error) {
 			if t.parent[u] == v || t.parent[v] == u {
 				continue
 			}
-			path = treePathInto(path, t.parent, t.depth, u, v)
+			var err error
+			if path, err = treePathInto(path, t.parent, t.depth, u, v); err != nil {
+				return nil, err
+			}
 			// The cycle is path plus the edge (u,v); find its highest-degree
 			// interior node (deterministic: first along the path from u).
 			wi := -1

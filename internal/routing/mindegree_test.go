@@ -107,7 +107,7 @@ func TestMinDegreeDeterministic(t *testing.T) {
 func TestMinDegreeRandomTopologies(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 10; trial++ {
-		l := topology.UniformRandom(40, topology.GreatDuckIsland().Area, rng.Int63())
+		l := topology.UniformRandom(40, topology.GDIArea(), rng.Int63())
 		l.EnsureConnected(50)
 		net := l.ConnectivityGraph(50)
 		mt, err := NewMinDegreeTree(net)
@@ -210,7 +210,7 @@ func refCenter(net *graph.Undirected) graph.NodeID {
 		pt := net.BFS(graph.NodeID(u))
 		ecc := 0
 		for v := 0; v < n; v++ {
-			if h := pt.Hops(graph.NodeID(v)); h > ecc {
+			if h := hopsOf(pt, graph.NodeID(v)); h > ecc {
 				ecc = h
 			}
 		}
@@ -221,12 +221,22 @@ func refCenter(net *graph.Undirected) graph.NodeID {
 	return center
 }
 
+// hopsOf is PathTree.Hops on a tree whose parent chains are known to
+// reach the root.
+func hopsOf(t *graph.PathTree, u graph.NodeID) int {
+	h, err := t.Hops(u)
+	if err != nil {
+		panic(err)
+	}
+	return h
+}
+
 // refSharedTree is the reference SharedTree: the BFS tree at refCenter.
 func refSharedTree(net *graph.Undirected) refTree {
 	global := net.BFS(refCenter(net))
 	depth := make(map[graph.NodeID]int, net.Len())
 	for u := 0; u < net.Len(); u++ {
-		depth[graph.NodeID(u)] = global.Hops(graph.NodeID(u))
+		depth[graph.NodeID(u)] = hopsOf(global, graph.NodeID(u))
 	}
 	return refTree{global: global, depth: depth}
 }
@@ -343,7 +353,7 @@ func refMinDegreeTree(net *graph.Undirected) refTree {
 	}
 	depth := make(map[graph.NodeID]int, n)
 	for u := 0; u < n; u++ {
-		depth[graph.NodeID(u)] = global.Hops(graph.NodeID(u))
+		depth[graph.NodeID(u)] = hopsOf(global, graph.NodeID(u))
 	}
 	return refTree{global: global, depth: depth, maxDeg: slices.Max(deg)}
 }

@@ -2,6 +2,7 @@ package routing
 
 import (
 	"fmt"
+	"slices"
 
 	"m2m/internal/graph"
 )
@@ -41,11 +42,7 @@ type Router interface {
 // Path implements Router for SharedTree: the unique path inside the global
 // spanning tree.
 func (b *SharedTree) Path(s, d graph.NodeID) ([]graph.NodeID, error) {
-	p := b.treePath(s, d)
-	if p == nil {
-		return nil, fmt.Errorf("routing: no tree path %d→%d", s, d)
-	}
-	return p, nil
+	return b.treePath(s, d)
 }
 
 // ReversePath routes every pair along the destination-rooted hop-count
@@ -150,11 +147,12 @@ func (r *WeightedReversePath) Path(s, d graph.NodeID) ([]graph.NodeID, error) {
 	if !t.Reachable(s) {
 		return nil, fmt.Errorf("routing: %d unreachable from %d", d, s)
 	}
-	path := []graph.NodeID{s}
-	for v := s; v != d; {
-		v = t.Parent[v]
-		path = append(path, v)
+	// The tree is rooted at d, so its root→s path reversed is s→d.
+	path, err := t.PathTo(s)
+	if err != nil {
+		return nil, fmt.Errorf("routing: %w", err)
 	}
+	slices.Reverse(path)
 	return path, nil
 }
 
@@ -189,9 +187,12 @@ func (r *SourceSPT) Path(s, d graph.NodeID) ([]graph.NodeID, error) {
 		t = r.net.BFS(s)
 		r.trees[s] = t
 	}
-	p := t.PathTo(d)
-	if p == nil {
+	if !t.Reachable(d) {
 		return nil, fmt.Errorf("routing: %d unreachable from %d", d, s)
+	}
+	p, err := t.PathTo(d)
+	if err != nil {
+		return nil, fmt.Errorf("routing: %w", err)
 	}
 	return p, nil
 }

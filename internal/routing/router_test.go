@@ -44,8 +44,7 @@ func TestReversePathErrors(t *testing.T) {
 }
 
 func TestReversePathSuffixProperty(t *testing.T) {
-	l := topology.GreatDuckIsland()
-	g := l.ConnectivityGraph(50)
+	_, g := topology.GreatDuckIsland()
 	r := NewReversePath(g)
 	rng := rand.New(rand.NewSource(9))
 	byDest := make(map[graph.NodeID][][]graph.NodeID)
@@ -64,8 +63,7 @@ func TestReversePathSuffixProperty(t *testing.T) {
 }
 
 func TestSharedTreeRouterSuffixProperty(t *testing.T) {
-	l := topology.GreatDuckIsland()
-	g := l.ConnectivityGraph(50)
+	_, g := topology.GreatDuckIsland()
 	st, err := NewSharedTree(g)
 	if err != nil {
 		t.Fatal(err)
@@ -91,8 +89,7 @@ func TestSharedTreeRouterSuffixProperty(t *testing.T) {
 
 func TestSharedTreePathsAreSymmetricReversals(t *testing.T) {
 	// In a tree, the s→d path is the reverse of the d→s path.
-	l := topology.GreatDuckIsland()
-	g := l.ConnectivityGraph(50)
+	_, g := topology.GreatDuckIsland()
 	st, err := NewSharedTree(g)
 	if err != nil {
 		t.Fatal(err)
@@ -136,8 +133,7 @@ func TestCheckSuffixPropertyDetectsViolation(t *testing.T) {
 }
 
 func TestReversePathsAreShortest(t *testing.T) {
-	l := topology.GreatDuckIsland()
-	g := l.ConnectivityGraph(50)
+	_, g := topology.GreatDuckIsland()
 	r := NewReversePath(g)
 	rng := rand.New(rand.NewSource(3))
 	for trial := 0; trial < 100; trial++ {
@@ -147,7 +143,7 @@ func TestReversePathsAreShortest(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := g.BFS(s).Hops(d)
+		want := g.Walk(s).Hops(d)
 		if len(p)-1 != want {
 			t.Fatalf("path %d→%d has %d hops, shortest is %d", s, d, len(p)-1, want)
 		}
@@ -191,13 +187,16 @@ func refReversePath(g *graph.Undirected, s, d graph.NodeID) ([]graph.NodeID, err
 // "unreachable" error against the whole-network reference.
 func TestReversePathMatchesReference(t *testing.T) {
 	split := topology.Clustered(120, geom.NewRect(0, 0, 1500, 1500), 4, 20, 5).ConnectivityGraph(50)
+	_, gdi := topology.GreatDuckIsland()
+	_, random := topology.Scaled(300, 1)
+	_, clustered := topology.ScaledClustered(300, 2)
 	nets := []struct {
 		name string
 		g    *graph.Undirected
 	}{
-		{"gdi", topology.GreatDuckIsland().ConnectivityGraph(50)},
-		{"random", topology.Scaled(300, 1).ConnectivityGraph(50)},
-		{"clustered", topology.ScaledClustered(300, 2).ConnectivityGraph(50)},
+		{"gdi", gdi},
+		{"random", random},
+		{"clustered", clustered},
 		{"grid", topology.Grid(12, 9, 10).ConnectivityGraph(15)},
 		{"split", split},
 	}
@@ -254,7 +253,7 @@ func TestReversePathMatchesReference(t *testing.T) {
 // A, B and A again through one router, whose single walk is reset between
 // destinations, and compares every path with a fresh router's.
 func TestReversePathReusesWalkAcrossDestinations(t *testing.T) {
-	g := topology.GreatDuckIsland().ConnectivityGraph(50)
+	_, g := topology.GreatDuckIsland()
 	rng := rand.New(rand.NewSource(11))
 	shared := NewReversePath(g)
 	for _, d := range []graph.NodeID{3, 40, 3} {

@@ -134,11 +134,10 @@ func networkCenter(net *graph.Undirected) graph.NodeID {
 // Name implements Router.
 func (b *SharedTree) Name() string { return "shared-tree" }
 
-// treePath returns the unique path from a to c inside the global tree,
-// or nil if either lies outside it.
-func (b *SharedTree) treePath(a, c graph.NodeID) []graph.NodeID {
+// treePath returns the unique path from a to c inside the global tree.
+func (b *SharedTree) treePath(a, c graph.NodeID) ([]graph.NodeID, error) {
 	if !b.inTree(a) || !b.inTree(c) {
-		return nil
+		return nil, fmt.Errorf("routing: no tree path %d→%d", a, c)
 	}
 	return treePathInto(nil, b.global.Parent, b.depth, a, c)
 }
@@ -150,17 +149,23 @@ func (b *SharedTree) inTree(u graph.NodeID) bool {
 // treePathInto returns the path from a to c, both inclusive, in the tree
 // given by parent and depth pointers, reusing buf's storage. It climbs
 // both ends to their lowest common ancestor once to size the path, then
-// again to fill it from both ends.
-func treePathInto(buf, parent []graph.NodeID, depth []int32, a, c graph.NodeID) []graph.NodeID {
+// again to fill it from both ends. Pointers that do not form a tree
+// return an error once the climb has taken more steps than any tree path
+// of n nodes can.
+func treePathInto(buf, parent []graph.NodeID, depth []int32, a, c graph.NodeID) ([]graph.NodeID, error) {
 	x, y := a, c
-	for depth[x] > depth[y] {
-		x = parent[x]
-	}
-	for depth[y] > depth[x] {
-		y = parent[y]
-	}
-	for x != y {
-		x, y = parent[x], parent[y]
+	for steps := 0; x != y; steps++ {
+		if steps >= 2*len(parent) {
+			return nil, fmt.Errorf("routing: tree climb from %d and %d finds no common ancestor", a, c)
+		}
+		switch {
+		case depth[x] > depth[y]:
+			x = parent[x]
+		case depth[y] > depth[x]:
+			y = parent[y]
+		default:
+			x, y = parent[x], parent[y]
+		}
 	}
 	up, down := int(depth[a]-depth[x]), int(depth[c]-depth[x])
 	path := slices.Grow(buf[:0], up+down+1)[:up+down+1]
@@ -170,5 +175,5 @@ func treePathInto(buf, parent []graph.NodeID, depth []int32, a, c graph.NodeID) 
 	for i, v := up+down, c; i > up; i, v = i-1, parent[v] {
 		path[i] = v
 	}
-	return path
+	return path, nil
 }

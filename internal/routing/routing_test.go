@@ -102,7 +102,7 @@ func TestSourceIsAlsoDest(t *testing.T) {
 // claim it on any graph, over random pairs on the evaluation network.
 // WeightedReversePath claims it only for exact (integer) weights.
 func TestSharedTreeSatisfiesSharing(t *testing.T) {
-	g := topology.GreatDuckIsland().ConnectivityGraph(50)
+	_, g := topology.GreatDuckIsland()
 	st, err := NewSharedTree(g)
 	if err != nil {
 		t.Fatal(err)
@@ -153,7 +153,7 @@ func TestCheckSharingDetectsViolation(t *testing.T) {
 }
 
 func TestSPTDeterministic(t *testing.T) {
-	g := topology.GreatDuckIsland().ConnectivityGraph(50)
+	_, g := topology.GreatDuckIsland()
 	dests := []graph.NodeID{10, 20, 30, 40}
 	a := NewSourceSPT(g)
 	for i := 0; i < 5; i++ {

@@ -9,7 +9,7 @@ import (
 )
 
 func TestSourceSPTPathsAreShortest(t *testing.T) {
-	g := topology.GreatDuckIsland().ConnectivityGraph(50)
+	_, g := topology.GreatDuckIsland()
 	r := NewSourceSPT(g)
 	rng := rand.New(rand.NewSource(4))
 	for trial := 0; trial < 100; trial++ {
@@ -22,7 +22,7 @@ func TestSourceSPTPathsAreShortest(t *testing.T) {
 		if p[0] != s || p[len(p)-1] != d {
 			t.Fatalf("endpoints wrong: %v", p)
 		}
-		if want := g.BFS(s).Hops(d); len(p)-1 != want {
+		if want := g.Walk(s).Hops(d); len(p)-1 != want {
 			t.Fatalf("path %d→%d has %d hops, want %d", s, d, len(p)-1, want)
 		}
 	}
@@ -109,7 +109,7 @@ func TestSourceSPTOftenAgreesOnGDI(t *testing.T) {
 	// tiebreaks agree with each other most of the time; quantify that the
 	// checker accepts at least some workload-sized path sets (so the
 	// router is usable when it happens to be consistent).
-	g := topology.GreatDuckIsland().ConnectivityGraph(50)
+	_, g := topology.GreatDuckIsland()
 	r := NewSourceSPT(g)
 	rng := rand.New(rand.NewSource(8))
 	accepted := 0

@@ -281,7 +281,7 @@ func dependsOn(msgs []schedule.Message, a, b int) bool {
 // network and converts it to schedule input.
 func engineMessages(t *testing.T, seed int64) (*graph.Undirected, []schedule.Message) {
 	t.Helper()
-	l := topology.UniformRandom(40, topology.GreatDuckIsland().Area, seed)
+	l := topology.UniformRandom(40, topology.GDIArea(), seed)
 	l.EnsureConnected(50)
 	g := l.ConnectivityGraph(50)
 	specs, err := workload.Generate(g, workload.Config{

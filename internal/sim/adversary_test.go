@@ -20,7 +20,7 @@ import (
 // and trimmed mean, so a round exercises all three record layouts.
 func buildSketchInstance(t testing.TB, rng *rand.Rand, n, nDests, nSrcs int) *plan.Instance {
 	t.Helper()
-	l := topology.UniformRandom(n, topology.GreatDuckIsland().Area, rng.Int63())
+	l := topology.UniformRandom(n, topology.GDIArea(), rng.Int63())
 	l.EnsureConnected(50)
 	g := l.ConnectivityGraph(50)
 	router := routing.NewReversePath(g)

@@ -410,7 +410,7 @@ func TestCollisionReplayGolden(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(23))
 	for trial := 0; trial < 12; trial++ {
-		l := topology.UniformRandom(40, topology.GreatDuckIsland().Area, int64(trial))
+		l := topology.UniformRandom(40, topology.GDIArea(), int64(trial))
 		l.EnsureConnected(50)
 		g := l.ConnectivityGraph(50)
 		p := fingerprintPlan(t, g, routing.NewReversePath(g), workload.Config{

@@ -20,7 +20,7 @@ import (
 // kinds to exercise every record layout.
 func buildInstance(t testing.TB, rng *rand.Rand, n, nDests, nSrcs int, shared bool) *plan.Instance {
 	t.Helper()
-	l := topology.UniformRandom(n, topology.GreatDuckIsland().Area, rng.Int63())
+	l := topology.UniformRandom(n, topology.GDIArea(), rng.Int63())
 	l.EnsureConnected(50)
 	g := l.ConnectivityGraph(50)
 	var router routing.Router

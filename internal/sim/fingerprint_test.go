@@ -243,7 +243,7 @@ func fingerprintPlan(t *testing.T, g *graph.Undirected, router routing.Router, c
 // before engine construction moved from maps to dense arrays; any change
 // to construction must leave every one of them unchanged.
 func TestProgramFingerprint(t *testing.T) {
-	gdi := topology.GreatDuckIsland().ConnectivityGraph(radio.DefaultRangeMeters)
+	_, gdi := topology.GreatDuckIsland()
 	gdiPlan := fingerprintPlan(t, gdi, routing.NewReversePath(gdi), workload.Config{
 		DestFraction: 0.2, SourcesPerDest: 10, Dispersion: 0.9, MaxHops: 4, Seed: 1,
 	})
@@ -298,7 +298,7 @@ func TestProgramFingerprint(t *testing.T) {
 		{
 			name: "scale-2k",
 			plan: func(t *testing.T) *plan.Plan {
-				g := topology.Scaled(2000, 1).ConnectivityGraph(radio.DefaultRangeMeters)
+				_, g := topology.Scaled(2000, 1)
 				return fingerprintPlan(t, g, routing.NewReversePath(g), workload.Config{
 					NumDests: 40, SourcesPerDest: 20, Dispersion: 0.9, MaxHops: 4, Seed: 1,
 				})
@@ -311,7 +311,7 @@ func TestProgramFingerprint(t *testing.T) {
 			// one-message merge closes a wait-for cycle and must split.
 			name: "merge-fallback",
 			plan: func(t *testing.T) *plan.Plan {
-				g := topology.Scaled(150, 1).ConnectivityGraph(radio.DefaultRangeMeters)
+				_, g := topology.Scaled(150, 1)
 				return fingerprintPlan(t, g, routing.NewReversePath(g), workload.Config{
 					DestFraction: 0.25, SourcesPerDest: 22, Seed: 1,
 				})
@@ -338,7 +338,7 @@ func TestProgramFingerprint(t *testing.T) {
 		},
 	)
 
-	l := topology.UniformRandom(40, topology.GreatDuckIsland().Area, 81)
+	l := topology.UniformRandom(40, topology.GDIArea(), 81)
 	l.EnsureConnected(50)
 	mg := l.ConnectivityGraph(50)
 	mr := routing.NewMilestoneRouter(mg, routing.NewReversePath(mg), routing.KeepEveryKth(2))

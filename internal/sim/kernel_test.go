@@ -27,7 +27,7 @@ type externalFunc struct{ agg.Func }
 // Func, with random weights and thresholds.
 func kernelInstance(t testing.TB, rng *rand.Rand, n, nDests, nSrcs int) *plan.Instance {
 	t.Helper()
-	l := topology.UniformRandom(n, topology.GreatDuckIsland().Area, rng.Int63())
+	l := topology.UniformRandom(n, topology.GDIArea(), rng.Int63())
 	l.EnsureConnected(50)
 	g := l.ConnectivityGraph(50)
 	perm := rng.Perm(n)

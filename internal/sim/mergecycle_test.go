@@ -22,8 +22,7 @@ func TestMergeFallbackOnRealCycle(t *testing.T) {
 	if testing.Short() {
 		t.Skip("150-node instance skipped in -short mode")
 	}
-	l := topology.Scaled(150, 1)
-	g := l.ConnectivityGraph(radio.DefaultRangeMeters)
+	_, g := topology.Scaled(150, 1)
 	specs, err := workload.Generate(g, workload.Config{
 		DestFraction:   0.25,
 		SourcesPerDest: 22, // 0.15 × 150

@@ -18,7 +18,7 @@ import (
 // at every milestone density.
 func TestMilestonePlansGoldenValues(t *testing.T) {
 	rng := rand.New(rand.NewSource(81))
-	l := topology.UniformRandom(40, topology.GreatDuckIsland().Area, 81)
+	l := topology.UniformRandom(40, topology.GDIArea(), 81)
 	l.EnsureConnected(50)
 	g := l.ConnectivityGraph(50)
 

@@ -83,7 +83,10 @@ func OutOfNetwork(net *graph.Undirected, specs []agg.Spec, model radio.Model, ba
 		if !bfs.Reachable(d) {
 			return nil, fmt.Errorf("sim: destination %d unreachable from base %d", d, base)
 		}
-		path := bfs.PathTo(d) // base .. d
+		path, err := bfs.PathTo(d) // base .. d
+		if err != nil {
+			return nil, err
+		}
 		for i := 0; i+1 < len(path); i++ {
 			e := routing.Edge{From: path[i], To: path[i+1]}
 			if downEdges[e] == nil {

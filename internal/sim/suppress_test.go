@@ -17,7 +17,7 @@ import (
 // (suppression requires linearity).
 func linearInstance(t testing.TB, rng *rand.Rand, n, nDests, nSrcs int) *plan.Instance {
 	t.Helper()
-	l := topology.UniformRandom(n, topology.GreatDuckIsland().Area, rng.Int63())
+	l := topology.UniformRandom(n, topology.GDIArea(), rng.Int63())
 	l.EnsureConnected(50)
 	g := l.ConnectivityGraph(50)
 	perm := rng.Perm(n)

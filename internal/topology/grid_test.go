@@ -82,6 +82,7 @@ func sameGraph(t *testing.T, got, want *graph.Undirected) {
 // ranges much larger and much smaller than the point spacing.
 func TestConnectivityGraphMatchesNaive(t *testing.T) {
 	area := geom.NewRect(0, 0, 100, 100)
+	gdi, _ := GreatDuckIsland()
 	layouts := []*Layout{
 		UniformRandom(0, area, 1),
 		UniformRandom(1, area, 2),
@@ -90,7 +91,7 @@ func TestConnectivityGraphMatchesNaive(t *testing.T) {
 		Clustered(120, area, 5, 8, 5),
 		Clustered(150, geom.NewRect(-50, -30, 400, 60), 3, 15, 6),
 		Grid(12, 9, 7.5),
-		GreatDuckIsland(),
+		gdi,
 	}
 	for li, l := range layouts {
 		for _, r := range []float64{3, 20, 50, 500} {
@@ -142,11 +143,10 @@ func TestScaledClusteredLargeLayouts(t *testing.T) {
 	if testing.Short() {
 		n = 2000
 	}
-	l := ScaledClustered(n, 42)
+	l, g := ScaledClustered(n, 42)
 	if l.Len() != n {
 		t.Fatalf("Len = %d, want %d", l.Len(), n)
 	}
-	g := l.ConnectivityGraph(50)
 	if !g.Connected() {
 		t.Fatal("ScaledClustered layout not connected at 50 m")
 	}
@@ -154,13 +154,13 @@ func TestScaledClusteredLargeLayouts(t *testing.T) {
 	if d := density(l); d < refDensity*0.9 || d > refDensity*1.1 {
 		t.Errorf("density %v strays from reference %v", d, refDensity)
 	}
-	l2 := ScaledClustered(n, 42)
+	l2, _ := ScaledClustered(n, 42)
 	for i := range l.Points {
 		if l.Points[i] != l2.Points[i] {
 			t.Fatalf("point %d not deterministic", i)
 		}
 	}
-	if l3 := ScaledClustered(n, 43); l3.Points[0] == l.Points[0] && l3.Points[1] == l.Points[1] {
+	if l3, _ := ScaledClustered(n, 43); l3.Points[0] == l.Points[0] && l3.Points[1] == l.Points[1] {
 		t.Error("different seeds produced identical layouts")
 	}
 }
@@ -173,11 +173,11 @@ func TestScaledLargeUniform(t *testing.T) {
 	if testing.Short() {
 		n = 2000
 	}
-	l := Scaled(n, 7)
+	l, g := Scaled(n, 7)
 	if l.Len() != n {
 		t.Fatalf("Len = %d, want %d", l.Len(), n)
 	}
-	if !l.ConnectivityGraph(50).Connected() {
+	if !g.Connected() {
 		t.Fatal("Scaled layout not connected at 50 m")
 	}
 }

@@ -17,6 +17,7 @@ import (
 
 	"m2m/internal/geom"
 	"m2m/internal/graph"
+	"m2m/internal/radio"
 )
 
 // Layout is a set of node positions inside an area.
@@ -35,17 +36,26 @@ const (
 	GDIHeight = 203.0
 )
 
+// GDIArea is the Great Duck Island reference rectangle, 106 × 203 m².
+func GDIArea() geom.Rect { return geom.NewRect(0, 0, GDIWidth, GDIHeight) }
+
 // GreatDuckIsland returns the deterministic synthetic stand-in for the
 // paper's 68-node deployment: clustered placement (the real deployment
 // grouped motes around petrel burrows) inside 106 × 203 m², repaired to be
-// connected at 50 m range.
-func GreatDuckIsland() *Layout {
-	l := Clustered(GDINodes, geom.NewRect(0, 0, GDIWidth, GDIHeight), 9, 22, 2007)
-	l.EnsureConnected(radioRangeForRepair)
-	return l
+// connected at 50 m range, with the connectivity graph at that range.
+//
+// Clustered clamps Gaussian draws to the rectangle, so some nodes share a
+// position: 17, 44, 52 and 53 sit at (106, 0), and 28 and 37 at (0, 0).
+// Their links have zero weight (DESIGN.md §4).
+func GreatDuckIsland() (*Layout, *graph.Undirected) {
+	l := Clustered(GDINodes, GDIArea(), 9, 22, 2007)
+	return l, l.EnsureConnected(repairRange)
 }
 
-const radioRangeForRepair = 50.0
+// repairRange is the radio range GreatDuckIsland, Scaled and
+// ScaledClustered repair their layouts to be connected at, and the range
+// of the graphs they return: the paper's 50 m, the default radio's.
+const repairRange = radio.DefaultRangeMeters
 
 // UniformRandom places n nodes uniformly at random in area, deterministically
 // for a given seed.
@@ -111,8 +121,9 @@ func Clustered(n int, area geom.Rect, k int, spread float64, seed int64) *Layout
 // with n so that density matches the Great Duck Island reference
 // (68 nodes / (106×203) m²), as in the paper's network-size experiment
 // (Figure 6). The aspect ratio of the reference area is preserved and the
-// layout is repaired to be connected at 50 m range.
-func Scaled(n int, seed int64) *Layout {
+// layout is repaired to be connected at 50 m range; the connectivity
+// graph at that range is returned with it.
+func Scaled(n int, seed int64) (*Layout, *graph.Undirected) {
 	refDensity := float64(GDINodes) / (GDIWidth * GDIHeight)
 	area := float64(n) / refDensity
 	// width/height = GDIWidth/GDIHeight, width*height = area.
@@ -120,8 +131,7 @@ func Scaled(n int, seed int64) *Layout {
 	h := math.Sqrt(area / ratio)
 	w := area / h
 	l := UniformRandom(n, geom.NewRect(0, 0, w, h), seed)
-	l.EnsureConnected(radioRangeForRepair)
-	return l
+	return l, l.EnsureConnected(repairRange)
 }
 
 // ScaledClustered is the clustered counterpart of Scaled: n nodes at the
@@ -129,8 +139,9 @@ func Scaled(n int, seed int64) *Layout {
 // grouped around cluster centers like the real deployment (9 clusters per
 // 68 nodes, 22 m spread), repaired to be connected at 50 m range. It is the
 // adversarial generator for the plan-scale benchmarks — clusters make dense
-// per-edge problems.
-func ScaledClustered(n int, seed int64) *Layout {
+// per-edge problems. Like Scaled, it returns the connectivity graph at
+// 50 m with the layout.
+func ScaledClustered(n int, seed int64) (*Layout, *graph.Undirected) {
 	refDensity := float64(GDINodes) / (GDIWidth * GDIHeight)
 	area := float64(n) / refDensity
 	ratio := GDIWidth / GDIHeight
@@ -141,8 +152,7 @@ func ScaledClustered(n int, seed int64) *Layout {
 		k = 1
 	}
 	l := Clustered(n, geom.NewRect(0, 0, w, h), k, 22, seed)
-	l.EnsureConnected(radioRangeForRepair)
-	return l
+	return l, l.EnsureConnected(repairRange)
 }
 
 // ConnectivityGraph returns the undirected graph connecting every pair of
@@ -179,20 +189,22 @@ func (l *Layout) ConnectivityGraph(rangeMeters float64) *graph.Undirected {
 // EnsureConnected deterministically repairs l so that its connectivity
 // graph at the given range is connected: while more than one component
 // remains, the closest pair of nodes in different components is pulled
-// toward their midpoint until within 90% of range.
+// toward their midpoint until within 90% of range. It returns the
+// connectivity graph of the repaired layout, the one that proved it
+// connected, so callers need not build it again.
 //
 // The closest pair comes from a per-node ring search over the spatial hash
 // rather than a pairwise scan. The selection is identical to the former
 // O(n²) loop: node i's nearest other-component neighbor (smallest ID on
 // exact distance ties) strictly improving the global best reproduces the
 // ascending (i, j) scan's winner pair.
-func (l *Layout) EnsureConnected(rangeMeters float64) {
+func (l *Layout) EnsureConnected(rangeMeters float64) *graph.Undirected {
 	comp := make([]int, len(l.Points))
 	for iter := 0; iter < len(l.Points)+8; iter++ {
 		g := l.ConnectivityGraph(rangeMeters)
 		comps := g.Components()
 		if len(comps) <= 1 {
-			return
+			return g
 		}
 		for ci, c := range comps {
 			for _, u := range c {
@@ -211,9 +223,11 @@ func (l *Layout) EnsureConnected(rangeMeters float64) {
 		l.Points[bi] = pullToward(l.Points[bi], mid, target)
 		l.Points[bj] = pullToward(l.Points[bj], mid, target)
 	}
-	if !l.ConnectivityGraph(rangeMeters).Connected() {
+	g := l.ConnectivityGraph(rangeMeters)
+	if !g.Connected() {
 		panic("topology: EnsureConnected failed to converge")
 	}
+	return g
 }
 
 // pullToward moves p to be exactly dist from anchor along the p—anchor

@@ -1,6 +1,9 @@
 package topology
 
 import (
+	"fmt"
+	"math"
+	"slices"
 	"testing"
 
 	"m2m/internal/geom"
@@ -8,7 +11,7 @@ import (
 )
 
 func TestGreatDuckIslandShape(t *testing.T) {
-	l := GreatDuckIsland()
+	l, g := GreatDuckIsland()
 	if l.Len() != GDINodes {
 		t.Fatalf("node count = %d, want %d", l.Len(), GDINodes)
 	}
@@ -17,12 +20,11 @@ func TestGreatDuckIslandShape(t *testing.T) {
 			t.Errorf("node %d at %v outside area", i, p)
 		}
 	}
-	g := l.ConnectivityGraph(50)
 	if !g.Connected() {
 		t.Fatal("GDI layout not connected at 50 m")
 	}
 	// The paper's network is multi-hop: diameter should be several hops.
-	tr := g.BFS(0)
+	tr := g.Walk(0)
 	maxHops := 0
 	for u := 0; u < l.Len(); u++ {
 		if h := tr.Hops(graph.NodeID(u)); h > maxHops {
@@ -34,8 +36,93 @@ func TestGreatDuckIslandShape(t *testing.T) {
 	}
 }
 
+// TestGreatDuckIslandStackedNodes pins the nodes the evaluation layout
+// stacks on one spot (DESIGN.md §4). Clustered clamps Gaussian draws to
+// the rectangle, so draws past a corner land on it, and the links among
+// them have zero weight. Every paper figure runs on this layout, so a
+// change here moves them all.
+func TestGreatDuckIslandStackedNodes(t *testing.T) {
+	l, g := GreatDuckIsland()
+	want := map[geom.Point][]graph.NodeID{
+		{X: GDIWidth, Y: 0}: {17, 44, 52, 53},
+		{X: 0, Y: 0}:        {28, 37},
+	}
+	got := make(map[geom.Point][]graph.NodeID)
+	for i, p := range l.Points {
+		got[p] = append(got[p], graph.NodeID(i))
+	}
+	for p, ids := range got {
+		if len(ids) < 2 {
+			continue
+		}
+		if !slices.Equal(ids, want[p]) {
+			t.Errorf("nodes %v share %v, want %v", ids, p, want[p])
+		}
+		for _, u := range ids[1:] {
+			if w, err := g.Weight(ids[0], u); err != nil || w != 0 {
+				t.Errorf("link %d-%d: weight %v, %v; want 0", ids[0], u, w, err)
+			}
+		}
+	}
+	for p, ids := range want {
+		if len(got[p]) < 2 {
+			t.Errorf("no stacked nodes at %v, want %v", p, ids)
+		}
+	}
+}
+
+// TestEnsureConnectedReturnsFinalGraph checks that the graph the repair
+// hands back is the connectivity graph of the repaired points: the same
+// neighbours in the same adjacency order, with bit-identical weights.
+func TestEnsureConnectedReturnsFinalGraph(t *testing.T) {
+	check := func(name string, l *Layout, g *graph.Undirected) {
+		t.Helper()
+		want := l.ConnectivityGraph(50)
+		if g.Len() != want.Len() {
+			t.Fatalf("%s: %d nodes, want %d", name, g.Len(), want.Len())
+		}
+		for u := 0; u < g.Len(); u++ {
+			id := graph.NodeID(u)
+			gn, wn := g.Neighbors(id), want.Neighbors(id)
+			if !slices.Equal(gn, wn) {
+				t.Fatalf("%s: node %d neighbours %v, want %v", name, u, gn, wn)
+			}
+			for _, v := range gn {
+				gw, _ := g.Weight(id, v)
+				ww, _ := want.Weight(id, v)
+				if math.Float64bits(gw) != math.Float64bits(ww) {
+					t.Fatalf("%s: link %d-%d weight %v, want %v", name, u, v, gw, ww)
+				}
+			}
+		}
+	}
+	l, g := GreatDuckIsland()
+	check("gdi", l, g)
+	sizes := []int{45, 1000, 10000}
+	if testing.Short() {
+		sizes = sizes[:2]
+	}
+	for _, n := range sizes {
+		for seed := int64(1); seed <= 3; seed++ {
+			l, g := Scaled(n, seed)
+			check(fmt.Sprintf("scaled(%d,%d)", n, seed), l, g)
+		}
+	}
+	for seed := int64(1); seed <= 3; seed++ {
+		l, g := ScaledClustered(500, seed)
+		check(fmt.Sprintf("clustered(500,%d)", seed), l, g)
+	}
+	// A sparse layout the repair has to move.
+	sparse := UniformRandom(60, geom.NewRect(0, 0, 400, 400), 5)
+	if sparse.ConnectivityGraph(50).Connected() {
+		t.Fatal("test precondition: sparse layout should start disconnected")
+	}
+	check("sparse", sparse, sparse.EnsureConnected(50))
+}
+
 func TestGreatDuckIslandDeterministic(t *testing.T) {
-	a, b := GreatDuckIsland(), GreatDuckIsland()
+	a, _ := GreatDuckIsland()
+	b, _ := GreatDuckIsland()
 	for i := range a.Points {
 		if a.Points[i] != b.Points[i] {
 			t.Fatalf("node %d differs across calls: %v vs %v", i, a.Points[i], b.Points[i])
@@ -106,7 +193,7 @@ func TestClusteredStaysInArea(t *testing.T) {
 func TestScaledDensity(t *testing.T) {
 	ref := float64(GDINodes) / (GDIWidth * GDIHeight)
 	for _, n := range []int{50, 100, 150, 200, 250} {
-		l := Scaled(n, 7)
+		l, g := Scaled(n, 7)
 		if l.Len() != n {
 			t.Fatalf("Scaled(%d) has %d nodes", n, l.Len())
 		}
@@ -114,7 +201,7 @@ func TestScaledDensity(t *testing.T) {
 		if d < ref*0.99 || d > ref*1.01 {
 			t.Errorf("Scaled(%d) density %v, want ≈ %v", n, d, ref)
 		}
-		if !l.ConnectivityGraph(50).Connected() {
+		if !g.Connected() {
 			t.Errorf("Scaled(%d) not connected", n)
 		}
 	}

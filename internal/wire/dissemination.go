@@ -139,7 +139,10 @@ func CostTables(inst *plan.Instance, t *plan.Tables, model radio.Model, base gra
 		if err != nil {
 			return nil, err
 		}
-		hops := bfs.Hops(n)
+		hops, err := bfs.Hops(n)
+		if err != nil {
+			return nil, err
+		}
 		if hops < 0 {
 			return nil, fmt.Errorf("wire: node %d unreachable from base %d", n, base)
 		}

@@ -139,7 +139,10 @@ func DisseminateTables(inst *plan.Instance, t *plan.Tables, model radio.Model, b
 			res.Updated = append(res.Updated, n)
 			continue
 		}
-		path := bfs.PathTo(n)
+		path, err := bfs.PathTo(n)
+		if err != nil {
+			return nil, err
+		}
 		if path == nil || sched != nil && sched.NodeDead(round, n) {
 			res.Failed = append(res.Failed, n)
 			continue

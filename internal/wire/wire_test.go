@@ -140,7 +140,7 @@ func TestAppendUnitErrors(t *testing.T) {
 // planFixture builds an optimized plan over a small random network.
 func planFixture(t testing.TB, seed int64) (*plan.Instance, *plan.Plan, *plan.Tables) {
 	t.Helper()
-	l := topology.UniformRandom(40, topology.GreatDuckIsland().Area, seed)
+	l := topology.UniformRandom(40, topology.GDIArea(), seed)
 	l.EnsureConnected(50)
 	g := l.ConnectivityGraph(50)
 	rng := rand.New(rand.NewSource(seed))

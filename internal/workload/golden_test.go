@@ -24,12 +24,14 @@ const generateGolden = "7ffbe8c070954b0206bc34ed61b2e97d8ba9821ca78421a9f4fa5f4f
 // dispersions and network shapes, plus destinations that cannot reach as
 // many sources as asked for.
 func TestGenerateByteIdentity(t *testing.T) {
+	_, random := topology.Scaled(300, 1)
+	_, clustered := topology.ScaledClustered(300, 2)
 	nets := []struct {
 		name string
 		g    *graph.Undirected
 	}{
-		{"random", topology.Scaled(300, 1).ConnectivityGraph(50)},
-		{"clustered", topology.ScaledClustered(300, 2).ConnectivityGraph(50)},
+		{"random", random},
+		{"clustered", clustered},
 		{"grid", topology.Grid(15, 15, 10).ConnectivityGraph(15)},
 	}
 	h := sha256.New()

@@ -11,7 +11,6 @@ import (
 	"math"
 	"math/rand"
 	"slices"
-	"sort"
 
 	"m2m/internal/agg"
 	"m2m/internal/graph"
@@ -77,10 +76,11 @@ func Generate(g *graph.Undirected, cfg Config) ([]agg.Spec, error) {
 
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	perm := rng.Perm(n)
+	dr := &drawer{g: g, cfg: cfg, walk: g.Walk(0)}
 	specs := make([]agg.Spec, 0, nDests)
 	for i := 0; i < nDests; i++ {
 		d := graph.NodeID(perm[i])
-		sources, err := drawSources(g, d, cfg, rng)
+		sources, err := dr.draw(d, rng)
 		if err != nil {
 			return nil, err
 		}
@@ -102,30 +102,49 @@ func Generate(g *graph.Undirected, cfg Config) ([]agg.Spec, error) {
 	return specs, nil
 }
 
-// drawSources samples cfg.SourcesPerDest distinct sources for destination
-// d by hop distance. Buckets that run out of nodes have their probability
+// drawer samples source sets destination by destination. It keeps one
+// walk, reset per destination, and the candidate buckets in one flat
+// buffer, so a workload allocates its sampling storage once.
+type drawer struct {
+	g    *graph.Undirected
+	cfg  Config
+	walk *graph.Walk
+	// buf holds the candidates: bucket h (hop distance h) is
+	// buf[start[h]:start[h]+free[h]], ascending by ID, and holds only the
+	// nodes not chosen yet.
+	buf   []graph.NodeID
+	start []int
+	free  []int
+	w     []float64 // w[h] is bucket h's unnormalized probability
+}
+
+// draw samples cfg.SourcesPerDest distinct sources for destination d by
+// hop distance. Buckets that run out of nodes have their probability
 // renormalized over the remaining buckets; if hops 1..MaxHops cannot
 // supply enough nodes, the hop limit is extended (networks smaller than
-// the workload demands would otherwise be unusable).
-func drawSources(g *graph.Undirected, d graph.NodeID, cfg Config, rng *rand.Rand) ([]graph.NodeID, error) {
-	walk := g.Walk(d)
+// the workload demands would otherwise be unusable). The sources come
+// back sorted.
+func (dr *drawer) draw(d graph.NodeID, rng *rand.Rand) ([]graph.NodeID, error) {
+	g, cfg, walk := dr.g, dr.cfg, dr.walk
+	walk.Reset(d)
 	if cfg.MaxHops == 0 {
 		// Uniform over the whole reachable network.
-		var candidates []graph.NodeID
+		candidates := dr.buf[:0]
 		for u := 0; u < g.Len(); u++ {
 			id := graph.NodeID(u)
 			if id != d && walk.Hops(id) >= 0 {
 				candidates = append(candidates, id)
 			}
 		}
+		dr.buf = candidates
 		if len(candidates) < cfg.SourcesPerDest {
 			return nil, fmt.Errorf("workload: destination %d can reach only %d nodes", d, len(candidates))
 		}
 		rng.Shuffle(len(candidates), func(i, j int) {
 			candidates[i], candidates[j] = candidates[j], candidates[i]
 		})
-		out := append([]graph.NodeID(nil), candidates[:cfg.SourcesPerDest]...)
-		sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+		out := slices.Clone(candidates[:cfg.SourcesPerDest])
+		slices.Sort(out)
 		return out, nil
 	}
 
@@ -134,101 +153,81 @@ func drawSources(g *graph.Undirected, d graph.NodeID, cfg Config, rng *rand.Rand
 	// buckets so far cannot supply enough sources. The walk explores no
 	// further than the last bucket, and runs out only if d's whole
 	// component is too small.
-	buckets := [][]graph.NodeID{nil} // buckets[h]; d alone is at hop 0
+	dr.buf = dr.buf[:0]
+	dr.start = append(dr.start[:0], 0) // bucket 0 (d alone) is empty
+	dr.free = append(dr.free[:0], 0)
 	supply := 0
 	for h := 1; h <= cfg.MaxHops || supply < cfg.SourcesPerDest; h++ {
 		layer := walk.Layer(h)
 		if layer == nil {
 			break
 		}
-		b := slices.Clone(layer)
-		slices.Sort(b)
-		buckets = append(buckets, b)
-		supply += len(b)
+		at := len(dr.buf)
+		dr.buf = append(dr.buf, layer...)
+		slices.Sort(dr.buf[at:])
+		dr.start = append(dr.start, at)
+		dr.free = append(dr.free, len(layer))
+		supply += len(layer)
 	}
 	if supply < cfg.SourcesPerDest {
 		return nil, fmt.Errorf("workload: destination %d can reach only %d nodes", d, supply)
 	}
-	limit := len(buckets) - 1
+	limit := len(dr.start) - 1
 
 	// Bucket probabilities: d^(h-1) normalized. 0^0 = 1 by convention.
-	weightOf := func(h int) float64 {
-		if cfg.Dispersion == 0 {
-			if h == 1 {
-				return 1
-			}
-			return 0
+	dr.w = slices.Grow(dr.w[:0], limit+1)[:limit+1]
+	for h := 1; h <= limit; h++ {
+		switch {
+		case cfg.Dispersion != 0:
+			dr.w[h] = math.Pow(cfg.Dispersion, float64(h-1))
+		case h == 1:
+			dr.w[h] = 1
+		default:
+			dr.w[h] = 0
 		}
-		return math.Pow(cfg.Dispersion, float64(h-1))
 	}
 
-	chosen := make(map[graph.NodeID]bool)
-	for len(chosen) < cfg.SourcesPerDest {
+	out := make([]graph.NodeID, 0, cfg.SourcesPerDest)
+	for len(out) < cfg.SourcesPerDest {
 		// Renormalize over buckets that still have unchosen nodes.
-		type hb struct {
-			h int
-			w float64
-		}
-		var avail []hb
-		sum := 0.0
+		sum, last := 0.0, 0
 		for h := 1; h <= limit; h++ {
-			free := 0
-			for _, id := range buckets[h] {
-				if !chosen[id] {
-					free++
-				}
-			}
-			if free == 0 {
-				continue
-			}
-			w := weightOf(h)
-			if w > 0 {
-				avail = append(avail, hb{h: h, w: w})
-				sum += w
+			if dr.free[h] > 0 && dr.w[h] > 0 {
+				sum += dr.w[h]
+				last = h
 			}
 		}
-		if len(avail) == 0 {
+		// Sample a bucket, then a free node uniformly inside it. The
+		// fallback below draws x too, as a choice among one bucket.
+		x := rng.Float64() * sum
+		h := last
+		if last == 0 {
 			// Dispersion 0 exhausted hop 1 (or all weighted buckets empty):
 			// fall back to the nearest hop with free nodes.
-			for h := 1; h <= limit; h++ {
-				for _, id := range buckets[h] {
-					if !chosen[id] {
-						avail = append(avail, hb{h: h, w: 1})
-						sum = 1
-						break
-					}
-				}
-				if len(avail) > 0 {
-					break
-				}
+			for h = 1; h <= limit && dr.free[h] == 0; h++ {
 			}
-			if len(avail) == 0 {
+			if h > limit {
 				return nil, fmt.Errorf("workload: destination %d ran out of candidates", d)
 			}
 		}
-		// Sample a bucket, then a free node uniformly inside it.
-		x := rng.Float64() * sum
-		h := avail[len(avail)-1].h
-		for _, b := range avail {
-			if x < b.w {
-				h = b.h
+		for b := 1; b < last; b++ {
+			if dr.free[b] == 0 || dr.w[b] == 0 {
+				continue
+			}
+			if x < dr.w[b] {
+				h = b
 				break
 			}
-			x -= b.w
+			x -= dr.w[b]
 		}
-		var free []graph.NodeID
-		for _, id := range buckets[h] {
-			if !chosen[id] {
-				free = append(free, id)
-			}
-		}
-		chosen[free[rng.Intn(len(free))]] = true
+		// Take the k-th free node and close the gap, so the bucket stays
+		// ascending and holds only free nodes.
+		k := rng.Intn(dr.free[h])
+		bucket := dr.buf[dr.start[h] : dr.start[h]+dr.free[h]]
+		out = append(out, bucket[k])
+		copy(bucket[k:], bucket[k+1:])
+		dr.free[h]--
 	}
-
-	out := make([]graph.NodeID, 0, len(chosen))
-	for id := range chosen {
-		out = append(out, id)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out, nil
 }

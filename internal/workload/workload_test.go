@@ -11,7 +11,8 @@ import (
 
 func gdiGraph(t testing.TB) *graph.Undirected {
 	t.Helper()
-	return topology.GreatDuckIsland().ConnectivityGraph(50)
+	_, g := topology.GreatDuckIsland()
+	return g
 }
 
 func TestGenerateBasics(t *testing.T) {
@@ -76,7 +77,7 @@ func TestDispersionZeroKeepsSourcesAdjacent(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, sp := range specs {
-		bfs := g.BFS(sp.Dest)
+		bfs := g.Walk(sp.Dest)
 		for _, s := range sp.Func.Sources() {
 			if h := bfs.Hops(s); h > 2 {
 				// Hop-1 preferred; fallback may spill to the nearest
@@ -98,7 +99,7 @@ func TestDispersionOneSpreadsSources(t *testing.T) {
 	// must sit beyond hop 1.
 	far, total := 0, 0
 	for _, sp := range specs {
-		bfs := g.BFS(sp.Dest)
+		bfs := g.Walk(sp.Dest)
 		for _, s := range sp.Func.Sources() {
 			total++
 			if bfs.Hops(s) > 1 {
@@ -123,7 +124,7 @@ func TestDispersionDistributionShape(t *testing.T) {
 	counts := map[int]int{}
 	total := 0
 	for _, sp := range specs {
-		bfs := g.BFS(sp.Dest)
+		bfs := g.Walk(sp.Dest)
 		for _, s := range sp.Func.Sources() {
 			counts[bfs.Hops(s)]++
 			total++
@@ -151,7 +152,7 @@ func TestUniformModeIgnoresDistance(t *testing.T) {
 	// Some sources should be far away (uniform over the network).
 	far := 0
 	for _, sp := range specs {
-		bfs := g.BFS(sp.Dest)
+		bfs := g.Walk(sp.Dest)
 		for _, s := range sp.Func.Sources() {
 			if bfs.Hops(s) > 2 {
 				far++

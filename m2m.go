@@ -151,14 +151,11 @@ type Network struct {
 	Radio  radio.Model
 }
 
-// newNetwork derives connectivity from a layout under the default radio.
-func newNetwork(l *topology.Layout) *Network {
-	model := radio.DefaultModel()
-	return &Network{
-		Layout: l,
-		Graph:  l.ConnectivityGraph(model.RangeMeters),
-		Radio:  model,
-	}
+// newNetwork bundles a layout with its connectivity graph at the default
+// radio range under the default radio. The repaired layouts hand over
+// the graph their repair proved connected.
+func newNetwork(l *topology.Layout, g *graph.Undirected) *Network {
+	return &Network{Layout: l, Graph: g, Radio: radio.DefaultModel()}
 }
 
 // GreatDuckIsland returns the paper's evaluation network: 68 nodes in a
@@ -179,7 +176,8 @@ func ClusteredNetwork(n int, seed int64) *Network {
 
 // GridNetwork returns an nx × ny lattice with the given spacing in meters.
 func GridNetwork(nx, ny int, spacing float64) *Network {
-	return newNetwork(topology.Grid(nx, ny, spacing))
+	l := topology.Grid(nx, ny, spacing)
+	return newNetwork(l, l.ConnectivityGraph(radio.DefaultRangeMeters))
 }
 
 // Len returns the node count.

@@ -1013,7 +1013,10 @@ func (s *ResilientSession) sendBeacon(bfs *graph.PathTree, n NodeID, attempts ma
 	if err != nil {
 		return nil, err
 	}
-	path := bfs.PathTo(n)
+	path, err := bfs.PathTo(n)
+	if err != nil {
+		return nil, err
+	}
 	if path == nil {
 		return nil, nil // severed from the base: nothing to piggyback on
 	}
