@@ -13,33 +13,50 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"m2m"
 )
 
 func main() {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, "m2mplan:", err)
+		os.Exit(1)
+	}
+}
+
+// run parses args, plans the workload and writes the requested view of
+// the plan to out.
+func run(args []string, out io.Writer) error {
+	fs := flag.NewFlagSet("m2mplan", flag.ExitOnError)
 	var (
-		dests      = flag.Float64("dests", 0.2, "fraction of nodes acting as destinations")
-		sources    = flag.Int("sources", 20, "sources per destination")
-		dispersion = flag.Float64("dispersion", 0.9, "dispersion factor d")
-		seed       = flag.Int64("seed", 1, "workload seed")
-		edges      = flag.Bool("edges", false, "print per-edge solutions")
-		node       = flag.Int("node", -1, "print one node's tables")
-		asJSON     = flag.Bool("json", false, "dump the whole plan as JSON and exit")
-		asDOT      = flag.Bool("dot", false, "dump the plan as Graphviz DOT and exit")
-		wlFile     = flag.String("workload", "", "load the workload from a spec file instead of generating it")
+		dests      = fs.Float64("dests", 0.2, "fraction of nodes acting as destinations")
+		sources    = fs.Int("sources", 20, "sources per destination")
+		dispersion = fs.Float64("dispersion", 0.9, "dispersion factor d")
+		seed       = fs.Int64("seed", 1, "workload seed")
+		edges      = fs.Bool("edges", false, "print per-edge solutions")
+		node       = fs.Int("node", -1, "print one node's tables")
+		asJSON     = fs.Bool("json", false, "dump the whole plan as JSON and exit")
+		asDOT      = fs.Bool("dot", false, "dump the plan as Graphviz DOT and exit")
+		wlFile     = fs.String("workload", "", "load the workload from a spec file instead of generating it")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	net := m2m.GreatDuckIsland()
 	var specs []m2m.Spec
 	if *wlFile != "" {
 		f, err := os.Open(*wlFile)
-		check(err)
+		if err != nil {
+			return err
+		}
 		specs, err = m2m.ParseWorkload(f)
 		f.Close()
-		check(err)
+		if err != nil {
+			return err
+		}
 	} else {
 		var err error
 		specs, err = net.GenerateWorkload(m2m.WorkloadConfig{
@@ -49,22 +66,29 @@ func main() {
 			MaxHops:        4,
 			Seed:           *seed,
 		})
-		check(err)
+		if err != nil {
+			return err
+		}
 	}
 	inst, err := net.NewInstance(specs, m2m.RouterReversePath)
-	check(err)
+	if err != nil {
+		return err
+	}
 	p, err := m2m.Optimize(inst)
-	check(err)
+	if err != nil {
+		return err
+	}
 	if *asJSON {
-		check(p.WriteJSON(os.Stdout))
-		return
+		return p.WriteJSON(out)
 	}
 	if *asDOT {
-		writeDOT(net, inst, p)
-		return
+		writeDOT(out, net, inst, p)
+		return nil
 	}
 	tables, err := p.BuildTables()
-	check(err)
+	if err != nil {
+		return err
+	}
 
 	rawUnits, aggUnits := 0, 0
 	for _, u := range p.Units() {
@@ -74,37 +98,38 @@ func main() {
 			aggUnits++
 		}
 	}
-	fmt.Printf("plan summary\n")
-	fmt.Printf("  workload:        %d destinations × %d sources\n", len(specs), *sources)
-	fmt.Printf("  directed edges:  %d\n", len(inst.EdgeList))
-	fmt.Printf("  message units:   %d raw + %d records = %d\n", rawUnits, aggUnits, rawUnits+aggUnits)
-	fmt.Printf("  body bytes:      %d\n", p.TotalBodyBytes())
-	fmt.Printf("  state entries:   %d (%d bytes to disseminate)\n",
+	fmt.Fprintf(out, "plan summary\n")
+	fmt.Fprintf(out, "  workload:        %d destinations × %d sources\n", len(specs), *sources)
+	fmt.Fprintf(out, "  directed edges:  %d\n", len(inst.EdgeList))
+	fmt.Fprintf(out, "  message units:   %d raw + %d records = %d\n", rawUnits, aggUnits, rawUnits+aggUnits)
+	fmt.Fprintf(out, "  body bytes:      %d\n", p.TotalBodyBytes())
+	fmt.Fprintf(out, "  state entries:   %d (%d bytes to disseminate)\n",
 		tables.TotalEntries(), tables.StateBytes())
 
 	if *edges {
-		fmt.Println("\nper-edge decisions (raw sources | aggregated destinations):")
+		fmt.Fprintln(out, "\nper-edge decisions (raw sources | aggregated destinations):")
 		for i, e := range inst.EdgeList {
 			sol := p.Sol[i]
-			fmt.Printf("  %3d→%-3d raw=%v agg=%v\n", e.From, e.To, keys(sol.Raw), keys(sol.Agg))
+			fmt.Fprintf(out, "  %3d→%-3d raw=%v agg=%v\n", e.From, e.To, keys(sol.Raw), keys(sol.Agg))
 		}
 	}
 	if *node >= 0 {
 		n := m2m.NodeID(*node)
-		fmt.Printf("\ntables at node %d:\n", n)
-		fmt.Printf("  raw:      %v\n", tables.Raw[n])
-		fmt.Printf("  pre-agg:  %v\n", tables.PreAgg[n])
-		fmt.Printf("  partial:  %v\n", tables.Partial[n])
-		fmt.Printf("  outgoing: %v\n", tables.Outgoing[n])
+		fmt.Fprintf(out, "\ntables at node %d:\n", n)
+		fmt.Fprintf(out, "  raw:      %v\n", tables.Raw[n])
+		fmt.Fprintf(out, "  pre-agg:  %v\n", tables.PreAgg[n])
+		fmt.Fprintf(out, "  partial:  %v\n", tables.Partial[n])
+		fmt.Fprintf(out, "  outgoing: %v\n", tables.Outgoing[n])
 	}
+	return nil
 }
 
 // writeDOT renders the plan as a directed graph: sources are boxes,
 // destinations doublecircles, and each plan edge is labeled with its raw
 // and record unit counts.
-func writeDOT(net *m2m.Network, inst *m2m.Instance, p *m2m.Plan) {
-	fmt.Println("digraph m2mplan {")
-	fmt.Println("  node [shape=point, width=0.08];")
+func writeDOT(out io.Writer, net *m2m.Network, inst *m2m.Instance, p *m2m.Plan) {
+	fmt.Fprintln(out, "digraph m2mplan {")
+	fmt.Fprintln(out, "  node [shape=point, width=0.08];")
 	isDest := make(map[m2m.NodeID]bool)
 	isSrc := make(map[m2m.NodeID]bool)
 	for _, sp := range inst.Specs {
@@ -124,13 +149,13 @@ func writeDOT(net *m2m.Network, inst *m2m.Instance, p *m2m.Plan) {
 		case isSrc[id]:
 			attrs += ", shape=box, width=0.15, label=\"" + fmt.Sprint(i) + "\""
 		}
-		fmt.Printf("  n%d [%s];\n", i, attrs)
+		fmt.Fprintf(out, "  n%d [%s];\n", i, attrs)
 	}
 	for i, e := range inst.EdgeList {
 		sol := p.Sol[i]
-		fmt.Printf("  n%d -> n%d [label=\"%dr/%da\"];\n", e.From, e.To, len(sol.Raw), len(sol.Agg))
+		fmt.Fprintf(out, "  n%d -> n%d [label=\"%dr/%da\"];\n", e.From, e.To, len(sol.Raw), len(sol.Agg))
 	}
-	fmt.Println("}")
+	fmt.Fprintln(out, "}")
 }
 
 func keys(m map[m2m.NodeID]bool) []m2m.NodeID {
@@ -144,11 +169,4 @@ func keys(m map[m2m.NodeID]bool) []m2m.NodeID {
 		}
 	}
 	return out
-}
-
-func check(err error) {
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "m2mplan:", err)
-		os.Exit(1)
-	}
 }
