@@ -157,7 +157,7 @@ func BenchmarkOptimize(b *testing.B) {
 // instance1k is a 1000-node uniform random topology with 20 destinations ×
 // 20 sources, kept as a testing.B input so CI's bench-smoke exercises the
 // planner and engine construction beyond the 68-node evaluation network.
-func instance1k(b *testing.B) (*Network, *Instance) {
+func instance1k(b testing.TB) (*Network, *Instance) {
 	b.Helper()
 	net := RandomNetwork(1000, 1)
 	specs, err := net.GenerateWorkload(WorkloadConfig{
@@ -280,6 +280,64 @@ func BenchmarkGenerateWorkload10k(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := net.GenerateWorkload(cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// instance10k is plan-10k's shape: a 10,000-node uniform random topology
+// with 200 destinations × 20 sources.
+func instance10k(b *testing.B) (*Network, *Instance) {
+	b.Helper()
+	net := RandomNetwork(10000, 1)
+	specs, err := net.GenerateWorkload(WorkloadConfig{NumDests: 200, SourcesPerDest: 20, Dispersion: 0.9, MaxHops: 4, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	inst, err := net.NewInstance(specs, RouterReversePath)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return net, inst
+}
+
+// BenchmarkNewInstance10k measures routing plan-10k's workload: one job
+// per destination, spread over GOMAXPROCS router forks.
+func BenchmarkNewInstance10k(b *testing.B) {
+	net, inst := instance10k(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := net.NewInstance(inst.Specs, RouterReversePath); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkOptimize10k measures solving plan-10k's edges into one flat
+// cover array.
+func BenchmarkOptimize10k(b *testing.B) {
+	_, inst := instance10k(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Optimize(inst); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkNewEngine10k measures compiling plan-10k's optimal plan.
+func BenchmarkNewEngine10k(b *testing.B) {
+	net, inst := instance10k(b)
+	p, err := Optimize(inst)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := sim.NewEngine(p, net.Radio, sim.Options{MergeMessages: true}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -439,10 +497,11 @@ func BenchmarkVertexCover(b *testing.B) {
 			}
 		}
 	}
+	var sol vcover.Solution
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := vcover.Solve(p); err != nil {
+		if err := vcover.Solve(p, &sol); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -109,8 +109,8 @@ func run(args []string, out io.Writer) error {
 	if *edges {
 		fmt.Fprintln(out, "\nper-edge decisions (raw sources | aggregated destinations):")
 		for i, e := range inst.EdgeList {
-			sol := p.Sol[i]
-			fmt.Fprintf(out, "  %3d→%-3d raw=%v agg=%v\n", e.From, e.To, keys(sol.Raw), keys(sol.Agg))
+			r := p.Row(i)
+			fmt.Fprintf(out, "  %3d→%-3d raw=%v agg=%v\n", e.From, e.To, flagged(r.Sources, r.Raw), flagged(r.Dests, r.Agg))
 		}
 	}
 	if *node >= 0 {
@@ -152,20 +152,19 @@ func writeDOT(out io.Writer, net *m2m.Network, inst *m2m.Instance, p *m2m.Plan) 
 		fmt.Fprintf(out, "  n%d [%s];\n", i, attrs)
 	}
 	for i, e := range inst.EdgeList {
-		sol := p.Sol[i]
-		fmt.Fprintf(out, "  n%d -> n%d [label=\"%dr/%da\"];\n", e.From, e.To, len(sol.Raw), len(sol.Agg))
+		r := p.Row(i)
+		fmt.Fprintf(out, "  n%d -> n%d [label=\"%dr/%da\"];\n", e.From, e.To,
+			len(flagged(r.Sources, r.Raw)), len(flagged(r.Dests, r.Agg)))
 	}
 	fmt.Fprintln(out, "}")
 }
 
-func keys(m map[m2m.NodeID]bool) []m2m.NodeID {
-	out := make([]m2m.NodeID, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
+// flagged returns the nodes whose flag is set, in list order.
+func flagged(nodes []m2m.NodeID, flags []bool) []m2m.NodeID {
+	out := make([]m2m.NodeID, 0, len(nodes))
+	for k, n := range nodes {
+		if flags[k] {
+			out = append(out, n)
 		}
 	}
 	return out

@@ -15,6 +15,7 @@ package distopt
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"m2m/internal/agg"
@@ -113,11 +114,7 @@ func Optimize(inst *plan.Instance, model radio.Model) (*Result, error) {
 	// cover with the global key scheme (2·node for the source role,
 	// 2·node+1 for the destination role) — the consistent tiebreak
 	// Theorem 1 requires.
-	p := &plan.Plan{
-		Inst:   inst,
-		Method: plan.MethodOptimal,
-		Sol:    make([]*plan.EdgeSolution, len(inst.EdgeList)),
-	}
+	p := plan.NewPlan(inst, plan.MethodOptimal)
 	var ids []graph.NodeID
 	for id := range nodes {
 		ids = append(ids, id)
@@ -132,11 +129,9 @@ func Optimize(inst *plan.Instance, model radio.Model) (*Result, error) {
 			}
 		}
 		for e, infos := range n.outPairs {
-			sol, err := solveLocal(infos)
-			if err != nil {
+			if err := solveLocal(infos, p.Row(inst.EdgeIndex(e))); err != nil {
 				return nil, fmt.Errorf("distopt: node %d edge %v: %w", id, e, err)
 			}
-			p.Sol[inst.EdgeIndex(e)] = sol
 		}
 	}
 
@@ -151,8 +146,10 @@ func Optimize(inst *plan.Instance, model radio.Model) (*Result, error) {
 	return res, nil
 }
 
-// solveLocal solves one edge's cover from the node's local pair table.
-func solveLocal(infos []pairInfo) (*plan.EdgeSolution, error) {
+// solveLocal solves one edge's cover from the node's local pair table
+// into the edge's row of the assembled plan. The node lists its sources
+// and destinations ascending, as the row does.
+func solveLocal(infos []pairInfo, row plan.Row) error {
 	srcIdx := make(map[graph.NodeID]int)
 	dstIdx := make(map[graph.NodeID]int)
 	prob := &vcover.Problem{}
@@ -167,8 +164,11 @@ func solveLocal(infos []pairInfo) (*plan.EdgeSolution, error) {
 			dsts = append(dsts, pi.dest)
 		}
 	}
-	sort.Slice(srcs, func(i, j int) bool { return srcs[i] < srcs[j] })
-	sort.Slice(dsts, func(i, j int) bool { return dsts[i] < dsts[j] })
+	slices.Sort(srcs)
+	slices.Sort(dsts)
+	if !slices.Equal(srcs, row.Sources) || !slices.Equal(dsts, row.Dests) {
+		return fmt.Errorf("local view %v→%v differs from the instance's %v→%v", srcs, dsts, row.Sources, row.Dests)
+	}
 	for i, s := range srcs {
 		srcIdx[s] = i
 		prob.U = append(prob.U, vcover.Vertex{Key: int(s) * 2, Weight: int64(agg.RawUnitBytes)})
@@ -189,20 +189,5 @@ func solveLocal(infos []pairInfo) (*plan.EdgeSolution, error) {
 			prob.Edges = append(prob.Edges, k)
 		}
 	}
-	cover, err := vcover.Solve(prob)
-	if err != nil {
-		return nil, err
-	}
-	sol := plan.NewEdgeSolution()
-	for i, s := range srcs {
-		if cover.InU[i] {
-			sol.Raw[s] = true
-		}
-	}
-	for j, d := range dsts {
-		if cover.InV[j] {
-			sol.Agg[d] = true
-		}
-	}
-	return sol, nil
+	return vcover.Solve(prob, &vcover.Solution{InU: row.Raw, InV: row.Agg})
 }

@@ -2,6 +2,7 @@ package distopt
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"m2m/internal/agg"
@@ -58,21 +59,13 @@ func TestDistributedMatchesCentralized(t *testing.T) {
 		if got, want := dist.Plan.TotalBodyBytes(), central.TotalBodyBytes(); got != want {
 			t.Fatalf("trial %d: distributed cost %d != centralized %d", trial, got, want)
 		}
-		for i, cSol := range central.Sol {
-			e := central.Inst.EdgeList[i]
-			dSol := dist.Plan.Sol[i]
-			if dSol == nil {
-				t.Fatalf("trial %d: edge %v missing from distributed plan", trial, e)
+		for i, e := range central.Inst.EdgeList {
+			cRow, dRow := central.Row(i), dist.Plan.Row(i)
+			if !slices.Equal(cRow.Raw, dRow.Raw) {
+				t.Fatalf("trial %d: edge %v raw sets differ", trial, e)
 			}
-			for s := range cSol.Raw {
-				if !dSol.Raw[s] {
-					t.Fatalf("trial %d: edge %v raw sets differ", trial, e)
-				}
-			}
-			for d := range cSol.Agg {
-				if !dSol.Agg[d] {
-					t.Fatalf("trial %d: edge %v agg sets differ", trial, e)
-				}
+			if !slices.Equal(cRow.Agg, dRow.Agg) {
+				t.Fatalf("trial %d: edge %v agg sets differ", trial, e)
 			}
 		}
 	}

@@ -30,13 +30,17 @@ func (p *Plan) Export() *ExportedPlan {
 		Bytes:  p.TotalBodyBytes(),
 	}
 	for i, e := range p.Inst.EdgeList {
-		sol := p.Sol[i]
+		r := p.Row(i)
 		ee := ExportedEdge{From: int(e.From), To: int(e.To)}
-		for _, s := range sortedKeys(nil, sol.Raw) {
-			ee.Raw = append(ee.Raw, int(s))
+		for k, s := range r.Sources {
+			if r.Raw[k] {
+				ee.Raw = append(ee.Raw, int(s))
+			}
 		}
-		for _, d := range sortedKeys(nil, sol.Agg) {
-			ee.Agg = append(ee.Agg, int(d))
+		for k, d := range r.Dests {
+			if r.Agg[k] {
+				ee.Agg = append(ee.Agg, int(d))
+			}
 		}
 		out.Edges = append(out.Edges, ee)
 	}

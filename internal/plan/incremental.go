@@ -43,12 +43,13 @@ func Reoptimize(old *Plan, inst *Instance) (*Plan, *UpdateStats, error) {
 // whose price moved re-poses its edges' cover problems.
 //
 // Only edges whose inputs changed (see changedEdges) are solved again;
-// the two edge lists are matched by one merge, and every other solution
-// is carried over by reference (nothing changes a solution once it is
-// built). The Theorem 1 availability check and the coverage check still
+// the two edge lists are matched by one merge, and every other edge's
+// cover row is copied from old (its pair row, and so its end row, is the
+// same). The Theorem 1 availability check and the coverage check still
 // run over the whole plan, and a violation is an error as in Optimize.
 func ReoptimizeWithPrices(old *Plan, inst *Instance, prices map[graph.NodeID]int64) (*Plan, *UpdateStats, error) {
-	p := &Plan{Inst: inst, Method: MethodOptimal, Sol: make([]*EdgeSolution, len(inst.EdgeList)), Prices: prices}
+	p := NewPlan(inst, MethodOptimal)
+	p.Prices = prices
 	stats := &UpdateStats{EdgesTotal: len(inst.EdgeList)}
 	var prevOf []int
 	var vanished int
@@ -60,25 +61,17 @@ func ReoptimizeWithPrices(old *Plan, inst *Instance, prices map[graph.NodeID]int
 	var sc *edgeScratch
 	for i := range inst.EdgeList {
 		if old != nil && !changed[i] {
-			if j := prevOf[i]; j < len(old.Sol) {
-				if prev := old.Sol[j]; prev != nil {
-					// Carry the old solution over by reference, so a
-					// mostly-unchanged reoptimization copies nothing.
-					p.Sol[i] = prev
-					stats.EdgesReused++
-					continue
-				}
-			}
+			copy(p.edgeCover(i), old.edgeCover(prevOf[i]))
+			stats.EdgesReused++
+			continue
 		}
 		if sc == nil {
 			sc = getEdgeScratch()
 			defer putEdgeScratch(sc)
 		}
-		sol, err := solveEdge(inst, i, prices, sc)
-		if err != nil {
+		if err := solveEdge(inst, i, prices, sc, p.Row(i)); err != nil {
 			return nil, nil, err
 		}
-		p.Sol[i] = sol
 		stats.EdgesSolved++
 	}
 	if err := p.checkTheorem1(); err != nil {
@@ -88,7 +81,7 @@ func ReoptimizeWithPrices(old *Plan, inst *Instance, prices map[graph.NodeID]int
 		return nil, nil, err
 	}
 	if old != nil {
-		stats.EdgesChangedSolution = countChangedSolutions(old, p, prevOf, vanished)
+		stats.EdgesChangedSolution = countChangedSolutions(old, p, prevOf, changed, vanished)
 	} else {
 		stats.EdgesChangedSolution = len(inst.EdgeList)
 	}
@@ -163,36 +156,42 @@ func changedEdges(old *Plan, inst *Instance, prices map[graph.NodeID]int64, prev
 	return changed
 }
 
-func sameSolution(a, b *EdgeSolution) bool {
-	if a == b {
-		return true // reused by reference during Reoptimize
-	}
-	if len(a.Raw) != len(b.Raw) || len(a.Agg) != len(b.Agg) {
-		return false
-	}
-	for k := range a.Raw {
-		if !b.Raw[k] {
+// sameSelection reports whether the nodes flagged in as and bs are the
+// same: both node lists are ascending, so this is a merge.
+func sameSelection(an []graph.NodeID, as []bool, bn []graph.NodeID, bs []bool) bool {
+	i, j := 0, 0
+	for {
+		for i < len(an) && !as[i] {
+			i++
+		}
+		for j < len(bn) && !bs[j] {
+			j++
+		}
+		if i == len(an) || j == len(bn) {
+			return i == len(an) && j == len(bn)
+		}
+		if an[i] != bn[j] {
 			return false
 		}
+		i++
+		j++
 	}
-	for k := range a.Agg {
-		if !b.Agg[k] {
-			return false
-		}
-	}
-	return true
 }
 
-// countChangedSolutions counts the edges whose solution differs between
+// sameRow reports whether two edge decisions send the same raw sources and
+// the same records.
+func sameRow(a, b Row) bool {
+	return sameSelection(a.Sources, a.Raw, b.Sources, b.Raw) && sameSelection(a.Dests, a.Agg, b.Dests, b.Agg)
+}
+
+// countChangedSolutions counts the edges whose decision differs between
 // old and new_ (edges present in only one plan included), given the edge
-// match from matchEdges. A solution carried over by reference is unchanged
-// at the cost of a pointer comparison, so only the solved and vanished
-// edges do real work.
-func countChangedSolutions(old, new_ *Plan, prevOf []int, vanished int) int {
+// match from matchEdges. An edge whose inputs did not change had its row
+// copied, so only the solved edges are compared.
+func countChangedSolutions(old, new_ *Plan, prevOf []int, inputsChanged []bool, vanished int) int {
 	changed := vanished // a vanished edge's nodes must drop state
-	for i, sol := range new_.Sol {
-		j := prevOf[i]
-		if j < 0 || j >= len(old.Sol) || old.Sol[j] == nil || !sameSolution(old.Sol[j], sol) {
+	for i, j := range prevOf {
+		if j < 0 || inputsChanged[i] && !sameRow(old.Row(j), new_.Row(i)) {
 			changed++
 		}
 	}

@@ -68,8 +68,8 @@ func TestReoptimizeMatchesFromScratch(t *testing.T) {
 			t.Fatalf("trial %d: incremental cost %d != fresh cost %d",
 				trial, incr.TotalBodyBytes(), fresh.TotalBodyBytes())
 		}
-		for i, sol := range fresh.Sol {
-			if !sameSolution(sol, incr.Sol[i]) {
+		for i, sol := range solutions(fresh) {
+			if !sameSolution(sol, setsOf(incr.Row(i))) {
 				t.Fatalf("trial %d: solutions differ on %v", trial, newInst.EdgeList[i])
 			}
 		}
@@ -119,9 +119,9 @@ func TestCorollary1Locality(t *testing.T) {
 	for i := 0; i+1 < len(path); i++ {
 		onPath[routing.Edge{From: path[i], To: path[i+1]}] = true
 	}
-	for i, sol := range incr.Sol {
+	for i, sol := range solutions(incr) {
 		e := newInst.EdgeList[i]
-		prev := old.Solution(e)
+		prev := solution(old, e)
 		if prev != nil && !sameSolution(prev, sol) && !onPath[e] {
 			t.Errorf("edge %v changed solution but is not on the new pair's path", e)
 		}
@@ -191,9 +191,9 @@ func TestRemoveSourceLocality(t *testing.T) {
 	for i := 0; i+1 < len(oldPath); i++ {
 		onPath[routing.Edge{From: oldPath[i], To: oldPath[i+1]}] = true
 	}
-	for i, sol := range incr.Sol {
+	for i, sol := range solutions(incr) {
 		e := newInst.EdgeList[i]
-		if prev := old.Solution(e); prev != nil && !sameSolution(prev, sol) && !onPath[e] {
+		if prev := solution(old, e); prev != nil && !sameSolution(prev, sol) && !onPath[e] {
 			t.Errorf("edge %v off the removed pair's path changed", e)
 		}
 	}
@@ -231,19 +231,19 @@ func referenceStats(old *Plan, p *Plan) UpdateStats {
 		return true
 	}
 	for _, e := range inst.EdgeList {
-		if prev := old.Solution(e); prev != nil && sameInputs(e) {
+		if prev := solution(old, e); prev != nil && sameInputs(e) {
 			st.EdgesReused++
 		}
 	}
 	st.EdgesSolved = st.EdgesTotal - st.EdgesReused
-	oldSol := make(map[routing.Edge]*EdgeSolution, len(old.Sol))
+	oldSol := make(map[routing.Edge]*edgeSets, len(oldInst.EdgeList))
 	for i, e := range oldInst.EdgeList {
-		oldSol[e] = old.Sol[i]
+		oldSol[e] = setsOf(old.Row(i))
 	}
 	seen := make(map[routing.Edge]bool)
 	for i, e := range inst.EdgeList {
 		seen[e] = true
-		if prev, ok := oldSol[e]; !ok || !sameSolution(prev, p.Sol[i]) {
+		if prev, ok := oldSol[e]; !ok || !sameSolution(prev, setsOf(p.Row(i))) {
 			st.EdgesChangedSolution++
 		}
 	}

@@ -27,8 +27,8 @@ type Pair struct {
 // route crosses it (the ∼_e relation).
 //
 // EdgeList is the planner's one edge index: every per-edge table (the
-// pairs here, Plan.Sol) is a slice aligned with it, and EdgeIndex maps an
-// edge to its position.
+// pair rows and end rows here, a plan's cover rows) is aligned with it,
+// and EdgeIndex maps an edge to its position.
 type Instance struct {
 	Net    *graph.Undirected
 	Router routing.Router
@@ -48,6 +48,12 @@ type Instance struct {
 	// EdgeList.
 	pairOff []int32
 	pairs   []Pair
+	// The distinct sources crossing EdgeList[i] are
+	// ends[endOff[2i]:endOff[2i+1]] and its distinct destinations
+	// ends[endOff[2i+1]:endOff[2i+2]], each ascending: the two vertex sets
+	// of the edge's cover problem, and the layout of every plan's cover.
+	endOff []int32
+	ends   []graph.NodeID
 }
 
 // hop is one (edge, pair) incidence: the path of pr crosses e.
@@ -56,10 +62,28 @@ type hop struct {
 	pr Pair
 }
 
+// minParallelPairs is the smallest workload NewInstance routes on more
+// than one goroutine. Below it, starting goroutines and forking the
+// router's caches costs more than routing the pairs: the 45-node
+// networks of the fault scenarios route a few dozen pairs per replan.
+const minParallelPairs = 256
+
+// routedSpec is the routing of one spec's pairs: their paths in source
+// order, or the first routing error, plus the first suffix violation.
+type routedSpec struct {
+	paths     [][]graph.NodeID
+	err       error
+	suffixErr error
+}
+
 // NewInstance resolves routes for every pair of the workload and verifies
-// the router's per-destination suffix property, reporting the first
-// violation in spec order. Specs must have distinct destinations and
-// non-empty source sets.
+// the router's per-destination suffix property. Each destination's pairs
+// are one routing job; a router that forks (routing.Forker) routes the
+// jobs on up to GOMAXPROCS goroutines, one fork each, and the result is
+// the same as routing them in spec order. The first routing or
+// out-of-range error in (spec, source) order is reported, and otherwise
+// the first suffix violation in spec order. Specs must have distinct
+// destinations and non-empty source sets.
 func NewInstance(net *graph.Undirected, router routing.Router, specs []agg.Spec) (*Instance, error) {
 	inst := &Instance{
 		Net:        net,
@@ -84,47 +108,86 @@ func NewInstance(net *graph.Undirected, router routing.Router, specs []agg.Spec)
 		npairs += len(sources[i])
 	}
 
+	routers := []routing.Router{router}
+	if npairs >= minParallelPairs {
+		for len(routers) < workersFor(len(inst.Specs)) {
+			f := routing.Fork(router)
+			if f == nil {
+				break
+			}
+			routers = append(routers, f)
+		}
+	}
+	checkers := make([]*routing.SuffixChecker, len(routers))
+	jobs := make([]routedSpec, len(inst.Specs))
+	forEach(len(jobs), len(routers), func(w, i int) {
+		if checkers[w] == nil {
+			checkers[w] = routing.NewSuffixChecker(net.Len())
+		}
+		jobs[i] = routeSpec(net, routers[w], checkers[w], inst.Specs[i].Dest, sources[i])
+	})
+	for _, job := range jobs {
+		if job.err != nil {
+			return nil, job.err
+		}
+	}
+	for _, job := range jobs {
+		if job.suffixErr != nil {
+			return nil, fmt.Errorf("plan: router %q unusable: %w", router.Name(), job.suffixErr)
+		}
+	}
+
 	inst.Paths = make(map[Pair][]graph.NodeID, npairs)
-	var hops []hop
-	// A routing error outranks a suffix violation, so the first violation
-	// is remembered while routing goes on.
-	var suffixErr error
-	suffix := routing.NewSuffixChecker(net.Len())
-	for i, sp := range inst.Specs {
-		suffix.Begin(sp.Dest)
-		for _, s := range sources[i] {
-			if int(s) < 0 || int(s) >= net.Len() {
-				return nil, fmt.Errorf("plan: source %d out of range", s)
-			}
-			pr := Pair{Source: s, Dest: sp.Dest}
-			path, err := router.Path(s, sp.Dest)
-			if err != nil {
-				return nil, fmt.Errorf("plan: routing pair %d→%d: %w", s, sp.Dest, err)
-			}
+	nhops := 0
+	for _, job := range jobs {
+		for _, path := range job.paths {
+			nhops += len(path) - 1
+		}
+	}
+	hops := make([]hop, 0, nhops)
+	for i, job := range jobs {
+		for k, path := range job.paths {
+			pr := Pair{Source: sources[i][k], Dest: inst.Specs[i].Dest}
 			inst.Paths[pr] = path
-			if suffixErr != nil {
-				continue
-			}
-			if suffixErr = suffix.Add(path); suffixErr != nil {
-				continue
-			}
 			for j := 0; j+1 < len(path); j++ {
 				hops = append(hops, hop{e: routing.Edge{From: path[j], To: path[j+1]}, pr: pr})
 			}
 		}
 	}
-	if suffixErr != nil {
-		return nil, fmt.Errorf("plan: router %q unusable: %w", router.Name(), suffixErr)
-	}
 	inst.indexEdges(hops)
 	return inst, nil
 }
 
-// indexEdges builds EdgeList and the pair rows from the routed hops. A
-// counting sort by tail node followed by a sort of each tail's few hops by
-// (head, source, dest) orders all hops in one pass; each run of equal
-// edges is then one row. The suffix check has bounded every node to the
-// network.
+// routeSpec routes the pairs of destination d, one per source, in order.
+// It stops at the first routing or out-of-range error; after the first
+// suffix violation it keeps routing, since a later routing error
+// outranks it, but checks no further paths.
+func routeSpec(net *graph.Undirected, router routing.Router, suffix *routing.SuffixChecker, d graph.NodeID, sources []graph.NodeID) routedSpec {
+	out := routedSpec{paths: make([][]graph.NodeID, 0, len(sources))}
+	suffix.Begin(d)
+	for _, s := range sources {
+		if int(s) < 0 || int(s) >= net.Len() {
+			out.err = fmt.Errorf("plan: source %d out of range", s)
+			return out
+		}
+		path, err := router.Path(s, d)
+		if err != nil {
+			out.err = fmt.Errorf("plan: routing pair %d→%d: %w", s, d, err)
+			return out
+		}
+		out.paths = append(out.paths, path)
+		if out.suffixErr == nil {
+			out.suffixErr = suffix.Add(path)
+		}
+	}
+	return out
+}
+
+// indexEdges builds EdgeList, the pair rows and the end rows from the
+// routed hops. A counting sort by tail node followed by a sort of each
+// tail's few hops by (head, source, dest) orders all hops in one pass;
+// each run of equal edges is then one row. The suffix check has bounded
+// every node to the network.
 func (inst *Instance) indexEdges(hops []hop) {
 	n := inst.Net.Len()
 	off, order := graph.GroupBy(len(hops), n, func(i int) int32 { return int32(hops[i].e.From) })
@@ -157,6 +220,28 @@ func (inst *Instance) indexEdges(hops []hop) {
 		inst.pairs[k] = hops[h].pr
 	}
 	inst.pairOff = append(inst.pairOff, int32(len(order)))
+
+	// A row's sources dedup adjacently (the row is sorted by source); its
+	// destinations are sorted and compacted in place.
+	inst.endOff = make([]int32, 1, 2*edges+1)
+	inst.ends = make([]graph.NodeID, 0, len(inst.pairs))
+	for i := range inst.EdgeList {
+		row := inst.Pairs(i)
+		start := len(inst.ends)
+		for _, pr := range row {
+			if len(inst.ends) == start || inst.ends[len(inst.ends)-1] != pr.Source {
+				inst.ends = append(inst.ends, pr.Source)
+			}
+		}
+		inst.endOff = append(inst.endOff, int32(len(inst.ends)))
+		start = len(inst.ends)
+		for _, pr := range row {
+			inst.ends = append(inst.ends, pr.Dest)
+		}
+		slices.Sort(inst.ends[start:])
+		inst.ends = inst.ends[:start+len(slices.Compact(inst.ends[start:]))]
+		inst.endOff = append(inst.endOff, int32(len(inst.ends)))
+	}
 }
 
 // Pairs returns the pairs crossing EdgeList[i], sorted by (Source, Dest).
@@ -176,36 +261,13 @@ func (inst *Instance) EdgeIndex(e routing.Edge) int {
 	return i
 }
 
-// EdgePairs returns the pairs crossing e, sorted by (Source, Dest), or nil
-// if none does.
-func (inst *Instance) EdgePairs(e routing.Edge) []Pair {
-	if i := inst.EdgeIndex(e); i >= 0 {
-		return inst.Pairs(i)
-	}
-	return nil
-}
-
-// EdgeSources returns the distinct sources S_e crossing e, ascending.
-// The pairs are sorted by (Source, Dest), so this is an adjacent dedup.
-func (inst *Instance) EdgeSources(e routing.Edge) []graph.NodeID {
-	var out []graph.NodeID
-	for _, p := range inst.EdgePairs(e) {
-		if n := len(out); n == 0 || out[n-1] != p.Source {
-			out = append(out, p.Source)
-		}
-	}
-	return out
-}
-
-// EdgeDests returns the distinct destinations D_e crossing e, ascending.
-func (inst *Instance) EdgeDests(e routing.Edge) []graph.NodeID {
-	pairs := inst.EdgePairs(e)
-	out := make([]graph.NodeID, 0, len(pairs))
-	for _, p := range pairs {
-		out = append(out, p.Dest)
-	}
-	slices.Sort(out)
-	return slices.Compact(out)
+// Ends returns the distinct sources and the distinct destinations
+// crossing EdgeList[i], each ascending: the two vertex sets of the edge's
+// cover problem (Section 2.2). The slices belong to the instance and must
+// not be modified.
+func (inst *Instance) Ends(i int) (sources, dests []graph.NodeID) {
+	a, b, c := inst.endOff[2*i], inst.endOff[2*i+1], inst.endOff[2*i+2]
+	return inst.ends[a:b:b], inst.ends[b:c:c]
 }
 
 // MulticastSize returns the number of nodes in source s's multicast

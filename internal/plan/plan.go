@@ -24,48 +24,64 @@ const (
 	MethodAggregation Method = "aggregation" // aggregate at the earliest opportunity
 )
 
-// EdgeSolution is the transmit decision for one directed edge: which
-// sources travel raw and which destinations travel as partial aggregate
-// records (the vertex cover of the edge's bipartite problem). The planner
-// never changes a solution once built, so plans share unchanged ones by
-// reference (Reoptimize).
-type EdgeSolution struct {
-	Raw map[graph.NodeID]bool
-	Agg map[graph.NodeID]bool
-}
-
-// NewEdgeSolution returns an empty solution with initialized sets, for
-// alternative planners (e.g. the distributed optimizer) that assemble
-// Plans themselves.
-func NewEdgeSolution() *EdgeSolution {
-	return &EdgeSolution{
-		Raw: make(map[graph.NodeID]bool),
-		Agg: make(map[graph.NodeID]bool),
-	}
-}
-
-// Plan is a global many-to-many aggregation plan: one EdgeSolution per
-// workload edge.
+// Plan is a global many-to-many aggregation plan: the vertex cover of
+// every workload edge's single-edge problem.
 type Plan struct {
 	Inst   *Instance
 	Method Method
-	// Sol holds the solution of every edge, aligned with Inst.EdgeList:
-	// Sol[i] is the solution of Inst.EdgeList[i].
-	Sol []*EdgeSolution
 	// Prices are the per-node energy prices the plan was solved under (nil
 	// or missing entries mean price 1). A node's price multiplies its unit
 	// weight in every edge's vertex-cover problem, so the cover prefers
 	// putting transmission burden on cheap (energy-rich) nodes — the
 	// energy-weighted tiebreak of the evacuation replan.
 	Prices map[graph.NodeID]int64
+
+	// cover is aligned with the instance's end rows: cover[k] is set when
+	// the k-th end is in its edge's cover, a source sending its value raw
+	// or a destination's partial record crossing the edge.
+	cover []bool
 }
 
-// Solution returns the solution of edge e, or nil if no pair crosses e.
-func (p *Plan) Solution(e routing.Edge) *EdgeSolution {
-	if i := p.Inst.EdgeIndex(e); i >= 0 && i < len(p.Sol) {
-		return p.Sol[i]
+// NewPlan returns a plan of inst in which no edge sends anything yet, for
+// planners that fill the cover rows themselves (Row).
+func NewPlan(inst *Instance, method Method) *Plan {
+	return &Plan{Inst: inst, Method: method, cover: make([]bool, len(inst.ends))}
+}
+
+// Row is the transmit decision of one edge: the vertex cover of its
+// bipartite problem, as flags aligned with the edge's distinct sources
+// and destinations (Instance.Ends).
+type Row struct {
+	Sources []graph.NodeID // the distinct sources crossing the edge, ascending
+	Raw     []bool         // Raw[k]: Sources[k]'s value crosses raw
+	Dests   []graph.NodeID // the distinct destinations crossing the edge, ascending
+	Agg     []bool         // Agg[k]: Dests[k]'s partial record crosses
+}
+
+// Row returns the decision on Inst.EdgeList[i]. Its flags are the plan's
+// own storage: writing them changes the plan.
+func (p *Plan) Row(i int) Row {
+	sources, dests := p.Inst.Ends(i)
+	flags, k := p.edgeCover(i), len(sources)
+	return Row{Sources: sources, Raw: flags[:k:k], Dests: dests, Agg: flags[k:]}
+}
+
+// edgeCover returns the cover flags of Inst.EdgeList[i], sources then
+// destinations.
+func (p *Plan) edgeCover(i int) []bool {
+	a, c := p.Inst.endOff[2*i], p.Inst.endOff[2*i+2]
+	return p.cover[a:c:c]
+}
+
+// SendsRecord reports whether destination d's partial record crosses e.
+func (p *Plan) SendsRecord(e routing.Edge, d graph.NodeID) bool {
+	i := p.Inst.EdgeIndex(e)
+	if i < 0 {
+		return false
 	}
-	return nil
+	r := p.Row(i)
+	k, ok := slices.BinarySearch(r.Dests, d)
+	return ok && r.Agg[k]
 }
 
 // priceOf is the effective vertex-cover price of node n: entries below 1
@@ -92,33 +108,23 @@ func Optimize(inst *Instance) (*Plan, error) {
 // OptimizeWithPrices is Optimize with per-node energy prices scaling the
 // cover weights (see Plan.Prices). With a nil map it is exactly Optimize.
 func OptimizeWithPrices(inst *Instance, prices map[graph.NodeID]int64) (*Plan, error) {
-	p := &Plan{Inst: inst, Method: MethodOptimal, Sol: make([]*EdgeSolution, len(inst.EdgeList)), Prices: prices}
+	p := NewPlan(inst, MethodOptimal)
+	p.Prices = prices
 	// The single-edge problems are independent by construction (that is
-	// the point of Theorem 1), so solve them in parallel; results are
-	// identical to a sequential pass regardless of scheduling.
+	// the point of Theorem 1), so solve them in parallel; each writes only
+	// its own row, so results are identical to a sequential pass
+	// regardless of scheduling.
 	errs := make([]error, len(inst.EdgeList))
-	var wg sync.WaitGroup
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(inst.EdgeList) {
-		workers = len(inst.EdgeList)
+	scs := make([]*edgeScratch, workersFor(len(inst.EdgeList)))
+	for w := range scs {
+		scs[w] = getEdgeScratch()
 	}
-	var next int64
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			sc := getEdgeScratch()
-			defer putEdgeScratch(sc)
-			for {
-				i := int(atomic.AddInt64(&next, 1)) - 1
-				if i >= len(inst.EdgeList) {
-					return
-				}
-				p.Sol[i], errs[i] = solveEdge(inst, i, prices, sc)
-			}
-		}()
+	forEach(len(inst.EdgeList), len(scs), func(w, i int) {
+		errs[i] = solveEdge(inst, i, prices, scs[w], p.Row(i))
+	})
+	for _, sc := range scs {
+		putEdgeScratch(sc)
 	}
-	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
 			return nil, err
@@ -131,6 +137,35 @@ func OptimizeWithPrices(inst *Instance, prices map[graph.NodeID]int64) (*Plan, e
 		return nil, fmt.Errorf("plan: internal error: %w", err)
 	}
 	return p, nil
+}
+
+// workersFor returns how many goroutines share n independent jobs: one
+// per available core, and never more than there are jobs.
+func workersFor(n int) int {
+	return max(1, min(runtime.GOMAXPROCS(0), n))
+}
+
+// forEach calls do(w, i) for every i in [0, n) on the given number of
+// goroutines, the calling one included, handing indices out in ascending
+// order. w (0 ≤ w < workers) names the goroutine, so callers keep
+// per-goroutine state (scratch, a router fork) in slices indexed by it.
+func forEach(n, workers int, do func(w, i int)) {
+	var next atomic.Int64
+	run := func(w int) {
+		for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+			do(w, i)
+		}
+	}
+	var wg sync.WaitGroup
+	for w := 1; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			run(w)
+		}(w)
+	}
+	run(0)
+	wg.Wait()
 }
 
 // checkTheorem1 rejects a plan whose independently solved edges do not
@@ -151,13 +186,12 @@ func (p *Plan) checkTheorem1() error {
 // Multicast returns the pure-multicast baseline plan: every value crosses
 // every edge raw and is aggregated only at its destination.
 func Multicast(inst *Instance) *Plan {
-	p := &Plan{Inst: inst, Method: MethodMulticast, Sol: make([]*EdgeSolution, len(inst.EdgeList))}
-	for i, e := range inst.EdgeList {
-		sol := NewEdgeSolution()
-		for _, s := range inst.EdgeSources(e) {
-			sol.Raw[s] = true
+	p := NewPlan(inst, MethodMulticast)
+	for i := range inst.EdgeList {
+		raw := p.Row(i).Raw
+		for k := range raw {
+			raw[k] = true
 		}
-		p.Sol[i] = sol
 	}
 	return p
 }
@@ -166,96 +200,52 @@ func Multicast(inst *Instance) *Plan {
 // value is folded into per-destination partial records at the earliest
 // opportunity (already at the source), as in Figure 1(A)'s bad case.
 func AggregateASAP(inst *Instance) *Plan {
-	p := &Plan{Inst: inst, Method: MethodAggregation, Sol: make([]*EdgeSolution, len(inst.EdgeList))}
-	for i, e := range inst.EdgeList {
-		sol := NewEdgeSolution()
-		for _, d := range inst.EdgeDests(e) {
-			sol.Agg[d] = true
+	p := NewPlan(inst, MethodAggregation)
+	for i := range inst.EdgeList {
+		rec := p.Row(i).Agg
+		for k := range rec {
+			rec[k] = true
 		}
-		p.Sol[i] = sol
 	}
 	return p
 }
 
 // solveEdge reduces edge e = inst.EdgeList[ei] to weighted bipartite
-// vertex cover and solves it exactly. U holds the sources S_e (weight: raw
-// unit bytes), V the
-// destinations D_e (weight: that destination's record unit bytes), with the
-// canonical tiebreak keys 2·node (source role) and 2·node+1 (destination
-// role) shared by every edge in the network. Non-nil prices multiply each
-// endpoint's weight by its node's energy price, biasing the cover toward
-// keeping traffic off expensive (energy-poor) nodes. sc carries the pooled
-// per-worker scratch; the problem it builds is identical to the former
-// map-based construction (an edge's pairs are sorted by (Source, Dest), so
-// sources dedup adjacently and duplicate cover edges are adjacent too).
-func solveEdge(inst *Instance, ei int, prices map[graph.NodeID]int64, sc *edgeScratch) (*EdgeSolution, error) {
-	pairs := inst.Pairs(ei)
-	sc.ensure(inst.Net.Len())
-	sc.sources = sc.sources[:0]
-	sc.dests = sc.dests[:0]
-	for _, pr := range pairs {
-		if n := len(sc.sources); n == 0 || sc.sources[n-1] != pr.Source {
-			sc.sources = append(sc.sources, pr.Source)
-		}
-		if sc.vStamp[pr.Dest] != sc.epoch {
-			sc.vStamp[pr.Dest] = sc.epoch
-			sc.dests = append(sc.dests, pr.Dest)
-		}
-	}
-	slices.Sort(sc.dests)
-
+// vertex cover and solves it exactly into row. U holds the sources S_e
+// (weight: raw unit bytes), V the destinations D_e (weight: that
+// destination's record unit bytes), with the canonical tiebreak keys
+// 2·node (source role) and 2·node+1 (destination role) shared by every
+// edge in the network. Non-nil prices multiply each endpoint's weight by
+// its node's energy price, biasing the cover toward keeping traffic off
+// expensive (energy-poor) nodes. sc carries the pooled per-worker
+// problem. The pair row is sorted by (Source, Dest), so a pair's source
+// index advances with the row and duplicate cover edges are adjacent.
+func solveEdge(inst *Instance, ei int, prices map[graph.NodeID]int64, sc *edgeScratch, row Row) error {
 	prob := &sc.prob
 	prob.U = prob.U[:0]
 	prob.V = prob.V[:0]
 	prob.Edges = prob.Edges[:0]
-	for i, s := range sc.sources {
-		sc.uIdx[s] = int32(i)
+	for _, s := range row.Sources {
 		prob.U = append(prob.U, vcover.Vertex{Key: int(s) * 2, Weight: int64(agg.RawUnitBytes) * priceOf(prices, s)})
 	}
-	for j, d := range sc.dests {
-		sc.vIdx[d] = int32(j)
+	for _, d := range row.Dests {
 		prob.V = append(prob.V, vcover.Vertex{Key: int(d)*2 + 1, Weight: int64(agg.UnitBytes(inst.SpecByDest[d].Func)) * priceOf(prices, d)})
 	}
-	lastI, lastJ := int32(-1), int32(-1)
-	for _, pr := range pairs {
-		i, j := sc.uIdx[pr.Source], sc.vIdx[pr.Dest]
-		if i == lastI && j == lastJ {
-			continue
+	i, last := -1, [2]int{-1, -1}
+	for _, pr := range inst.Pairs(ei) {
+		if i < 0 || row.Sources[i] != pr.Source {
+			i++
 		}
-		lastI, lastJ = i, j
-		prob.Edges = append(prob.Edges, [2]int{int(i), int(j)})
-	}
-
-	cover, err := vcover.Solve(prob)
-	if err != nil {
-		return nil, fmt.Errorf("plan: edge %v: %w", inst.EdgeList[ei], err)
-	}
-	nRaw, nAgg := 0, 0
-	for i := range sc.sources {
-		if cover.InU[i] {
-			nRaw++
+		j, _ := slices.BinarySearch(row.Dests, pr.Dest)
+		if e := [2]int{i, j}; e != last {
+			prob.Edges = append(prob.Edges, e)
+			last = e
 		}
 	}
-	for j := range sc.dests {
-		if cover.InV[j] {
-			nAgg++
-		}
+	if err := vcover.Solve(prob, &vcover.Solution{InU: row.Raw, InV: row.Agg}); err != nil {
+		return fmt.Errorf("plan: edge %v: %w", inst.EdgeList[ei], err)
 	}
-	sol := &EdgeSolution{
-		Raw: make(map[graph.NodeID]bool, nRaw),
-		Agg: make(map[graph.NodeID]bool, nAgg),
-	}
-	for i, s := range sc.sources {
-		if cover.InU[i] {
-			sol.Raw[s] = true
-		}
-	}
-	for j, d := range sc.dests {
-		if cover.InV[j] {
-			sol.Agg[d] = true
-		}
-	}
-	return sol, nil
+	return nil
 }
 
 // violation is a raw transmission of source on EdgeList[edge] whose value
@@ -280,40 +270,19 @@ type rawHop struct {
 func (p *Plan) rawViolations() []violation {
 	inst := p.Inst
 	n := inst.Net.Len()
-	// Collect the raw decisions from each edge's pairs. A Raw set naming a
-	// source that does not cross its edge (only in hand-assembled plans)
-	// has more entries than the pairs find, and is then taken whole.
 	var raws []rawHop
 	for i := range inst.EdgeList {
-		sol := p.Sol[i]
-		if len(sol.Raw) == 0 {
-			continue
-		}
-		hits := 0
-		pairs := inst.Pairs(i)
-		for k, pr := range pairs {
-			if (k == 0 || pairs[k-1].Source != pr.Source) && sol.Raw[pr.Source] {
-				raws = append(raws, rawHop{source: pr.Source, edge: i})
-				hits++
-			}
-		}
-		if hits != len(sol.Raw) {
-			raws = raws[:len(raws)-hits]
-			for s := range sol.Raw {
-				raws = append(raws, rawHop{source: s, edge: i})
+		// The edge's sources are the first part of its end row.
+		for k := inst.endOff[2*i]; k < inst.endOff[2*i+1]; k++ {
+			if p.cover[k] {
+				raws = append(raws, rawHop{source: inst.ends[k], edge: i})
 			}
 		}
 	}
 	if len(raws) == 0 {
 		return nil
 	}
-	inNet := func(s graph.NodeID) bool { return s >= 0 && int(s) < n }
-	off, bySource := graph.GroupBy(len(raws), n, func(k int) int32 {
-		if s := raws[k].source; inNet(s) {
-			return int32(s)
-		}
-		return -1
-	})
+	off, bySource := graph.GroupBy(len(raws), n, func(k int) int32 { return int32(raws[k].source) })
 	var out []violation
 	avail := make([]int32, n) // avail[v] == s+1: source s's value reaches v
 	for s := 0; s < n; s++ {
@@ -339,13 +308,6 @@ func (p *Plan) rawViolations() []violation {
 			}
 		}
 	}
-	// A source outside the network is available nowhere, so every edge
-	// carrying it raw is a violation.
-	for _, r := range raws {
-		if !inNet(r.source) {
-			out = append(out, violation{edge: r.edge, source: r.source})
-		}
-	}
 	return out
 }
 
@@ -365,28 +327,26 @@ func (p *Plan) Validate() error {
 	return nil
 }
 
-// validateCover is Validate without the availability check: every edge
-// has a solution covering each of its pairs.
+// validateCover is Validate without the availability check: every pair
+// is covered on every edge it crosses, by its source sending raw or its
+// destination's record.
 func (p *Plan) validateCover() error {
 	inst := p.Inst
 	for i, e := range inst.EdgeList {
-		if i >= len(p.Sol) || p.Sol[i] == nil {
-			return fmt.Errorf("plan: edge %v has no solution", e)
-		}
-		sol := p.Sol[i]
-		pairs := inst.Pairs(i)
-		raw := false
-		for k, pr := range pairs {
-			if k == 0 || pairs[k-1].Source != pr.Source {
-				raw = sol.Raw[pr.Source]
+		sources, dests := inst.Ends(i)
+		flags := p.edgeCover(i) // sources' flags, then destinations'
+		k := -1
+		for _, pr := range inst.Pairs(i) {
+			if k < 0 || sources[k] != pr.Source {
+				k++
 			}
-			if !raw && !sol.Agg[pr.Dest] {
+			if flags[k] {
+				continue
+			}
+			if j, _ := slices.BinarySearch(dests, pr.Dest); !flags[len(sources)+j] {
 				return fmt.Errorf("plan: pair %d→%d uncovered on edge %v", pr.Source, pr.Dest, e)
 			}
 		}
-	}
-	if len(p.Sol) != len(inst.EdgeList) {
-		return fmt.Errorf("plan: %d solutions for %d edges", len(p.Sol), len(inst.EdgeList))
 	}
 	return nil
 }
@@ -419,41 +379,44 @@ func (p *Plan) Bytes(u Unit) int {
 // group ascending by node, matching the deterministic order used
 // throughout the executor.
 func (p *Plan) EdgeUnits(e routing.Edge) []Unit {
-	sol := p.Solution(e)
-	if sol == nil {
+	i := p.Inst.EdgeIndex(e)
+	if i < 0 {
 		return nil
 	}
-	units, _ := appendUnits(nil, nil, e, sol)
-	return units
+	return p.appendUnits(nil, i)
 }
 
 // Units lists every message unit of the plan in edge order, each edge's
 // units as EdgeUnits orders them.
 func (p *Plan) Units() []Unit {
 	total := 0
-	for _, sol := range p.Sol {
-		total += len(sol.Raw) + len(sol.Agg)
+	for _, c := range p.cover {
+		if c {
+			total++
+		}
 	}
 	out := make([]Unit, 0, total)
-	var buf []graph.NodeID
-	for i, e := range p.Inst.EdgeList {
-		out, buf = appendUnits(out, buf, e, p.Sol[i])
+	for i := range p.Inst.EdgeList {
+		out = p.appendUnits(out, i)
 	}
 	return out
 }
 
-// appendUnits appends the units of e under sol to out, sorting the node
-// sets in buf, which it returns for reuse.
-func appendUnits(out []Unit, buf []graph.NodeID, e routing.Edge, sol *EdgeSolution) ([]Unit, []graph.NodeID) {
-	buf = sortedKeys(buf, sol.Raw)
-	for _, s := range buf {
-		out = append(out, Unit{Edge: e, Kind: UnitRaw, Node: s})
+// appendUnits appends the units of Inst.EdgeList[i] to out. A row lists
+// its sources and destinations ascending, so this is a scan.
+func (p *Plan) appendUnits(out []Unit, i int) []Unit {
+	e, r := p.Inst.EdgeList[i], p.Row(i)
+	for k, s := range r.Sources {
+		if r.Raw[k] {
+			out = append(out, Unit{Edge: e, Kind: UnitRaw, Node: s})
+		}
 	}
-	buf = sortedKeys(buf, sol.Agg)
-	for _, d := range buf {
-		out = append(out, Unit{Edge: e, Kind: UnitAgg, Node: d})
+	for k, d := range r.Dests {
+		if r.Agg[k] {
+			out = append(out, Unit{Edge: e, Kind: UnitAgg, Node: d})
+		}
 	}
-	return out, buf
+	return out
 }
 
 // BodyBytes returns the total unit payload crossing e.
@@ -474,14 +437,4 @@ func (p *Plan) TotalBodyBytes() int {
 		total += p.BodyBytes(e)
 	}
 	return total
-}
-
-// sortedKeys returns the members of m ascending, reusing buf's storage.
-func sortedKeys(buf []graph.NodeID, m map[graph.NodeID]bool) []graph.NodeID {
-	buf = slices.Grow(buf[:0], len(m))
-	for k := range m {
-		buf = append(buf, k)
-	}
-	slices.Sort(buf)
-	return buf
 }

@@ -2,7 +2,9 @@ package plan
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -61,7 +63,7 @@ func TestPaperFigure1CPlan(t *testing.T) {
 		t.Fatal(err)
 	}
 	ij := routing.Edge{From: 4, To: 5}
-	sol := p.Solution(ij)
+	sol := solution(p, ij)
 	if sol == nil {
 		t.Fatal("no solution on edge i→j")
 	}
@@ -165,11 +167,12 @@ func TestInstanceEdgePairs(t *testing.T) {
 	if len(pairs) != 8 {
 		t.Fatalf("pairs on i→j = %v", pairs)
 	}
-	if got := inst.EdgeSources(ij); len(got) != 4 {
-		t.Errorf("S_e = %v", got)
+	sources, dests := inst.Ends(inst.EdgeIndex(ij))
+	if len(sources) != 4 {
+		t.Errorf("S_e = %v", sources)
 	}
-	if got := inst.EdgeDests(ij); len(got) != 3 {
-		t.Errorf("D_e = %v", got)
+	if len(dests) != 3 {
+		t.Errorf("D_e = %v", dests)
 	}
 	// No pairs on the reverse edge.
 	if len(inst.EdgePairs(routing.Edge{From: 5, To: 4})) != 0 || inst.EdgeIndex(routing.Edge{From: 5, To: 4}) != -1 {
@@ -440,8 +443,8 @@ func TestPlanDeterministic(t *testing.T) {
 	if pa.TotalBodyBytes() != pb.TotalBodyBytes() {
 		t.Fatal("nondeterministic plan cost")
 	}
-	for i, sa := range pa.Sol {
-		if !sameSolution(sa, pb.Sol[i]) {
+	for i, sa := range solutions(pa) {
+		if !sameSolution(sa, setsOf(pb.Row(i))) {
 			t.Fatalf("nondeterministic solution on %v", pa.Inst.EdgeList[i])
 		}
 	}
@@ -481,7 +484,7 @@ func TestValidateDetectsCorruption(t *testing.T) {
 	}
 	ij := routing.Edge{From: 4, To: 5}
 	// Remove the raw transmission of a without covering its pairs.
-	delete(p.Solution(ij).Raw, 0)
+	p.Row(p.Inst.EdgeIndex(ij)).Raw[0] = false
 	if err := p.Validate(); err == nil {
 		t.Error("uncovered pair not detected")
 	}
@@ -491,13 +494,68 @@ func TestValidateDetectsCorruption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, sol := range p2.Sol {
-		delete(sol.Raw, 0)
-		sol.Agg[6] = true
-		sol.Agg[8] = true
+	for i := range p2.Inst.EdgeList {
+		r := p2.Row(i)
+		for k, s := range r.Sources {
+			r.Raw[k] = r.Raw[k] && s != 0
+		}
+		for k, d := range r.Dests {
+			r.Agg[k] = r.Agg[k] || d == 6 || d == 8
+		}
 	}
-	p2.Solution(routing.Edge{From: 5, To: 8}).Raw[0] = true
+	jm := p2.Row(p2.Inst.EdgeIndex(routing.Edge{From: 5, To: 8}))
+	jm.Raw[slices.Index(jm.Sources, 0)] = true
 	if err := p2.Validate(); err == nil {
 		t.Error("unavailable raw not detected")
 	}
+}
+
+// edgeSets is one edge's transmit decision as sets, for assertions.
+type edgeSets struct {
+	Raw, Agg map[graph.NodeID]bool
+}
+
+func setsOf(r Row) *edgeSets {
+	out := &edgeSets{Raw: make(map[graph.NodeID]bool), Agg: make(map[graph.NodeID]bool)}
+	for k, s := range r.Sources {
+		if r.Raw[k] {
+			out.Raw[s] = true
+		}
+	}
+	for k, d := range r.Dests {
+		if r.Agg[k] {
+			out.Agg[d] = true
+		}
+	}
+	return out
+}
+
+// solution returns p's decision on e as sets, or nil if no pair crosses e.
+func solution(p *Plan, e routing.Edge) *edgeSets {
+	if i := p.Inst.EdgeIndex(e); i >= 0 {
+		return setsOf(p.Row(i))
+	}
+	return nil
+}
+
+// solutions returns every edge's decision as sets, aligned with EdgeList.
+func solutions(p *Plan) []*edgeSets {
+	out := make([]*edgeSets, len(p.Inst.EdgeList))
+	for i := range out {
+		out[i] = setsOf(p.Row(i))
+	}
+	return out
+}
+
+func sameSolution(a, b *edgeSets) bool {
+	return maps.Equal(a.Raw, b.Raw) && maps.Equal(a.Agg, b.Agg)
+}
+
+// EdgePairs returns the pairs crossing e, sorted by (Source, Dest), or nil
+// if none does.
+func (inst *Instance) EdgePairs(e routing.Edge) []Pair {
+	if i := inst.EdgeIndex(e); i >= 0 {
+		return inst.Pairs(i)
+	}
+	return nil
 }

@@ -90,7 +90,7 @@ func (p *Plan) recordInputs(n, d graph.NodeID, pairs []Pair) ([]contribKey, erro
 			continue
 		}
 		in := routing.Edge{From: path[pos-1], To: path[pos]}
-		if p.Solution(in).Agg[d] {
+		if p.SendsRecord(in, d) {
 			add(contribKey{record: true, edge: in})
 		} else {
 			// The pair crossed the in-edge raw; pre-aggregate here.
@@ -127,13 +127,18 @@ func (p *Plan) BuildTables() (*Tables, error) {
 
 	for i, e := range p.Inst.EdgeList {
 		n := e.From
-		sol := p.Sol[i]
+		r := p.Row(i)
 		units := 0
-		for _, s := range sortedKeys(nil, sol.Raw) {
-			t.Raw[n] = append(t.Raw[n], RawEntry{Source: s, Out: e})
-			units++
+		for k, s := range r.Sources {
+			if r.Raw[k] {
+				t.Raw[n] = append(t.Raw[n], RawEntry{Source: s, Out: e})
+				units++
+			}
 		}
-		for _, d := range sortedKeys(nil, sol.Agg) {
+		for k, d := range r.Dests {
+			if !r.Agg[k] {
+				continue
+			}
 			var pairs []Pair
 			for _, pr := range p.Inst.Pairs(i) {
 				if pr.Dest == d {

@@ -22,6 +22,16 @@ func NewMilestoneRouter(net *graph.Undirected, inner Router, keep KeepFunc) *Mil
 // Name implements Router.
 func (m *MilestoneRouter) Name() string { return "milestone(" + m.inner.Name() + ")" }
 
+// Fork implements Forker: the fork contracts a fork of the inner router,
+// or is nil if the inner router cannot fork.
+func (m *MilestoneRouter) Fork() Router {
+	inner := Fork(m.inner)
+	if inner == nil {
+		return nil
+	}
+	return NewMilestoneRouter(m.net, inner, m.keep)
+}
+
 // Path implements Router: the inner canonical path reduced to its
 // endpoints and milestone nodes. Contraction preserves the inner router's
 // per-destination suffix property because the kept subsequence is a pure

@@ -188,5 +188,8 @@ func (t *swapTree) reroot() {
 // Name implements Router.
 func (b *MinDegreeTree) Name() string { return "min-degree-tree" }
 
+// Fork implements Forker: the tree is never modified after it is built.
+func (b *MinDegreeTree) Fork() Router { return b }
+
 // MaxDegree returns the maximum node degree of the global tree.
 func (b *MinDegreeTree) MaxDegree() int { return b.maxDeg }

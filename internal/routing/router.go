@@ -39,6 +39,29 @@ type Router interface {
 	Path(s, d graph.NodeID) ([]graph.NodeID, error)
 }
 
+// Forker is implemented by routers that can route on several goroutines
+// at once. Fork returns a router with the same name and paths that is
+// safe to use concurrently with the receiver and with every other fork:
+// a router without mutable state returns itself, one with caches a copy
+// with caches of its own. It returns nil when no such router exists (a
+// wrapper around a router that cannot fork).
+type Forker interface {
+	Fork() Router
+}
+
+// Fork returns r's fork (see Forker), or nil if r routes on one goroutine
+// only.
+func Fork(r Router) Router {
+	if f, ok := r.(Forker); ok {
+		return f.Fork()
+	}
+	return nil
+}
+
+// Fork implements Forker: a shared tree is never modified after it is
+// built.
+func (b *SharedTree) Fork() Router { return b }
+
 // Path implements Router for SharedTree: the unique path inside the global
 // spanning tree.
 func (b *SharedTree) Path(s, d graph.NodeID) ([]graph.NodeID, error) {
@@ -60,7 +83,8 @@ func (b *SharedTree) Path(s, d graph.NodeID) ([]graph.NodeID, error) {
 // destination resets the same walk, so the router holds one walk's
 // storage however many destinations it serves. Callers that route
 // destination by destination (as NewInstance does) walk each tree once.
-// A ReversePath is not safe for concurrent use.
+// A ReversePath is not safe for concurrent use; each goroutine routes
+// with a Fork of its own.
 type ReversePath struct {
 	net  *graph.Undirected
 	walk *graph.Walk // rooted at the last destination routed; nil before the first
@@ -73,6 +97,9 @@ func NewReversePath(net *graph.Undirected) *ReversePath {
 
 // Name implements Router.
 func (r *ReversePath) Name() string { return "reverse-path" }
+
+// Fork implements Forker: the fork walks trees of its own.
+func (r *ReversePath) Fork() Router { return NewReversePath(r.net) }
 
 // Path implements Router.
 func (r *ReversePath) Path(s, d graph.NodeID) ([]graph.NodeID, error) {
@@ -134,6 +161,9 @@ func NewWeightedReversePath(net *graph.Undirected) *WeightedReversePath {
 // Name implements Router.
 func (r *WeightedReversePath) Name() string { return "weighted-reverse-path" }
 
+// Fork implements Forker: the fork caches trees of its own.
+func (r *WeightedReversePath) Fork() Router { return NewWeightedReversePath(r.net) }
+
 // Path implements Router.
 func (r *WeightedReversePath) Path(s, d graph.NodeID) ([]graph.NodeID, error) {
 	if int(s) < 0 || int(s) >= r.net.Len() || int(d) < 0 || int(d) >= r.net.Len() {
@@ -164,6 +194,10 @@ func (r *WeightedReversePath) Path(s, d graph.NodeID) ([]graph.NodeID, error) {
 // then rejects the router with a diagnostic. It exists to demonstrate and
 // measure that hazard (see DESIGN.md §6); use ReversePath or SharedTree
 // for planning.
+//
+// Its tree cache is keyed by source, so one tree serves every
+// destination; it has no Fork, and NewInstance routes it on one
+// goroutine.
 type SourceSPT struct {
 	net   *graph.Undirected
 	trees map[graph.NodeID]*graph.PathTree

@@ -203,7 +203,7 @@ func NewSuppressor(p *plan.Plan, model radio.Model, policy Policy) (*Suppressor,
 		rt := pairRoute{pair: pr, path: path, aggIdx: -1, preNode: pr.Dest}
 		for i := 0; i+1 < len(path); i++ {
 			e := routing.Edge{From: path[i], To: path[i+1]}
-			if p.Solution(e).Agg[pr.Dest] {
+			if p.SendsRecord(e, pr.Dest) {
 				rt.aggIdx = i
 				rt.preNode = path[i]
 				break
@@ -214,7 +214,7 @@ func NewSuppressor(p *plan.Plan, model radio.Model, policy Policy) (*Suppressor,
 		if rt.aggIdx >= 0 {
 			for i := rt.aggIdx; i+1 < len(path); i++ {
 				e := routing.Edge{From: path[i], To: path[i+1]}
-				if !p.Solution(e).Agg[pr.Dest] {
+				if !p.SendsRecord(e, pr.Dest) {
 					return nil, fmt.Errorf("sim: pair %d→%d leaves record form after edge %v; plan unsupported for suppression",
 						pr.Source, pr.Dest, e)
 				}
@@ -279,13 +279,11 @@ func (s *Suppressor) intern() {
 	// The raw units the default plan ships, in deterministic order.
 	for i, e := range inst.EdgeList {
 		eid := edge(e)
-		var srcs []graph.NodeID
-		for src := range s.Plan.Sol[i].Raw {
-			srcs = append(srcs, src)
-		}
-		sort.Slice(srcs, func(i, j int) bool { return srcs[i] < srcs[j] })
-		for _, src := range srcs {
-			s.seedRaws = append(s.seedRaws, seedRaw{flow: rawFlow(eid, src), src: src})
+		r := s.Plan.Row(i)
+		for k, src := range r.Sources {
+			if r.Raw[k] {
+				s.seedRaws = append(s.seedRaws, seedRaw{flow: rawFlow(eid, src), src: src})
+			}
 		}
 	}
 

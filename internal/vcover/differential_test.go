@@ -91,11 +91,11 @@ func TestFastAndBigPathsAgree(t *testing.T) {
 	rng := rand.New(rand.NewSource(128))
 	for trial := 0; trial < 400; trial++ {
 		p := randomProblem(rng, 8, func() int64 { return int64(rng.Intn(1 << uint(1+rng.Intn(20)))) })
-		fast, err := solve(p, false)
+		fast, err := solveWith(p, false)
 		if err != nil {
 			t.Fatalf("trial %d: fast: %v", trial, err)
 		}
-		big_, err := solve(p, true)
+		big_, err := solveWith(p, true)
 		if err != nil {
 			t.Fatalf("trial %d: big: %v", trial, err)
 		}
@@ -130,11 +130,11 @@ func TestNearOverflowWeightsFallBack(t *testing.T) {
 			sawBigFallback++
 		}
 		scratchPool.Put(sc)
-		fast, err := Solve(p) // automatic selection
+		fast, err := solveNew(p) // automatic selection
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		ref, err := solve(p, true)
+		ref, err := solveWith(p, true)
 		if err != nil {
 			t.Fatalf("trial %d: ref: %v", trial, err)
 		}
@@ -153,7 +153,7 @@ func TestFastPathAgainstBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	for trial := 0; trial < 250; trial++ {
 		p := randomProblem(rng, 5, func() int64 { return int64(1 + rng.Intn(12)) })
-		fast, err := solve(p, false)
+		fast, err := solveWith(p, false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -192,11 +192,11 @@ func TestHugeKeysStayFast(t *testing.T) {
 		t.Fatal("sparse huge keys should rank-compress into the fast path")
 	}
 	scratchPool.Put(sc)
-	fast, err := solve(p, false)
+	fast, err := solveWith(p, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := solve(p, true)
+	ref, err := solveWith(p, true)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -44,7 +44,7 @@ func TestLemma1AddingDestinationsKeepsChosenSources(t *testing.T) {
 	for trial := 0; trial < 400; trial++ {
 		nU, nV := 1+rng.Intn(5), 1+rng.Intn(5)
 		base := randProblem(rng, nU, nV, 0)
-		before, err := Solve(base)
+		before, err := solveNew(base)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -64,7 +64,7 @@ func TestLemma1AddingDestinationsKeepsChosenSources(t *testing.T) {
 				}
 			}
 		}
-		after, err := Solve(ext)
+		after, err := solveNew(ext)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -98,11 +98,11 @@ func TestLemma1RemovingAddedSourcesKeepsChosenSources(t *testing.T) {
 				}
 			}
 		}
-		extSol, err := Solve(ext)
+		extSol, err := solveNew(ext)
 		if err != nil {
 			t.Fatal(err)
 		}
-		baseSol, err := Solve(base)
+		baseSol, err := solveNew(base)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -151,11 +151,11 @@ func TestTheorem1EdgePairConsistency(t *testing.T) {
 			}
 		}
 
-		upSol, err := Solve(up)
+		upSol, err := solveNew(up)
 		if err != nil {
 			t.Fatal(err)
 		}
-		downSol, err := Solve(down)
+		downSol, err := solveNew(down)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -23,8 +23,9 @@
 //     preserves every comparison of perturbed sums and therefore the
 //     unique optimum), so a problem with m vertices and total true weight
 //     W needs bits(W+1) + m ≤ 127 bits — true for every realistic
-//     single-edge problem. Its flow networks are pooled scratch: a solve
-//     allocates nothing beyond the returned Solution.
+//     single-edge problem. Its flow networks are pooled scratch, and the
+//     cover is written into storage the caller owns: a solve into flags
+//     of the right size allocates nothing.
 //   - The original math/big slow path, kept behind the same interface for
 //     problems that would overflow 128 bits and as the differential-test
 //     reference (it uses the raw keys, unremapped).
@@ -56,7 +57,8 @@ type Problem struct {
 	Edges [][2]int
 }
 
-// Solution is a vertex cover of a Problem.
+// Solution is a vertex cover of a Problem: InU[i] and InV[j] flag the
+// chosen vertices U[i] and V[j].
 type Solution struct {
 	InU, InV []bool
 	// Weight is the true (unperturbed) total weight of the cover.
@@ -140,19 +142,22 @@ func (sc *scratch) fitsFast() bool {
 		bits.Len64(sc.sumW+1)+len(sc.keys) <= 127
 }
 
-// Solve returns the unique minimum-weight vertex cover of p under the
-// canonical key perturbation.
-func Solve(p *Problem) (*Solution, error) {
-	return solve(p, false)
+// Solve writes the unique minimum-weight vertex cover of p under the
+// canonical key perturbation into sol. InU and InV are resized to p's two
+// sides, keeping their storage when it is large enough, and every flag is
+// set, so a caller that hands in flags of exactly the right size (a plan's
+// cover row) makes the solve allocation-free.
+func Solve(p *Problem, sol *Solution) error {
+	return solve(p, sol, false)
 }
 
 // solve is the implementation; forceBig pins the math/big slow path
 // regardless of fit (differential tests).
-func solve(p *Problem, forceBig bool) (*Solution, error) {
+func solve(p *Problem, sol *Solution, forceBig bool) error {
 	sc := scratchPool.Get().(*scratch)
 	defer scratchPool.Put(sc)
 	if err := sc.validate(p); err != nil {
-		return nil, err
+		return err
 	}
 
 	var reach []bool
@@ -161,33 +166,39 @@ func solve(p *Problem, forceBig bool) (*Solution, error) {
 	} else {
 		reach = solveBig(p)
 	}
-	sol := &Solution{
-		InU: make([]bool, len(p.U)),
-		InV: make([]bool, len(p.V)),
-	}
+	sol.InU = resize(sol.InU, len(p.U))
+	sol.InV = resize(sol.InV, len(p.V))
+	sol.Weight = 0
 
 	// Min cut from residual reachability: U-vertices unreachable from the
 	// source have their vertex arc saturated (chosen); V-vertices reachable
-	// from the source must be chosen to cut their sink arc.
+	// from the source must be chosen to cut their sink arc. An isolated
+	// U-vertex is always reachable (capacity > 0 thanks to the
+	// perturbation bit), so an unreachable one was needed.
 	nU := len(p.U)
 	for i := range p.U {
-		if !reach[2+i] {
-			// Only pick vertices that actually have residual edges; an
-			// isolated U-vertex is always reachable (capacity > 0 thanks to
-			// the perturbation bit), so this branch implies it was needed.
-			sol.InU[i] = true
+		sol.InU[i] = !reach[2+i]
+		if sol.InU[i] {
 			sol.Weight += p.U[i].Weight
 		}
 	}
 	for j := range p.V {
-		if reach[2+nU+j] {
-			sol.InV[j] = true
+		sol.InV[j] = reach[2+nU+j]
+		if sol.InV[j] {
 			sol.Weight += p.V[j].Weight
 		}
 	}
 
 	if !sol.Covers(p) {
-		return nil, fmt.Errorf("vcover: internal error: extracted non-cover")
+		return fmt.Errorf("vcover: internal error: extracted non-cover")
 	}
-	return sol, nil
+	return nil
+}
+
+// resize returns b with length n, reusing its storage when it can.
+func resize(b []bool, n int) []bool {
+	if cap(b) < n {
+		return make([]bool, n)
+	}
+	return b[:n]
 }

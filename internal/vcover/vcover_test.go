@@ -2,6 +2,7 @@ package vcover
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -17,12 +18,12 @@ func TestValidate(t *testing.T) {
 		{U: []Vertex{vtx(0, 1)}, V: []Vertex{vtx(1, 1)}, Edges: [][2]int{{0, 1}}},
 	}
 	for i, p := range bad {
-		if _, err := Solve(p); err == nil {
+		if _, err := solveNew(p); err == nil {
 			t.Errorf("problem %d accepted", i)
 		}
 	}
 	good := &Problem{U: []Vertex{vtx(0, 1)}, V: []Vertex{vtx(1, 2)}, Edges: [][2]int{{0, 0}}}
-	if _, err := Solve(good); err != nil {
+	if _, err := solveNew(good); err != nil {
 		t.Errorf("good problem rejected: %v", err)
 	}
 }
@@ -34,7 +35,7 @@ func TestSolveSingleEdge(t *testing.T) {
 		V:     []Vertex{vtx(1, 5)},
 		Edges: [][2]int{{0, 0}},
 	}
-	s, err := Solve(p)
+	s, err := solveNew(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +52,7 @@ func TestSolveStarFavorsHub(t *testing.T) {
 		p.U = append(p.U, vtx(i, 1))
 		p.Edges = append(p.Edges, [2]int{i, 0})
 	}
-	s, err := Solve(p)
+	s, err := solveNew(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +73,7 @@ func TestSolveMulticastSide(t *testing.T) {
 		p.V = append(p.V, vtx(j, 2))
 		p.Edges = append(p.Edges, [2]int{0, j})
 	}
-	s, err := Solve(p)
+	s, err := solveNew(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +101,7 @@ func TestSolvePaperFigure2(t *testing.T) {
 	}
 	add("a", "m")
 
-	s, err := Solve(p)
+	s, err := solveNew(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +114,7 @@ func TestSolvePaperFigure2(t *testing.T) {
 }
 
 func TestSolveEmptyProblem(t *testing.T) {
-	s, err := Solve(&Problem{})
+	s, err := solveNew(&Problem{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +129,7 @@ func TestIsolatedVerticesNeverChosen(t *testing.T) {
 		V:     []Vertex{vtx(2, 5), vtx(3, 1)}, // V[1] isolated
 		Edges: [][2]int{{0, 0}},
 	}
-	s, err := Solve(p)
+	s, err := solveNew(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +159,7 @@ func TestSolveMatchesBruteForce(t *testing.T) {
 				}
 			}
 		}
-		got, err := Solve(p)
+		got, err := solveNew(p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -189,12 +190,12 @@ func TestSolveDeterministicAcrossRuns(t *testing.T) {
 		V:     []Vertex{vtx(2, 2), vtx(3, 2)},
 		Edges: [][2]int{{0, 0}, {0, 1}, {1, 0}, {1, 1}},
 	}
-	first, err := Solve(p)
+	first, err := solveNew(p)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for k := 0; k < 10; k++ {
-		again, err := Solve(p)
+		again, err := solveNew(p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -211,6 +212,39 @@ func TestSolveDeterministicAcrossRuns(t *testing.T) {
 	}
 }
 
+// TestSolveIntoCallerStorage checks that Solve overwrites every flag of
+// caller-owned storage (stale flags from an earlier solve included),
+// keeps that storage when it is the right size, and then allocates
+// nothing.
+func TestSolveIntoCallerStorage(t *testing.T) {
+	p := &Problem{
+		U:     []Vertex{vtx(0, 6), vtx(2, 6), vtx(4, 6)},
+		V:     []Vertex{vtx(1, 6)},
+		Edges: [][2]int{{0, 0}, {1, 0}, {2, 0}},
+	}
+	want, err := solveNew(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	flags := []bool{true, true, true, false} // stale: the opposite cover
+	sol := Solution{InU: flags[:3:3], InV: flags[3:]}
+	if err := Solve(p, &sol); err != nil {
+		t.Fatal(err)
+	}
+	if &sol.InU[0] != &flags[0] || &sol.InV[0] != &flags[3] {
+		t.Fatal("Solve replaced storage of the right size")
+	}
+	if !slices.Equal(sol.InU, want.InU) || !slices.Equal(sol.InV, want.InV) || sol.Weight != want.Weight {
+		t.Fatalf("solve into stale flags = %+v, want %+v", sol, *want)
+	}
+	if raceEnabled {
+		return // sync.Pool drops pooled scratch at random under the race detector
+	}
+	if allocs := testing.AllocsPerRun(10, func() { _ = Solve(p, &sol) }); allocs != 0 {
+		t.Errorf("Solve into sized flags: %.0f allocs, want 0", allocs)
+	}
+}
+
 func TestTiebreakPrefersLowerKeys(t *testing.T) {
 	// Symmetric 1x1 problem with equal weights: the perturbation must pick
 	// the vertex with the smaller key (smaller 2^Key addend).
@@ -219,7 +253,7 @@ func TestTiebreakPrefersLowerKeys(t *testing.T) {
 		V:     []Vertex{vtx(7, 5)},
 		Edges: [][2]int{{0, 0}},
 	}
-	s, err := Solve(p)
+	s, err := solveNew(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +262,7 @@ func TestTiebreakPrefersLowerKeys(t *testing.T) {
 	}
 	// Swap keys: now V must win.
 	p.U[0].Key, p.V[0].Key = 7, 3
-	s, err = Solve(p)
+	s, err = solveNew(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,7 +305,7 @@ func TestOptimalNeverWorseThanTrivialCovers(t *testing.T) {
 				}
 			}
 		}
-		opt, err := Solve(p)
+		opt, err := solveNew(p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -322,4 +356,16 @@ func AllV(p *Problem) *Solution {
 		}
 	}
 	return s
+}
+
+// solveNew solves p into a new Solution.
+func solveNew(p *Problem) (*Solution, error) {
+	sol := new(Solution)
+	return sol, Solve(p, sol)
+}
+
+// solveWith is solve into a new Solution.
+func solveWith(p *Problem, forceBig bool) (*Solution, error) {
+	sol := new(Solution)
+	return sol, solve(p, sol, forceBig)
 }

@@ -1,0 +1,9 @@
+//go:build race
+
+package m2m
+
+// raceEnabled reports whether the race detector is on. Under it,
+// sync.Pool drops a random share of the values put back, so pooled
+// solver scratch is rebuilt at random and allocation counts stop being
+// deterministic.
+const raceEnabled = true

@@ -51,7 +51,7 @@ func TestPlanScale10k(t *testing.T) {
 	}
 	elapsed := time.Since(start)
 
-	if got := len(p.Sol); got == 0 {
+	if got := len(p.Inst.EdgeList); got == 0 {
 		t.Fatal("empty plan at scale")
 	}
 	if _, _, err := Reoptimize(p, inst); err != nil {
@@ -62,7 +62,7 @@ func TestPlanScale10k(t *testing.T) {
 	if limit := 10 * time.Second; elapsed > limit {
 		t.Fatalf("end-to-end planning at n=%d took %v, want < %v", n, elapsed, limit)
 	}
-	t.Logf("n=%d: topology+workload+instance+optimize+engine in %v (%d edges solved)", n, elapsed, len(p.Sol))
+	t.Logf("n=%d: topology+workload+instance+optimize+engine in %v (%d edges solved)", n, elapsed, len(p.Inst.EdgeList))
 }
 
 // TestInstanceAllocBound gates the bytes NewInstance allocates for the
@@ -120,5 +120,42 @@ func TestEngineAllocBound(t *testing.T) {
 	t.Logf("n=%d: NewEngine allocated %d bytes", n, got)
 	if got > bound {
 		t.Errorf("n=%d: NewEngine allocated %d bytes, want <= %d", n, got, bound)
+	}
+}
+
+// TestPlanAllocBound gates the allocation counts of the plan path on the
+// 1000-node instance of the 1k benchmarks; the counts are deterministic.
+// Each edge's cover is a row of one flat array that vcover solves into,
+// so Optimize allocates per plan, not per edge (4,294 allocs/op when
+// every cover was two maps). A one-destination replan stays at the
+// count it had when unchanged covers were shared by reference, and Units
+// allocates only its result.
+func TestPlanAllocBound(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops pooled solver scratch at random under the race detector")
+	}
+	net, inst := instance1k(t)
+	p, err := Optimize(inst)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inst2, err := net.NewInstance(inst.Specs[1:], RouterReversePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, gate := range []struct {
+		name  string
+		bound float64
+		run   func()
+	}{
+		{"Optimize", 1500, func() { _, _ = Optimize(inst) }},
+		{"Reoptimize", 26, func() { _, _, _ = Reoptimize(p, inst2) }},
+		{"Units", 1, func() { _ = p.Units() }},
+	} {
+		if got := testing.AllocsPerRun(20, gate.run); got > gate.bound {
+			t.Errorf("%s on the 1k instance: %.0f allocs/op, want <= %.0f", gate.name, got, gate.bound)
+		} else {
+			t.Logf("%s: %.0f allocs/op", gate.name, got)
+		}
 	}
 }
