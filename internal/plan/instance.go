@@ -64,8 +64,9 @@ type hop struct {
 
 // minParallelPairs is the smallest workload NewInstance routes on more
 // than one goroutine. Below it, starting goroutines and forking the
-// router's caches costs more than routing the pairs: the 45-node
-// networks of the fault scenarios route a few dozen pairs per replan.
+// router's walk costs more than routing the pairs: on a 2-vCPU VM, 120
+// pairs over 45 nodes (a fault scenario's size) routed ~20 % slower on
+// two goroutines than on one, and the two broke even near 300 pairs.
 const minParallelPairs = 256
 
 // routedSpec is the routing of one spec's pairs: their paths in source
@@ -119,11 +120,11 @@ func NewInstance(net *graph.Undirected, router routing.Router, specs []agg.Spec)
 		}
 	}
 	checkers := make([]*routing.SuffixChecker, len(routers))
+	for w := range checkers {
+		checkers[w] = routing.NewSuffixChecker(net.Len())
+	}
 	jobs := make([]routedSpec, len(inst.Specs))
 	forEach(len(jobs), len(routers), func(w, i int) {
-		if checkers[w] == nil {
-			checkers[w] = routing.NewSuffixChecker(net.Len())
-		}
 		jobs[i] = routeSpec(net, routers[w], checkers[w], inst.Specs[i].Dest, sources[i])
 	})
 	for _, job := range jobs {

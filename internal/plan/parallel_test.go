@@ -14,25 +14,16 @@ import (
 	"m2m/internal/workload"
 )
 
-// shippedRouters builds one fresh router of every kind over g.
-func shippedRouters(t *testing.T, g *graph.Undirected) map[string]routing.Router {
-	t.Helper()
-	shared, err := routing.NewSharedTree(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	minDeg, err := routing.NewMinDegreeTree(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return map[string]routing.Router{
-		"reverse-path":          routing.NewReversePath(g),
-		"weighted-reverse-path": routing.NewWeightedReversePath(g),
-		"shared-tree":           shared,
-		"min-degree-tree":       minDeg,
-		"source-spt":            routing.NewSourceSPT(g),
-		"milestone":             routing.NewMilestoneRouter(g, routing.NewReversePath(g), routing.KeepEveryKth(2)),
-	}
+// shippedRouters builds a fresh router of each kind over g.
+var shippedRouters = map[string]func(g *graph.Undirected) (routing.Router, error){
+	"reverse-path":          func(g *graph.Undirected) (routing.Router, error) { return routing.NewReversePath(g), nil },
+	"weighted-reverse-path": func(g *graph.Undirected) (routing.Router, error) { return routing.NewWeightedReversePath(g), nil },
+	"shared-tree":           func(g *graph.Undirected) (routing.Router, error) { return routing.NewSharedTree(g) },
+	"min-degree-tree":       func(g *graph.Undirected) (routing.Router, error) { return routing.NewMinDegreeTree(g) },
+	"source-spt":            func(g *graph.Undirected) (routing.Router, error) { return routing.NewSourceSPT(g), nil },
+	"milestone": func(g *graph.Undirected) (routing.Router, error) {
+		return routing.NewMilestoneRouter(g, routing.NewReversePath(g), routing.KeepEveryKth(2)), nil
+	},
 }
 
 // withProcs runs f under runtime.GOMAXPROCS(procs), restoring the old
@@ -91,12 +82,16 @@ func TestNewInstanceIndependentOfGOMAXPROCS(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for name := range shippedRouters(t, nt.g) {
+		for name, build := range shippedRouters {
 			var first routedInstance
 			for k, procs := range []int{1, 2, 8} {
+				router, err := build(nt.g)
+				if err != nil {
+					t.Fatal(err)
+				}
 				var got routedInstance
 				withProcs(procs, func() {
-					got.inst, err = NewInstance(nt.g, shippedRouters(t, nt.g)[name], specs)
+					got.inst, err = NewInstance(nt.g, router, specs)
 				})
 				if err != nil {
 					got.inst, got.err = nil, err.Error()
