@@ -383,6 +383,24 @@ func BenchmarkNewEngine1k(b *testing.B) {
 	}
 }
 
+// BenchmarkNewEngineGDI measures compiling the optimal plan of the paper's
+// 68-node network with 20% destinations × 20 sources, the scale of a
+// resilient-mix scenario, where a fixed per-call cost would show.
+func BenchmarkNewEngineGDI(b *testing.B) {
+	net, inst := evalSetup(b, 0.2)
+	p, err := Optimize(inst)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := sim.NewEngine(p, net.Radio, sim.Options{MergeMessages: true}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // engine1k compiles the optimal plan of the 1000-node instance, with
 // destination i's function replaced by remix(i, f) when remix is non-nil,
 // and returns it with a full reading set.

@@ -1,65 +1,57 @@
 package graph
 
+import "math/bits"
+
+// Arc is the directed arc From -> To of a Digraph.
+type Arc struct{ From, To int32 }
+
 // Digraph is a directed graph over integer vertex IDs 0..n-1, used for
 // dependency analysis (wait-for graphs between message units and messages).
+// It is immutable and stored as compressed sparse rows: the out-arcs of u
+// are head[off[u]:off[u+1]].
 type Digraph struct {
-	n   int
-	out [][]int
+	off  []int32
+	head []int32
 }
 
-// NewDigraph returns an empty digraph on n vertices.
-func NewDigraph(n int) *Digraph {
-	return &Digraph{n: n, out: make([][]int, n)}
+// NewDigraph returns the digraph on n vertices with the given arcs, which
+// must lie in [0, n). Duplicate arcs are kept: every query below depends
+// only on the set of arcs. Self-loops are recorded (they make the graph
+// cyclic).
+func NewDigraph(n int, arcs []Arc) *Digraph {
+	// Count each tail's arcs at off[tail], turn the counts into row ends,
+	// then place arcs back to front so each row ends up at its start.
+	off := make([]int32, n+1)
+	for _, a := range arcs {
+		off[a.From]++
+	}
+	for u := 1; u <= n; u++ {
+		off[u] += off[u-1]
+	}
+	head := make([]int32, len(arcs))
+	for i := len(arcs) - 1; i >= 0; i-- {
+		a := arcs[i]
+		off[a.From]--
+		head[off[a.From]] = a.To
+	}
+	return &Digraph{off: off, head: head}
 }
 
 // Len returns the vertex count.
-func (d *Digraph) Len() int { return d.n }
+func (d *Digraph) Len() int { return len(d.off) - 1 }
 
-// AddArc adds the arc u -> v. Duplicate arcs are ignored; self-loops are
-// recorded (they make the graph cyclic).
-func (d *Digraph) AddArc(u, v int) {
-	for _, w := range d.out[u] {
-		if w == v {
-			return
-		}
-	}
-	d.out[u] = append(d.out[u], v)
-}
+// out returns u's successors, one entry per arc.
+func (d *Digraph) out(u int32) []int32 { return d.head[d.off[u]:d.off[u+1]] }
 
 // HasCycle reports whether d contains a directed cycle.
-func (d *Digraph) HasCycle() bool {
-	_, ok := d.TopoSort()
-	return !ok
-}
+func (d *Digraph) HasCycle() bool { return len(d.kahn()) != d.Len() }
 
 // TopoSort returns a topological order of d and true, or nil and false if d
 // is cyclic. Among available vertices the smallest ID is emitted first, so
-// the order is deterministic (Kahn's algorithm with a sorted frontier).
+// the order is deterministic.
 func (d *Digraph) TopoSort() ([]int, bool) {
-	indeg := make([]int, d.n)
-	for u := 0; u < d.n; u++ {
-		for _, v := range d.out[u] {
-			indeg[v]++
-		}
-	}
-	frontier := &intHeap{}
-	for u := 0; u < d.n; u++ {
-		if indeg[u] == 0 {
-			frontier.push(u)
-		}
-	}
-	order := make([]int, 0, d.n)
-	for frontier.Len() > 0 {
-		u := frontier.pop()
-		order = append(order, u)
-		for _, v := range d.out[u] {
-			indeg[v]--
-			if indeg[v] == 0 {
-				frontier.push(v)
-			}
-		}
-	}
-	if len(order) != d.n {
+	order := d.kahn()
+	if len(order) != d.Len() {
 		return nil, false
 	}
 	return order, true
@@ -69,41 +61,51 @@ func (d *Digraph) TopoSort() ([]int, bool) {
 // behind) directed cycles: exactly those Kahn's algorithm can never emit.
 // Empty for a DAG.
 func (d *Digraph) CyclicCore() []int {
-	indeg := make([]int, d.n)
-	for u := 0; u < d.n; u++ {
-		for _, v := range d.out[u] {
-			indeg[v]++
-		}
-	}
-	frontier := &intHeap{}
-	for u := 0; u < d.n; u++ {
-		if indeg[u] == 0 {
-			frontier.push(u)
-		}
-	}
-	emitted := make([]bool, d.n)
-	count := 0
-	for frontier.Len() > 0 {
-		u := frontier.pop()
-		emitted[u] = true
-		count++
-		for _, v := range d.out[u] {
-			indeg[v]--
-			if indeg[v] == 0 {
-				frontier.push(v)
-			}
-		}
-	}
-	if count == d.n {
+	order := d.kahn()
+	if len(order) == d.Len() {
 		return nil
 	}
-	core := make([]int, 0, d.n-count)
-	for v := 0; v < d.n; v++ {
-		if !emitted[v] {
+	emitted := make([]bool, d.Len())
+	for _, u := range order {
+		emitted[u] = true
+	}
+	core := make([]int, 0, d.Len()-len(order))
+	for v, ok := range emitted {
+		if !ok {
 			core = append(core, v)
 		}
 	}
 	return core
+}
+
+// kahn is Kahn's algorithm emitting the smallest ready vertex first. It
+// returns the emitted vertices in order: all of them for a DAG, and
+// otherwise every vertex not on or behind a cycle.
+func (d *Digraph) kahn() []int {
+	n := d.Len()
+	indeg := make([]int32, n)
+	for _, v := range d.head {
+		indeg[v]++
+	}
+	ready := newReadySet(n)
+	for u, k := range indeg {
+		if k == 0 {
+			ready.add(int32(u))
+		}
+	}
+	order := make([]int, 0, n)
+	for {
+		u, ok := ready.pop()
+		if !ok {
+			return order
+		}
+		order = append(order, int(u))
+		for _, v := range d.out(u) {
+			if indeg[v]--; indeg[v] == 0 {
+				ready.add(v)
+			}
+		}
+	}
 }
 
 // Reaches reports whether there is a directed path from u to v (of length
@@ -112,14 +114,14 @@ func (d *Digraph) Reaches(u, v int) bool {
 	if u == v {
 		return true
 	}
-	seen := make([]bool, d.n)
-	stack := []int{u}
+	seen := make([]bool, d.Len())
+	stack := []int32{int32(u)}
 	seen[u] = true
 	for len(stack) > 0 {
 		x := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		for _, y := range d.out[x] {
-			if y == v {
+		for _, y := range d.out(x) {
+			if int(y) == v {
 				return true
 			}
 			if !seen[y] {
@@ -131,45 +133,46 @@ func (d *Digraph) Reaches(u, v int) bool {
 	return false
 }
 
-// intHeap is a tiny binary min-heap over ints (avoids container/heap
-// interface boxing in the hot scheduling path).
-type intHeap struct{ a []int }
+// readySet is Kahn's frontier: a two-level bitset over vertex IDs. Bit i
+// of summary marks word i of words nonzero, so the smallest member is two
+// trailing-zero counts away, and lowest bounds the first nonzero summary
+// word from below.
+type readySet struct {
+	words   []uint64
+	summary []uint64
+	lowest  int
+}
 
-func (h *intHeap) Len() int { return len(h.a) }
+func newReadySet(n int) readySet {
+	nw := (n + 63) / 64
+	ns := (nw + 63) / 64
+	buf := make([]uint64, nw+ns)
+	return readySet{words: buf[:nw:nw], summary: buf[nw:], lowest: ns}
+}
 
-func (h *intHeap) push(x int) {
-	h.a = append(h.a, x)
-	i := len(h.a) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if h.a[p] <= h.a[i] {
-			break
-		}
-		h.a[p], h.a[i] = h.a[i], h.a[p]
-		i = p
+func (r *readySet) add(v int32) {
+	w := int(v >> 6)
+	r.words[w] |= 1 << uint(v&63)
+	s := w >> 6
+	r.summary[s] |= 1 << uint(w&63)
+	if s < r.lowest {
+		r.lowest = s
 	}
 }
 
-func (h *intHeap) pop() int {
-	top := h.a[0]
-	last := len(h.a) - 1
-	h.a[0] = h.a[last]
-	h.a = h.a[:last]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		m := i
-		if l < len(h.a) && h.a[l] < h.a[m] {
-			m = l
+// pop removes and returns the smallest member, or false if r is empty.
+func (r *readySet) pop() (int32, bool) {
+	for ; r.lowest < len(r.summary); r.lowest++ {
+		sw := r.summary[r.lowest]
+		if sw == 0 {
+			continue
 		}
-		if r < len(h.a) && h.a[r] < h.a[m] {
-			m = r
+		w := r.lowest<<6 | bits.TrailingZeros64(sw)
+		b := bits.TrailingZeros64(r.words[w])
+		if r.words[w] &= r.words[w] - 1; r.words[w] == 0 {
+			r.summary[r.lowest] &= sw - 1
 		}
-		if m == i {
-			break
-		}
-		h.a[i], h.a[m] = h.a[m], h.a[i]
-		i = m
+		return int32(w<<6 | b), true
 	}
-	return top
+	return 0, false
 }

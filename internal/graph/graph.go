@@ -207,21 +207,23 @@ func (g *Undirected) Clone() *Undirected {
 // [0, nKeys), skipping items whose key is negative, and returns the items
 // of key k as members[off[k]:off[k+1]], ascending.
 func GroupBy(n, nKeys int, key func(int) int32) (off, members []int32) {
+	// Count key k's items at off[k] and turn the counts into group ends;
+	// placing the items back to front then leaves each off[k] at its
+	// group's start.
 	off = make([]int32, nKeys+1)
 	for i := 0; i < n; i++ {
 		if k := key(i); k >= 0 {
-			off[k+1]++
+			off[k]++
 		}
 	}
-	for k := 0; k < nKeys; k++ {
-		off[k+1] += off[k]
+	for k := 1; k <= nKeys; k++ {
+		off[k] += off[k-1]
 	}
 	members = make([]int32, off[nKeys])
-	next := append([]int32(nil), off[:nKeys]...)
-	for i := 0; i < n; i++ {
+	for i := n - 1; i >= 0; i-- {
 		if k := key(i); k >= 0 {
-			members[next[k]] = int32(i)
-			next[k]++
+			off[k]--
+			members[off[k]] = int32(i)
 		}
 	}
 	return off, members

@@ -29,8 +29,13 @@ import (
 // WeightedReversePath repeats that argument over exact weighted distances,
 // and MilestoneRouter keeps a pure function of the inner router's path.
 // SourceSPT routes each source inside its own shortest-path tree, so its
-// per-source structures are trees by construction; NewInstance rejects it
-// where the per-destination side breaks.
+// per-source structures are trees by construction. Its smallest-ID BFS
+// parents give the per-destination side as well. Say the route from s to
+// d passes m, and v follows m on it. v's predecessor u is the smallest-ID
+// neighbour of v one hop closer to s. Every neighbour one hop closer to m
+// is one hop closer to s too, and u, whose chain reaches m, is one of
+// them; so u is the smallest-ID neighbour one hop closer to m, and the
+// m→d segment does not depend on s.
 type Router interface {
 	// Name identifies the routing strategy.
 	Name() string
@@ -188,12 +193,13 @@ func (r *WeightedReversePath) Path(s, d graph.NodeID) ([]graph.NodeID, error) {
 
 // SourceSPT routes every pair inside the shortest-path tree rooted at the
 // pair's SOURCE — the paper's literal "multicast tree from each source"
-// construction. Per-source structures are genuine trees, but paths of two
-// pairs toward the same destination may diverge after meeting, violating
-// the per-destination suffix property the planner requires; NewInstance
-// then rejects the router with a diagnostic. It exists to demonstrate and
-// measure that hazard (see DESIGN.md §6); use ReversePath or SharedTree
-// for planning.
+// construction. Per-source structures are genuine trees, and with
+// smallest-ID BFS parents two pairs toward the same destination never
+// diverge after meeting (see Router), so the per-destination suffix
+// property the planner requires holds. NewInstance still checks it, as
+// for every router; no violation has been observed on 25,000 random
+// graphs with all-pairs workloads or on the shipped workloads (see
+// DESIGN.md §6).
 //
 // Its tree cache is keyed by source, so one tree serves every
 // destination; it has no Fork, and NewInstance routes it on one

@@ -53,13 +53,13 @@ func Build(net *graph.Undirected, msgs []Message) (*Schedule, error) {
 	}
 
 	// Topological order over dependencies (smallest index first).
-	dg := graph.NewDigraph(n)
+	var arcs []graph.Arc
 	for i, m := range msgs {
 		for _, d := range m.Deps {
-			dg.AddArc(d, i)
+			arcs = append(arcs, graph.Arc{From: int32(d), To: int32(i)})
 		}
 	}
-	order, ok := dg.TopoSort()
+	order, ok := graph.NewDigraph(n, arcs).TopoSort()
 	if !ok {
 		return nil, fmt.Errorf("schedule: dependency cycle among messages")
 	}

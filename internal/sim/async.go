@@ -232,7 +232,7 @@ func (e *Engine) buildAsyncTopo() *asyncTopo {
 				}
 			}
 			if rel {
-				fi := e.prog.finalOf[edge.To]
+				fi := e.prog.finalIndex(edge.To)
 				t.relevant[mi] = append(t.relevant[mi], fi)
 				t.inCount[fi]++
 			}

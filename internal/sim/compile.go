@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"m2m/internal/agg"
 	"m2m/internal/graph"
@@ -97,8 +99,7 @@ type compiled struct {
 	ins       []unitInput // every op's operands, then every final's
 	msgOff    []int32     // message -> its first op; messages are contiguous in ops
 	unitBytes []int32     // indexed by unit index: on-wire payload bytes
-	finals    []finalOp
-	finalOf   map[graph.NodeID]int32 // destination -> index into finals
+	finals    []finalOp   // ascending by destination
 
 	msgEdge   []int32 // message index -> dense id of its carrying edge
 	nMsgEdges int
@@ -125,20 +126,19 @@ func kernelKind(f agg.Func) agg.Kind {
 // error for any plan whose reads are not covered by writes — turning the
 // old per-round runtime checks into one construction-time proof.
 func (e *Engine) compile(cx *construction) error {
-	inst := e.Plan.Inst
-	c := &compiled{}
+	units := e.units
+	c := &compiled{unitBytes: cx.unitBytes}
 
 	// Slots are interned in first-touch order. A raw value at a node other
 	// than its source is keyed by its provider unit and a record by its
 	// representative unit; -1 marks a slot not yet interned.
-	rawSlotOf := make([]int32, len(e.units))
-	recSlotOf := make([]int32, len(e.units))
-	for i := range e.units {
-		rawSlotOf[i] = -1
-		recSlotOf[i] = -1
+	slotOf := make([]int32, 2*len(units))
+	for i := range slotOf {
+		slotOf[i] = -1
 	}
+	rawSlotOf, recSlotOf := slotOf[:len(units)], slotOf[len(units):]
 	c.srcIDs = cx.sources
-	srcBit := make([]int32, inst.Net.Len()) // node -> dense source index, or -1
+	srcBit := make([]int32, len(cx.destOf)) // node -> dense source index, or -1
 	for i := range srcBit {
 		srcBit[i] = -1
 	}
@@ -168,173 +168,104 @@ func (e *Engine) compile(cx *construction) error {
 		if recSlotOf[rep] < 0 {
 			recSlotOf[rep] = int32(c.nRec)
 			c.nRec++
-			l := int32(agg.RecordLen(inst.SpecByDest[d].Func))
 			c.recOff = append(c.recOff, int32(c.arena))
-			c.arena += int(l)
-			if int(l) > c.maxRec {
-				c.maxRec = int(l)
-			}
+			c.arena += int(cx.info[cx.destOf[d]].recLen)
 		}
 		return recSlotOf[rep]
 	}
-
 	// The assembly scratch must fit every destination's record, including
 	// destinations whose contributions all arrive raw (no record slot).
-	// Every listed source is proven first: RecordLen probes PreAgg on the
-	// first one when the Func has no InPlace form.
-	for _, sp := range inst.SpecByDest {
-		for _, s := range sp.Func.Sources() {
-			if _, err := agg.ParamOf(sp.Func, s); err != nil {
-				return fmt.Errorf("sim: record for %d: %w", sp.Dest, err)
-			}
-		}
-		if l := agg.RecordLen(sp.Func); l > c.maxRec {
-			c.maxRec = l
-		}
+	for _, di := range cx.info {
+		c.maxRec = max(c.maxRec, int(di.recLen))
 	}
 
-	// operands appends the operands of destination d's record at node n to
-	// ins: the pair walk's contributions in reference merge order, the
-	// upstream record folded once, at the first record-form pair.
-	operands := func(ins []unitInput, n, d graph.NodeID, pairs []pairInput) ([]unitInput, error) {
-		lo := len(ins)
-		f := inst.SpecByDest[d].Func
+	// A record's operands are its pairs in reference merge order, raw-form
+	// pairs one each and the upstream record folded once, at the first
+	// record-form pair. Count them per unit and lay the counts out in
+	// processing order, then the final merges in destination order, so
+	// each unit's operands are written once, straight to their place.
+	nOperands := func(pairs []pairInput) int32 {
+		n, upstream := int32(0), int32(0)
+		for _, pi := range pairs {
+			if pi.rec >= 0 {
+				upstream = 1
+			} else {
+				n++
+			}
+		}
+		return n + upstream
+	}
+	at := make([]int32, len(units)) // record unit -> operand count, then its first operand in c.ins
+	nRecUnits := 0
+	for i, u := range units {
+		if u.Kind == plan.UnitRaw {
+			continue
+		}
+		nRecUnits++
+		if at[i] = nOperands(cx.contribs[cx.contribOff[i]:cx.contribOff[i+1]]); at[i] == 0 {
+			return fmt.Errorf("sim: empty record for %d at %d", u.Node, u.Edge.From)
+		}
+	}
+	nIns := int32(0)
+	c.ops = make([]unitOp, len(e.order))
+	for p, ui := range e.order {
+		if units[ui].Kind == plan.UnitRaw {
+			continue
+		}
+		n := at[ui]
+		at[ui] = nIns
+		c.ops[p].lo, c.ops[p].hi = nIns, nIns+n
+		nIns += n
+	}
+	finalAt := nIns
+	for fi, d := range cx.dests {
+		n := nOperands(cx.finalContribs[cx.finalOff[fi]:cx.finalOff[fi+1]])
+		if n == 0 {
+			return fmt.Errorf("sim: empty record for %d at %d", d, d)
+		}
+		nIns += n
+	}
+	c.ins = make([]unitInput, nIns)
+	c.recOff = make([]int32, 0, nRecUnits)
+
+	// operands writes the operands of destination d's record at node n to
+	// ins, interning the slots they read.
+	operands := func(ins []unitInput, n, d graph.NodeID, pairs []pairInput) {
+		k := 0
 		usedUpstream := false
 		for _, pi := range pairs {
 			if pi.rec >= 0 {
 				if !usedUpstream {
 					usedUpstream = true
-					ins = append(ins, unitInput{kind: inRec, slot: recSlot(cx.recRep[pi.rec], d)})
+					ins[k] = unitInput{kind: inRec, slot: recSlot(cx.recRep[pi.rec], d)}
+					k++
 				}
 				continue
 			}
-			param, err := agg.ParamOf(f, pi.source)
-			if err != nil {
-				return nil, fmt.Errorf("sim: record for %d at %d: %w", d, n, err)
-			}
-			ins = append(ins, unitInput{kind: inRaw, slot: rawSlot(n, pi.source, pi.prov), source: int32(pi.source), srcBit: srcBit[pi.source], param: param})
+			ins[k] = unitInput{kind: inRaw, slot: rawSlot(n, pi.source, pi.prov), source: int32(pi.source), srcBit: srcBit[pi.source], param: pi.param}
+			k++
 		}
-		if len(ins) == lo {
-			return nil, fmt.Errorf("sim: empty record for %d at %d", d, n)
-		}
-		return ins, nil
-	}
-	unitOperands := func(ins []unitInput, ui int) ([]unitInput, error) {
-		u := e.units[ui]
-		return operands(ins, u.Edge.From, u.Node, cx.contribs[cx.contribOff[ui]:cx.contribOff[ui+1]])
 	}
 
 	// Intern every slot the units touch in unit index order, the order the
-	// program fingerprints pin; the layout pass below then only looks them
-	// up.
-	c.unitBytes = make([]int32, len(e.units))
-	var scratch []unitInput
-	for i, u := range e.units {
-		c.unitBytes[i] = int32(e.Plan.Bytes(u))
+	// program fingerprints pin, writing each record's operands as it goes.
+	for i, u := range units {
 		if u.Kind == plan.UnitRaw {
 			rawSlot(u.Edge.From, u.Node, cx.rawUp[i])
 			rawSlot(u.Edge.To, u.Node, cx.rawProv[i])
 			continue
 		}
-		var err error
-		if scratch, err = unitOperands(scratch[:0], i); err != nil {
-			return err
-		}
+		operands(c.ins[at[i]:], u.Edge.From, u.Node, cx.contribs[cx.contribOff[i]:cx.contribOff[i+1]])
 		recSlot(cx.recRep[i], u.Node)
 	}
 
-	// Lay the ops and their operands out in processing order, then the
-	// final merges in destination order.
-	c.ops = make([]unitOp, len(e.order))
-	c.ins = make([]unitInput, 0, len(cx.contribs)+len(cx.finalContribs))
-	for p, ui := range e.order {
-		u := e.units[ui]
-		if u.Kind == plan.UnitRaw {
-			c.ops[p] = unitOp{raw: true, from: rawSlot(u.Edge.From, u.Node, cx.rawUp[ui]), to: rawSlot(u.Edge.To, u.Node, cx.rawProv[ui])}
-			continue
-		}
-		lo := len(c.ins)
-		var err error
-		if c.ins, err = unitOperands(c.ins, ui); err != nil {
-			return err
-		}
-		f := inst.SpecByDest[u.Node].Func
-		c.ops[p] = unitOp{
-			alg:   kernelKind(f),
-			lo:    int32(lo),
-			hi:    int32(len(c.ins)),
-			out:   recSlot(cx.recRep[ui], u.Node),
-			fnLen: int32(agg.RecordLen(f)),
-			fn:    f,
-		}
-	}
-	c.msgOff = make([]int32, len(e.messages)+1)
-	for mi, msg := range e.messages {
-		c.msgOff[mi+1] = c.msgOff[mi] + int32(len(msg))
-	}
-	for fi, d := range cx.dests {
-		lo := len(c.ins)
-		var err error
-		if c.ins, err = operands(c.ins, d, d, cx.finalContribs[cx.finalOff[fi]:cx.finalOff[fi+1]]); err != nil {
-			return err
-		}
-		f := inst.SpecByDest[d].Func
-		fo := finalOp{
-			dest:    d,
-			alg:     kernelKind(f),
-			fnLen:   int32(agg.RecordLen(f)),
-			lo:      int32(lo),
-			hi:      int32(len(c.ins)),
-			fn:      f,
-			sources: f.Sources(),
-		}
-		fo.srcBits = make([]int32, len(fo.sources))
-		for i, s := range fo.sources {
-			fo.srcBits[i] = srcBit[s]
-		}
-		fo.srcOff = int32(c.nFinalSrcs)
-		c.nFinalSrcs += len(fo.sources)
-		c.finals = append(c.finals, fo)
-	}
-	c.finalOf = make(map[graph.NodeID]int32, len(c.finals))
-	for i := range c.finals {
-		c.finalOf[c.finals[i].dest] = int32(i)
-	}
-
-	// Dense ids for the edges the message layout uses, so per-round ARQ
-	// attempt counters and receive windows index arrays instead of maps.
-	c.msgEdge = make([]int32, len(e.messages))
-	edgeID := make([]int32, len(e.Plan.Inst.EdgeList)) // EdgeList index -> dense id + 1
-	for mi, msg := range e.messages {
-		if len(msg) == 0 {
-			// Broadcast-mode placeholder messages carry no units (and the
-			// lossy executors reject broadcast engines upstream).
-			c.msgEdge[mi] = -1
-			continue
-		}
-		ei := cx.unitEdge[msg[0]]
-		if edgeID[ei] == 0 {
-			c.nMsgEdges++
-			edgeID[ei] = int32(c.nMsgEdges)
-			edge := e.units[msg[0]].Edge
-			c.edgeFrom = append(c.edgeFrom, edge.From)
-			c.edgeTo = append(c.edgeTo, edge.To)
-		}
-		c.msgEdge[mi] = edgeID[ei] - 1
-	}
-	endpoint := make([]bool, inst.Net.Len())
-	for i := range c.edgeFrom {
-		for _, n := range [2]graph.NodeID{c.edgeFrom[i], c.edgeTo[i]} {
-			if !endpoint[n] {
-				endpoint[n] = true
-				c.nEdgeNodes++
-			}
-		}
-	}
-
-	// Static verification: replay the processing order over presence bits,
-	// proving every read follows a write (so the fault-free executor skips
-	// runtime checks) and fixing each fold's copy-vs-merge decision.
+	// Fill in the ops in processing order, then the final merges in
+	// destination order, with their sources' dense indices side by side.
+	// Every slot is interned, so the slot functions only look them up.
+	// Each op is verified as it is filled: the pass replays the processing
+	// order over presence bits, proving every read follows a write (so the
+	// fault-free executor skips runtime checks) and fixing each fold's
+	// copy-vs-merge decision.
 	rawSet := make([]bool, c.nRaw)
 	recSet := make([]bool, c.nRec)
 	for _, slot := range c.srcSlot {
@@ -358,10 +289,13 @@ func (e *Engine) compile(cx *construction) error {
 		}
 		return nil
 	}
-	for p := range c.ops {
+	for p, ui := range e.order {
+		u := units[ui]
 		op := &c.ops[p]
-		u := e.units[e.order[p]]
-		if op.raw {
+		if u.Kind == plan.UnitRaw {
+			op.raw = true
+			op.from = rawSlot(u.Edge.From, u.Node, cx.rawUp[ui])
+			op.to = rawSlot(u.Edge.To, u.Node, cx.rawProv[ui])
 			if op.from < 0 || !rawSet[op.from] {
 				return fmt.Errorf("sim: raw %d missing at %d", u.Node, u.Edge.From)
 			}
@@ -370,20 +304,95 @@ func (e *Engine) compile(cx *construction) error {
 			}
 			continue
 		}
+		di := &cx.info[cx.destOf[u.Node]]
+		op.alg = di.alg
+		op.out = recSlot(cx.recRep[ui], u.Node)
+		op.fnLen = di.recLen
+		op.fn = di.fn
 		if err := checkInputs(u.Edge.From, u.Node, c.ins[op.lo:op.hi]); err != nil {
 			return err
 		}
 		op.outMerge = recSet[op.out]
 		recSet[op.out] = true
 	}
-	for i := range c.finals {
-		fo := &c.finals[i]
-		if err := checkInputs(fo.dest, fo.dest, c.ins[fo.lo:fo.hi]); err != nil {
+	for _, di := range cx.info {
+		c.nFinalSrcs += len(di.sources)
+	}
+	srcBits := make([]int32, 0, c.nFinalSrcs)
+	c.finals = make([]finalOp, len(cx.dests))
+	for fi, d := range cx.dests {
+		pairs := cx.finalContribs[cx.finalOff[fi]:cx.finalOff[fi+1]]
+		lo := finalAt
+		finalAt += nOperands(pairs)
+		operands(c.ins[lo:finalAt], d, d, pairs)
+		if err := checkInputs(d, d, c.ins[lo:finalAt]); err != nil {
 			return err
+		}
+		di := &cx.info[fi]
+		srcOff := len(srcBits)
+		for _, s := range di.sources {
+			srcBits = append(srcBits, srcBit[s])
+		}
+		c.finals[fi] = finalOp{
+			dest:    d,
+			alg:     di.alg,
+			fnLen:   di.recLen,
+			lo:      lo,
+			hi:      finalAt,
+			fn:      di.fn,
+			sources: di.sources,
+			srcBits: srcBits[srcOff:len(srcBits):len(srcBits)],
+			srcOff:  int32(srcOff),
+		}
+	}
+
+	c.msgOff = make([]int32, len(e.messages)+1)
+	for mi, msg := range e.messages {
+		c.msgOff[mi+1] = c.msgOff[mi] + int32(len(msg))
+	}
+	// Dense ids for the edges the message layout uses, so per-round ARQ
+	// attempt counters and receive windows index arrays instead of maps.
+	c.msgEdge = make([]int32, len(e.messages))
+	edgeID := make([]int32, len(cx.edgeOff)-1) // EdgeList index -> dense id + 1
+	c.edgeFrom = make([]graph.NodeID, 0, len(edgeID))
+	c.edgeTo = make([]graph.NodeID, 0, len(edgeID))
+	for mi, msg := range e.messages {
+		if len(msg) == 0 {
+			// Broadcast-mode placeholder messages carry no units (and the
+			// lossy executors reject broadcast engines upstream).
+			c.msgEdge[mi] = -1
+			continue
+		}
+		ei := cx.unitEdge[msg[0]]
+		if edgeID[ei] == 0 {
+			c.nMsgEdges++
+			edgeID[ei] = int32(c.nMsgEdges)
+			edge := e.units[msg[0]].Edge
+			c.edgeFrom = append(c.edgeFrom, edge.From)
+			c.edgeTo = append(c.edgeTo, edge.To)
+		}
+		c.msgEdge[mi] = edgeID[ei] - 1
+	}
+	endpoint := make([]bool, len(cx.destOf))
+	for i := range c.edgeFrom {
+		for _, n := range [2]graph.NodeID{c.edgeFrom[i], c.edgeTo[i]} {
+			if !endpoint[n] {
+				endpoint[n] = true
+				c.nEdgeNodes++
+			}
 		}
 	}
 	e.prog = c
 	return nil
+}
+
+// finalIndex returns the index into finals of destination d's final merge,
+// or -1 if d is no destination.
+func (c *compiled) finalIndex(d graph.NodeID) int32 {
+	if i, ok := slices.BinarySearchFunc(c.finals, d, func(fo finalOp, d graph.NodeID) int { return cmp.Compare(fo.dest, d) }); ok {
+		return int32(i)
+	}
+	return -1
 }
 
 // covBit sets bit i of the coverage bitset.

@@ -132,7 +132,7 @@ func NewEngine(p *plan.Plan, model radio.Model, opts Options) (*Engine, error) {
 		}
 		e.accountBroadcastEnergy()
 	} else {
-		if err := e.accountEnergy(opts.EdgeHops, opts.LinkLoss); err != nil {
+		if err := e.accountEnergy(cx.unitBytes, opts.EdgeHops, opts.LinkLoss); err != nil {
 			return nil, err
 		}
 	}
@@ -193,8 +193,19 @@ const (
 // the reference executor's merge order (ascending source).
 type pairInput struct {
 	source graph.NodeID
-	rec    int32 // the upstream record unit on the pair's in-edge, or -1 if the pair arrives raw
-	prov   int32 // raw only: the provider unit of source's value at n, provLocal or provMissing
+	rec    int32   // the upstream record unit on the pair's in-edge, or -1 if the pair arrives raw
+	prov   int32   // raw only: the provider unit of source's value at n, provLocal or provMissing
+	param  float64 // raw only: the source's pre-aggregation parameter (agg.ParamOf)
+}
+
+// destInfo is what the compiled program reads of one destination's
+// function, resolved once per spec.
+type destInfo struct {
+	fn        agg.Func
+	sources   []graph.NodeID // fn.Sources(), ascending
+	alg       agg.Kind       // kernelKind(fn)
+	recLen    int32          // agg.RecordLen(fn)
+	unitBytes int32          // on-wire bytes of one of its record units
 }
 
 // construction is the dense, construction-only view of a plan that
@@ -222,6 +233,10 @@ type construction struct {
 	dests         []graph.NodeID // every destination, ascending
 	finalOff      []int32
 	finalContribs []pairInput
+
+	info      []destInfo // aligned with dests
+	destOf    []int32    // node -> index into dests, or -1
+	unitBytes []int32    // unit -> on-wire payload bytes
 }
 
 // unitIn returns the unit in [lo, hi) tagged with node, or -1. The range
@@ -279,10 +294,18 @@ func (e *Engine) newConstruction() (*construction, error) {
 	if ui != len(units) {
 		panic("sim: plan units out of EdgeList order") // unreachable: Plan.Units lists them so
 	}
-	fromOff, outEdges := graph.GroupBy(len(edges), nNodes, func(ei int) int32 { return int32(edges[ei].From) })
+	// EdgeList is sorted by tail, so node n's out-edges are the range
+	// [fromOff[n], fromOff[n+1]).
+	fromOff := make([]int32, nNodes+1)
+	for _, eg := range edges {
+		fromOff[eg.From+1]++
+	}
+	for n := 0; n < nNodes; n++ {
+		fromOff[n+1] += fromOff[n]
+	}
 	inOff, inEdges := graph.GroupBy(len(edges), nNodes, func(ei int) int32 { return int32(edges[ei].To) })
 	edgeIndex := func(from, to graph.NodeID) int32 {
-		for _, ei := range outEdges[fromOff[from]:fromOff[from+1]] {
+		for ei := fromOff[from]; ei < fromOff[from+1]; ei++ {
 			if edges[ei].To == to {
 				return ei
 			}
@@ -359,32 +382,52 @@ func (e *Engine) newConstruction() (*construction, error) {
 		}
 	}
 
-	// The pair walk, destination by destination and source by source, so
-	// every assembly sees its pairs in ascending source order. At node n =
-	// path[i] a pair arrives as the record of its in-edge if that edge
-	// aggregates d, and as a raw value otherwise.
-	type walked struct {
-		unit int32
-		c    pairInput
-	}
-	var walk []walked
+	// Pairs in walk order: destination by destination, each one's sources
+	// ascending, so pair r of destination cx.dests[di] is finalOff[di]+r.
 	cx.dests = inst.Dests()
-	cx.finalOff = make([]int32, len(cx.dests)+1)
-	arrival := func(n, s graph.NodeID, pos int, inAgg int32) pairInput {
-		switch {
-		case pos == 0:
-			return pairInput{source: s, rec: -1, prov: provLocal}
-		case inAgg >= 0:
-			return pairInput{source: s, rec: inAgg}
-		}
-		return pairInput{source: s, rec: -1, prov: rawAt(n, s)}
+	cx.info = make([]destInfo, len(cx.dests))
+	cx.destOf = make([]int32, nNodes)
+	for i := range cx.destOf {
+		cx.destOf[i] = -1
 	}
+	cx.finalOff = make([]int32, len(cx.dests)+1)
+	for di, d := range cx.dests {
+		f := inst.SpecByDest[d].Func
+		cx.info[di] = destInfo{fn: f, sources: f.Sources()}
+		cx.destOf[d] = int32(di)
+		cx.finalOff[di+1] = cx.finalOff[di] + int32(len(cx.info[di].sources))
+	}
+	nPairs := cx.finalOff[len(cx.dests)]
+
+	// The pair walk, in two passes over the routes. At node n = path[i] a
+	// pair arrives as the record of its in-edge if that edge aggregates d,
+	// and as a raw value otherwise. The first pass looks up each route,
+	// finds the record unit of d on every hop, or -1, and counts each
+	// unit's contributions; it also resolves each pair's parameter, and
+	// each destination's function once its sources are proven (RecordLen
+	// probes PreAgg on the first source when the Func has no InPlace
+	// form). The second pass places every contribution in walk order, so
+	// each assembly sees its pairs in ascending source order.
+	hops := 0
+	for ei := range edges {
+		hops += len(inst.Pairs(ei))
+	}
+	hopUnit := make([]int32, 0, hops)
+	paths := make([][]graph.NodeID, nPairs)
+	params := make([]float64, nPairs)
+	cx.contribOff = make([]int32, len(units)+1)
 	isSource := make([]bool, nNodes)
 	for di, d := range cx.dests {
-		for _, s := range inst.SpecByDest[d].Func.Sources() {
+		info := &cx.info[di]
+		for r, s := range info.sources {
+			param, err := agg.ParamOf(info.fn, s)
+			if err != nil {
+				return nil, fmt.Errorf("sim: record for %d: %w", d, err)
+			}
 			isSource[s] = true
 			path := inst.Paths[plan.Pair{Source: s, Dest: d}]
-			inAgg := int32(-1)
+			pi := cx.finalOff[di] + int32(r)
+			paths[pi], params[pi] = path, param
 			for i := 0; i+1 < len(path); i++ {
 				ei := edgeIndex(path[i], path[i+1])
 				if ei < 0 {
@@ -392,24 +435,67 @@ func (e *Engine) newConstruction() (*construction, error) {
 				}
 				a := e.unitIn(aggOff[ei], cx.edgeOff[ei+1], d)
 				if a >= 0 {
-					walk = append(walk, walked{unit: a, c: arrival(path[i], s, i, inAgg)})
+					cx.contribOff[a+1]++
+				}
+				hopUnit = append(hopUnit, a)
+			}
+		}
+		info.alg = kernelKind(info.fn)
+		info.recLen = int32(agg.RecordLen(info.fn))
+		info.unitBytes = int32(agg.UnitBytes(info.fn))
+	}
+	for u := 1; u <= len(units); u++ {
+		cx.contribOff[u] += cx.contribOff[u-1]
+	}
+	arrival := func(n, s graph.NodeID, pos int, inAgg int32, param float64) pairInput {
+		switch {
+		case pos == 0:
+			return pairInput{source: s, rec: -1, prov: provLocal, param: param}
+		case inAgg >= 0:
+			return pairInput{source: s, rec: inAgg}
+		}
+		return pairInput{source: s, rec: -1, prov: rawAt(n, s), param: param}
+	}
+	cx.contribs = make([]pairInput, cx.contribOff[len(units)])
+	cx.finalContribs = make([]pairInput, nPairs)
+	next := slices.Clone(cx.contribOff[:len(units)]) // unit -> its next contribution's index
+	h := 0
+	for di, d := range cx.dests {
+		for r, s := range cx.info[di].sources {
+			pi := cx.finalOff[di] + int32(r)
+			path, param := paths[pi], params[pi]
+			inAgg := int32(-1)
+			for i := 0; i+1 < len(path); i++ {
+				a := hopUnit[h]
+				h++
+				if a >= 0 {
+					cx.contribs[next[a]] = arrival(path[i], s, i, inAgg, param)
+					next[a]++
 				}
 				inAgg = a
 			}
-			cx.finalContribs = append(cx.finalContribs, arrival(d, s, len(path)-1, inAgg))
+			cx.finalContribs[pi] = arrival(d, s, len(path)-1, inAgg, param)
 		}
-		cx.finalOff[di+1] = int32(len(cx.finalContribs))
 	}
+	nSources := 0
+	for _, ok := range isSource {
+		if ok {
+			nSources++
+		}
+	}
+	cx.sources = make([]graph.NodeID, 0, nSources)
 	for n, ok := range isSource {
 		if ok {
 			cx.sources = append(cx.sources, graph.NodeID(n))
 		}
 	}
-	var byUnit []int32
-	cx.contribOff, byUnit = graph.GroupBy(len(walk), len(units), func(i int) int32 { return walk[i].unit })
-	cx.contribs = make([]pairInput, len(walk))
-	for j, i := range byUnit {
-		cx.contribs[j] = walk[i].c
+	cx.unitBytes = make([]int32, len(units))
+	for i, u := range units {
+		if u.Kind == plan.UnitRaw {
+			cx.unitBytes[i] = agg.RawUnitBytes
+		} else {
+			cx.unitBytes[i] = cx.info[cx.destOf[u.Node]].unitBytes
+		}
 	}
 	return cx, nil
 }
@@ -536,15 +622,25 @@ func (e *Engine) PerNodeEnergy() map[graph.NodeID]float64 { return e.perNodeJ }
 // the edge tail and RX to the head; for multi-hop virtual edges the
 // relaying between milestones is split evenly between the endpoints (the
 // intermediate relays are chosen by the communication layer at runtime
-// and unknown to the plan).
-func (e *Engine) accountEnergy(edgeHops func(routing.Edge) int, linkLoss func(routing.Edge) float64) error {
+// and unknown to the plan). Shares are summed per node in message order,
+// then keyed by node once.
+func (e *Engine) accountEnergy(unitBytes []int32, edgeHops func(routing.Edge) int, linkLoss func(routing.Edge) float64) error {
 	e.energyJ = 0
 	e.bodyBytes = 0
-	e.perNodeJ = make(map[graph.NodeID]float64)
+	perNode := make([]float64, e.Plan.Inst.Net.Len())
+	charged := make([]bool, len(perNode))
+	nCharged := 0
+	charge := func(n graph.NodeID, j float64) {
+		perNode[n] += j
+		if !charged[n] {
+			charged[n] = true
+			nCharged++
+		}
+	}
 	for _, msg := range e.messages {
 		body := 0
 		for _, ui := range msg {
-			body += e.Plan.Bytes(e.units[ui])
+			body += int(unitBytes[ui])
 		}
 		edge := e.units[msg[0]].Edge
 		hops := 1
@@ -565,11 +661,17 @@ func (e *Engine) accountEnergy(edgeHops func(routing.Edge) int, linkLoss func(ro
 		total := arq * float64(hops) * e.Radio.UnicastJoules(body)
 		e.energyJ += total
 		if hops == 1 {
-			e.perNodeJ[edge.From] += arq * e.Radio.TxJoules(body)
-			e.perNodeJ[edge.To] += arq * e.Radio.RxJoules(body)
+			charge(edge.From, arq*e.Radio.TxJoules(body))
+			charge(edge.To, arq*e.Radio.RxJoules(body))
 		} else {
-			e.perNodeJ[edge.From] += total / 2
-			e.perNodeJ[edge.To] += total / 2
+			charge(edge.From, total/2)
+			charge(edge.To, total/2)
+		}
+	}
+	e.perNodeJ = make(map[graph.NodeID]float64, nCharged)
+	for n, ok := range charged {
+		if ok {
+			e.perNodeJ[graph.NodeID(n)] = perNode[n]
 		}
 	}
 	return nil

@@ -150,7 +150,7 @@ func programFingerprint(t *testing.T, e *Engine) string {
 		f.inputs(c.ins[fo.lo:fo.hi])
 		f.nodes(fo.sources)
 		f.int32s(fo.srcBits)
-		f.int(int64(c.finalOf[fo.dest]))
+		f.int(int64(c.finalIndex(fo.dest)))
 	}
 	f.int32s(c.msgEdge)
 	f.int(int64(c.nMsgEdges))
@@ -321,6 +321,44 @@ func TestProgramFingerprint(t *testing.T) {
 			want:  "6b654e11022a2805f023ac3bc352d0e61ee27f8e820e0028aca63d93146ecf2e",
 		},
 	}
+
+	// plan-10k's shape, and its plan after one destination is dropped and
+	// replanned incrementally (the replan perfbench times). The instance
+	// is built once and shared by both fixtures.
+	var plan10k, replan10k *plan.Plan
+	build10k := func(t *testing.T) {
+		if plan10k != nil {
+			return
+		}
+		_, g := topology.Scaled(10000, 1)
+		r := routing.NewReversePath(g)
+		plan10k = fingerprintPlan(t, g, r, workload.Config{
+			NumDests: 200, SourcesPerDest: 20, Dispersion: 0.9, MaxHops: 4, Seed: 1,
+		})
+		specs := plan10k.Inst.Specs
+		delta := append(append([]agg.Spec(nil), specs[:1]...), specs[2:]...)
+		inst2, err := plan.NewInstance(g, r, delta)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if replan10k, _, err = plan.Reoptimize(plan10k, inst2); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fixtures = append(fixtures,
+		fixture{
+			name: "plan-10k",
+			plan: func(t *testing.T) *plan.Plan { build10k(t); return plan10k },
+			opts: Options{MergeMessages: true},
+			want: "3ecc00c96f5b9263fe51963f50db8de709645b526f1f631e3f3e2fb84f263561",
+		},
+		fixture{
+			name: "plan-10k-replan",
+			plan: func(t *testing.T) *plan.Plan { build10k(t); return replan10k },
+			opts: Options{MergeMessages: true},
+			want: "fe339bce00361e154096b73fcd12184b9817dea08db6288f3caecec656014bc2",
+		},
+	)
 
 	reconverge := reconvergingInstance(t)
 	fixtures = append(fixtures,

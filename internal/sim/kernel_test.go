@@ -312,6 +312,18 @@ func TestNewEngineRejectsUnknownSource(t *testing.T) {
 	}
 }
 
+// TestBuildMessagesRejectsCycle pins that a cyclic message wait-for graph
+// is an error, not a panic: two units on different edges that wait for
+// each other leave the ready-set Kahn order short.
+func TestBuildMessagesRejectsCycle(t *testing.T) {
+	e := &Engine{units: make([]plan.Unit, 2), deps: [][]int{{1}, {0}}}
+	cx := &construction{unitEdge: []int32{0, 1}}
+	err := e.buildMessages(cx, false)
+	if err == nil || !strings.Contains(err.Error(), "cycle") {
+		t.Fatalf("buildMessages on a cyclic wait-for graph: %v, want a cycle error", err)
+	}
+}
+
 // TestDepsAcyclic covers the construction-time Theorem 2 check.
 func TestDepsAcyclic(t *testing.T) {
 	long := make([][]int, 50)

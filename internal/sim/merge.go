@@ -17,13 +17,13 @@ func (e *Engine) buildMessages(cx *construction, merge bool) error {
 	// One message per unit, or when merging the ideal layout: one message
 	// per edge, in EdgeList order, which is also the order of the units.
 	// Either way message ids ascend with their first unit.
-	assign := make([]int, len(e.units)) // unit -> message id
+	assign := make([]int32, len(e.units)) // unit -> message id
 	nMsgs := 0
 	for ui := range e.units {
 		if ui > 0 && (!merge || cx.unitEdge[ui] != cx.unitEdge[ui-1]) {
 			nMsgs++
 		}
-		assign[ui] = nMsgs
+		assign[ui] = int32(nMsgs)
 	}
 	if len(e.units) > 0 {
 		nMsgs++
@@ -36,7 +36,7 @@ func (e *Engine) buildMessages(cx *construction, merge bool) error {
 	if !ok {
 		return fmt.Errorf("sim: message wait-for cycle survived merging")
 	}
-	e.orderMessages(messagesFromAssign(assign, nMsgs), perm)
+	e.orderMessages(assign, nMsgs, perm)
 	return nil
 }
 
@@ -47,8 +47,8 @@ func (e *Engine) buildMessages(cx *construction, merge bool) error {
 // 2), then greedily re-merges pairs within just those edges. It rewrites
 // assign in place, numbering messages by first unit again, and returns the
 // new message count.
-func (e *Engine) splitCycles(cx *construction, assign []int, nMsgs int) int {
-	edgeUnits := func(ei int32) []int {
+func (e *Engine) splitCycles(cx *construction, assign []int32, nMsgs int) int {
+	edgeUnits := func(ei int32) []int32 {
 		return assign[cx.edgeOff[ei]:cx.edgeOff[ei+1]]
 	}
 	for iter := 0; ; iter++ {
@@ -71,7 +71,7 @@ func (e *Engine) splitCycles(cx *construction, assign []int, nMsgs int) int {
 		for _, ei := range brokenEdges {
 			ms := edgeUnits(ei)
 			for i := range ms {
-				ms[i] = nMsgs
+				ms[i] = int32(nMsgs)
 				nMsgs++
 			}
 		}
@@ -94,7 +94,7 @@ func (e *Engine) splitCycles(cx *construction, assign []int, nMsgs int) int {
 				if b == cur {
 					continue
 				}
-				if mg.Reaches(cur, b) || mg.Reaches(b, cur) {
+				if mg.Reaches(int(cur), int(b)) || mg.Reaches(int(b), int(cur)) {
 					cur = b // start a new message from here
 					continue
 				}
@@ -105,14 +105,14 @@ func (e *Engine) splitCycles(cx *construction, assign []int, nMsgs int) int {
 		break
 	}
 	// Compact message ids in order of first unit.
-	remap := make([]int, nMsgs)
+	remap := make([]int32, nMsgs)
 	for i := range remap {
 		remap[i] = -1
 	}
 	nMsgs = 0
 	for ui, m := range assign {
 		if remap[m] < 0 {
-			remap[m] = nMsgs
+			remap[m] = int32(nMsgs)
 			nMsgs++
 		}
 		assign[ui] = remap[m]
@@ -120,75 +120,69 @@ func (e *Engine) splitCycles(cx *construction, assign []int, nMsgs int) int {
 	return nMsgs
 }
 
-// orderMessages lays msgs out in the topological order perm of the message
-// wait-for DAG and rebuilds e.order message-contiguously: every message's
-// units appear consecutively (ascending unit index), and a message appears
-// only after every message it waits for. Units of one edge never depend on
-// each other, so the flattening is a valid unit order; Run and RunLossy
-// share it, which is what makes a fault-free lossy round byte-identical to
-// a plain one.
+// orderMessages lays the messages of assign (unit -> message id) out in
+// the topological order perm of the message wait-for DAG and builds
+// e.order message-contiguously: every message's units appear
+// consecutively (ascending unit index), and a message appears only after
+// every message it waits for. Each message is its run of e.order. Units
+// of one edge never depend on each other, so the flattening is a valid
+// unit order; Run and RunLossy share it, which is what makes a fault-free
+// lossy round byte-identical to a plain one.
 //
 // perm comes from Digraph.TopoSort, the Kahn order that emits the ready
 // message with the smallest id first. Message ids ascend with their first
 // unit, so among ready messages the one whose first unit has the smallest
 // index goes first.
-func (e *Engine) orderMessages(msgs [][]int, perm []int) {
-	for m := 1; m < len(msgs); m++ {
-		if msgs[m][0] <= msgs[m-1][0] {
+func (e *Engine) orderMessages(assign []int32, nMsgs int, perm []int) {
+	at := make([]int32, nMsgs) // message -> its size, then its next slot in e.order
+	next := int32(0)           // the id the next message to start must have
+	for _, m := range assign {
+		if m > next {
 			panic("sim: messages not numbered by first unit") // unreachable: buildMessages numbers them so
 		}
+		if m == next {
+			next++
+		}
+		at[m]++
 	}
-	e.messages = make([][]int, 0, len(msgs))
-	e.order = make([]int, 0, len(e.units))
-	for _, m := range perm {
-		e.messages = append(e.messages, msgs[m])
-		e.order = append(e.order, msgs[m]...)
+	e.messages = make([][]int, len(perm))
+	e.order = make([]int, len(assign))
+	pos := int32(0)
+	for i, m := range perm {
+		n := at[m]
+		e.messages[i] = e.order[pos : pos+n : pos+n]
+		at[m] = pos
+		pos += n
+	}
+	for ui, m := range assign {
+		e.order[at[m]] = ui
+		at[m]++
 	}
 }
 
-// messageGraph lifts the unit wait-for relation onto messages. Self-arcs
-// cannot arise (no unit depends on a unit of its own edge) but are
-// skipped defensively.
-func (e *Engine) messageGraph(assign []int, nMsgs int) *graph.Digraph {
-	d := graph.NewDigraph(nMsgs)
+// messageGraph lifts the unit wait-for relation onto messages, one arc per
+// unit dependency that crosses messages (repeats are harmless: the
+// digraph's queries depend only on the set of arcs). Self-arcs cannot
+// arise (no unit depends on a unit of its own edge) but are skipped
+// defensively.
+func (e *Engine) messageGraph(assign []int32, nMsgs int) *graph.Digraph {
+	n := 0
+	for _, ds := range e.deps {
+		n += len(ds)
+	}
+	arcs := make([]graph.Arc, 0, n)
 	for u, ds := range e.deps {
 		for _, dep := range ds {
 			if assign[dep] != assign[u] {
-				d.AddArc(assign[dep], assign[u])
+				arcs = append(arcs, graph.Arc{From: assign[dep], To: assign[u]})
 			}
 		}
 	}
-	return d
+	return graph.NewDigraph(nMsgs, arcs)
 }
 
 // messageGraphAcyclic checks whether the message-level wait-for relation
 // is a DAG.
-func (e *Engine) messageGraphAcyclic(assign []int, nMsgs int) bool {
+func (e *Engine) messageGraphAcyclic(assign []int32, nMsgs int) bool {
 	return !e.messageGraph(assign, nMsgs).HasCycle()
-}
-
-// messagesFromAssign groups units by message id, each message's units
-// ascending, dropping ids no unit carries. The messages share one backing
-// array.
-func messagesFromAssign(assign []int, nMsgs int) [][]int {
-	off := make([]int, nMsgs+1)
-	for _, m := range assign {
-		off[m+1]++
-	}
-	for m := 0; m < nMsgs; m++ {
-		off[m+1] += off[m]
-	}
-	units := make([]int, len(assign))
-	next := append([]int(nil), off[:nMsgs]...)
-	for ui, m := range assign {
-		units[next[m]] = ui
-		next[m]++
-	}
-	msgs := make([][]int, 0, nMsgs)
-	for m := 0; m < nMsgs; m++ {
-		if off[m] < off[m+1] {
-			msgs = append(msgs, units[off[m]:off[m+1]:off[m+1]])
-		}
-	}
-	return msgs
 }

@@ -77,13 +77,8 @@ func TestMergeFallbackOnRealCycle(t *testing.T) {
 }
 
 func TestCyclicCore(t *testing.T) {
-	d := graph.NewDigraph(6)
 	// Cycle 1→2→3→1, with 0 feeding in, 4 locked behind it, 5 free.
-	d.AddArc(0, 1)
-	d.AddArc(1, 2)
-	d.AddArc(2, 3)
-	d.AddArc(3, 1)
-	d.AddArc(3, 4)
+	d := graph.NewDigraph(6, []graph.Arc{{From: 0, To: 1}, {From: 1, To: 2}, {From: 2, To: 3}, {From: 3, To: 1}, {From: 3, To: 4}})
 	core := d.CyclicCore()
 	want := map[int]bool{1: true, 2: true, 3: true, 4: true}
 	if len(core) != len(want) {
@@ -94,7 +89,7 @@ func TestCyclicCore(t *testing.T) {
 			t.Fatalf("core = %v", core)
 		}
 	}
-	if graph.NewDigraph(3).CyclicCore() != nil {
+	if graph.NewDigraph(3, nil).CyclicCore() != nil {
 		t.Error("empty DAG has non-nil core")
 	}
 }

@@ -131,9 +131,11 @@ const (
 	// both of the paper's routing restrictions so Theorem 1 applies.
 	RouterSharedTree
 	// RouterSourceSPT is the paper's literal per-source shortest-path-tree
-	// construction. It can violate the per-destination suffix property the
-	// planner requires, in which case NewInstance returns a diagnostic
-	// error; prefer RouterReversePath or RouterSharedTree.
+	// construction. Its smallest-ID tiebreak keeps the per-destination
+	// suffix property the planner requires (NewInstance checks it for
+	// every router, and no rejection has been observed), but it builds one
+	// BFS tree per source and routes on one goroutine; RouterReversePath
+	// is the faster default.
 	RouterSourceSPT
 	// RouterMinDegree routes inside one low-degree global spanning tree
 	// (local-search degree reduction over the BFS tree). Both routing

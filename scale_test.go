@@ -92,14 +92,15 @@ func TestInstanceAllocBound(t *testing.T) {
 }
 
 // TestEngineAllocBound gates the bytes sim.NewEngine allocates to compile
-// the plan-scale workload's plan, now that construction runs over dense
-// unit and edge arrays instead of maps keyed by (node, source), (node,
-// dest) and unit. The count is deterministic; each bound is twice the
-// measured value, rounded up.
+// the plan-scale workload's plan: construction runs over dense unit and
+// edge arrays instead of maps keyed by (node, source), (node, dest) and
+// unit, the message graph is compressed sparse rows instead of a slice
+// per message, and each record's operands are derived once. The count is
+// deterministic; each bound is twice the measured value, rounded up.
 func TestEngineAllocBound(t *testing.T) {
-	n, bound := 10000, uint64(14_800_000) // measured 7 359 432 (10 583 176 on map-keyed construction)
+	n, bound := 10000, uint64(6_520_000) // measured 3 255 256 (5 060 344 with a slice per message and two operand passes, 10 583 176 on map-keyed construction)
 	if testing.Short() {
-		n, bound = 2000, 2_800_000 // measured 1 378 704 (2 012 296)
+		n, bound = 2000, 1_330_000 // measured 664 760 (977 688, 2 012 296)
 	}
 	net, specs := scaleWorkload(t, n)
 	inst, err := net.NewInstance(specs, RouterReversePath)
@@ -129,7 +130,8 @@ func TestEngineAllocBound(t *testing.T) {
 // so Optimize allocates per plan, not per edge (4,294 allocs/op when
 // every cover was two maps). A one-destination replan stays at the
 // count it had when unchanged covers were shared by reference, and Units
-// allocates only its result.
+// allocates only its result. NewEngine allocates per plan too: 98
+// allocs/op, 689 when the message graph grew a slice per message.
 func TestPlanAllocBound(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops pooled solver scratch at random under the race detector")
@@ -151,6 +153,7 @@ func TestPlanAllocBound(t *testing.T) {
 		{"Optimize", 1500, func() { _, _ = Optimize(inst) }},
 		{"Reoptimize", 26, func() { _, _, _ = Reoptimize(p, inst2) }},
 		{"Units", 1, func() { _ = p.Units() }},
+		{"NewEngine", 196, func() { _, _ = sim.NewEngine(p, net.Radio, sim.Options{MergeMessages: true}) }},
 	} {
 		if got := testing.AllocsPerRun(20, gate.run); got > gate.bound {
 			t.Errorf("%s on the 1k instance: %.0f allocs/op, want <= %.0f", gate.name, got, gate.bound)

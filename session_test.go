@@ -156,11 +156,11 @@ func TestRouterSourceSPTUsable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Smallest-ID BFS parents keep the per-destination suffix property,
+	// so a rejection is a regression.
 	inst, err := net.NewInstance(specs, RouterSourceSPT)
 	if err != nil {
-		// The router's documented hazard: fine as long as it is diagnosed.
-		t.Logf("source-SPT rejected (suffix property): %v", err)
-		return
+		t.Fatalf("source-SPT rejected: %v", err)
 	}
 	p, err := Optimize(inst)
 	if err != nil {
