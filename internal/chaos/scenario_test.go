@@ -16,15 +16,19 @@ func scenarioGraph(t testing.TB, sc *Scenario) *graph.Undirected {
 	t.Helper()
 	model := radio.DefaultModel()
 	var l *topology.Layout
+	var err error
 	switch sc.Topology {
 	case "random":
-		l, _ = topology.Scaled(sc.Nodes, sc.TopoSeed)
+		l, _, err = topology.Scaled(sc.Nodes, sc.TopoSeed)
 	case "clustered":
-		l, _ = topology.ScaledClustered(sc.Nodes, sc.TopoSeed)
+		l, _, err = topology.ScaledClustered(sc.Nodes, sc.TopoSeed)
 	case "grid":
 		l = topology.Grid(sc.GridX, sc.GridY, sc.Spacing)
 	default:
 		t.Fatalf("unknown topology %q", sc.Topology)
+	}
+	if err != nil {
+		t.Fatal(err)
 	}
 	return l.ConnectivityGraph(model.RangeMeters)
 }

@@ -17,7 +17,9 @@ import (
 func fixture(t testing.TB, seed int64, shared bool) *plan.Instance {
 	t.Helper()
 	l := topology.UniformRandom(45, topology.GDIArea(), seed)
-	l.EnsureConnected(50)
+	if _, err := l.EnsureConnected(50); err != nil {
+		t.Fatal(err)
+	}
 	g := l.ConnectivityGraph(50)
 	specs, err := workload.Generate(g, workload.Config{
 		NumDests: 8, SourcesPerDest: 7, Dispersion: 0.9, MaxHops: 4, Seed: seed,

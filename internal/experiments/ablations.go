@@ -29,7 +29,10 @@ func evalWorkload(net *graph.Undirected, destFrac float64, seed int64) ([]agg.Sp
 // entries of the optimal plan versus the bound min(Σ|T_s|, Σ|A_d|) and the
 // two pure approaches, across workload sizes.
 func StateSize(cfg Config) (*tablefmt.Table, error) {
-	_, net := gdi()
+	_, net, err := gdi()
+	if err != nil {
+		return nil, err
+	}
 	tbl := tablefmt.New(
 		"Theorem 3 — In-network state (table entries) vs workload size",
 		"pct_dests", "optimal_state", "multicast_state", "aggregation_state", "bound_min_trees", "optimal_max_node")
@@ -101,7 +104,10 @@ func StateSize(cfg Config) (*tablefmt.Table, error) {
 // destination, how many single-edge problems must be re-solved and how
 // many node-visible solutions change, versus planning from scratch.
 func Incremental(cfg Config) (*tablefmt.Table, error) {
-	_, net := gdi()
+	_, net, err := gdi()
+	if err != nil {
+		return nil, err
+	}
 	tbl := tablefmt.New(
 		"Corollary 1 — Incremental re-optimization after adding one source",
 		"pct_dests", "edges_total", "edges_resolved", "edges_changed", "pct_reused",
@@ -192,7 +198,10 @@ func addOneSource(inst *plan.Instance, d graph.NodeID, seed int64) ([]agg.Spec, 
 // the optimal plan and how many directed edges the workloads occupy (a
 // proxy for path sharing).
 func RouterAblation(cfg Config) (*tablefmt.Table, error) {
-	_, net := gdi()
+	_, net, err := gdi()
+	if err != nil {
+		return nil, err
+	}
 	tbl := tablefmt.New(
 		"Routing ablation — reverse-path vs shared-tree (optimal plan)",
 		"pct_dests", "reverse_mJ", "shared_mJ", "reverse_edges", "shared_edges")
@@ -236,7 +245,10 @@ func RouterAblation(cfg Config) (*tablefmt.Table, error) {
 // routes onto fewer milestones loses aggregation opportunities and raises
 // energy. x is the approximate fraction of intermediate nodes kept.
 func Milestones(cfg Config) (*tablefmt.Table, error) {
-	_, net := gdi()
+	_, net, err := gdi()
+	if err != nil {
+		return nil, err
+	}
 	tbl := tablefmt.New(
 		"Milestones — optimal-plan energy vs fraction of milestone nodes",
 		"keep_fraction", "optimal_mJ", "virtual_edges")
@@ -291,7 +303,10 @@ func Milestones(cfg Config) (*tablefmt.Table, error) {
 // MergeAblation measures the value of Theorem 2's message merging: energy
 // with one message per edge versus one message per unit.
 func MergeAblation(cfg Config) (*tablefmt.Table, error) {
-	_, net := gdi()
+	_, net, err := gdi()
+	if err != nil {
+		return nil, err
+	}
 	tbl := tablefmt.New(
 		"Merging ablation — optimal-plan energy, merged vs per-unit messages",
 		"pct_dests", "merged_mJ", "per_unit_mJ", "savings_pct")

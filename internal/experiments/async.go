@@ -18,7 +18,10 @@ import (
 // its energy equals the synchronous engine's and every destination is
 // fresh.
 func Async(cfg Config) (*tablefmt.Table, error) {
-	_, net := gdi()
+	_, net, err := gdi()
+	if err != nil {
+		return nil, err
+	}
 	tbl := tablefmt.New(
 		"Async — event-driven rounds vs link timing regime (10% loss unless noted)",
 		"jitter_ms", "dup_pct", "deadline_ms", "mJ_per_round", "fresh_pct", "makespan_ms", "dups", "deadlined_pct")

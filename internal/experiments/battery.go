@@ -44,7 +44,10 @@ const (
 // evacuated relay whose residual outlasts the round cap is reported as
 // dying at the cap, so evac_death_rd is a lower bound.
 func Battery(cfg Config) (*tablefmt.Table, error) {
-	_, net := gdi()
+	_, net, err := gdi()
+	if err != nil {
+		return nil, err
+	}
 	tbl := tablefmt.New(
 		"Battery — first-death round, static plan vs proactive evacuation",
 		"loss_pct", "static_death_rd", "evac_death_rd", "gain_pct", "evac_round", "replan_mJ")

@@ -45,7 +45,10 @@ var byzModes = []struct {
 // within a few histogram buckets of the truth — the accuracy-vs-bytes
 // trade recorded in BENCH_byzantine.json.
 func Byzantine(cfg Config) (*tablefmt.Table, error) {
-	_, net := gdi()
+	_, net, err := gdi()
+	if err != nil {
+		return nil, err
+	}
 	tbl := tablefmt.New(
 		"Byzantine — estimate error and bytes on air vs fraction of lying sources",
 		"byz_pct", "wavg_err", "wavg_B", "tmean_err", "tmean_B", "qd_err", "qd_B")

@@ -24,7 +24,10 @@ const chaosRetries = 3
 // so the crash columns show the healed steady state plus the one-time
 // recovery cost.
 func Chaos(cfg Config) (*tablefmt.Table, error) {
-	_, net := gdi()
+	_, net, err := gdi()
+	if err != nil {
+		return nil, err
+	}
 	tbl := tablefmt.New(
 		"Chaos — energy and accuracy vs loss rate, fault-free vs one crash",
 		"loss_pct", "nofail_mJ", "nofail_fresh_pct", "crash_mJ", "crash_fresh_pct", "replan_mJ")

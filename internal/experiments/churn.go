@@ -65,7 +65,10 @@ func churnSide(net *graph.Undirected) ([]graph.NodeID, error) {
 // table-diff dissemination that heals the lag once the cut closes — the
 // lossy channel retries each hop, so heal cost grows with loss.
 func Churn(cfg Config) (*tablefmt.Table, error) {
-	_, net := gdi()
+	_, net, err := gdi()
+	if err != nil {
+		return nil, err
+	}
 	tbl := tablefmt.New(
 		"Churn — partition outage, epoch-fence overhead, and heal cost vs loss rate",
 		"loss_pct", "quiet_mJ", "cut_mJ", "cut_unfresh_pct", "fence_mJ", "fence_drop", "heal_diff_mJ")

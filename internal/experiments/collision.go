@@ -30,7 +30,10 @@ const collisionRetries = 7
 // load is sources per destination: more sources means more planned
 // messages contending for the same receivers.
 func Collision(cfg Config) (*tablefmt.Table, error) {
-	_, net := gdi()
+	_, net, err := gdi()
+	if err != nil {
+		return nil, err
+	}
 	tbl := tablefmt.New(
 		"Contention — coverage and energy vs offered load, by transmission discipline",
 		"srcs_per_dest",

@@ -47,7 +47,7 @@ const (
 )
 
 // gdi returns the evaluation network (68 nodes, 50 m range).
-func gdi() (*topology.Layout, *graph.Undirected) { return topology.GreatDuckIsland() }
+func gdi() (*topology.Layout, *graph.Undirected, error) { return topology.GreatDuckIsland() }
 
 // roundEnergy builds the requested plan over inst and returns its
 // per-round energy in millijoules.

@@ -28,7 +28,10 @@ func OutOfNetwork(cfg Config) (*tablefmt.Table, error) {
 	for n := 50; n <= 250; n += 100 {
 		n := n
 		ys, err := averagedRow(cfg, 4, func(seed int64) ([]float64, error) {
-			_, net := topology.Scaled(n, seed)
+			_, net, err := topology.Scaled(n, seed)
+			if err != nil {
+				return nil, err
+			}
 			specs, err := workload.Generate(net, workload.Config{
 				DestFraction:   0.25,
 				SourcesPerDest: evalSourcesPerDest,
@@ -88,7 +91,10 @@ func OutOfNetwork(cfg Config) (*tablefmt.Table, error) {
 // unicasts. Multicast-heavy plans benefit most (raw values duplicated
 // across out-edges collapse into one transmission).
 func BroadcastAblation(cfg Config) (*tablefmt.Table, error) {
-	_, net := gdi()
+	_, net, err := gdi()
+	if err != nil {
+		return nil, err
+	}
 	tbl := tablefmt.New(
 		"Broadcast with selective listening vs per-edge unicast",
 		"pct_dests", "optimal_uni_mJ", "optimal_bc_mJ", "multicast_uni_mJ", "multicast_bc_mJ")
@@ -148,7 +154,10 @@ func BroadcastAblation(cfg Config) (*tablefmt.Table, error) {
 // messages and reports frame length and idle-listening savings — the
 // further optimization Section 3 mentions.
 func Scheduling(cfg Config) (*tablefmt.Table, error) {
-	_, net := gdi()
+	_, net, err := gdi()
+	if err != nil {
+		return nil, err
+	}
 	tbl := tablefmt.New(
 		"TDMA scheduling of the optimal plan's messages",
 		"pct_dests", "messages", "frame_slots", "latency_ms", "listening_saved_pct", "idle_always_mJ", "idle_sched_mJ")
@@ -212,7 +221,10 @@ func Scheduling(cfg Config) (*tablefmt.Table, error) {
 // total-energy advantage because balancing multicast against aggregation
 // also flattens hot spots.
 func Lifetime(cfg Config) (*tablefmt.Table, error) {
-	_, net := gdi()
+	_, net, err := gdi()
+	if err != nil {
+		return nil, err
+	}
 	tbl := tablefmt.New(
 		"Network lifetime (rounds to first node death, 10 kJ battery)",
 		"pct_dests", "optimal", "multicast", "aggregation", "outofnet")
@@ -280,7 +292,10 @@ func Lifetime(cfg Config) (*tablefmt.Table, error) {
 // local problems, versus disseminating a centrally computed plan, plus
 // the per-node computational load.
 func Distributed(cfg Config) (*tablefmt.Table, error) {
-	_, net := gdi()
+	_, net, err := gdi()
+	if err != nil {
+		return nil, err
+	}
 	tbl := tablefmt.New(
 		"In-network (distributed) optimization vs central plan dissemination",
 		"pct_dests", "setup_B", "central_dissem_B", "nodes_solving", "max_problems_per_node")
@@ -327,7 +342,10 @@ func Distributed(cfg Config) (*tablefmt.Table, error) {
 // downstream), across change probabilities. Improvements are relative to
 // plain suppression; the last column is the flexible mode's extra state.
 func OverrideState(cfg Config) (*tablefmt.Table, error) {
-	_, net := gdi()
+	_, net, err := gdi()
+	if err != nil {
+		return nil, err
+	}
 	tbl := tablefmt.New(
 		"Override state ablation — aggressive policy, default vs flexible",
 		"change_prob", "default_impr_pct", "flexible_impr_pct", "extra_state_entries")
@@ -408,7 +426,10 @@ func OverrideState(cfg Config) (*tablefmt.Table, error) {
 // radio range limit) inflate every message crossing them. Rows scale the
 // worst-case loss probability.
 func LinkLoss(cfg Config) (*tablefmt.Table, error) {
-	l, net := gdi()
+	l, net, err := gdi()
+	if err != nil {
+		return nil, err
+	}
 	tbl := tablefmt.New(
 		"Link loss — optimal plan energy under ARQ vs worst-case loss probability",
 		"max_loss", "optimal_mJ", "inflation_pct", "lossy_links_pct")
@@ -476,7 +497,10 @@ func LinkLoss(cfg Config) (*tablefmt.Table, error) {
 // suggestion for continuous control. Improvements are relative to plain
 // suppression, as in Figure 7.
 func Adaptive(cfg Config) (*tablefmt.Table, error) {
-	_, net := gdi()
+	_, net, err := gdi()
+	if err != nil {
+		return nil, err
+	}
 	tbl := tablefmt.New(
 		"Adaptive override policy vs fixed policies (improvement % over plain suppression)",
 		"change_prob", "aggressive", "conservative", "adaptive")

@@ -23,7 +23,10 @@ const (
 // 10%..100% of the 68-node network, each aggregating 20 sources with
 // dispersion 0.9.
 func Fig3(cfg Config) (*tablefmt.Table, error) {
-	_, net := gdi()
+	_, net, err := gdi()
+	if err != nil {
+		return nil, err
+	}
 	tbl := tablefmt.New(
 		"Figure 3 — Avg. round energy (mJ) vs percent of nodes as destinations",
 		"pct_dests", ColOptimal, ColMulticast, ColAggregation, ColFlood)
@@ -73,7 +76,10 @@ func Fig3(cfg Config) (*tablefmt.Table, error) {
 // Fig4 varies the size of the aggregation functions: 20% of nodes are
 // destinations, each aggregating 5..40 sources.
 func Fig4(cfg Config) (*tablefmt.Table, error) {
-	_, net := gdi()
+	_, net, err := gdi()
+	if err != nil {
+		return nil, err
+	}
 	tbl := tablefmt.New(
 		"Figure 4 — Avg. round energy (mJ) vs sources per destination",
 		"sources_per_dest", ColOptimal, ColMulticast, ColAggregation, ColFlood)
@@ -122,7 +128,10 @@ func Fig4(cfg Config) (*tablefmt.Table, error) {
 // Fig5 varies the dispersion factor d from 0 to 1 with 20% destinations
 // and 20 sources drawn from hops 1..4 (flood omitted, as in the paper).
 func Fig5(cfg Config) (*tablefmt.Table, error) {
-	_, net := gdi()
+	_, net, err := gdi()
+	if err != nil {
+		return nil, err
+	}
 	tbl := tablefmt.New(
 		"Figure 5 — Avg. round energy (mJ) vs dispersion factor d",
 		"dispersion", ColOptimal, ColMulticast, ColAggregation)
@@ -174,7 +183,10 @@ func Fig6(cfg Config) (*tablefmt.Table, error) {
 		"nodes", ColOptimal, ColMulticast, ColAggregation)
 	for n := 50; n <= 250; n += 50 {
 		ys, err := averagedRow(cfg, 3, func(seed int64) ([]float64, error) {
-			_, net := topology.Scaled(n, seed)
+			_, net, err := topology.Scaled(n, seed)
+			if err != nil {
+				return nil, err
+			}
 			specs, err := workload.Generate(net, workload.Config{
 				DestFraction:   0.25,
 				SourcesPerDest: int(0.15 * float64(n)),
@@ -225,7 +237,10 @@ func Fig7(cfg Config) (*tablefmt.Table, error) {
 		p := float64(pi) * 0.05
 		ys, err := averagedRow(cfg, 3, func(seed int64) ([]float64, error) {
 			l := topology.UniformRandom(topology.GDINodes, topology.GDIArea(), seed)
-			net := l.EnsureConnected(radio.DefaultRangeMeters)
+			net, err := l.EnsureConnected(radio.DefaultRangeMeters)
+			if err != nil {
+				return nil, err
+			}
 			specs, err := workload.Generate(net, workload.Config{
 				DestFraction:   0.3,
 				SourcesPerDest: 25,

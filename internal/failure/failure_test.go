@@ -243,7 +243,9 @@ func TestCritical(t *testing.T) {
 func TestNodeFailureRecoveryEndToEnd(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	l := topology.UniformRandom(45, topology.GDIArea(), 99)
-	l.EnsureConnected(50)
+	if _, err := l.EnsureConnected(50); err != nil {
+		t.Fatal(err)
+	}
 	g := l.ConnectivityGraph(50)
 	specs, err := workload.Generate(g, workload.Config{
 		NumDests: 7, SourcesPerDest: 6, Dispersion: 0.9, MaxHops: 4, Seed: 99,

@@ -10,6 +10,8 @@ package graph
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 )
 
@@ -24,23 +26,23 @@ type Edge struct {
 }
 
 // Undirected is a weighted undirected graph over nodes 0..n-1 stored as
-// adjacency lists. The zero value is not usable; call NewUndirected.
+// adjacency rows: nbr[u] lists u's neighbours in insertion order as int32
+// ids, and wt[u][i] is the weight of the edge u—nbr[u][i]. Searches that
+// need only the neighbours (Walk, BFS) scan 4-byte ids; Dijkstra and the
+// weight queries read the parallel weight rows. The zero value is not
+// usable; call NewUndirected.
 type Undirected struct {
 	n   int
-	adj [][]halfEdge
-}
-
-type halfEdge struct {
-	to NodeID
-	w  float64
+	nbr [][]int32
+	wt  [][]float64
 }
 
 // NewUndirected returns an empty undirected graph on n nodes.
 func NewUndirected(n int) *Undirected {
-	if n < 0 {
-		panic("graph: negative node count")
+	if n < 0 || n > math.MaxInt32 {
+		panic("graph: node count out of range")
 	}
-	return &Undirected{n: n, adj: make([][]halfEdge, n)}
+	return &Undirected{n: n, nbr: make([][]int32, n), wt: make([][]float64, n)}
 }
 
 // Len returns the number of nodes.
@@ -49,7 +51,7 @@ func (g *Undirected) Len() int { return g.n }
 // NumEdges returns the number of undirected edges.
 func (g *Undirected) NumEdges() int {
 	total := 0
-	for _, a := range g.adj {
+	for _, a := range g.nbr {
 		total += len(a)
 	}
 	return total / 2
@@ -70,20 +72,41 @@ func (g *Undirected) AddEdge(u, v NodeID, w float64) error {
 	if g.HasEdge(u, v) {
 		return fmt.Errorf("graph: duplicate edge %d—%d", u, v)
 	}
-	g.adj[u] = append(g.adj[u], halfEdge{to: v, w: w})
-	g.adj[v] = append(g.adj[v], halfEdge{to: u, w: w})
+	g.addHalf(u, v, w)
+	g.addHalf(v, u, w)
 	return nil
+}
+
+func (g *Undirected) addHalf(u, v NodeID, w float64) {
+	g.nbr[u] = append(g.nbr[u], int32(v))
+	g.wt[u] = append(g.wt[u], w)
+}
+
+// carve gives every node u an empty neighbour row and weight row of
+// capacity deg[u], cut from one backing array each, so growing one row
+// later reallocates it instead of overwriting the next.
+func (g *Undirected) carve(deg []int32) {
+	total := 0
+	for _, d := range deg {
+		total += int(d)
+	}
+	ids, ws := make([]int32, total), make([]float64, total)
+	off := 0
+	for u, d := range deg {
+		if d > 0 {
+			end := off + int(d)
+			g.nbr[u], g.wt[u] = ids[off:off:end], ws[off:off:end]
+			off = end
+		}
+	}
 }
 
 // NewUndirectedFromEdges returns the graph on n nodes with the given
 // edges, without the range, self-loop, and duplicate checks of AddEdge.
 // The duplicate scan is O(degree), which turns bulk construction of dense
 // graphs quadratic; callers that generate each edge exactly once (e.g.
-// the topology package's spatial-hash sweep) skip it. Adjacency lists
-// come out in the order AddEdge would build them edge by edge. They are
-// carved from one backing array, each with capacity equal to its degree,
-// so growing one list later reallocates it instead of overwriting the
-// next.
+// the topology package's spatial-hash sweep) skip it. Adjacency rows
+// come out in the order AddEdge would build them edge by edge.
 func NewUndirectedFromEdges(n int, edges []Edge) *Undirected {
 	g := NewUndirected(n)
 	deg := make([]int32, n)
@@ -91,17 +114,10 @@ func NewUndirectedFromEdges(n int, edges []Edge) *Undirected {
 		deg[e.U]++
 		deg[e.V]++
 	}
-	back := make([]halfEdge, 2*len(edges))
-	off := 0
-	for u, d := range deg {
-		if d > 0 {
-			g.adj[u] = back[off : off : off+int(d)]
-			off += int(d)
-		}
-	}
+	g.carve(deg)
 	for _, e := range edges {
-		g.adj[e.U] = append(g.adj[e.U], halfEdge{to: e.V, w: e.W})
-		g.adj[e.V] = append(g.adj[e.V], halfEdge{to: e.U, w: e.W})
+		g.addHalf(e.U, e.V, e.W)
+		g.addHalf(e.V, e.U, e.W)
 	}
 	return g
 }
@@ -120,61 +136,59 @@ func (g *Undirected) removeHalf(u, v NodeID) bool {
 	if int(u) < 0 || int(u) >= g.n {
 		return false
 	}
-	a := g.adj[u]
-	for i, h := range a {
-		if h.to == v {
-			g.adj[u] = append(a[:i], a[i+1:]...)
-			return true
+	i := g.find(u, v)
+	if i < 0 {
+		return false
+	}
+	g.nbr[u] = slices.Delete(g.nbr[u], i, i+1)
+	g.wt[u] = slices.Delete(g.wt[u], i, i+1)
+	return true
+}
+
+// find returns the position of v in u's adjacency row, or -1.
+func (g *Undirected) find(u, v NodeID) int {
+	if int(u) < 0 || int(u) >= g.n {
+		return -1
+	}
+	for i, x := range g.nbr[u] {
+		if NodeID(x) == v {
+			return i
 		}
 	}
-	return false
+	return -1
 }
 
 // HasEdge reports whether edge u—v exists.
-func (g *Undirected) HasEdge(u, v NodeID) bool {
-	if int(u) < 0 || int(u) >= g.n {
-		return false
-	}
-	for _, h := range g.adj[u] {
-		if h.to == v {
-			return true
-		}
-	}
-	return false
-}
+func (g *Undirected) HasEdge(u, v NodeID) bool { return g.find(u, v) >= 0 }
 
 // Weight returns the weight of edge u—v, or an error if absent.
 func (g *Undirected) Weight(u, v NodeID) (float64, error) {
-	if int(u) >= 0 && int(u) < g.n {
-		for _, h := range g.adj[u] {
-			if h.to == v {
-				return h.w, nil
-			}
-		}
+	if i := g.find(u, v); i >= 0 {
+		return g.wt[u][i], nil
 	}
 	return 0, fmt.Errorf("graph: no edge %d—%d", u, v)
 }
 
 // Neighbors returns the neighbors of u sorted by ID.
 func (g *Undirected) Neighbors(u NodeID) []NodeID {
-	out := make([]NodeID, 0, len(g.adj[u]))
-	for _, h := range g.adj[u] {
-		out = append(out, h.to)
+	out := make([]NodeID, len(g.nbr[u]))
+	for i, v := range g.nbr[u] {
+		out[i] = NodeID(v)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
 // Degree returns the number of neighbors of u.
-func (g *Undirected) Degree(u NodeID) int { return len(g.adj[u]) }
+func (g *Undirected) Degree(u NodeID) int { return len(g.nbr[u]) }
 
 // Edges returns all undirected edges with U < V, sorted by (U, V).
 func (g *Undirected) Edges() []Edge {
 	var out []Edge
 	for u := 0; u < g.n; u++ {
-		for _, h := range g.adj[u] {
-			if NodeID(u) < h.to {
-				out = append(out, Edge{U: NodeID(u), V: h.to, W: h.w})
+		for i, v := range g.nbr[u] {
+			if NodeID(u) < NodeID(v) {
+				out = append(out, Edge{U: NodeID(u), V: NodeID(v), W: g.wt[u][i]})
 			}
 		}
 	}
@@ -197,8 +211,14 @@ func (g *Undirected) check(u NodeID) error {
 // Clone returns a deep copy of g.
 func (g *Undirected) Clone() *Undirected {
 	c := NewUndirected(g.n)
-	for u := range g.adj {
-		c.adj[u] = append([]halfEdge(nil), g.adj[u]...)
+	deg := make([]int32, g.n)
+	for u, a := range g.nbr {
+		deg[u] = int32(len(a))
+	}
+	c.carve(deg)
+	for u := range g.nbr {
+		c.nbr[u] = append(c.nbr[u], g.nbr[u]...)
+		c.wt[u] = append(c.wt[u], g.wt[u]...)
 	}
 	return c
 }

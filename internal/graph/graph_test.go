@@ -327,8 +327,8 @@ func TestNewUndirectedFromEdges(t *testing.T) {
 		}
 	}
 	g := NewUndirectedFromEdges(5, edges)
-	if !reflect.DeepEqual(g.adj, want.adj) {
-		t.Fatalf("adjacency %v, want %v", g.adj, want.adj)
+	if !reflect.DeepEqual(g.nbr, want.nbr) || !reflect.DeepEqual(g.wt, want.wt) {
+		t.Fatalf("adjacency %v %v, want %v %v", g.nbr, g.wt, want.nbr, want.wt)
 	}
 	if err := g.AddEdge(0, 2, 6); err != nil {
 		t.Fatal(err)
@@ -338,7 +338,7 @@ func TestNewUndirectedFromEdges(t *testing.T) {
 		t.Fatal(err)
 	}
 	want.RemoveEdge(2, 3)
-	if !reflect.DeepEqual(g.adj, want.adj) {
-		t.Fatalf("after mutation: adjacency %v, want %v", g.adj, want.adj)
+	if !reflect.DeepEqual(g.nbr, want.nbr) || !reflect.DeepEqual(g.wt, want.wt) {
+		t.Fatalf("after mutation: adjacency %v %v, want %v %v", g.nbr, g.wt, want.nbr, want.wt)
 	}
 }

@@ -119,16 +119,20 @@ func (w *Walk) step() (u NodeID, ok bool) {
 	}
 	u = w.order[w.next]
 	w.next++
-	du := w.depth[u]
-	for _, h := range w.g.adj[u] {
-		if w.depth[h.to] == 0 {
-			w.depth[h.to] = du + 1
-			if int(du) == len(w.start) {
-				w.start = append(w.start, len(w.order))
-			}
-			w.order = append(w.order, h.to)
+	depth, order := w.depth, w.order
+	du, first := depth[u], len(order)
+	for _, v := range w.g.nbr[u] {
+		if depth[v] == 0 {
+			depth[v] = du + 1
+			order = append(order, NodeID(v))
 		}
 	}
+	// Everything u discovered is one hop past it; the first such node
+	// opens its layer unless an earlier node of u's layer opened it.
+	if len(order) > first && int(du) == len(w.start) {
+		w.start = append(w.start, first)
+	}
+	w.order = order
 	return u, true
 }
 
@@ -155,13 +159,63 @@ func (w *Walk) Parent(v NodeID) NodeID {
 	case h == 0:
 		return v
 	}
-	p := NodeID(-1)
-	for _, e := range w.g.adj[v] {
-		if w.depth[e.to] == int32(h) && (p == -1 || e.to < p) {
-			p = e.to
+	return w.neighbourAt(v, int32(h))
+}
+
+// AppendClimb appends v's parent chain to dst: v, its parent, and so on
+// up to the root. It returns dst unchanged and false if v is unreachable.
+// Unlike Hops and Parent it needs no more of the walk than v's distance:
+// when v is undiscovered and the next node to expand is h-1 hops out,
+// every node within h-1 hops is known, so v is h hops out exactly when it
+// has a neighbour h-1 hops out, and the smallest-ID one is v's parent.
+// One scan of v's neighbours then stands in for expanding that layer.
+// Otherwise v is farther, and the walk expands the whole layer, which
+// cannot discover v, before it looks again. Every node after v on the
+// chain is discovered.
+func (w *Walk) AppendClimb(dst []NodeID, v NodeID) ([]NodeID, bool) {
+	var h int
+	var p NodeID
+	for {
+		d := w.depth[v]
+		if d == 1 { // v is the root
+			break
+		}
+		if d > 1 {
+			h, p = int(d)-1, w.neighbourAt(v, d-1)
+			break
+		}
+		if w.next == len(w.order) {
+			return dst, false
+		}
+		d = w.depth[w.order[w.next]]
+		if p = w.neighbourAt(v, d); p >= 0 {
+			h = int(d)
+			break
+		}
+		for w.next < len(w.order) && w.depth[w.order[w.next]] == d {
+			w.step()
 		}
 	}
-	return p
+	dst = append(slices.Grow(dst, h+1), v)
+	for ; h > 0; h-- {
+		dst = append(dst, p)
+		if h > 1 {
+			p = w.neighbourAt(p, int32(h-1))
+		}
+	}
+	return dst, true
+}
+
+// neighbourAt returns v's smallest-ID neighbour whose depth entry is d
+// (one that is d-1 hops out), or -1 if it has none.
+func (w *Walk) neighbourAt(v NodeID, d int32) NodeID {
+	p := int32(-1)
+	for _, u := range w.g.nbr[v] {
+		if w.depth[u] == d && (p == -1 || u < p) {
+			p = u
+		}
+	}
+	return NodeID(p)
 }
 
 // Layer returns the nodes exactly h hops from the root, in discovery
@@ -211,9 +265,9 @@ func (g *Undirected) Dijkstra(root NodeID) *PathTree {
 			continue
 		}
 		done[u] = true
-		for _, h := range g.adj[u] {
-			v, w := h.to, h.w
-			nd := t.Dist[u] + w
+		for i, x := range g.nbr[u] {
+			v := NodeID(x)
+			nd := t.Dist[u] + g.wt[u][i]
 			switch {
 			case nd < t.Dist[v]:
 				t.Dist[v] = nd
@@ -283,10 +337,10 @@ func (g *Undirected) Components() [][]NodeID {
 			u := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
 			comp = append(comp, u)
-			for _, h := range g.adj[u] {
-				if !seen[h.to] {
-					seen[h.to] = true
-					stack = append(stack, h.to)
+			for _, v := range g.nbr[u] {
+				if !seen[v] {
+					seen[v] = true
+					stack = append(stack, NodeID(v))
 				}
 			}
 		}

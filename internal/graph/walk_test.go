@@ -49,7 +49,7 @@ type namedGraph struct {
 	g    *graph.Undirected
 }
 
-func walkNetworks() []namedGraph {
+func walkNetworks(t *testing.T) []namedGraph {
 	// Far-apart clusters without the connectivity repair, plus node IDs
 	// past the last cluster that have no edges at all.
 	split := topology.Clustered(150, geom.NewRect(0, 0, 1500, 1500), 5, 20, 7).ConnectivityGraph(50)
@@ -59,8 +59,14 @@ func walkNetworks() []namedGraph {
 			panic(err)
 		}
 	}
-	_, random := topology.Scaled(400, 1)
-	_, clustered := topology.ScaledClustered(400, 2)
+	_, random, err := topology.Scaled(400, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, clustered, err := topology.ScaledClustered(400, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
 	return []namedGraph{
 		{"random", random},
 		{"clustered", clustered},
@@ -75,7 +81,7 @@ func walkNetworks() []namedGraph {
 // eccentricity, and that BFS, the walk run to exhaustion, agrees.
 func TestWalkMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	for _, nw := range walkNetworks() {
+	for _, nw := range walkNetworks(t) {
 		name, g, n := nw.name, nw.g, nw.g.Len()
 		roots := []graph.NodeID{0, graph.NodeID(n - 1), graph.NodeID(rng.Intn(n)), graph.NodeID(rng.Intn(n))}
 		for _, root := range roots {
@@ -147,10 +153,55 @@ func TestWalkMatchesReference(t *testing.T) {
 	}
 }
 
+// TestAppendClimbMatchesReference climbs from every node far nodes first,
+// in shuffled order within each distance, on fresh walks, and compares
+// each chain with the reference parents. Hops queries interleaved with
+// the climbs must still match the reference, and the layers afterwards a
+// fresh walk's, order included: a climb that answers from a neighbour
+// scan leaves the walk in BFS order.
+func TestAppendClimbMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for _, nw := range walkNetworks(t) {
+		name, g, n := nw.name, nw.g, nw.g.Len()
+		for _, root := range []graph.NodeID{0, graph.NodeID(n - 1), graph.NodeID(rng.Intn(n))} {
+			hops, parent := refBFS(g, root)
+			order := rng.Perm(n)
+			sort.SliceStable(order, func(i, j int) bool { return hops[order[i]] > hops[order[j]] })
+			w := g.Walk(root)
+			var buf []graph.NodeID
+			for i, v := range order {
+				var want []graph.NodeID
+				for u := graph.NodeID(v); hops[v] >= 0 && len(want) <= hops[v]; u = parent[u] {
+					want = append(want, u)
+				}
+				got, ok := w.AppendClimb(buf, graph.NodeID(v))
+				if ok != (hops[v] >= 0) || !slices.Equal(got[len(buf):], want) || !slices.Equal(got[:len(buf)], buf) {
+					t.Fatalf("%s root %d: AppendClimb(%d) = %v, %v, reference %v after %v", name, root, v, got, ok, want, buf)
+				}
+				buf = got
+				if i%3 == 0 {
+					if u := rng.Intn(n); w.Hops(graph.NodeID(u)) != hops[u] {
+						t.Fatalf("%s root %d: Hops(%d) = %d after climbs, reference %d", name, root, u, w.Hops(graph.NodeID(u)), hops[u])
+					}
+				}
+			}
+			fresh := g.Walk(root)
+			for h := 0; h <= slices.Max(hops)+1; h++ {
+				if got, want := w.Layer(h), fresh.Layer(h); !slices.Equal(got, want) {
+					t.Fatalf("%s root %d: Layer(%d) = %v after climbs, fresh walk %v", name, root, h, got, want)
+				}
+			}
+		}
+	}
+}
+
 // BenchmarkBFS times a whole-network walk: the base station's tree that
 // table dissemination and out-of-network delivery route along.
 func BenchmarkBFS(b *testing.B) {
-	_, g := topology.Scaled(10000, 1)
+	_, g, err := topology.Scaled(10000, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -165,7 +216,7 @@ func BenchmarkBFS(b *testing.B) {
 // eccentricity against the reference of its new root.
 func TestWalkResetMatchesFreshWalk(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
-	for _, nw := range walkNetworks() {
+	for _, nw := range walkNetworks(t) {
 		g, n := nw.g, nw.g.Len()
 		w := g.Walk(0)
 		for trial := 0; trial < 6; trial++ {

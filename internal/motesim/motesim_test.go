@@ -19,7 +19,9 @@ func buildCase(t testing.TB, seed int64, shared bool, nDests, nSrcs int) (*plan.
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	l := topology.UniformRandom(40, topology.GDIArea(), seed)
-	l.EnsureConnected(50)
+	if _, err := l.EnsureConnected(50); err != nil {
+		t.Fatal(err)
+	}
 	g := l.ConnectivityGraph(50)
 	perm := rng.Perm(40)
 	var specs []agg.Spec

@@ -40,7 +40,10 @@ func writePlan(t *testing.T, h hash.Hash, p *plan.Plan) {
 // decision of every edge is in the export, so a change to how plans are
 // solved or stored must leave each of these unchanged.
 func TestPlanExportFingerprint(t *testing.T) {
-	_, gdi := topology.GreatDuckIsland()
+	_, gdi, err := topology.GreatDuckIsland()
+	if err != nil {
+		t.Fatal(err)
+	}
 	gdiCfg := workload.Config{DestFraction: 0.2, SourcesPerDest: 20, Dispersion: 0.9, MaxHops: 4, Seed: 1}
 	gdiInst, err := exportInstance(t, gdi, routing.NewReversePath(gdi), gdiCfg)
 	if err != nil {
@@ -80,7 +83,10 @@ func TestPlanExportFingerprint(t *testing.T) {
 		{"gdi-multicast", func(t *testing.T, h hash.Hash) { writePlan(t, h, plan.Multicast(gdiInst)) }, "16aa80ad5df1601e9856b753ef4c26930f9d5fc204e06e61cfa3e6409adea48e"},
 		{"gdi-aggregate", func(t *testing.T, h hash.Hash) { writePlan(t, h, plan.AggregateASAP(gdiInst)) }, "115479ca70d537f912fc97e1d153793faa0ee204b4b944c8209f447486dc3a53"},
 		{"scaled-1k", func(t *testing.T, h hash.Hash) {
-			_, g := topology.Scaled(1000, 1)
+			_, g, err := topology.Scaled(1000, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
 			inst, err := exportInstance(t, g, routing.NewReversePath(g), workload.Config{
 				NumDests: 20, SourcesPerDest: 20, Dispersion: 0.9, MaxHops: 4, Seed: 1,
 			})

@@ -3,6 +3,7 @@ package plan
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -114,7 +115,7 @@ func TestCorollary1Locality(t *testing.T) {
 			stats.EdgesChangedSolution, stats.EdgesSolved)
 	}
 	// The touched edges must lie on the new pair's path.
-	path := newInst.Paths[Pair{Source: src, Dest: d}]
+	path := newInst.Route(Pair{Source: src, Dest: d})
 	onPath := make(map[routing.Edge]bool)
 	for i := 0; i+1 < len(path); i++ {
 		onPath[routing.Edge{From: path[i], To: path[i+1]}] = true
@@ -186,7 +187,7 @@ func TestRemoveSourceLocality(t *testing.T) {
 	if incr.TotalBodyBytes() != fresh.TotalBodyBytes() {
 		t.Error("incremental after removal differs from fresh")
 	}
-	oldPath := inst.Paths[Pair{Source: victim, Dest: d}]
+	oldPath := inst.Route(Pair{Source: victim, Dest: d})
 	onPath := make(map[routing.Edge]bool)
 	for i := 0; i+1 < len(oldPath); i++ {
 		onPath[routing.Edge{From: oldPath[i], To: oldPath[i+1]}] = true
@@ -325,7 +326,8 @@ func TestReoptimizeDeltas(t *testing.T) {
 	t.Run("node removed", func(t *testing.T) {
 		// Remove the first relay (on some path, neither source nor
 		// destination) whose removal leaves every pair routable.
-		for _, v := range inst.Paths[Pair{Source: inst.Specs[0].Func.Sources()[0], Dest: inst.Specs[0].Dest}] {
+		for _, v := range inst.Paths[0] { // spec 0's first source
+
 			if _, isDest := inst.SpecByDest[v]; isDest || isSource(inst, v) {
 				continue
 			}
@@ -349,12 +351,7 @@ func TestReoptimizeDeltas(t *testing.T) {
 }
 
 func isSource(inst *Instance, n graph.NodeID) bool {
-	for pr := range inst.Paths {
-		if pr.Source == n {
-			return true
-		}
-	}
-	return false
+	return slices.Contains(inst.pairSrc, n)
 }
 
 // TestRouterBreakingTheorem1IsAnError plans with a router that keeps the

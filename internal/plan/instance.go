@@ -10,7 +10,6 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 
 	"m2m/internal/agg"
 	"m2m/internal/graph"
@@ -26,9 +25,12 @@ type Pair struct {
 // canonical route of every pair and, per directed edge, the pairs whose
 // route crosses it (the ∼_e relation).
 //
-// EdgeList is the planner's one edge index: every per-edge table (the
-// pair rows and end rows here, a plan's cover rows) is aligned with it,
-// and EdgeIndex maps an edge to its position.
+// Pairs are numbered spec by spec in Specs order, each spec's sources
+// ascending, and every per-pair table (Paths, the source, parameter and
+// hop rows) is indexed by that number. EdgeList is the planner's one edge
+// index: every per-edge table (the pair rows and end rows here, a plan's
+// cover rows) is aligned with it, and EdgeIndex maps an edge to its
+// position.
 type Instance struct {
 	Net    *graph.Undirected
 	Router routing.Router
@@ -37,11 +39,27 @@ type Instance struct {
 	// SpecByDest indexes Specs by destination (one function per node, as in
 	// the paper).
 	SpecByDest map[graph.NodeID]agg.Spec
-	// Paths holds the canonical route of every pair, endpoints inclusive.
-	Paths map[Pair][]graph.NodeID
+	// Paths holds the canonical route of every pair, endpoints inclusive,
+	// indexed by pair number. The routes of one spec are rows of one
+	// backing array. Route looks a route up by pair.
+	Paths [][]graph.NodeID
 	// EdgeList holds every edge with at least one pair, sorted by
 	// (From, To).
 	EdgeList []routing.Edge
+
+	// The pairs of Specs[i] are numbers specOff[i] to specOff[i+1]-1, and
+	// specOf[d] is the index in Specs of destination d's spec, or -1.
+	specOff []int32
+	specOf  []int32
+	// Pair k's source is pairSrc[k] and its pre-aggregation parameter
+	// (agg.ParamOf) pairParam[k]; hop j of its route crosses
+	// EdgeList[hopEdge[hopOff[k]+j]]. paramErr[i] is the first ParamOf
+	// error among Specs[i]'s sources, left for the executor to report.
+	pairSrc   []graph.NodeID
+	pairParam []float64
+	paramErr  []error
+	hopOff    []int32
+	hopEdge   []int32
 
 	// The pairs crossing EdgeList[i] are pairs[pairOff[i]:pairOff[i+1]],
 	// sorted by (Source, Dest): compressed sparse rows aligned with
@@ -69,10 +87,9 @@ type hop struct {
 // two goroutines than on one, and the two broke even near 300 pairs.
 const minParallelPairs = 256
 
-// routedSpec is the routing of one spec's pairs: their paths in source
-// order, or the first routing error, plus the first suffix violation.
+// routedSpec is the outcome of routing one spec's pairs: the first
+// routing or out-of-range error, and the first suffix violation.
 type routedSpec struct {
-	paths     [][]graph.NodeID
 	err       error
 	suffixErr error
 }
@@ -91,9 +108,13 @@ func NewInstance(net *graph.Undirected, router routing.Router, specs []agg.Spec)
 		Router:     router,
 		Specs:      append([]agg.Spec(nil), specs...),
 		SpecByDest: make(map[graph.NodeID]agg.Spec, len(specs)),
+		specOff:    make([]int32, len(specs)+1),
+		specOf:     make([]int32, net.Len()),
+	}
+	for i := range inst.specOf {
+		inst.specOf[i] = -1
 	}
 	sources := make([][]graph.NodeID, len(inst.Specs))
-	npairs := 0
 	for i, sp := range inst.Specs {
 		if err := sp.Validate(); err != nil {
 			return nil, err
@@ -105,9 +126,15 @@ func NewInstance(net *graph.Undirected, router routing.Router, specs []agg.Spec)
 			return nil, fmt.Errorf("plan: destination %d has two aggregation functions", sp.Dest)
 		}
 		inst.SpecByDest[sp.Dest] = sp
+		inst.specOf[sp.Dest] = int32(i)
 		sources[i] = sp.Func.Sources()
-		npairs += len(sources[i])
+		inst.specOff[i+1] = inst.specOff[i] + int32(len(sources[i]))
 	}
+	npairs := int(inst.specOff[len(specs)])
+	inst.Paths = make([][]graph.NodeID, npairs)
+	inst.pairSrc = make([]graph.NodeID, npairs)
+	inst.pairParam = make([]float64, npairs)
+	inst.paramErr = make([]error, len(specs))
 
 	routers := []routing.Router{router}
 	if npairs >= minParallelPairs {
@@ -120,12 +147,13 @@ func NewInstance(net *graph.Undirected, router routing.Router, specs []agg.Spec)
 		}
 	}
 	checkers := make([]*routing.SuffixChecker, len(routers))
+	bufs := make([][]graph.NodeID, len(routers))
 	for w := range checkers {
 		checkers[w] = routing.NewSuffixChecker(net.Len())
 	}
 	jobs := make([]routedSpec, len(inst.Specs))
 	forEach(len(jobs), len(routers), func(w, i int) {
-		jobs[i] = routeSpec(net, routers[w], checkers[w], inst.Specs[i].Dest, sources[i])
+		jobs[i] = inst.routeSpec(routers[w], checkers[w], &bufs[w], i, sources[i])
 	})
 	for _, job := range jobs {
 		if job.err != nil {
@@ -138,18 +166,14 @@ func NewInstance(net *graph.Undirected, router routing.Router, specs []agg.Spec)
 		}
 	}
 
-	inst.Paths = make(map[Pair][]graph.NodeID, npairs)
-	nhops := 0
-	for _, job := range jobs {
-		for _, path := range job.paths {
-			nhops += len(path) - 1
-		}
+	inst.hopOff = make([]int32, npairs+1)
+	for k, path := range inst.Paths {
+		inst.hopOff[k+1] = inst.hopOff[k] + int32(len(path)-1)
 	}
-	hops := make([]hop, 0, nhops)
-	for i, job := range jobs {
-		for k, path := range job.paths {
-			pr := Pair{Source: sources[i][k], Dest: inst.Specs[i].Dest}
-			inst.Paths[pr] = path
+	hops := make([]hop, 0, inst.hopOff[npairs])
+	for i, sp := range inst.Specs {
+		for k := inst.specOff[i]; k < inst.specOff[i+1]; k++ {
+			pr, path := Pair{Source: inst.pairSrc[k], Dest: sp.Dest}, inst.Paths[k]
 			for j := 0; j+1 < len(path); j++ {
 				hops = append(hops, hop{e: routing.Edge{From: path[j], To: path[j+1]}, pr: pr})
 			}
@@ -159,36 +183,57 @@ func NewInstance(net *graph.Undirected, router routing.Router, specs []agg.Spec)
 	return inst, nil
 }
 
-// routeSpec routes the pairs of destination d, one per source, in order.
-// It stops at the first routing or out-of-range error; after the first
-// suffix violation it keeps routing, since a later routing error
-// outranks it, but checks no further paths.
-func routeSpec(net *graph.Undirected, router routing.Router, suffix *routing.SuffixChecker, d graph.NodeID, sources []graph.NodeID) routedSpec {
-	out := routedSpec{paths: make([][]graph.NodeID, 0, len(sources))}
+// routeSpec routes the pairs of Specs[i], one per source in order, into
+// the pair rows. It appends every route to the worker's buffer *buf, then
+// copies the spec's routes into one array of their exact size and points
+// each of the spec's Paths rows into it. It stops at the first routing or
+// out-of-range error; after the first suffix violation it keeps routing,
+// since a later routing error outranks it, but checks no further paths.
+func (inst *Instance) routeSpec(router routing.Router, suffix *routing.SuffixChecker, buf *[]graph.NodeID, i int, sources []graph.NodeID) routedSpec {
+	var out routedSpec
+	d, fn := inst.Specs[i].Dest, inst.Specs[i].Func
+	rows := inst.Paths[inst.specOff[i]:inst.specOff[i+1]]
+	params := inst.pairParam[inst.specOff[i]:inst.specOff[i+1]]
+	copy(inst.pairSrc[inst.specOff[i]:], sources)
+	routes := (*buf)[:0]
 	suffix.Begin(d)
-	for _, s := range sources {
-		if int(s) < 0 || int(s) >= net.Len() {
+	for k, s := range sources {
+		if int(s) < 0 || int(s) >= inst.Net.Len() {
 			out.err = fmt.Errorf("plan: source %d out of range", s)
-			return out
+			break
 		}
-		path, err := router.Path(s, d)
-		if err != nil {
+		start := len(routes)
+		var err error
+		if routes, err = router.AppendPath(routes, s, d); err != nil {
 			out.err = fmt.Errorf("plan: routing pair %d→%d: %w", s, d, err)
-			return out
+			break
 		}
-		out.paths = append(out.paths, path)
+		if params[k], err = agg.ParamOf(fn, s); err != nil && inst.paramErr[i] == nil {
+			inst.paramErr[i] = err
+		}
+		// Only the row's length is kept: the buffer may move as it grows.
+		rows[k] = routes[start:]
 		if out.suffixErr == nil {
-			out.suffixErr = suffix.Add(path)
+			out.suffixErr = suffix.Add(rows[k])
 		}
+	}
+	*buf = routes
+	if out.err != nil {
+		return out
+	}
+	routes = slices.Clone(routes)
+	for k, row := range rows {
+		n := len(row)
+		rows[k], routes = routes[:n:n], routes[n:]
 	}
 	return out
 }
 
-// indexEdges builds EdgeList, the pair rows and the end rows from the
-// routed hops. A counting sort by tail node followed by a sort of each
-// tail's few hops by (head, source, dest) orders all hops in one pass;
-// each run of equal edges is then one row. The suffix check has bounded
-// every node to the network.
+// indexEdges builds EdgeList, the pair rows, the end rows and the hop
+// rows from the routed hops, which come in pair order. A counting sort by
+// tail node followed by a sort of each tail's few hops by (head, source,
+// dest) orders all hops in one pass; each run of equal edges is then one
+// row. The suffix check has bounded every node to the network.
 func (inst *Instance) indexEdges(hops []hop) {
 	n := inst.Net.Len()
 	off, order := graph.GroupBy(len(hops), n, func(i int) int32 { return int32(hops[i].e.From) })
@@ -213,12 +258,14 @@ func (inst *Instance) indexEdges(hops []hop) {
 	inst.EdgeList = make([]routing.Edge, 0, edges)
 	inst.pairOff = make([]int32, 0, edges+1)
 	inst.pairs = make([]Pair, len(order))
+	inst.hopEdge = make([]int32, len(order))
 	for k, h := range order {
 		if k == 0 || hops[h].e != hops[order[k-1]].e {
 			inst.EdgeList = append(inst.EdgeList, hops[h].e)
 			inst.pairOff = append(inst.pairOff, int32(k))
 		}
 		inst.pairs[k] = hops[h].pr
+		inst.hopEdge[h] = int32(len(inst.EdgeList) - 1)
 	}
 	inst.pairOff = append(inst.pairOff, int32(len(order)))
 
@@ -271,56 +318,122 @@ func (inst *Instance) Ends(i int) (sources, dests []graph.NodeID) {
 	return inst.ends[a:b:b], inst.ends[b:c:c]
 }
 
+// SpecIndex returns the index in Specs of destination d's spec, or -1
+// if d is not a destination.
+func (inst *Instance) SpecIndex(d graph.NodeID) int {
+	if int(d) < 0 || int(d) >= len(inst.specOf) {
+		return -1
+	}
+	return int(inst.specOf[d])
+}
+
+// SpecPairs returns the pair numbers of Specs[i]: lo to hi-1, one per
+// source in ascending order.
+func (inst *Instance) SpecPairs(i int) (lo, hi int) {
+	return int(inst.specOff[i]), int(inst.specOff[i+1])
+}
+
+// SpecSources returns the sources of Specs[i] ascending, aligned with its
+// pairs: its source row. The slice belongs to the instance and must not
+// be modified.
+func (inst *Instance) SpecSources(i int) []graph.NodeID {
+	lo, hi := inst.specOff[i], inst.specOff[i+1]
+	return inst.pairSrc[lo:hi:hi]
+}
+
+// SpecParams returns the pre-aggregation parameter (agg.ParamOf) of each
+// source of Specs[i], aligned with SpecSources(i): its parameter row. The
+// error is ParamOf's for the first source the function cannot
+// pre-aggregate (a Func whose HasSource disagrees with its Sources); the
+// planner does not need the parameters, so only executors report it. The
+// slice belongs to the instance and must not be modified.
+func (inst *Instance) SpecParams(i int) ([]float64, error) {
+	lo, hi := inst.specOff[i], inst.specOff[i+1]
+	return inst.pairParam[lo:hi:hi], inst.paramErr[i]
+}
+
+// HopEdges returns, for each hop of pair k's route in order, the index in
+// EdgeList of the edge it crosses. The slice belongs to the instance and
+// must not be modified.
+func (inst *Instance) HopEdges(k int) []int32 {
+	lo, hi := inst.hopOff[k], inst.hopOff[k+1]
+	return inst.hopEdge[lo:hi:hi]
+}
+
+// Route returns the canonical route of pr, endpoints inclusive, or nil if
+// pr is not a pair of the workload: the destination's spec, then a binary
+// search of its sources. The slice belongs to the instance and must not
+// be modified.
+func (inst *Instance) Route(pr Pair) []graph.NodeID {
+	i := inst.SpecIndex(pr.Dest)
+	if i < 0 {
+		return nil
+	}
+	r, ok := slices.BinarySearch(inst.SpecSources(i), pr.Source)
+	if !ok {
+		return nil
+	}
+	return inst.Paths[int(inst.specOff[i])+r]
+}
+
 // MulticastSize returns the number of nodes in source s's multicast
 // structure (|T_s| in Theorem 3): every node on some path from s.
 func (inst *Instance) MulticastSize(s graph.NodeID) int {
-	nodes := make(map[graph.NodeID]bool)
-	for pr, path := range inst.Paths {
-		if pr.Source != s {
-			continue
-		}
-		for _, n := range path {
-			nodes[n] = true
-		}
+	var nodes []graph.NodeID
+	for _, sp := range inst.Specs {
+		nodes = append(nodes, inst.Route(Pair{Source: s, Dest: sp.Dest})...)
 	}
-	return len(nodes)
+	return countDistinct(nodes)
 }
 
 // AggTreeSize returns the number of nodes in destination d's aggregation
-// tree (|A_d| in Theorem 3): every node on some path toward d.
+// tree (|A_d| in Theorem 3): every node on some path toward d. It reads
+// only d's rows.
 func (inst *Instance) AggTreeSize(d graph.NodeID) int {
-	nodes := make(map[graph.NodeID]bool)
-	for pr, path := range inst.Paths {
-		if pr.Dest != d {
-			continue
-		}
-		for _, n := range path {
-			nodes[n] = true
-		}
+	i := inst.SpecIndex(d)
+	if i < 0 {
+		return 0
 	}
-	return len(nodes)
+	lo, hi := inst.SpecPairs(i)
+	var nodes []graph.NodeID
+	for _, path := range inst.Paths[lo:hi] {
+		nodes = append(nodes, path...)
+	}
+	return countDistinct(nodes)
+}
+
+// countDistinct returns the number of distinct nodes in nodes, which it
+// reorders.
+func countDistinct(nodes []graph.NodeID) int {
+	slices.Sort(nodes)
+	return len(slices.Compact(nodes))
 }
 
 // Sources returns every node acting as a source, ascending.
 func (inst *Instance) Sources() []graph.NodeID {
-	seen := make(map[graph.NodeID]bool)
-	var out []graph.NodeID
-	for pr := range inst.Paths {
-		if !seen[pr.Source] {
-			seen[pr.Source] = true
-			out = append(out, pr.Source)
+	isSource := make([]bool, inst.Net.Len())
+	count := 0
+	for _, s := range inst.pairSrc {
+		if !isSource[s] {
+			isSource[s] = true
+			count++
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	out := make([]graph.NodeID, 0, count)
+	for s, ok := range isSource {
+		if ok {
+			out = append(out, graph.NodeID(s))
+		}
+	}
 	return out
 }
 
 // Dests returns every destination, ascending.
 func (inst *Instance) Dests() []graph.NodeID {
-	out := make([]graph.NodeID, 0, len(inst.SpecByDest))
-	for d := range inst.SpecByDest {
-		out = append(out, d)
+	out := make([]graph.NodeID, len(inst.Specs))
+	for i, sp := range inst.Specs {
+		out[i] = sp.Dest
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }

@@ -40,8 +40,8 @@ type routedInstance struct {
 	err  string
 }
 
-// sameRouting reports how a and b differ in their routes, edge index and
-// pair rows, or "" if they agree.
+// sameRouting reports how a and b differ in their routes, edge index,
+// pair rows, source, parameter and hop rows, or "" if they agree.
 func sameRouting(a, b routedInstance) string {
 	switch {
 	case a.err != b.err:
@@ -56,18 +56,34 @@ func sameRouting(a, b routedInstance) string {
 		return "pair rows differ"
 	case !reflect.DeepEqual(a.inst.endOff, b.inst.endOff) || !reflect.DeepEqual(a.inst.ends, b.inst.ends):
 		return "end rows differ"
+	case !reflect.DeepEqual(a.inst.specOff, b.inst.specOff) || !reflect.DeepEqual(a.inst.pairSrc, b.inst.pairSrc):
+		return "source rows differ"
+	case !reflect.DeepEqual(a.inst.pairParam, b.inst.pairParam) || !reflect.DeepEqual(a.inst.paramErr, b.inst.paramErr):
+		return "parameter rows differ"
+	case !reflect.DeepEqual(a.inst.hopOff, b.inst.hopOff) || !reflect.DeepEqual(a.inst.hopEdge, b.inst.hopEdge):
+		return "edge-index rows differ"
 	}
 	return ""
 }
 
 // TestNewInstanceIndependentOfGOMAXPROCS routes the same workloads with
 // every router under GOMAXPROCS 1, 2 and 8 and requires identical paths,
-// edge lists and pair rows, or identical error text. It runs under -short
+// edge lists, pair rows and the source, parameter and edge-index rows, or
+// identical error text. It runs under -short
 // too, so the race-checked test pass covers concurrent routing.
 func TestNewInstanceIndependentOfGOMAXPROCS(t *testing.T) {
-	_, gdi := topology.GreatDuckIsland()
-	_, g1k := topology.Scaled(1000, 1)
-	_, clustered := topology.ScaledClustered(500, 1)
+	_, gdi, err := topology.GreatDuckIsland()
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, g1k, err := topology.Scaled(1000, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, clustered, err := topology.ScaledClustered(500, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	nets := []struct {
 		name string
 		g    *graph.Undirected
@@ -114,11 +130,11 @@ type detourRouter struct {
 	detours map[Pair][]graph.NodeID
 }
 
-func (r detourRouter) Path(s, d graph.NodeID) ([]graph.NodeID, error) {
+func (r detourRouter) AppendPath(dst []graph.NodeID, s, d graph.NodeID) ([]graph.NodeID, error) {
 	if p, ok := r.detours[Pair{Source: s, Dest: d}]; ok {
-		return p, nil
+		return append(dst, p...), nil
 	}
-	return r.ReversePath.Path(s, d)
+	return r.ReversePath.AppendPath(dst, s, d)
 }
 
 func (r detourRouter) Fork() routing.Router {
@@ -131,7 +147,10 @@ func (r detourRouter) Fork() routing.Router {
 // violation in spec order, and the first suffix violation is reported
 // when nothing else fails.
 func TestNewInstanceErrorOrderIndependentOfGOMAXPROCS(t *testing.T) {
-	_, g := topology.Scaled(1000, 1)
+	_, g, err := topology.Scaled(1000, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	specs, err := workload.Generate(g, workload.Config{NumDests: 20, SourcesPerDest: 20, Dispersion: 0.9, MaxHops: 4, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -154,7 +173,7 @@ func TestNewInstanceErrorOrderIndependentOfGOMAXPROCS(t *testing.T) {
 		d := specs[i].Dest
 		srcs := specs[i].Func.Sources()
 		for k := 0; k+1 < len(srcs); k++ {
-			path, err := routing.NewReversePath(g).Path(srcs[k], d)
+			path, err := routing.NewReversePath(g).AppendPath(nil, srcs[k], d)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -116,11 +116,11 @@ type tableRouter map[Pair][]graph.NodeID
 
 func (r tableRouter) Name() string { return "table" }
 
-func (r tableRouter) Path(s, d graph.NodeID) ([]graph.NodeID, error) {
+func (r tableRouter) AppendPath(dst []graph.NodeID, s, d graph.NodeID) ([]graph.NodeID, error) {
 	if p, ok := r[Pair{Source: s, Dest: d}]; ok {
-		return p, nil
+		return append(dst, p...), nil
 	}
-	return nil, fmt.Errorf("no route %d→%d", s, d)
+	return dst, fmt.Errorf("no route %d→%d", s, d)
 }
 
 // TestSuffixErrorIsDeterministic checks that NewInstance reports the
@@ -200,7 +200,7 @@ func TestTreeSizes(t *testing.T) {
 // randomInstance builds a random connected network with a random workload.
 func randomInstance(t testing.TB, rng *rand.Rand, n, nDests, nSrcsPer int, router func(*graph.Undirected) routing.Router) *Instance {
 	t.Helper()
-	g := randomNet(rng, n)
+	g := randomNet(t, rng, n)
 	inst, err := NewInstance(g, router(g), randomSpecs(rng, n, nDests, nSrcsPer))
 	if err != nil {
 		t.Fatal(err)
@@ -210,9 +210,11 @@ func randomInstance(t testing.TB, rng *rand.Rand, n, nDests, nSrcsPer int, route
 
 // randomNet draws a connected n-node network over the Great Duck Island
 // area with a 50 m radio range.
-func randomNet(rng *rand.Rand, n int) *graph.Undirected {
+func randomNet(t testing.TB, rng *rand.Rand, n int) *graph.Undirected {
 	l := topology.UniformRandom(n, topology.GDIArea(), rng.Int63())
-	l.EnsureConnected(50)
+	if _, err := l.EnsureConnected(50); err != nil {
+		t.Fatal(err)
+	}
 	return l.ConnectivityGraph(50)
 }
 
@@ -330,7 +332,7 @@ func TestTheorem1HoldsForShippedRouters(t *testing.T) {
 			planned := 0
 			for trial := 0; trial < 40; trial++ {
 				n := 30 + rng.Intn(40)
-				g := randomNet(rng, n)
+				g := randomNet(t, rng, n)
 				if c.net != nil {
 					g = c.net(rng, g)
 				}

@@ -72,7 +72,7 @@ func (p *Plan) recordInputs(n, d graph.NodeID, pairs []Pair) ([]contribKey, erro
 		}
 	}
 	for _, pr := range pairs {
-		path := p.Inst.Paths[pr]
+		path := p.Inst.Route(pr)
 		// Locate n on the pair's path.
 		pos := -1
 		for i, v := range path {

@@ -32,25 +32,29 @@ func (m *MilestoneRouter) Fork() Router {
 	return NewMilestoneRouter(m.net, inner, m.keep)
 }
 
-// Path implements Router: the inner canonical path reduced to its
+// AppendPath implements Router: the inner canonical path reduced to its
 // endpoints and milestone nodes. Contraction preserves the inner router's
 // per-destination suffix property because the kept subsequence is a pure
-// function of the path.
-func (m *MilestoneRouter) Path(s, d graph.NodeID) ([]graph.NodeID, error) {
-	full, err := m.inner.Path(s, d)
+// function of the path. The inner path is appended to dst and compacted
+// in place.
+func (m *MilestoneRouter) AppendPath(dst []graph.NodeID, s, d graph.NodeID) ([]graph.NodeID, error) {
+	n := len(dst)
+	full, err := m.inner.AppendPath(dst, s, d)
 	if err != nil {
-		return nil, err
+		return dst, err
 	}
-	out := []graph.NodeID{full[0]}
-	for i := 1; i < len(full)-1; i++ {
+	k := n + 1 // full[n] is s, always kept
+	for i := n + 1; i < len(full)-1; i++ {
 		if m.keep(full[i]) {
-			out = append(out, full[i])
+			full[k] = full[i]
+			k++
 		}
 	}
-	if len(full) > 1 {
-		out = append(out, full[len(full)-1])
+	if len(full)-n > 1 {
+		full[k] = full[len(full)-1]
+		k++
 	}
-	return out, nil
+	return full[:k], nil
 }
 
 // EdgeHops estimates the physical hops under a virtual edge: the shortest

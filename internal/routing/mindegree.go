@@ -54,7 +54,7 @@ func NewMinDegreeTree(net *graph.Undirected) (*MinDegreeTree, error) {
 				continue
 			}
 			var err error
-			if path, err = treePathInto(path, t.parent, t.depth, u, v); err != nil {
+			if path, err = treePathInto(path[:0], t.parent, t.depth, u, v); err != nil {
 				return nil, err
 			}
 			// The cycle is path plus the edge (u,v); find its highest-degree

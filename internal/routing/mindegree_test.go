@@ -108,7 +108,9 @@ func TestMinDegreeRandomTopologies(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 10; trial++ {
 		l := topology.UniformRandom(40, topology.GDIArea(), rng.Int63())
-		l.EnsureConnected(50)
+		if _, err := l.EnsureConnected(50); err != nil {
+			t.Fatal(err)
+		}
 		net := l.ConnectivityGraph(50)
 		mt, err := NewMinDegreeTree(net)
 		if err != nil {
@@ -138,7 +140,7 @@ func TestMinDegreeRandomTopologies(t *testing.T) {
 			t.Errorf("trial %d: min-degree max %d exceeds shared tree max %d", trial, mt.MaxDegree(), stMax)
 		}
 		// Routing still works and stays inside the tree.
-		p, err := mt.Path(1, graph.NodeID(net.Len()-1))
+		p, err := mt.AppendPath(nil, 1, graph.NodeID(net.Len()-1))
 		if err != nil {
 			t.Fatal(err)
 		}

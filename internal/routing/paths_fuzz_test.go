@@ -14,7 +14,10 @@ import (
 // made 17↔44 and 28↔37 each other's parents in the tree rooted at 53,
 // and a parent climb from 11 then never reached the root.
 func TestStackedNodesHaveNoParentCycle(t *testing.T) {
-	_, g := topology.GreatDuckIsland()
+	_, g, err := topology.GreatDuckIsland()
+	if err != nil {
+		t.Fatal(err)
+	}
 	tr := g.Dijkstra(53)
 	for _, pair := range [][2]graph.NodeID{{17, 44}, {28, 37}} {
 		a, b := pair[0], pair[1]
@@ -27,7 +30,7 @@ func TestStackedNodesHaveNoParentCycle(t *testing.T) {
 			t.Errorf("Dijkstra(53): %v", err)
 		}
 	}
-	p, err := NewWeightedReversePath(g).Path(11, 53)
+	p, err := NewWeightedReversePath(g).AppendPath(nil, 11, 53)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +119,7 @@ func checkAllRouters(t *testing.T, g *graph.Undirected) {
 			sc.Begin(dest)
 			for s := 0; s < n; s++ {
 				src := graph.NodeID(s)
-				p, err := rt.r.Path(src, dest)
+				p, err := rt.r.AppendPath(nil, src, dest)
 				connected := walk.Hops(src) >= 0
 				inTree := g.Degree(src) > 0 && g.Degree(dest) > 0
 				switch {

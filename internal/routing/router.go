@@ -39,9 +39,11 @@ import (
 type Router interface {
 	// Name identifies the routing strategy.
 	Name() string
-	// Path returns the canonical node sequence from s to d, both inclusive.
-	// For s == d it returns [s].
-	Path(s, d graph.NodeID) ([]graph.NodeID, error)
+	// AppendPath appends the canonical node sequence from s to d, both
+	// inclusive, to dst and returns the extended slice; for s == d it
+	// appends [s]. On error it returns dst unchanged. Callers that route
+	// many pairs append every route to one buffer.
+	AppendPath(dst []graph.NodeID, s, d graph.NodeID) ([]graph.NodeID, error)
 }
 
 // Forker is implemented by routers that can route on several goroutines
@@ -67,10 +69,13 @@ func Fork(r Router) Router {
 // built.
 func (b *SharedTree) Fork() Router { return b }
 
-// Path implements Router for SharedTree: the unique path inside the global
-// spanning tree.
-func (b *SharedTree) Path(s, d graph.NodeID) ([]graph.NodeID, error) {
-	return b.treePath(s, d)
+// AppendPath implements Router for SharedTree: the unique path inside the
+// global spanning tree.
+func (b *SharedTree) AppendPath(dst []graph.NodeID, s, d graph.NodeID) ([]graph.NodeID, error) {
+	if !b.inTree(s) || !b.inTree(d) {
+		return dst, fmt.Errorf("routing: no tree path %d→%d", s, d)
+	}
+	return treePathInto(dst, b.global.Parent, b.depth, s, d)
 }
 
 // ReversePath routes every pair along the destination-rooted hop-count
@@ -84,9 +89,10 @@ func (b *SharedTree) Path(s, d graph.NodeID) ([]graph.NodeID, error) {
 // per-source multicast structure is a tree.
 //
 // The current destination's tree is a resumable graph.Walk, grown only as
-// far out as the sources routed so far; routing toward another
-// destination resets the same walk, so the router holds one walk's
-// storage however many destinations it serves. Callers that route
+// far out as the distances of the sources routed so far need
+// (Walk.AppendClimb); routing toward another destination resets the same
+// walk, so the router holds one walk's storage however many destinations
+// it serves. Callers that route
 // destination by destination (as NewInstance does) walk each tree once.
 // A ReversePath is not safe for concurrent use; each goroutine routes
 // with a Fork of its own.
@@ -106,10 +112,10 @@ func (r *ReversePath) Name() string { return "reverse-path" }
 // Fork implements Forker: the fork walks trees of its own.
 func (r *ReversePath) Fork() Router { return NewReversePath(r.net) }
 
-// Path implements Router.
-func (r *ReversePath) Path(s, d graph.NodeID) ([]graph.NodeID, error) {
+// AppendPath implements Router.
+func (r *ReversePath) AppendPath(dst []graph.NodeID, s, d graph.NodeID) ([]graph.NodeID, error) {
 	if int(s) < 0 || int(s) >= r.net.Len() || int(d) < 0 || int(d) >= r.net.Len() {
-		return nil, fmt.Errorf("routing: node out of range in pair %d→%d", s, d)
+		return dst, fmt.Errorf("routing: node out of range in pair %d→%d", s, d)
 	}
 	switch {
 	case r.walk == nil:
@@ -117,20 +123,13 @@ func (r *ReversePath) Path(s, d graph.NodeID) ([]graph.NodeID, error) {
 	case r.walk.Root() != d:
 		r.walk.Reset(d)
 	}
-	w := r.walk
-	h := w.Hops(s)
-	if h < 0 {
-		return nil, fmt.Errorf("routing: %d unreachable from %d", d, s)
-	}
 	// The walk is rooted at d; climbing parents from s yields the
 	// canonical s→d path directly.
-	path := make([]graph.NodeID, 1, h+1)
-	path[0] = s
-	for v := s; v != d; {
-		v = w.Parent(v)
-		path = append(path, v)
+	dst, ok := r.walk.AppendClimb(dst, s)
+	if !ok {
+		return dst, fmt.Errorf("routing: %d unreachable from %d", d, s)
 	}
-	return path, nil
+	return dst, nil
 }
 
 // WeightedReversePath is ReversePath under the graph's edge weights:
@@ -169,26 +168,17 @@ func (r *WeightedReversePath) Name() string { return "weighted-reverse-path" }
 // Fork implements Forker: the fork caches trees of its own.
 func (r *WeightedReversePath) Fork() Router { return NewWeightedReversePath(r.net) }
 
-// Path implements Router.
-func (r *WeightedReversePath) Path(s, d graph.NodeID) ([]graph.NodeID, error) {
+// AppendPath implements Router.
+func (r *WeightedReversePath) AppendPath(dst []graph.NodeID, s, d graph.NodeID) ([]graph.NodeID, error) {
 	if int(s) < 0 || int(s) >= r.net.Len() || int(d) < 0 || int(d) >= r.net.Len() {
-		return nil, fmt.Errorf("routing: node out of range in pair %d→%d", s, d)
+		return dst, fmt.Errorf("routing: node out of range in pair %d→%d", s, d)
 	}
 	t, ok := r.trees[d]
 	if !ok {
 		t = r.net.Dijkstra(d)
 		r.trees[d] = t
 	}
-	if !t.Reachable(s) {
-		return nil, fmt.Errorf("routing: %d unreachable from %d", d, s)
-	}
-	// The tree is rooted at d, so its root→s path reversed is s→d.
-	path, err := t.PathTo(s)
-	if err != nil {
-		return nil, fmt.Errorf("routing: %w", err)
-	}
-	slices.Reverse(path)
-	return path, nil
+	return appendTreeRoute(dst, t, s, d)
 }
 
 // SourceSPT routes every pair inside the shortest-path tree rooted at the
@@ -217,24 +207,44 @@ func NewSourceSPT(net *graph.Undirected) *SourceSPT {
 // Name implements Router.
 func (r *SourceSPT) Name() string { return "source-spt" }
 
-// Path implements Router.
-func (r *SourceSPT) Path(s, d graph.NodeID) ([]graph.NodeID, error) {
+// AppendPath implements Router.
+func (r *SourceSPT) AppendPath(dst []graph.NodeID, s, d graph.NodeID) ([]graph.NodeID, error) {
 	if int(s) < 0 || int(s) >= r.net.Len() || int(d) < 0 || int(d) >= r.net.Len() {
-		return nil, fmt.Errorf("routing: node out of range in pair %d→%d", s, d)
+		return dst, fmt.Errorf("routing: node out of range in pair %d→%d", s, d)
 	}
 	t, ok := r.trees[s]
 	if !ok {
 		t = r.net.BFS(s)
 		r.trees[s] = t
 	}
-	if !t.Reachable(d) {
-		return nil, fmt.Errorf("routing: %d unreachable from %d", d, s)
+	return appendTreeRoute(dst, t, s, d)
+}
+
+// appendTreeRoute appends the s→d route inside t, a tree rooted at d or
+// at s, to dst: the parent chain climbed from s, or climbed from d and
+// reversed. It returns dst unchanged and an error if the pair is not
+// connected in t or the chain does not reach the root.
+func appendTreeRoute(dst []graph.NodeID, t *graph.PathTree, s, d graph.NodeID) ([]graph.NodeID, error) {
+	u := s
+	if t.Root != d {
+		u = d
 	}
-	p, err := t.PathTo(d)
+	if !t.Reachable(u) {
+		return dst, fmt.Errorf("routing: %d unreachable from %d", d, s)
+	}
+	h, err := t.Hops(u)
 	if err != nil {
-		return nil, fmt.Errorf("routing: %w", err)
+		return dst, fmt.Errorf("routing: %w", err)
 	}
-	return p, nil
+	n := len(dst)
+	dst = slices.Grow(dst, h+1)[:n+h+1]
+	for i, v := 0, u; i <= h; i, v = i+1, t.Parent[v] {
+		dst[n+i] = v
+	}
+	if u == d {
+		slices.Reverse(dst[n:])
+	}
+	return dst, nil
 }
 
 // SuffixChecker verifies the per-destination suffix property path by

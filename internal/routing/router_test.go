@@ -15,14 +15,14 @@ import (
 func TestReversePathSimple(t *testing.T) {
 	g := lineGraph(5)
 	r := NewReversePath(g)
-	p, err := r.Path(0, 4)
+	p, err := r.AppendPath(nil, 0, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(p) != 5 || p[0] != 0 || p[4] != 4 {
 		t.Errorf("path = %v", p)
 	}
-	self, err := r.Path(3, 3)
+	self, err := r.AppendPath(nil, 3, 3)
 	if err != nil || len(self) != 1 || self[0] != 3 {
 		t.Errorf("self path = %v, %v", self, err)
 	}
@@ -32,26 +32,29 @@ func TestReversePathErrors(t *testing.T) {
 	g := graph.NewUndirected(3)
 	g.AddEdge(0, 1, 1)
 	r := NewReversePath(g)
-	if _, err := r.Path(0, 2); err == nil {
+	if _, err := r.AppendPath(nil, 0, 2); err == nil {
 		t.Error("unreachable pair accepted")
 	}
-	if _, err := r.Path(0, 5); err == nil {
+	if _, err := r.AppendPath(nil, 0, 5); err == nil {
 		t.Error("out-of-range node accepted")
 	}
-	if _, err := r.Path(-1, 0); err == nil {
+	if _, err := r.AppendPath(nil, -1, 0); err == nil {
 		t.Error("negative node accepted")
 	}
 }
 
 func TestReversePathSuffixProperty(t *testing.T) {
-	_, g := topology.GreatDuckIsland()
+	_, g, err := topology.GreatDuckIsland()
+	if err != nil {
+		t.Fatal(err)
+	}
 	r := NewReversePath(g)
 	rng := rand.New(rand.NewSource(9))
 	byDest := make(map[graph.NodeID][][]graph.NodeID)
 	for trial := 0; trial < 400; trial++ {
 		s := graph.NodeID(rng.Intn(g.Len()))
 		d := graph.NodeID(rng.Intn(g.Len()))
-		p, err := r.Path(s, d)
+		p, err := r.AppendPath(nil, s, d)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -63,7 +66,10 @@ func TestReversePathSuffixProperty(t *testing.T) {
 }
 
 func TestSharedTreeRouterSuffixProperty(t *testing.T) {
-	_, g := topology.GreatDuckIsland()
+	_, g, err := topology.GreatDuckIsland()
+	if err != nil {
+		t.Fatal(err)
+	}
 	st, err := NewSharedTree(g)
 	if err != nil {
 		t.Fatal(err)
@@ -73,7 +79,7 @@ func TestSharedTreeRouterSuffixProperty(t *testing.T) {
 	for trial := 0; trial < 400; trial++ {
 		s := graph.NodeID(rng.Intn(g.Len()))
 		d := graph.NodeID(rng.Intn(g.Len()))
-		p, err := st.Path(s, d)
+		p, err := st.AppendPath(nil, s, d)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -89,18 +95,21 @@ func TestSharedTreeRouterSuffixProperty(t *testing.T) {
 
 func TestSharedTreePathsAreSymmetricReversals(t *testing.T) {
 	// In a tree, the s→d path is the reverse of the d→s path.
-	_, g := topology.GreatDuckIsland()
+	_, g, err := topology.GreatDuckIsland()
+	if err != nil {
+		t.Fatal(err)
+	}
 	st, err := NewSharedTree(g)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for s := graph.NodeID(0); s < 10; s++ {
 		for d := graph.NodeID(20); d < 30; d++ {
-			a, err := st.Path(s, d)
+			a, err := st.AppendPath(nil, s, d)
 			if err != nil {
 				t.Fatal(err)
 			}
-			b, err := st.Path(d, s)
+			b, err := st.AppendPath(nil, d, s)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -133,13 +142,16 @@ func TestCheckSuffixPropertyDetectsViolation(t *testing.T) {
 }
 
 func TestReversePathsAreShortest(t *testing.T) {
-	_, g := topology.GreatDuckIsland()
+	_, g, err := topology.GreatDuckIsland()
+	if err != nil {
+		t.Fatal(err)
+	}
 	r := NewReversePath(g)
 	rng := rand.New(rand.NewSource(3))
 	for trial := 0; trial < 100; trial++ {
 		s := graph.NodeID(rng.Intn(g.Len()))
 		d := graph.NodeID(rng.Intn(g.Len()))
-		p, err := r.Path(s, d)
+		p, err := r.AppendPath(nil, s, d)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -187,9 +199,18 @@ func refReversePath(g *graph.Undirected, s, d graph.NodeID) ([]graph.NodeID, err
 // "unreachable" error against the whole-network reference.
 func TestReversePathMatchesReference(t *testing.T) {
 	split := topology.Clustered(120, geom.NewRect(0, 0, 1500, 1500), 4, 20, 5).ConnectivityGraph(50)
-	_, gdi := topology.GreatDuckIsland()
-	_, random := topology.Scaled(300, 1)
-	_, clustered := topology.ScaledClustered(300, 2)
+	_, gdi, err := topology.GreatDuckIsland()
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, random, err := topology.Scaled(300, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, clustered, err := topology.ScaledClustered(300, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
 	nets := []struct {
 		name string
 		g    *graph.Undirected
@@ -233,7 +254,7 @@ func TestReversePathMatchesReference(t *testing.T) {
 		sort.SliceStable(pairs, func(i, j int) bool { return reach(pairs[i]) > reach(pairs[j]) })
 		unreachable := 0
 		for _, p := range pairs {
-			got, err := r.Path(p.s, p.d)
+			got, err := r.AppendPath(nil, p.s, p.d)
 			if w := want[p]; w.err != nil {
 				unreachable++
 				if err == nil || err.Error() != w.err.Error() {
@@ -253,17 +274,20 @@ func TestReversePathMatchesReference(t *testing.T) {
 // A, B and A again through one router, whose single walk is reset between
 // destinations, and compares every path with a fresh router's.
 func TestReversePathReusesWalkAcrossDestinations(t *testing.T) {
-	_, g := topology.GreatDuckIsland()
+	_, g, err := topology.GreatDuckIsland()
+	if err != nil {
+		t.Fatal(err)
+	}
 	rng := rand.New(rand.NewSource(11))
 	shared := NewReversePath(g)
 	for _, d := range []graph.NodeID{3, 40, 3} {
 		fresh := NewReversePath(g)
 		for _, s := range rng.Perm(g.Len())[:20] {
-			got, err := shared.Path(graph.NodeID(s), d)
+			got, err := shared.AppendPath(nil, graph.NodeID(s), d)
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := fresh.Path(graph.NodeID(s), d)
+			want, err := fresh.AppendPath(nil, graph.NodeID(s), d)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -134,29 +134,21 @@ func networkCenter(net *graph.Undirected) graph.NodeID {
 // Name implements Router.
 func (b *SharedTree) Name() string { return "shared-tree" }
 
-// treePath returns the unique path from a to c inside the global tree.
-func (b *SharedTree) treePath(a, c graph.NodeID) ([]graph.NodeID, error) {
-	if !b.inTree(a) || !b.inTree(c) {
-		return nil, fmt.Errorf("routing: no tree path %d→%d", a, c)
-	}
-	return treePathInto(nil, b.global.Parent, b.depth, a, c)
-}
-
 func (b *SharedTree) inTree(u graph.NodeID) bool {
 	return u >= 0 && int(u) < len(b.depth) && b.depth[u] >= 0
 }
 
-// treePathInto returns the path from a to c, both inclusive, in the tree
-// given by parent and depth pointers, reusing buf's storage. It climbs
-// both ends to their lowest common ancestor once to size the path, then
-// again to fill it from both ends. Pointers that do not form a tree
-// return an error once the climb has taken more steps than any tree path
-// of n nodes can.
-func treePathInto(buf, parent []graph.NodeID, depth []int32, a, c graph.NodeID) ([]graph.NodeID, error) {
+// treePathInto appends the path from a to c, both inclusive, in the tree
+// given by parent and depth pointers, to dst. It climbs both ends to
+// their lowest common ancestor once to size the path, then again to fill
+// it from both ends. Pointers that do not form a tree return dst
+// unchanged and an error once the climb has taken more steps than any
+// tree path of n nodes can.
+func treePathInto(dst, parent []graph.NodeID, depth []int32, a, c graph.NodeID) ([]graph.NodeID, error) {
 	x, y := a, c
 	for steps := 0; x != y; steps++ {
 		if steps >= 2*len(parent) {
-			return nil, fmt.Errorf("routing: tree climb from %d and %d finds no common ancestor", a, c)
+			return dst, fmt.Errorf("routing: tree climb from %d and %d finds no common ancestor", a, c)
 		}
 		switch {
 		case depth[x] > depth[y]:
@@ -168,12 +160,14 @@ func treePathInto(buf, parent []graph.NodeID, depth []int32, a, c graph.NodeID) 
 		}
 	}
 	up, down := int(depth[a]-depth[x]), int(depth[c]-depth[x])
-	path := slices.Grow(buf[:0], up+down+1)[:up+down+1]
+	n := len(dst)
+	dst = slices.Grow(dst, up+down+1)[:n+up+down+1]
+	path := dst[n:]
 	for i, v := 0, a; i <= up; i, v = i+1, parent[v] {
 		path[i] = v
 	}
 	for i, v := up+down, c; i > up; i, v = i-1, parent[v] {
 		path[i] = v
 	}
-	return path, nil
+	return dst, nil
 }

@@ -42,7 +42,7 @@ func checkSharing(paths [][]graph.NodeID) error {
 }
 
 func TestSPTLine(t *testing.T) {
-	p, err := NewSourceSPT(lineGraph(5)).Path(0, 4)
+	p, err := NewSourceSPT(lineGraph(5)).AppendPath(nil, 0, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestSPTBranching(t *testing.T) {
 	g.AddEdge(2, 4, 1)
 	r := NewSourceSPT(g)
 	for d, want := range map[graph.NodeID][]graph.NodeID{3: {0, 1, 3}, 4: {0, 2, 4}} {
-		if p, err := r.Path(0, d); err != nil || !slices.Equal(p, want) {
+		if p, err := r.AppendPath(nil, 0, d); err != nil || !slices.Equal(p, want) {
 			t.Errorf("path 0→%d = %v, %v; want %v", d, p, err, want)
 		}
 	}
@@ -71,7 +71,7 @@ func TestSPTBranching(t *testing.T) {
 func TestSPTUnreachableDest(t *testing.T) {
 	g := graph.NewUndirected(3)
 	g.AddEdge(0, 1, 1)
-	if _, err := NewSourceSPT(g).Path(0, 2); err == nil {
+	if _, err := NewSourceSPT(g).AppendPath(nil, 0, 2); err == nil {
 		t.Error("unreachable destination accepted")
 	}
 }
@@ -91,7 +91,7 @@ func TestSourceIsAlsoDest(t *testing.T) {
 	}
 	for _, r := range []Router{st, md, NewReversePath(g), NewWeightedReversePath(g), NewSourceSPT(g),
 		NewMilestoneRouter(g, NewReversePath(g), KeepNone)} {
-		if p, err := r.Path(0, 0); err != nil || !slices.Equal(p, []graph.NodeID{0}) {
+		if p, err := r.AppendPath(nil, 0, 0); err != nil || !slices.Equal(p, []graph.NodeID{0}) {
 			t.Errorf("%s: Path(0, 0) = %v, %v", r.Name(), p, err)
 		}
 	}
@@ -102,7 +102,10 @@ func TestSourceIsAlsoDest(t *testing.T) {
 // claim it on any graph, over random pairs on the evaluation network.
 // WeightedReversePath claims it only for exact (integer) weights.
 func TestSharedTreeSatisfiesSharing(t *testing.T) {
-	_, g := topology.GreatDuckIsland()
+	_, g, err := topology.GreatDuckIsland()
+	if err != nil {
+		t.Fatal(err)
+	}
 	st, err := NewSharedTree(g)
 	if err != nil {
 		t.Fatal(err)
@@ -115,7 +118,7 @@ func TestSharedTreeSatisfiesSharing(t *testing.T) {
 		rng := rand.New(rand.NewSource(1))
 		var paths [][]graph.NodeID
 		for trial := 0; trial < 300; trial++ {
-			p, err := r.Path(graph.NodeID(rng.Intn(g.Len())), graph.NodeID(rng.Intn(g.Len())))
+			p, err := r.AppendPath(nil, graph.NodeID(rng.Intn(g.Len())), graph.NodeID(rng.Intn(g.Len())))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -132,7 +135,7 @@ func TestSharedTreePathEndpoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := st.Path(5, 1)
+	p, err := st.AppendPath(nil, 5, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,17 +156,20 @@ func TestCheckSharingDetectsViolation(t *testing.T) {
 }
 
 func TestSPTDeterministic(t *testing.T) {
-	_, g := topology.GreatDuckIsland()
+	_, g, err := topology.GreatDuckIsland()
+	if err != nil {
+		t.Fatal(err)
+	}
 	dests := []graph.NodeID{10, 20, 30, 40}
 	a := NewSourceSPT(g)
 	for i := 0; i < 5; i++ {
 		b := NewSourceSPT(g)
 		for _, d := range dests {
-			pa, err := a.Path(5, d)
+			pa, err := a.AppendPath(nil, 5, d)
 			if err != nil {
 				t.Fatal(err)
 			}
-			pb, err := b.Path(5, d)
+			pb, err := b.AppendPath(nil, 5, d)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -182,11 +188,11 @@ func TestSPTDistanceVariant(t *testing.T) {
 	g.AddEdge(0, 1, 1)
 	g.AddEdge(1, 2, 1)
 	g.AddEdge(0, 2, 5)
-	hops, err := NewReversePath(g).Path(0, 2)
+	hops, err := NewReversePath(g).AppendPath(nil, 0, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dist, err := NewWeightedReversePath(g).Path(0, 2)
+	dist, err := NewWeightedReversePath(g).AppendPath(nil, 0, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +207,7 @@ func TestSPTDistanceVariant(t *testing.T) {
 func TestContractKeepNone(t *testing.T) {
 	g := lineGraph(6)
 	mr := NewMilestoneRouter(g, NewReversePath(g), KeepNone)
-	p, err := mr.Path(0, 5)
+	p, err := mr.AppendPath(nil, 0, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,11 +223,11 @@ func TestContractKeepAllIsIdentity(t *testing.T) {
 	g := lineGraph(5)
 	inner := NewReversePath(g)
 	mr := NewMilestoneRouter(g, inner, KeepAll)
-	p, err := mr.Path(0, 4)
+	p, err := mr.AppendPath(nil, 0, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := inner.Path(0, 4)
+	want, err := inner.AppendPath(nil, 0, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +256,7 @@ func TestContractPreservesBranching(t *testing.T) {
 	mr := NewMilestoneRouter(g, NewReversePath(g), keepOnly2)
 	// Virtual nodes: 0 (src), 2 (milestone), 3, 6 (dests).
 	for d, want := range map[graph.NodeID][]graph.NodeID{3: {0, 2, 3}, 6: {0, 6}} {
-		p, err := mr.Path(0, d)
+		p, err := mr.AppendPath(nil, 0, d)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -9,13 +9,16 @@ import (
 )
 
 func TestSourceSPTPathsAreShortest(t *testing.T) {
-	_, g := topology.GreatDuckIsland()
+	_, g, err := topology.GreatDuckIsland()
+	if err != nil {
+		t.Fatal(err)
+	}
 	r := NewSourceSPT(g)
 	rng := rand.New(rand.NewSource(4))
 	for trial := 0; trial < 100; trial++ {
 		s := graph.NodeID(rng.Intn(g.Len()))
 		d := graph.NodeID(rng.Intn(g.Len()))
-		p, err := r.Path(s, d)
+		p, err := r.AppendPath(nil, s, d)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -32,10 +35,10 @@ func TestSourceSPTErrors(t *testing.T) {
 	g := graph.NewUndirected(3)
 	g.AddEdge(0, 1, 1)
 	r := NewSourceSPT(g)
-	if _, err := r.Path(0, 2); err == nil {
+	if _, err := r.AppendPath(nil, 0, 2); err == nil {
 		t.Error("unreachable pair accepted")
 	}
-	if _, err := r.Path(0, 9); err == nil {
+	if _, err := r.AppendPath(nil, 0, 9); err == nil {
 		t.Error("out-of-range accepted")
 	}
 }
@@ -109,7 +112,10 @@ func TestSourceSPTOftenAgreesOnGDI(t *testing.T) {
 	// tiebreaks agree with each other most of the time; quantify that the
 	// checker accepts at least some workload-sized path sets (so the
 	// router is usable when it happens to be consistent).
-	_, g := topology.GreatDuckIsland()
+	_, g, err := topology.GreatDuckIsland()
+	if err != nil {
+		t.Fatal(err)
+	}
 	r := NewSourceSPT(g)
 	rng := rand.New(rand.NewSource(8))
 	accepted := 0
@@ -119,7 +125,7 @@ func TestSourceSPTOftenAgreesOnGDI(t *testing.T) {
 		for k := 0; k < 30; k++ {
 			s := graph.NodeID(rng.Intn(g.Len()))
 			d := graph.NodeID(rng.Intn(g.Len()))
-			p, err := r.Path(s, d)
+			p, err := r.AppendPath(nil, s, d)
 			if err != nil {
 				t.Fatal(err)
 			}

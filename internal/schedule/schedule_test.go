@@ -282,7 +282,9 @@ func dependsOn(msgs []schedule.Message, a, b int) bool {
 func engineMessages(t *testing.T, seed int64) (*graph.Undirected, []schedule.Message) {
 	t.Helper()
 	l := topology.UniformRandom(40, topology.GDIArea(), seed)
-	l.EnsureConnected(50)
+	if _, err := l.EnsureConnected(50); err != nil {
+		t.Fatal(err)
+	}
 	g := l.ConnectivityGraph(50)
 	specs, err := workload.Generate(g, workload.Config{
 		NumDests: 6, SourcesPerDest: 6, Dispersion: 0.9, MaxHops: 4, Seed: seed,

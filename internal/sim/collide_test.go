@@ -411,7 +411,9 @@ func TestCollisionReplayGolden(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for trial := 0; trial < 12; trial++ {
 		l := topology.UniformRandom(40, topology.GDIArea(), int64(trial))
-		l.EnsureConnected(50)
+		if _, err := l.EnsureConnected(50); err != nil {
+			t.Fatal(err)
+		}
 		g := l.ConnectivityGraph(50)
 		p := fingerprintPlan(t, g, routing.NewReversePath(g), workload.Config{
 			DestFraction: 0.2, SourcesPerDest: 8, Dispersion: 0.9, MaxHops: 4, Seed: int64(trial),

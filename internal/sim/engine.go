@@ -202,7 +202,8 @@ type pairInput struct {
 // function, resolved once per spec.
 type destInfo struct {
 	fn        agg.Func
-	sources   []graph.NodeID // fn.Sources(), ascending
+	sources   []graph.NodeID // the spec's source row, ascending
+	params    []float64      // the spec's parameter row, aligned with sources
 	alg       agg.Kind       // kernelKind(fn)
 	recLen    int32          // agg.RecordLen(fn)
 	unitBytes int32          // on-wire bytes of one of its record units
@@ -294,24 +295,7 @@ func (e *Engine) newConstruction() (*construction, error) {
 	if ui != len(units) {
 		panic("sim: plan units out of EdgeList order") // unreachable: Plan.Units lists them so
 	}
-	// EdgeList is sorted by tail, so node n's out-edges are the range
-	// [fromOff[n], fromOff[n+1]).
-	fromOff := make([]int32, nNodes+1)
-	for _, eg := range edges {
-		fromOff[eg.From+1]++
-	}
-	for n := 0; n < nNodes; n++ {
-		fromOff[n+1] += fromOff[n]
-	}
 	inOff, inEdges := graph.GroupBy(len(edges), nNodes, func(ei int) int32 { return int32(edges[ei].To) })
-	edgeIndex := func(from, to graph.NodeID) int32 {
-		for ei := fromOff[from]; ei < fromOff[from+1]; ei++ {
-			if edges[ei].To == to {
-				return ei
-			}
-		}
-		return -1
-	}
 
 	// Providers: for each source, the fixpoint over its raw units in
 	// EdgeList order; the first unit to reach a node provides it there.
@@ -383,7 +367,8 @@ func (e *Engine) newConstruction() (*construction, error) {
 	}
 
 	// Pairs in walk order: destination by destination, each one's sources
-	// ascending, so pair r of destination cx.dests[di] is finalOff[di]+r.
+	// ascending, so pair r of destination cx.dests[di] is finalOff[di]+r
+	// and instance pair pairOf[di]+r.
 	cx.dests = inst.Dests()
 	cx.info = make([]destInfo, len(cx.dests))
 	cx.destOf = make([]int32, nNodes)
@@ -391,48 +376,38 @@ func (e *Engine) newConstruction() (*construction, error) {
 		cx.destOf[i] = -1
 	}
 	cx.finalOff = make([]int32, len(cx.dests)+1)
+	pairOf := make([]int, len(cx.dests))
 	for di, d := range cx.dests {
-		f := inst.SpecByDest[d].Func
-		cx.info[di] = destInfo{fn: f, sources: f.Sources()}
+		si := inst.SpecIndex(d)
+		params, err := inst.SpecParams(si)
+		if err != nil {
+			return nil, fmt.Errorf("sim: record for %d: %w", d, err)
+		}
+		pairOf[di], _ = inst.SpecPairs(si)
+		cx.info[di] = destInfo{fn: inst.Specs[si].Func, sources: inst.SpecSources(si), params: params}
 		cx.destOf[d] = int32(di)
 		cx.finalOff[di+1] = cx.finalOff[di] + int32(len(cx.info[di].sources))
 	}
 	nPairs := cx.finalOff[len(cx.dests)]
 
-	// The pair walk, in two passes over the routes. At node n = path[i] a
-	// pair arrives as the record of its in-edge if that edge aggregates d,
-	// and as a raw value otherwise. The first pass looks up each route,
-	// finds the record unit of d on every hop, or -1, and counts each
-	// unit's contributions; it also resolves each pair's parameter, and
-	// each destination's function once its sources are proven (RecordLen
-	// probes PreAgg on the first source when the Func has no InPlace
-	// form). The second pass places every contribution in walk order, so
-	// each assembly sees its pairs in ascending source order.
+	// The pair walk, in two passes over the instance's route rows. At
+	// node n = path[i] a pair arrives as the record of its in-edge if that
+	// edge aggregates d, and as a raw value otherwise. The first pass finds
+	// the record unit of d on every hop, or -1, and counts each unit's
+	// contributions; it also resolves each destination's function (RecordLen
+	// probes PreAgg on the first source when the Func has no InPlace form).
+	// The second pass places every contribution in walk order, so each
+	// assembly sees its pairs in ascending source order.
 	hops := 0
 	for ei := range edges {
 		hops += len(inst.Pairs(ei))
 	}
 	hopUnit := make([]int32, 0, hops)
-	paths := make([][]graph.NodeID, nPairs)
-	params := make([]float64, nPairs)
 	cx.contribOff = make([]int32, len(units)+1)
-	isSource := make([]bool, nNodes)
 	for di, d := range cx.dests {
 		info := &cx.info[di]
-		for r, s := range info.sources {
-			param, err := agg.ParamOf(info.fn, s)
-			if err != nil {
-				return nil, fmt.Errorf("sim: record for %d: %w", d, err)
-			}
-			isSource[s] = true
-			path := inst.Paths[plan.Pair{Source: s, Dest: d}]
-			pi := cx.finalOff[di] + int32(r)
-			paths[pi], params[pi] = path, param
-			for i := 0; i+1 < len(path); i++ {
-				ei := edgeIndex(path[i], path[i+1])
-				if ei < 0 {
-					return nil, fmt.Errorf("sim: pair %d→%d crosses %d→%d, which carries no pairs", s, d, path[i], path[i+1])
-				}
+		for r := range info.sources {
+			for _, ei := range inst.HopEdges(pairOf[di] + r) {
 				a := e.unitIn(aggOff[ei], cx.edgeOff[ei+1], d)
 				if a >= 0 {
 					cx.contribOff[a+1]++
@@ -461,9 +436,9 @@ func (e *Engine) newConstruction() (*construction, error) {
 	next := slices.Clone(cx.contribOff[:len(units)]) // unit -> its next contribution's index
 	h := 0
 	for di, d := range cx.dests {
-		for r, s := range cx.info[di].sources {
-			pi := cx.finalOff[di] + int32(r)
-			path, param := paths[pi], params[pi]
+		info := &cx.info[di]
+		for r, s := range info.sources {
+			path, param := inst.Paths[pairOf[di]+r], info.params[r]
 			inAgg := int32(-1)
 			for i := 0; i+1 < len(path); i++ {
 				a := hopUnit[h]
@@ -474,21 +449,10 @@ func (e *Engine) newConstruction() (*construction, error) {
 				}
 				inAgg = a
 			}
-			cx.finalContribs[pi] = arrival(d, s, len(path)-1, inAgg, param)
+			cx.finalContribs[cx.finalOff[di]+int32(r)] = arrival(d, s, len(path)-1, inAgg, param)
 		}
 	}
-	nSources := 0
-	for _, ok := range isSource {
-		if ok {
-			nSources++
-		}
-	}
-	cx.sources = make([]graph.NodeID, 0, nSources)
-	for n, ok := range isSource {
-		if ok {
-			cx.sources = append(cx.sources, graph.NodeID(n))
-		}
-	}
+	cx.sources = inst.Sources()
 	cx.unitBytes = make([]int32, len(units))
 	for i, u := range units {
 		if u.Kind == plan.UnitRaw {

@@ -21,7 +21,9 @@ import (
 func buildInstance(t testing.TB, rng *rand.Rand, n, nDests, nSrcs int, shared bool) *plan.Instance {
 	t.Helper()
 	l := topology.UniformRandom(n, topology.GDIArea(), rng.Int63())
-	l.EnsureConnected(50)
+	if _, err := l.EnsureConnected(50); err != nil {
+		t.Fatal(err)
+	}
 	g := l.ConnectivityGraph(50)
 	var router routing.Router
 	if shared {

@@ -187,8 +187,8 @@ type tableRouter map[plan.Pair][]graph.NodeID
 
 func (r tableRouter) Name() string { return "table" }
 
-func (r tableRouter) Path(s, d graph.NodeID) ([]graph.NodeID, error) {
-	return r[plan.Pair{Source: s, Dest: d}], nil
+func (r tableRouter) AppendPath(dst []graph.NodeID, s, d graph.NodeID) ([]graph.NodeID, error) {
+	return append(dst, r[plan.Pair{Source: s, Dest: d}]...), nil
 }
 
 // reconvergingInstance routes source 0 to destinations 4 and 5 over
@@ -243,7 +243,10 @@ func fingerprintPlan(t *testing.T, g *graph.Undirected, router routing.Router, c
 // before engine construction moved from maps to dense arrays; any change
 // to construction must leave every one of them unchanged.
 func TestProgramFingerprint(t *testing.T) {
-	_, gdi := topology.GreatDuckIsland()
+	_, gdi, err := topology.GreatDuckIsland()
+	if err != nil {
+		t.Fatal(err)
+	}
 	gdiPlan := fingerprintPlan(t, gdi, routing.NewReversePath(gdi), workload.Config{
 		DestFraction: 0.2, SourcesPerDest: 10, Dispersion: 0.9, MaxHops: 4, Seed: 1,
 	})
@@ -298,7 +301,10 @@ func TestProgramFingerprint(t *testing.T) {
 		{
 			name: "scale-2k",
 			plan: func(t *testing.T) *plan.Plan {
-				_, g := topology.Scaled(2000, 1)
+				_, g, err := topology.Scaled(2000, 1)
+				if err != nil {
+					t.Fatal(err)
+				}
 				return fingerprintPlan(t, g, routing.NewReversePath(g), workload.Config{
 					NumDests: 40, SourcesPerDest: 20, Dispersion: 0.9, MaxHops: 4, Seed: 1,
 				})
@@ -311,7 +317,10 @@ func TestProgramFingerprint(t *testing.T) {
 			// one-message merge closes a wait-for cycle and must split.
 			name: "merge-fallback",
 			plan: func(t *testing.T) *plan.Plan {
-				_, g := topology.Scaled(150, 1)
+				_, g, err := topology.Scaled(150, 1)
+				if err != nil {
+					t.Fatal(err)
+				}
 				return fingerprintPlan(t, g, routing.NewReversePath(g), workload.Config{
 					DestFraction: 0.25, SourcesPerDest: 22, Seed: 1,
 				})
@@ -330,7 +339,10 @@ func TestProgramFingerprint(t *testing.T) {
 		if plan10k != nil {
 			return
 		}
-		_, g := topology.Scaled(10000, 1)
+		_, g, err := topology.Scaled(10000, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
 		r := routing.NewReversePath(g)
 		plan10k = fingerprintPlan(t, g, r, workload.Config{
 			NumDests: 200, SourcesPerDest: 20, Dispersion: 0.9, MaxHops: 4, Seed: 1,
@@ -377,7 +389,9 @@ func TestProgramFingerprint(t *testing.T) {
 	)
 
 	l := topology.UniformRandom(40, topology.GDIArea(), 81)
-	l.EnsureConnected(50)
+	if _, err := l.EnsureConnected(50); err != nil {
+		t.Fatal(err)
+	}
 	mg := l.ConnectivityGraph(50)
 	mr := routing.NewMilestoneRouter(mg, routing.NewReversePath(mg), routing.KeepEveryKth(2))
 	fixtures = append(fixtures, fixture{

@@ -115,8 +115,7 @@ func TestFlexibleExtraState(t *testing.T) {
 	}
 	// Upper bound: strictly fewer than total path-node slots.
 	limit := 0
-	for pr, path := range inst.Paths {
-		_ = pr
+	for _, path := range inst.Paths {
 		limit += len(path)
 	}
 	if extra >= limit {

@@ -28,7 +28,9 @@ type externalFunc struct{ agg.Func }
 func kernelInstance(t testing.TB, rng *rand.Rand, n, nDests, nSrcs int) *plan.Instance {
 	t.Helper()
 	l := topology.UniformRandom(n, topology.GDIArea(), rng.Int63())
-	l.EnsureConnected(50)
+	if _, err := l.EnsureConnected(50); err != nil {
+		t.Fatal(err)
+	}
 	g := l.ConnectivityGraph(50)
 	perm := rng.Perm(n)
 	var specs []agg.Spec

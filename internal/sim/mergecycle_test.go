@@ -22,7 +22,10 @@ func TestMergeFallbackOnRealCycle(t *testing.T) {
 	if testing.Short() {
 		t.Skip("150-node instance skipped in -short mode")
 	}
-	_, g := topology.Scaled(150, 1)
+	_, g, err := topology.Scaled(150, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	specs, err := workload.Generate(g, workload.Config{
 		DestFraction:   0.25,
 		SourcesPerDest: 22, // 0.15 × 150

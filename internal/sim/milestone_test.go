@@ -19,7 +19,9 @@ import (
 func TestMilestonePlansGoldenValues(t *testing.T) {
 	rng := rand.New(rand.NewSource(81))
 	l := topology.UniformRandom(40, topology.GDIArea(), 81)
-	l.EnsureConnected(50)
+	if _, err := l.EnsureConnected(50); err != nil {
+		t.Fatal(err)
+	}
 	g := l.ConnectivityGraph(50)
 
 	perm := rng.Perm(40)

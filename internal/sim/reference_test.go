@@ -108,14 +108,14 @@ func (e *Engine) assembleRecord(n, d graph.NodeID, out routing.Edge, rawVal map[
 	}
 	usedUpstream := false
 	for _, pr := range pairs {
-		path := inst.Paths[pr]
+		path := inst.Route(pr)
 		// n's position on the pair's path: last for the final merge,
 		// out's From-index otherwise.
 		var pos int
 		if final {
 			pos = len(path) - 1
 		} else {
-			pos = pairEdgeIndex(inst.Paths[pr], out)
+			pos = pairEdgeIndex(path, out)
 			if pos < 0 {
 				return nil, fmt.Errorf("sim: pair %d→%d does not cross %v", pr.Source, pr.Dest, out)
 			}

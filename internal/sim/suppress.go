@@ -188,18 +188,22 @@ func NewSuppressor(p *plan.Plan, model radio.Model, policy Policy) (*Suppressor,
 				sp.Dest, sp.Func.Name())
 		}
 	}
+	// Routes in (source, destination) order: the pairs listed destination
+	// by destination, then grouped stably by source.
+	inst := p.Inst
 	var pairs []plan.Pair
-	for pr := range p.Inst.Paths {
-		pairs = append(pairs, pr)
-	}
-	sort.Slice(pairs, func(i, j int) bool {
-		if pairs[i].Source != pairs[j].Source {
-			return pairs[i].Source < pairs[j].Source
+	var rows [][]graph.NodeID
+	for _, d := range inst.Dests() {
+		si := inst.SpecIndex(d)
+		lo, _ := inst.SpecPairs(si)
+		for r, src := range inst.SpecSources(si) {
+			pairs = append(pairs, plan.Pair{Source: src, Dest: d})
+			rows = append(rows, inst.Paths[lo+r])
 		}
-		return pairs[i].Dest < pairs[j].Dest
-	})
-	for _, pr := range pairs {
-		path := p.Inst.Paths[pr]
+	}
+	_, bySrc := graph.GroupBy(len(pairs), inst.Net.Len(), func(i int) int32 { return int32(pairs[i].Source) })
+	for _, k := range bySrc {
+		pr, path := pairs[k], rows[k]
 		rt := pairRoute{pair: pr, path: path, aggIdx: -1, preNode: pr.Dest}
 		for i := 0; i+1 < len(path); i++ {
 			e := routing.Edge{From: path[i], To: path[i+1]}

@@ -82,7 +82,10 @@ func sameGraph(t *testing.T, got, want *graph.Undirected) {
 // ranges much larger and much smaller than the point spacing.
 func TestConnectivityGraphMatchesNaive(t *testing.T) {
 	area := geom.NewRect(0, 0, 100, 100)
-	gdi, _ := GreatDuckIsland()
+	gdi, _, err := GreatDuckIsland()
+	if err != nil {
+		t.Fatal(err)
+	}
 	layouts := []*Layout{
 		UniformRandom(0, area, 1),
 		UniformRandom(1, area, 2),
@@ -143,7 +146,10 @@ func TestScaledClusteredLargeLayouts(t *testing.T) {
 	if testing.Short() {
 		n = 2000
 	}
-	l, g := ScaledClustered(n, 42)
+	l, g, err := ScaledClustered(n, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if l.Len() != n {
 		t.Fatalf("Len = %d, want %d", l.Len(), n)
 	}
@@ -154,13 +160,20 @@ func TestScaledClusteredLargeLayouts(t *testing.T) {
 	if d := density(l); d < refDensity*0.9 || d > refDensity*1.1 {
 		t.Errorf("density %v strays from reference %v", d, refDensity)
 	}
-	l2, _ := ScaledClustered(n, 42)
+	l2, _, err := ScaledClustered(n, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i := range l.Points {
 		if l.Points[i] != l2.Points[i] {
 			t.Fatalf("point %d not deterministic", i)
 		}
 	}
-	if l3, _ := ScaledClustered(n, 43); l3.Points[0] == l.Points[0] && l3.Points[1] == l.Points[1] {
+	l3, _, err := ScaledClustered(n, 43)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if l3.Points[0] == l.Points[0] && l3.Points[1] == l.Points[1] {
 		t.Error("different seeds produced identical layouts")
 	}
 }
@@ -173,7 +186,10 @@ func TestScaledLargeUniform(t *testing.T) {
 	if testing.Short() {
 		n = 2000
 	}
-	l, g := Scaled(n, 7)
+	l, g, err := Scaled(n, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if l.Len() != n {
 		t.Fatalf("Len = %d, want %d", l.Len(), n)
 	}

@@ -11,6 +11,7 @@
 package topology
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -46,10 +47,20 @@ func GDIArea() geom.Rect { return geom.NewRect(0, 0, GDIWidth, GDIHeight) }
 //
 // Clustered clamps Gaussian draws to the rectangle, so some nodes share a
 // position: 17, 44, 52 and 53 sit at (106, 0), and 28 and 37 at (0, 0).
-// Their links have zero weight (DESIGN.md §4).
-func GreatDuckIsland() (*Layout, *graph.Undirected) {
-	l := Clustered(GDINodes, GDIArea(), 9, 22, 2007)
-	return l, l.EnsureConnected(repairRange)
+// Their links have zero weight (DESIGN.md §4). The error is
+// EnsureConnected's; the fixed layout repairs without one.
+func GreatDuckIsland() (*Layout, *graph.Undirected, error) {
+	return repaired(Clustered(GDINodes, GDIArea(), 9, 22, 2007))
+}
+
+// repaired returns l with the connectivity graph EnsureConnected repairs
+// it to at repairRange, or EnsureConnected's error.
+func repaired(l *Layout) (*Layout, *graph.Undirected, error) {
+	g, err := l.EnsureConnected(repairRange)
+	if err != nil {
+		return nil, nil, err
+	}
+	return l, g, nil
 }
 
 // repairRange is the radio range GreatDuckIsland, Scaled and
@@ -122,16 +133,15 @@ func Clustered(n int, area geom.Rect, k int, spread float64, seed int64) *Layout
 // (68 nodes / (106×203) m²), as in the paper's network-size experiment
 // (Figure 6). The aspect ratio of the reference area is preserved and the
 // layout is repaired to be connected at 50 m range; the connectivity
-// graph at that range is returned with it.
-func Scaled(n int, seed int64) (*Layout, *graph.Undirected) {
+// graph at that range is returned with it, or EnsureConnected's error.
+func Scaled(n int, seed int64) (*Layout, *graph.Undirected, error) {
 	refDensity := float64(GDINodes) / (GDIWidth * GDIHeight)
 	area := float64(n) / refDensity
 	// width/height = GDIWidth/GDIHeight, width*height = area.
 	ratio := GDIWidth / GDIHeight
 	h := math.Sqrt(area / ratio)
 	w := area / h
-	l := UniformRandom(n, geom.NewRect(0, 0, w, h), seed)
-	return l, l.EnsureConnected(repairRange)
+	return repaired(UniformRandom(n, geom.NewRect(0, 0, w, h), seed))
 }
 
 // ScaledClustered is the clustered counterpart of Scaled: n nodes at the
@@ -140,8 +150,8 @@ func Scaled(n int, seed int64) (*Layout, *graph.Undirected) {
 // 68 nodes, 22 m spread), repaired to be connected at 50 m range. It is the
 // adversarial generator for the plan-scale benchmarks — clusters make dense
 // per-edge problems. Like Scaled, it returns the connectivity graph at
-// 50 m with the layout.
-func ScaledClustered(n int, seed int64) (*Layout, *graph.Undirected) {
+// 50 m with the layout, or EnsureConnected's error.
+func ScaledClustered(n int, seed int64) (*Layout, *graph.Undirected, error) {
 	refDensity := float64(GDINodes) / (GDIWidth * GDIHeight)
 	area := float64(n) / refDensity
 	ratio := GDIWidth / GDIHeight
@@ -151,8 +161,7 @@ func ScaledClustered(n int, seed int64) (*Layout, *graph.Undirected) {
 	if k < 1 {
 		k = 1
 	}
-	l := Clustered(n, geom.NewRect(0, 0, w, h), k, 22, seed)
-	return l, l.EnsureConnected(repairRange)
+	return repaired(Clustered(n, geom.NewRect(0, 0, w, h), k, 22, seed))
 }
 
 // ConnectivityGraph returns the undirected graph connecting every pair of
@@ -191,20 +200,23 @@ func (l *Layout) ConnectivityGraph(rangeMeters float64) *graph.Undirected {
 // remains, the closest pair of nodes in different components is pulled
 // toward their midpoint until within 90% of range. It returns the
 // connectivity graph of the repaired layout, the one that proved it
-// connected, so callers need not build it again.
+// connected, so callers need not build it again. It returns an error if
+// the layout is still disconnected after n+8 pulls: far-apart clusters
+// can defeat the repair, since each pull moves only the closest
+// cross-component pair and may leave the rest of its cluster behind.
 //
 // The closest pair comes from a per-node ring search over the spatial hash
 // rather than a pairwise scan. The selection is identical to the former
 // O(n²) loop: node i's nearest other-component neighbor (smallest ID on
 // exact distance ties) strictly improving the global best reproduces the
 // ascending (i, j) scan's winner pair.
-func (l *Layout) EnsureConnected(rangeMeters float64) *graph.Undirected {
+func (l *Layout) EnsureConnected(rangeMeters float64) (*graph.Undirected, error) {
 	comp := make([]int, len(l.Points))
 	for iter := 0; iter < len(l.Points)+8; iter++ {
 		g := l.ConnectivityGraph(rangeMeters)
 		comps := g.Components()
 		if len(comps) <= 1 {
-			return g
+			return g, nil
 		}
 		for ci, c := range comps {
 			for _, u := range c {
@@ -224,10 +236,11 @@ func (l *Layout) EnsureConnected(rangeMeters float64) *graph.Undirected {
 		l.Points[bj] = pullToward(l.Points[bj], mid, target)
 	}
 	g := l.ConnectivityGraph(rangeMeters)
-	if !g.Connected() {
-		panic("topology: EnsureConnected failed to converge")
+	if comps := g.Components(); len(comps) > 1 {
+		return nil, fmt.Errorf("topology: %d-node layout still has %d components at %g m after %d repair pulls",
+			len(l.Points), len(comps), rangeMeters, len(l.Points)+8)
 	}
-	return g
+	return g, nil
 }
 
 // pullToward moves p to be exactly dist from anchor along the p—anchor

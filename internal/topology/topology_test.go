@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"strings"
 	"testing"
 
 	"m2m/internal/geom"
@@ -11,7 +12,10 @@ import (
 )
 
 func TestGreatDuckIslandShape(t *testing.T) {
-	l, g := GreatDuckIsland()
+	l, g, err := GreatDuckIsland()
+	if err != nil {
+		t.Fatal(err)
+	}
 	if l.Len() != GDINodes {
 		t.Fatalf("node count = %d, want %d", l.Len(), GDINodes)
 	}
@@ -42,7 +46,10 @@ func TestGreatDuckIslandShape(t *testing.T) {
 // them have zero weight. Every paper figure runs on this layout, so a
 // change here moves them all.
 func TestGreatDuckIslandStackedNodes(t *testing.T) {
-	l, g := GreatDuckIsland()
+	l, g, err := GreatDuckIsland()
+	if err != nil {
+		t.Fatal(err)
+	}
 	want := map[geom.Point][]graph.NodeID{
 		{X: GDIWidth, Y: 0}: {17, 44, 52, 53},
 		{X: 0, Y: 0}:        {28, 37},
@@ -96,7 +103,10 @@ func TestEnsureConnectedReturnsFinalGraph(t *testing.T) {
 			}
 		}
 	}
-	l, g := GreatDuckIsland()
+	l, g, err := GreatDuckIsland()
+	if err != nil {
+		t.Fatal(err)
+	}
 	check("gdi", l, g)
 	sizes := []int{45, 1000, 10000}
 	if testing.Short() {
@@ -104,12 +114,18 @@ func TestEnsureConnectedReturnsFinalGraph(t *testing.T) {
 	}
 	for _, n := range sizes {
 		for seed := int64(1); seed <= 3; seed++ {
-			l, g := Scaled(n, seed)
+			l, g, err := Scaled(n, seed)
+			if err != nil {
+				t.Fatal(err)
+			}
 			check(fmt.Sprintf("scaled(%d,%d)", n, seed), l, g)
 		}
 	}
 	for seed := int64(1); seed <= 3; seed++ {
-		l, g := ScaledClustered(500, seed)
+		l, g, err := ScaledClustered(500, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
 		check(fmt.Sprintf("clustered(500,%d)", seed), l, g)
 	}
 	// A sparse layout the repair has to move.
@@ -117,12 +133,22 @@ func TestEnsureConnectedReturnsFinalGraph(t *testing.T) {
 	if sparse.ConnectivityGraph(50).Connected() {
 		t.Fatal("test precondition: sparse layout should start disconnected")
 	}
-	check("sparse", sparse, sparse.EnsureConnected(50))
+	g, err = sparse.EnsureConnected(50)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("sparse", sparse, g)
 }
 
 func TestGreatDuckIslandDeterministic(t *testing.T) {
-	a, _ := GreatDuckIsland()
-	b, _ := GreatDuckIsland()
+	a, _, err := GreatDuckIsland()
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, _, err := GreatDuckIsland()
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i := range a.Points {
 		if a.Points[i] != b.Points[i] {
 			t.Fatalf("node %d differs across calls: %v vs %v", i, a.Points[i], b.Points[i])
@@ -193,7 +219,10 @@ func TestClusteredStaysInArea(t *testing.T) {
 func TestScaledDensity(t *testing.T) {
 	ref := float64(GDINodes) / (GDIWidth * GDIHeight)
 	for _, n := range []int{50, 100, 150, 200, 250} {
-		l, g := Scaled(n, 7)
+		l, g, err := Scaled(n, 7)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if l.Len() != n {
 			t.Fatalf("Scaled(%d) has %d nodes", n, l.Len())
 		}
@@ -232,9 +261,26 @@ func TestEnsureConnectedRepairs(t *testing.T) {
 	if l.ConnectivityGraph(50).Connected() {
 		t.Fatal("test precondition: layout should start disconnected")
 	}
-	l.EnsureConnected(50)
+	if _, err := l.EnsureConnected(50); err != nil {
+		t.Fatal(err)
+	}
 	if !l.ConnectivityGraph(50).Connected() {
 		t.Fatal("EnsureConnected failed")
+	}
+}
+
+// TestEnsureConnectedReportsFailure pins that a layout the repair cannot
+// join is an error, not a panic: six 15 m clusters scattered over
+// 1500 × 1500 m² start as six components and are not joined by n+8
+// pulls.
+func TestEnsureConnectedReportsFailure(t *testing.T) {
+	l := Clustered(120, geom.NewRect(0, 0, 1500, 1500), 6, 15, 3)
+	g, err := l.EnsureConnected(50)
+	if err == nil || g != nil {
+		t.Fatalf("EnsureConnected = (%v, %v), want a nil graph and an error", g, err)
+	}
+	if !strings.Contains(err.Error(), "components") {
+		t.Errorf("error %q does not say the layout stayed disconnected", err)
 	}
 }
 

@@ -141,7 +141,9 @@ func TestAppendUnitErrors(t *testing.T) {
 func planFixture(t testing.TB, seed int64) (*plan.Instance, *plan.Plan, *plan.Tables) {
 	t.Helper()
 	l := topology.UniformRandom(40, topology.GDIArea(), seed)
-	l.EnsureConnected(50)
+	if _, err := l.EnsureConnected(50); err != nil {
+		t.Fatal(err)
+	}
 	g := l.ConnectivityGraph(50)
 	rng := rand.New(rand.NewSource(seed))
 	var specs []agg.Spec

@@ -24,8 +24,14 @@ const generateGolden = "7ffbe8c070954b0206bc34ed61b2e97d8ba9821ca78421a9f4fa5f4f
 // dispersions and network shapes, plus destinations that cannot reach as
 // many sources as asked for.
 func TestGenerateByteIdentity(t *testing.T) {
-	_, random := topology.Scaled(300, 1)
-	_, clustered := topology.ScaledClustered(300, 2)
+	_, random, err := topology.Scaled(300, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, clustered, err := topology.ScaledClustered(300, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
 	nets := []struct {
 		name string
 		g    *graph.Undirected

@@ -11,7 +11,10 @@ import (
 
 func gdiGraph(t testing.TB) *graph.Undirected {
 	t.Helper()
-	_, g := topology.GreatDuckIsland()
+	_, g, err := topology.GreatDuckIsland()
+	if err != nil {
+		t.Fatal(err)
+	}
 	return g
 }
 

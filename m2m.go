@@ -162,18 +162,36 @@ func newNetwork(l *topology.Layout, g *graph.Undirected) *Network {
 
 // GreatDuckIsland returns the paper's evaluation network: 68 nodes in a
 // 106×203 m² area with 50 m radio range (synthetic coordinates; see
-// DESIGN.md §4).
-func GreatDuckIsland() *Network { return newNetwork(topology.GreatDuckIsland()) }
+// DESIGN.md §4). The constructors of repaired layouts cannot return an
+// error, so a repair that fails panics, naming the layout.
+func GreatDuckIsland() *Network {
+	l, g, err := topology.GreatDuckIsland()
+	if err != nil {
+		panic(fmt.Sprintf("m2m: GreatDuckIsland: %v", err))
+	}
+	return newNetwork(l, g)
+}
 
 // RandomNetwork returns n uniformly placed nodes at Great-Duck-Island
-// density, repaired to be connected.
-func RandomNetwork(n int, seed int64) *Network { return newNetwork(topology.Scaled(n, seed)) }
+// density, repaired to be connected. It panics if the repair fails.
+func RandomNetwork(n int, seed int64) *Network {
+	l, g, err := topology.Scaled(n, seed)
+	if err != nil {
+		panic(fmt.Sprintf("m2m: RandomNetwork(%d, %d): %v", n, seed, err))
+	}
+	return newNetwork(l, g)
+}
 
 // ClusteredNetwork returns n nodes grouped around burrow-like cluster
 // centers at Great-Duck-Island density (the adversarial case for planning:
 // clusters make dense per-edge cover problems), connected at 50 m range.
+// It panics if the repair fails.
 func ClusteredNetwork(n int, seed int64) *Network {
-	return newNetwork(topology.ScaledClustered(n, seed))
+	l, g, err := topology.ScaledClustered(n, seed)
+	if err != nil {
+		panic(fmt.Sprintf("m2m: ClusteredNetwork(%d, %d): %v", n, seed, err))
+	}
+	return newNetwork(l, g)
 }
 
 // GridNetwork returns an nx × ny lattice with the given spacing in meters.
