@@ -285,11 +285,19 @@ type Spec struct {
 // Validate checks that the spec has at least one source. The paper assumes
 // at most one function per destination; the Workload type enforces that.
 func (sp Spec) Validate() error {
+	_, err := sp.ValidSources()
+	return err
+}
+
+// ValidSources returns the spec's sources (Func.Sources), or Validate's
+// error, for callers that need both: Func.Sources may copy the list.
+func (sp Spec) ValidSources() ([]graph.NodeID, error) {
 	if sp.Func == nil {
-		return fmt.Errorf("agg: spec for destination %d has nil function", sp.Dest)
+		return nil, fmt.Errorf("agg: spec for destination %d has nil function", sp.Dest)
 	}
-	if len(sp.Func.Sources()) == 0 {
-		return fmt.Errorf("agg: spec for destination %d has no sources", sp.Dest)
+	sources := sp.Func.Sources()
+	if len(sources) == 0 {
+		return nil, fmt.Errorf("agg: spec for destination %d has no sources", sp.Dest)
 	}
-	return nil
+	return sources, nil
 }

@@ -3,6 +3,7 @@ package agg
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -281,6 +282,17 @@ func TestSpecValidate(t *testing.T) {
 	}
 	if err := (Spec{Dest: 1, Func: NewWeightedSum(weights3())}).Validate(); err != nil {
 		t.Errorf("valid spec rejected: %v", err)
+	}
+	// ValidSources fails exactly as Validate does, and otherwise returns
+	// the sources.
+	for _, sp := range []Spec{{Dest: 1}, {Dest: 1, Func: NewWeightedSum(nil)}} {
+		if _, err := sp.ValidSources(); err == nil || err.Error() != sp.Validate().Error() {
+			t.Errorf("ValidSources error %v, Validate %v", err, sp.Validate())
+		}
+	}
+	f := NewWeightedSum(weights3())
+	if got, err := (Spec{Dest: 1, Func: f}).ValidSources(); err != nil || !slices.Equal(got, f.Sources()) {
+		t.Errorf("ValidSources = %v, %v; want %v", got, err, f.Sources())
 	}
 }
 

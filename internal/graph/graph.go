@@ -83,41 +83,70 @@ func (g *Undirected) addHalf(u, v NodeID, w float64) {
 }
 
 // carve gives every node u an empty neighbour row and weight row of
-// capacity deg[u], cut from one backing array each, so growing one row
-// later reallocates it instead of overwriting the next.
-func (g *Undirected) carve(deg []int32) {
-	total := 0
-	for _, d := range deg {
-		total += int(d)
-	}
-	ids, ws := make([]int32, total), make([]float64, total)
-	off := 0
-	for u, d := range deg {
-		if d > 0 {
-			end := off + int(d)
-			g.nbr[u], g.wt[u] = ids[off:off:end], ws[off:off:end]
-			off = end
+// capacity start[u+1]-start[u], cut from one backing array each at offset
+// start[u], so growing one row later reallocates it instead of
+// overwriting the next. It returns the backing arrays.
+func (g *Undirected) carve(start []int32) ([]int32, []float64) {
+	ids, ws := make([]int32, start[g.n]), make([]float64, start[g.n])
+	for u := 0; u < g.n; u++ {
+		if s, e := start[u], start[u+1]; e > s {
+			g.nbr[u], g.wt[u] = ids[s:s:e], ws[s:s:e]
 		}
 	}
+	return ids, ws
 }
 
-// NewUndirectedFromEdges returns the graph on n nodes with the given
-// edges, without the range, self-loop, and duplicate checks of AddEdge.
-// The duplicate scan is O(degree), which turns bulk construction of dense
-// graphs quadratic; callers that generate each edge exactly once (e.g.
-// the topology package's spatial-hash sweep) skip it. Adjacency rows
-// come out in the order AddEdge would build them edge by edge.
-func NewUndirectedFromEdges(n int, edges []Edge) *Undirected {
+// NewUndirectedFromUpper returns the graph on n nodes whose edges are
+// given as upper rows: upper[off[u]:off[u+1]] lists u's neighbours above
+// u, in any order, each once, with the edge weights at the same positions
+// of w. Every adjacency row comes out ascending by ID: the rows AddEdge
+// builds from the edges in ascending (u, v) order. The rows are sorted by
+// transposition instead of a per-row sort: scanning u ascending puts u
+// into the row of each neighbour above it, which fills every row's part
+// below its node in ascending order; scanning v ascending over those
+// parts then appends v to the row of each neighbour below it, which fills
+// the part above in ascending order. It panics on a neighbour that is not
+// above its row's node, out of range, or listed twice: a caller bug.
+func NewUndirectedFromUpper(n int, off, upper []int32, w []float64) *Undirected {
 	g := NewUndirected(n)
-	deg := make([]int32, n)
-	for _, e := range edges {
-		deg[e.U]++
-		deg[e.V]++
+	start := make([]int32, n+1)
+	for u := 0; u < n; u++ {
+		start[u+1] += off[u+1] - off[u]
+		for _, v := range upper[off[u]:off[u+1]] {
+			if int(v) <= u || int(v) >= n {
+				panic(fmt.Sprintf("graph: upper row of node %d lists %d", u, v))
+			}
+			start[v+1]++
+		}
 	}
-	g.carve(deg)
-	for _, e := range edges {
-		g.addHalf(e.U, e.V, e.W)
-		g.addHalf(e.V, e.U, e.W)
+	for u := 0; u < n; u++ {
+		start[u+1] += start[u]
+	}
+	ids, ws := g.carve(start)
+	// end[u] is where row u's next entry goes.
+	end := slices.Clone(start[:n])
+	for u := 0; u < n; u++ {
+		for k := off[u]; k < off[u+1]; k++ {
+			v := upper[k]
+			p := end[v]
+			if p > start[v] && ids[p-1] == int32(u) {
+				panic(fmt.Sprintf("graph: upper row of node %d lists %d twice", u, v))
+			}
+			ids[p], ws[p] = int32(u), w[k]
+			end[v]++
+		}
+	}
+	for v := 0; v < n; v++ {
+		// Row v holds only its part below v so far: the rest comes from
+		// later v.
+		for p := start[v]; p < end[v]; p++ {
+			u := ids[p]
+			ids[end[u]], ws[end[u]] = int32(v), ws[p]
+			end[u]++
+		}
+	}
+	for u := 0; u < n; u++ {
+		g.nbr[u], g.wt[u] = g.nbr[u][:cap(g.nbr[u])], g.wt[u][:cap(g.wt[u])]
 	}
 	return g
 }
@@ -211,11 +240,11 @@ func (g *Undirected) check(u NodeID) error {
 // Clone returns a deep copy of g.
 func (g *Undirected) Clone() *Undirected {
 	c := NewUndirected(g.n)
-	deg := make([]int32, g.n)
+	start := make([]int32, g.n+1)
 	for u, a := range g.nbr {
-		deg[u] = int32(len(a))
+		start[u+1] = start[u] + int32(len(a))
 	}
-	c.carve(deg)
+	c.carve(start)
 	for u := range g.nbr {
 		c.nbr[u] = append(c.nbr[u], g.nbr[u]...)
 		c.wt[u] = append(c.wt[u], g.wt[u]...)

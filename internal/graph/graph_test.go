@@ -315,18 +315,24 @@ func TestWalkStopsAtQueriedLayer(t *testing.T) {
 	}
 }
 
-// NewUndirectedFromEdges builds the adjacency lists AddEdge builds from
-// the same edges in the same order, and the lists it carves from one
-// backing array stay independent when one of them grows or shrinks.
-func TestNewUndirectedFromEdges(t *testing.T) {
-	edges := []Edge{{0, 1, 1}, {0, 3, 2}, {1, 2, 3}, {2, 3, 4}, {1, 3, 5}}
+// NewUndirectedFromUpper builds the ascending rows AddEdge builds from the
+// same edges in ascending (u, v) order, whatever the order within each
+// upper row, and the rows it carves from one backing array stay
+// independent when one of them grows or shrinks. Out-of-range, downward
+// and repeated entries panic.
+func TestNewUndirectedFromUpper(t *testing.T) {
+	edges := []Edge{{0, 1, 1}, {0, 3, 2}, {1, 2, 3}, {1, 3, 5}, {2, 3, 4}}
 	want := NewUndirected(5)
 	for _, e := range edges {
 		if err := want.AddEdge(e.U, e.V, e.W); err != nil {
 			t.Fatal(err)
 		}
 	}
-	g := NewUndirectedFromEdges(5, edges)
+	// Node 0's and node 1's upper rows out of order; 3 and 4 have none.
+	off := []int32{0, 2, 4, 5, 5, 5}
+	upper := []int32{3, 1, 3, 2, 3}
+	w := []float64{2, 1, 5, 3, 4}
+	g := NewUndirectedFromUpper(5, off, upper, w)
 	if !reflect.DeepEqual(g.nbr, want.nbr) || !reflect.DeepEqual(g.wt, want.wt) {
 		t.Fatalf("adjacency %v %v, want %v %v", g.nbr, g.wt, want.nbr, want.wt)
 	}
@@ -340,5 +346,16 @@ func TestNewUndirectedFromEdges(t *testing.T) {
 	want.RemoveEdge(2, 3)
 	if !reflect.DeepEqual(g.nbr, want.nbr) || !reflect.DeepEqual(g.wt, want.wt) {
 		t.Fatalf("after mutation: adjacency %v %v, want %v %v", g.nbr, g.wt, want.nbr, want.wt)
+	}
+	for _, bad := range [][]int32{{0}, {5}, {1, 1}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("upper row %v of node 0 accepted", bad)
+				}
+			}()
+			off := []int32{0, int32(len(bad)), int32(len(bad)), int32(len(bad)), int32(len(bad)), int32(len(bad))}
+			NewUndirectedFromUpper(5, off, bad, make([]float64, len(bad)))
+		}()
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 )
 
 // Unreachable is the distance reported for nodes with no path to the
@@ -324,36 +323,53 @@ func (h *nodeHeap) Pop() interface{} {
 // Components returns the connected components of g, each sorted by ID, with
 // components ordered by their smallest member.
 func (g *Undirected) Components() [][]NodeID {
-	seen := make([]bool, g.n)
-	var comps [][]NodeID
-	for s := 0; s < g.n; s++ {
-		if seen[s] {
-			continue
+	comp, count := g.ComponentLabels()
+	off, members := GroupBy(g.n, count, func(u int) int32 { return comp[u] })
+	comps := make([][]NodeID, count)
+	ids := make([]NodeID, len(members))
+	for c := range comps {
+		for k := off[c]; k < off[c+1]; k++ {
+			ids[k] = NodeID(members[k])
 		}
-		var comp []NodeID
-		stack := []NodeID{NodeID(s)}
-		seen[s] = true
-		for len(stack) > 0 {
-			u := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			comp = append(comp, u)
-			for _, v := range g.nbr[u] {
-				if !seen[v] {
-					seen[v] = true
-					stack = append(stack, NodeID(v))
-				}
-			}
-		}
-		sort.Slice(comp, func(i, j int) bool { return comp[i] < comp[j] })
-		comps = append(comps, comp)
+		comps[c] = ids[off[c]:off[c+1]:off[c+1]]
 	}
 	return comps
 }
 
+// ComponentLabels labels every node with its connected component in one
+// pass: comp[u] is the index of u's component, components numbered in
+// order of their smallest member as in Components. It returns the labels
+// and the number of components.
+func (g *Undirected) ComponentLabels() (comp []int32, count int) {
+	comp = make([]int32, g.n)
+	for u := range comp {
+		comp[u] = -1
+	}
+	var stack []int32
+	for s := 0; s < g.n; s++ {
+		if comp[s] >= 0 {
+			continue
+		}
+		c := int32(count)
+		count++
+		comp[s] = c
+		stack = append(stack[:0], int32(s))
+		for len(stack) > 0 {
+			u := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			for _, v := range g.nbr[u] {
+				if comp[v] < 0 {
+					comp[v] = c
+					stack = append(stack, v)
+				}
+			}
+		}
+	}
+	return comp, count
+}
+
 // Connected reports whether g is connected (trivially true for n <= 1).
 func (g *Undirected) Connected() bool {
-	if g.n <= 1 {
-		return true
-	}
-	return len(g.Components()) == 1
+	_, count := g.ComponentLabels()
+	return count <= 1
 }

@@ -116,7 +116,8 @@ func NewInstance(net *graph.Undirected, router routing.Router, specs []agg.Spec)
 	}
 	sources := make([][]graph.NodeID, len(inst.Specs))
 	for i, sp := range inst.Specs {
-		if err := sp.Validate(); err != nil {
+		var err error
+		if sources[i], err = sp.ValidSources(); err != nil {
 			return nil, err
 		}
 		if int(sp.Dest) < 0 || int(sp.Dest) >= net.Len() {
@@ -127,7 +128,6 @@ func NewInstance(net *graph.Undirected, router routing.Router, specs []agg.Spec)
 		}
 		inst.SpecByDest[sp.Dest] = sp
 		inst.specOf[sp.Dest] = int32(i)
-		sources[i] = sp.Func.Sources()
 		inst.specOff[i+1] = inst.specOff[i] + int32(len(sources[i]))
 	}
 	npairs := int(inst.specOff[len(specs)])

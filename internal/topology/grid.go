@@ -70,28 +70,17 @@ func (g *cellGrid) cellXY(p geom.Point) (int, int) {
 	return cx, cy
 }
 
-// neighborsAbove appends to out every point ID j > i found in the 3×3 cell
-// block around point i — a superset of i's in-range neighbors with larger
-// IDs. The result is unsorted across cells.
-func (g *cellGrid) neighborsAbove(i int32, out []int32) []int32 {
+// block returns the runs of ids holding the 3×3 cell block around point
+// i, one per cell row in the grid (empty past its edges): the cells of a
+// block row are adjacent in the CSR. Every point within range of i lies
+// in them.
+func (g *cellGrid) block(i int32) (runs [3][]int32) {
 	cx, cy := g.cellXY(g.pts[i])
-	for cy2 := cy - 1; cy2 <= cy+1; cy2++ {
-		if cy2 < 0 || cy2 >= g.ny {
-			continue
-		}
-		for cx2 := cx - 1; cx2 <= cx+1; cx2++ {
-			if cx2 < 0 || cx2 >= g.nx {
-				continue
-			}
-			c := cy2*g.nx + cx2
-			for _, j := range g.ids[g.start[c]:g.start[c+1]] {
-				if j > i {
-					out = append(out, j)
-				}
-			}
-		}
+	x0, x1 := max(cx-1, 0), min(cx+1, g.nx-1)
+	for k, y := 0, max(cy-1, 0); y <= min(cy+1, g.ny-1); k, y = k+1, y+1 {
+		runs[k] = g.ids[g.start[y*g.nx+x0]:g.start[y*g.nx+x1+1]]
 	}
-	return out
+	return runs
 }
 
 // nearestOtherComponent finds the point nearest to i that lies in a
@@ -102,7 +91,7 @@ func (g *cellGrid) neighborsAbove(i int32, out []int32) []int32 {
 // returned as soon as every unsearched ring is provably at least bound
 // away. Distances are geom.Point.Dist values, bit-identical to the former
 // O(n²) scan.
-func (g *cellGrid) nearestOtherComponent(i int, comp []int, bound float64) (int, float64) {
+func (g *cellGrid) nearestOtherComponent(i int, comp []int32, bound float64) (int, float64) {
 	p := g.pts[i]
 	cx, cy := g.cellXY(p)
 	bestJ, bestD := -1, math.Inf(1)

@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"slices"
 
 	"m2m/internal/geom"
 	"m2m/internal/graph"
@@ -167,32 +166,45 @@ func ScaledClustered(n int, seed int64) (*Layout, *graph.Undirected, error) {
 // ConnectivityGraph returns the undirected graph connecting every pair of
 // nodes within radio range, with edge weights equal to Euclidean distance.
 // A spatial hash restricts the candidate pairs to adjacent cells, so the
-// cost is near-linear in n instead of O(n²); edges are inserted in the same
-// (i ascending, j ascending) order as a pairwise scan, so the resulting
-// adjacency lists are identical.
+// cost is near-linear in n instead of O(n²). Each node's in-range
+// neighbours above it become its upper row, and graph.NewUndirectedFromUpper
+// sorts the rows by transposition, so the adjacency rows are identical to
+// those a pairwise scan inserting edges in (i ascending, j ascending)
+// order builds: each row ascending, with the same weights.
 func (l *Layout) ConnectivityGraph(rangeMeters float64) *graph.Undirected {
 	if rangeMeters <= 0 {
 		panic("topology: non-positive radio range")
 	}
-	if len(l.Points) < 2 {
-		return graph.NewUndirected(len(l.Points))
+	n := len(l.Points)
+	if n < 2 {
+		return graph.NewUndirected(n)
 	}
 	cg := buildCellGrid(l.Points, rangeMeters)
 	r2 := rangeMeters * rangeMeters
-	cand := make([]int32, 0, 64)
-	var edges []graph.Edge
+	// Size the upper rows for every candidate pair, two points in adjacent
+	// cells, so they fill without regrowing: a point's block holds itself
+	// and both ends of each of its candidate pairs.
+	cand := -n
 	for i := range l.Points {
-		cand = cg.neighborsAbove(int32(i), cand[:0])
-		slices.Sort(cand)
-		pi := l.Points[i]
-		for _, j := range cand {
-			if pi.Dist2(l.Points[j]) <= r2 {
-				// No self-loops or duplicates: j > i, one cell per point.
-				edges = append(edges, graph.Edge{U: graph.NodeID(i), V: graph.NodeID(j), W: pi.Dist(l.Points[j])})
-			}
+		for _, run := range cg.block(int32(i)) {
+			cand += len(run)
 		}
 	}
-	return graph.NewUndirectedFromEdges(len(l.Points), edges)
+	off := make([]int32, n+1)
+	up, w := make([]int32, 0, cand/2), make([]float64, 0, cand/2)
+	for i, pi := range l.Points {
+		for _, run := range cg.block(int32(i)) {
+			for _, j := range run {
+				// No self-loops or duplicates: j > i, one cell per point.
+				if int(j) > i && pi.Dist2(l.Points[j]) <= r2 {
+					up = append(up, j)
+					w = append(w, pi.Dist(l.Points[j]))
+				}
+			}
+		}
+		off[i+1] = int32(len(up))
+	}
+	return graph.NewUndirectedFromUpper(n, off, up, w)
 }
 
 // EnsureConnected deterministically repairs l so that its connectivity
@@ -211,17 +223,11 @@ func (l *Layout) ConnectivityGraph(rangeMeters float64) *graph.Undirected {
 // exact distance ties) strictly improving the global best reproduces the
 // ascending (i, j) scan's winner pair.
 func (l *Layout) EnsureConnected(rangeMeters float64) (*graph.Undirected, error) {
-	comp := make([]int, len(l.Points))
 	for iter := 0; iter < len(l.Points)+8; iter++ {
 		g := l.ConnectivityGraph(rangeMeters)
-		comps := g.Components()
-		if len(comps) <= 1 {
+		comp, count := g.ComponentLabels()
+		if count <= 1 {
 			return g, nil
-		}
-		for ci, c := range comps {
-			for _, u := range c {
-				comp[u] = ci
-			}
 		}
 		cg := buildCellGrid(l.Points, rangeMeters)
 		bi, bj, best := -1, -1, math.MaxFloat64
@@ -236,9 +242,9 @@ func (l *Layout) EnsureConnected(rangeMeters float64) (*graph.Undirected, error)
 		l.Points[bj] = pullToward(l.Points[bj], mid, target)
 	}
 	g := l.ConnectivityGraph(rangeMeters)
-	if comps := g.Components(); len(comps) > 1 {
+	if _, count := g.ComponentLabels(); count > 1 {
 		return nil, fmt.Errorf("topology: %d-node layout still has %d components at %g m after %d repair pulls",
-			len(l.Points), len(comps), rangeMeters, len(l.Points)+8)
+			len(l.Points), count, rangeMeters, len(l.Points)+8)
 	}
 	return g, nil
 }
